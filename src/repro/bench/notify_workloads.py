@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.store import fabric_network
+from repro.bench.workloads import rank_fill
 from repro.datatypes import BYTE
 from repro.machine import generic_cluster
 from repro.runtime import World
@@ -102,7 +103,7 @@ def notified_halo_time(
         alloc, tmems = yield from ctx.rma.expose_collective(2 * halo_bytes)
         left = (ctx.rank - 1) % ctx.size
         right = (ctx.rank + 1) % ctx.size
-        src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank)
+        src = ctx.mem.space.alloc(halo_bytes, fill=rank_fill(ctx.rank))
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now
         for _ in range(iterations):

@@ -405,11 +405,11 @@ def main(argv: Optional[list] = None) -> int:
                         help="relative sim-time drift tolerance for "
                              "--compare (default: %(default)s)")
     parser.add_argument("--no-train", action="store_true",
-                        help="disable the vectorized op-train fast path (the "
-                             "collective nexus, which requires it, then "
-                             "declines too); CI runs --compare both ways to "
-                             "pin that the fast paths never move simulated "
-                             "time")
+                        help="disable the vectorized op-train fast path "
+                             "(barriers stay live: the collective nexus does "
+                             "not depend on it); CI runs --compare both ways "
+                             "to pin that the fast paths never move "
+                             "simulated time")
     parser.add_argument("--ir-opt", action="store_true",
                         help="run only the pinned IR-optimization point: "
                              "the same program executed original vs "

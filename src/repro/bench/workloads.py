@@ -38,6 +38,7 @@ __all__ = [
     "hotspot_incast",
     "all_to_all_time",
     "torus_halo_time",
+    "rank_fill",
 ]
 
 #: The four measured configurations of Figure 2, in plot order.
@@ -48,6 +49,12 @@ FIG2_ATTR_MODES = (
     "atomicity+lock",
     "atomicity+thread",
 )
+
+
+def rank_fill(rank: int) -> int:
+    """Payload byte identifying ``rank``: 1..251, so it fits ``uint8`` at
+    any world size and is never the zero a missing put would leave."""
+    return 1 + rank % 251
 
 
 def _fig2_attrs(mode: str) -> RmaAttrs:
@@ -110,7 +117,7 @@ def fig2_attribute_cost(
         yield from ctx.comm.barrier()
         elapsed = 0.0
         if ctx.rank != 0:
-            src = ctx.mem.space.alloc(size, fill=ctx.rank)
+            src = ctx.mem.space.alloc(size, fill=rank_fill(ctx.rank))
             t0 = ctx.sim.now
             for _ in range(puts_per_origin):
                 # all origins hit the same (overlapping) region on rank 0
@@ -226,7 +233,7 @@ def halo_exchange_time(
         win = yield from ctx.mpi2.win_create(alloc)
         left = (ctx.rank - 1) % ctx.size
         right = (ctx.rank + 1) % ctx.size
-        src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank)
+        src = ctx.mem.space.alloc(halo_bytes, fill=rank_fill(ctx.rank))
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now
         for _ in range(iterations):
@@ -323,7 +330,7 @@ def hotspot_incast(
             max(4096, put_bytes + 64))
         yield from ctx.comm.barrier()
         if ctx.rank != 0:
-            src = ctx.mem.space.alloc(put_bytes, fill=ctx.rank)
+            src = ctx.mem.space.alloc(put_bytes, fill=rank_fill(ctx.rank))
             for _ in range(puts_per_origin):
                 yield from ctx.rma.put(
                     src, 0, put_bytes, BYTE, tmems[0], 0, put_bytes, BYTE,
@@ -371,7 +378,7 @@ def all_to_all_time(
     def program(ctx):
         alloc, tmems = yield from ctx.rma.expose_collective(
             max(4096, nbytes * ctx.size))
-        src = ctx.mem.space.alloc(nbytes, fill=ctx.rank)
+        src = ctx.mem.space.alloc(nbytes, fill=rank_fill(ctx.rank))
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now
         for _ in range(iterations):
@@ -440,7 +447,7 @@ def torus_halo_time(
 
     def program(ctx):
         alloc, tmems = yield from ctx.rma.expose_collective(6 * halo_bytes)
-        src = ctx.mem.space.alloc(halo_bytes, fill=ctx.rank)
+        src = ctx.mem.space.alloc(halo_bytes, fill=rank_fill(ctx.rank))
         peers = list(neighbours(ctx.rank))
         yield from ctx.comm.barrier()
         t0 = ctx.sim.now

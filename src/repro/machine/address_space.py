@@ -87,6 +87,8 @@ class AddressSpace:
             raise MemoryError_(
                 f"{nbytes} bytes exceeds a {self.pointer_bits}-bit address space"
             )
+        if not 0 <= fill <= 255:
+            raise ValueError(f"fill must be a byte value 0..255, got {fill!r}")
         alloc_id = self._next_id
         self._next_id += 1
         self._allocations[alloc_id] = np.full(nbytes, fill, dtype=np.uint8)

@@ -147,46 +147,35 @@ class Comm:
         return got
 
     # -- collectives -----------------------------------------------------
-    def barrier(self, _ctx=None, _resume_at=None):
-        """Dissemination barrier: ceil(log2(n)) rounds.
-
-        ``_ctx``/``_resume_at`` are internal: a caller falling back from
-        the collective nexus passes the context it already consumed and
-        (when rescued out of an abandoned window) the absolute instant
-        its first send charge would have ended.
-        """
-        ctx = self._next_coll_ctx() if _ctx is None else _ctx
+    def barrier(self):
+        """Dissemination barrier: ceil(log2(n)) rounds."""
+        ctx = self._next_coll_ctx()
         n = self.size
         if n == 1:
             return
-        if _ctx is None:
-            nexus = self.sim.context.get("nexus")
-            if nexus is not None:
-                ev = nexus.enter_barrier(self, ctx)
-                if ev is not None:
-                    state, val = yield ev
-                    if state == "ok":
-                        return
-                    # rescued: replay the first charge at its exact end
-                    _resume_at = val + (
-                        self.endpoint.timings.call_overhead
-                        + self.endpoint.nic.config.overhead_send
-                    )
+        nexus = self.sim.context.get("nexus")
+        if nexus is not None:
+            walk = nexus.enter_barrier(self, ctx)
+            if walk is not None:
+                # the rounds run as heap callbacks (repro.mpi.nexus)
+                try:
+                    yield walk.ev
+                finally:
+                    walk.parked = False
+                return
         k = 0
         dist = 1
         while dist < n:
             dst = (self.rank + dist) % n
             src = (self.rank - dist) % n
-            yield from self.endpoint.send(None, self._world(dst), k, ctx,
-                                          resume_at=_resume_at)
-            _resume_at = None
+            yield from self.endpoint.send(None, self._world(dst), k, ctx)
             yield from self.endpoint.recv(self._world(src), k, ctx)
             dist <<= 1
             k += 1
 
-    def bcast(self, obj: Any, root: int = 0, _ctx=None):
+    def bcast(self, obj: Any, root: int = 0):
         """Binomial-tree broadcast; returns the object on every rank."""
-        ctx = self._next_coll_ctx() if _ctx is None else _ctx
+        ctx = self._next_coll_ctx()
         n = self.size
         if n == 1:
             return obj
@@ -206,31 +195,19 @@ class Comm:
             mask >>= 1
         return obj
 
-    def gather(self, obj: Any, root: int = 0, _ctx=None, _entry=None):
-        """Linear gather; returns the list at root, ``None`` elsewhere.
-
-        ``_entry`` is the original entry time of a rank rescued out of
-        an abandoned analytic allgather: the root backdates its first
-        receive post to it, senders replay their first charge from it.
-        """
-        ctx = self._next_coll_ctx() if _ctx is None else _ctx
+    def gather(self, obj: Any, root: int = 0):
+        """Linear gather; returns the list at root, ``None`` elsewhere."""
+        ctx = self._next_coll_ctx()
         if self.rank == root:
             out: List[Any] = [None] * self.size
             out[root] = obj
-            posted_at = _entry
             for _ in range(self.size - 1):
                 data, st = yield from self.endpoint.recv_status(
-                    ANY_SOURCE, ANY_TAG, ctx, posted_at=posted_at
+                    ANY_SOURCE, ANY_TAG, ctx
                 )
-                posted_at = None
                 out[st.tag] = data  # tag carries the sender's local rank
             return out
-        resume_at = None
-        if _entry is not None:
-            resume_at = _entry + (self.endpoint.timings.call_overhead
-                                  + self.endpoint.nic.config.overhead_send)
-        yield from self.endpoint.send(obj, self._world(root), self.rank, ctx,
-                                      resume_at=resume_at)
+        yield from self.endpoint.send(obj, self._world(root), self.rank, ctx)
         return None
 
     def scatter(self, objs: Optional[Sequence[Any]], root: int = 0):
@@ -250,21 +227,8 @@ class Comm:
 
     def allgather(self, obj: Any):
         """Gather to rank 0 then broadcast; returns the full list."""
-        nexus = self.sim.context.get("nexus")
-        if nexus is None:
-            gathered = yield from self.gather(obj, root=0)
-            out = yield from self.bcast(gathered, root=0)
-            return out
-        ev, gctx, bctx = nexus.enter_allgather(self, obj)
-        entry = None
-        if ev is not None:
-            state, val = yield ev
-            if state == "ok":
-                return val
-            entry = val  # rescued: replay with the original entry time
-        gathered = yield from self.gather(obj, root=0, _ctx=gctx,
-                                          _entry=entry)
-        out = yield from self.bcast(gathered, root=0, _ctx=bctx)
+        gathered = yield from self.gather(obj, root=0)
+        out = yield from self.bcast(gathered, root=0)
         return out
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any], root: int = 0):

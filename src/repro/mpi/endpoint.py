@@ -163,30 +163,17 @@ class MpiEndpoint:
 
     # ------------------------------------------------------------------
     def isend(
-        self, data: Any, dst: int, tag: int, context: Tuple,
-        resume_at: float = None,
+        self, data: Any, dst: int, tag: int, context: Tuple
     ) -> Generator[Any, Any, Request]:
         """Start a nonblocking send; returns a :class:`Request`.
 
         Charges the sender's call + injection overhead before returning,
-        which is why this is a generator.  ``resume_at`` replaces the
-        relative charge with an absolute wakeup — a rank rescued out of
-        an abandoned analytic collective replays its first charge at the
-        exact instant the charge would have ended.
+        which is why this is a generator.
         """
         nbytes = payload_nbytes(data)
-        inject_from = None
-        if resume_at is None:
-            yield self.sim.timeout(
-                self.timings.call_overhead + self.nic.config.overhead_send
-            )
-        elif resume_at >= self.sim.now:
-            yield self.sim.wake_at(resume_at)
-        else:
-            # The charge ended in the simulated past (late nexus rescue):
-            # skip the wait and hand the NIC the original instant so the
-            # injection timeline is reproduced exactly.
-            inject_from = resume_at
+        yield self.sim.timeout(
+            self.timings.call_overhead + self.nic.config.overhead_send
+        )
         self.sends += 1
         if nbytes <= self.eager_threshold:
             self.eager_sends += 1
@@ -197,7 +184,7 @@ class MpiEndpoint:
                 payload={"context": context, "tag": tag, "data": data},
                 data_bytes=nbytes,
             )
-            self.nic.send(pkt, inject_from=inject_from)
+            self.nic.send(pkt)
             return Request(self.sim, event=pkt.ev_injected, kind="isend")
         # rendezvous
         self.rdv_sends += 1
@@ -210,29 +197,21 @@ class MpiEndpoint:
             kind="p2p.rts",
             payload={"context": context, "tag": tag, "nbytes": nbytes,
                      "rdv_id": rdv_id},
-        ), inject_from=inject_from)
+        ))
         return Request(self.sim, event=req_ev, kind="isend-rdv")
 
     def send(
-        self, data: Any, dst: int, tag: int, context: Tuple,
-        resume_at: float = None,
+        self, data: Any, dst: int, tag: int, context: Tuple
     ) -> Generator[Any, Any, None]:
         """Blocking send (complete when the payload left this rank)."""
-        req = yield from self.isend(data, dst, tag, context,
-                                    resume_at=resume_at)
+        req = yield from self.isend(data, dst, tag, context)
         yield from req.wait()
 
-    def irecv(
-        self, src: int, tag: int, context: Tuple,
-        posted_at: float = None,
-    ) -> Request:
+    def irecv(self, src: int, tag: int, context: Tuple) -> Request:
         """Post a nonblocking receive; returns a :class:`Request` whose
-        value is the received object.  ``posted_at`` backdates the post
-        instant (unexpected-message accounting) for a rank rescued out
-        of an abandoned analytic collective."""
+        value is the received object."""
         req = Request(self.sim, kind="irecv")
-        if posted_at is None:
-            posted_at = self.sim.now
+        posted_at = self.sim.now
 
         def match(m: Message) -> bool:
             if m.context != context:
@@ -275,20 +254,18 @@ class MpiEndpoint:
         return req
 
     def recv(
-        self, src: int, tag: int, context: Tuple,
-        posted_at: float = None,
+        self, src: int, tag: int, context: Tuple
     ) -> Generator[Any, Any, Any]:
         """Blocking receive; returns the received object."""
-        req = self.irecv(src, tag, context, posted_at=posted_at)
+        req = self.irecv(src, tag, context)
         data = yield from req.wait()
         return data
 
     def recv_status(
-        self, src: int, tag: int, context: Tuple,
-        posted_at: float = None,
+        self, src: int, tag: int, context: Tuple
     ) -> Generator[Any, Any, Tuple[Any, Status]]:
         """Blocking receive returning ``(data, Status)``."""
-        req = self.irecv(src, tag, context, posted_at=posted_at)
+        req = self.irecv(src, tag, context)
         data = yield from req.wait()
         assert req.status is not None
         return data, req.status

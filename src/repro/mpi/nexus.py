@@ -1,58 +1,47 @@
-"""Analytic collectives: closed-form barriers, allgathers, and fences.
+"""Live analytic barriers: the dissemination rounds as heap callbacks.
 
 The op-train fast path (:mod:`repro.rma.train`) removes the per-packet
-cost of the *data* plane; what remains on the fig2/halo critical path is
-the *control* plane — dissemination barriers, the gather+bcast behind
-``expose_collective``, and the flush round trips of
-``MPI_RMA_complete_collective``.  Each of those is a fixed message
-pattern whose every timestamp is closed-form on an uncontended flat
-fabric: injection is a running reservation per NIC, arrival is
+cost of the *data* plane; what remains on the halo critical path is the
+*control* plane — above all the dissemination barrier behind
+``MPI_RMA_complete_collective``.  Per packet, one barrier message costs
+a ``Packet``, an ``Event`` or three, two process resumes, a spawned
+receiver coroutine and a predicate scan of the endpoint's inbox, although
+on an uncontended flat fabric every one of its timestamps is a two-line
+formula: injection is a running reservation per NIC, arrival is
 ``inject + latency`` FIFO-clamped per (src, dst) pair, matching is
-``max(posted, arrived)`` plus receive overheads.
+``max(posted, arrived)`` plus the receive overhead.
 
-:class:`CollectiveNexus` exploits that.  Ranks *enter* a collective and
-park on a plain event; the **last** entrant replays the whole exchange
-inside a miniature event list (plain ``(time, seq, fn, args)`` heap —
-no generators, no Event objects, no packets), using the exact float
-arithmetic of :meth:`Nic.send` / :meth:`Fabric.transmit` /
-:meth:`MpiEndpoint.irecv`, then commits the results: NIC reservations,
-FIFO clamps, traffic counters, op-train materializations at flush
-arrivals, and one absolutely-timed wakeup per rank at its computed exit
-time.  A ``log2(n)``-round barrier costs ``n`` event-loop interactions
-instead of ``O(n log n)`` packet flights with ~6 events each.
+:class:`CollectiveNexus` keeps the formulas and drops the objects.  A
+rank entering ``Comm.barrier`` parks on one event while a
+:class:`_BarrierWalk` takes its place: plain ``(fn, args)`` callbacks on
+the simulator's **own** heap, one per heap pop of the per-packet path
+(send charge over → serialization over → flight over → receive overhead
+over), each reading and writing the live ``Nic._reserved_until``,
+``Fabric._last_delivery`` and the endpoint / NIC / fabric counters at the
+real simulated instant.  Nothing is deferred or replayed, so entry skew
+between ranks and real traffic interleaved with the rounds need no
+handling: a flush acknowledgement leaving a NIC in mid-barrier chains
+off the same reservation the walk just wrote, exactly as it would behind
+a real barrier packet.  Ties cannot reorder anything either — a walk
+pushes the same heap entries, at the same instants and in the same
+order, as the coroutines it stands in for, and the heap breaks ties by
+push order.
 
-Eligibility mirrors the op-train gates and is checked when the first
-rank enters (*open*): flat fabric (no topology, no hierarchical
-machine), fault-free, untraced, ordered config, no reliable-transport
-shims, zero packets in flight, and every RMA engine quiescent (nothing
-inbound, gated, or awaiting acks).  Anything else falls back to the
-per-packet path untouched.
-
-Correctness of the *late commit* rests on unobservability: while every
-rank is parked inside the same collective, no program code runs, so
-writing the trajectory's effects at close time is indistinguishable
-from having produced them packet by packet.  The one hazard is an
-*interloper* — a transmission (or rank kill) by a rank that has not
-entered yet.  The fabric hooks :meth:`interrupt` into its transmit
-paths; since nothing is committed before close, the nexus can abandon
-cleanly by resuming every parked rank onto the real slow path with an
-absolutely-timed first charge (``Simulator.wake_at``), provided no
-parked rank's first slow-path action lies in the past.  Programs that
-mix un-completed non-train traffic with collectives in a way that
-violates that window are rejected loudly (RuntimeError) rather than
-silently mistimed; the open gates make such programs unreachable from
-the repository's workloads and fuzzers.
+The only decision left is *whether* the formulas hold, and it depends on
+world-construction facts alone (see :meth:`CollectiveNexus._closed_gate`).
+The first rank to enter a collective instance decides for all of them,
+so a ``kill_rank`` between two entries cannot split one instance across
+the two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
+as they are: they are the reference the tests diff against
+(``CollectiveNexus.enabled = False``) and the path every gated world
+takes.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.mpi.endpoint import payload_nbytes
 from repro.network.packet import HEADER_SIZE
-from repro.sim.events import DeferredEvent, Event, _PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Comm
@@ -61,182 +50,114 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CollectiveNexus"]
 
 
-class _Unmodelable(Exception):
-    """The trajectory hit a state the closed form does not cover."""
+class _BarrierWalk:
+    """One rank's trip through a dissemination barrier.
 
+    Each method is one heap pop of the per-packet path; the docstrings
+    name the code they stand in for.  ``parked`` is cleared when the
+    rank's coroutine leaves the barrier — normally, or because it was
+    killed: the steps a *process* takes (send, post a receive) then
+    stop, the ones NIC and fabric take on their own (finish a
+    serialization, land a packet, finish a receive) do not.
+    """
 
-class _Entry:
-    __slots__ = ("rank", "local", "t", "ev", "obj", "engine", "horizon")
+    __slots__ = ("nexus", "sim", "ep", "nic", "rank", "local", "n", "wmap",
+                 "slots", "k", "dist", "ev", "parked", "charge", "ser",
+                 "orecv")
 
-    def __init__(self, rank, local, t, ev, obj, engine, horizon):
-        self.rank = rank      # world rank
-        self.local = local    # communicator-local rank
-        self.t = t            # entry sim time
-        self.ev = ev          # park event
-        self.obj = obj        # allgather payload
-        self.engine = engine  # RmaEngine (complete only)
-        #: absolute rescue horizon: the first *irreversible* instant of
-        #: this rank's replayed slow path (its first packet delivery),
-        #: computed with the replay's exact float grouping.
-        self.horizon = horizon
+    def __init__(self, nexus: "CollectiveNexus", comm: "Comm",
+                 slots: dict) -> None:
+        ep = comm.endpoint
+        cfg = ep.nic.config
+        self.nexus = nexus
+        self.sim = nexus.sim
+        self.ep = ep
+        self.nic = ep.nic
+        self.rank = ep.rank
+        self.local = comm.rank
+        self.n = comm.size
+        self.wmap = comm.group.world_ranks
+        self.slots = slots
+        self.k = 0
+        self.dist = 1
+        self.ev = self.sim.event()
+        self.parked = True
+        # identical operand order to MpiEndpoint.isend's timeout; a
+        # barrier message carries no payload, so irecv's per-byte copy
+        # terms are exact zeros
+        self.charge = ep.timings.call_overhead + cfg.overhead_send
+        self.ser = cfg.serialization_time(HEADER_SIZE)
+        self.orecv = cfg.overhead_recv
 
+    def send(self) -> None:
+        """The send charge is over (``MpiEndpoint.isend`` resumes): claim
+        the serializer as the idle path of ``Nic.send`` does."""
+        if not self.parked:
+            return
+        ep = self.ep
+        ep.sends += 1
+        ep.eager_sends += 1
+        nic = self.nic
+        now = self.sim.now
+        t = max(now, nic._reserved_until) + self.ser
+        nic._reserved_until = t
+        self.sim.schedule_call(t - now, self.injected)
 
-class _Mini:
-    """The trajectory's private event list."""
-
-    __slots__ = ("heap", "seq")
-
-    def __init__(self):
-        self.heap: list = []
-        self.seq = 0
-
-    def at(self, t: float, fn, *args) -> None:
-        heapq.heappush(self.heap, (t, self.seq, fn, args))
-        self.seq += 1
-
-    def run(self) -> None:
-        heap = self.heap
-        while heap:
-            t, _s, fn, args = heapq.heappop(heap)
-            fn(t, *args)
-
-
-class _Net:
-    """Closed-form replica of NIC injection, fabric flight, and message
-    matching — same floats, same operand order as the live objects."""
-
-    def __init__(self, world: "World", mini: _Mini):
-        self.mini = mini
-        fabric = world.fabric
-        self.fabric = fabric
-        self.cfg = fabric.config
-        self.lat = self.cfg.latency
-        n = world.n_ranks
-        self.res: Dict[int, float] = {}
-        self.charge: Dict[int, float] = {}   # call_overhead + overhead_send
-        self.orecv: Dict[int, float] = {}
-        self.mcopy: Dict[int, float] = {}
-        self.eager: Dict[int, int] = {}
-        for r in range(n):
-            ctx = world.contexts[r]
-            ep = ctx.comm.endpoint
-            nic = ep.nic
-            self.res[r] = nic._reserved_until
-            # identical operand order to MpiEndpoint.isend's timeout
-            self.charge[r] = ep.timings.call_overhead + nic.config.overhead_send
-            self.orecv[r] = nic.config.overhead_recv
-            self.mcopy[r] = ep.timings.mem_copy_per_byte
-            self.eager[r] = ep.eager_threshold
-        self.ld: Dict[Tuple[int, int], float] = {}  # FIFO clamp overlay
-        # stat deltas (committed wholesale on clean close)
-        self.sends = dict.fromkeys(self.res, 0)
-        self.eager_sends = dict.fromkeys(self.res, 0)
-        self.recvs = dict.fromkeys(self.res, 0)
-        self.unexpected = dict.fromkeys(self.res, 0)
-        self.pkts_sent = dict.fromkeys(self.res, 0)
-        self.bytes_sent = dict.fromkeys(self.res, 0)
-        self.pkts_recv = dict.fromkeys(self.res, 0)
-        self.delivered = 0
-        self.delivered_bytes = 0
-        # exact-key matching: (dst, ctx, tag, src) -> pending post/arrival
-        self.slots: Dict[tuple, tuple] = {}
-        # ANY_SOURCE matching (gather root): (dst, ctx) -> state
-        self.anybuf: Dict[tuple, deque] = {}
-        self.anywait: Dict[tuple, tuple] = {}
-
-    # -- NIC / fabric ----------------------------------------------------
-    def inject(self, src: int, t: float, wire: int) -> float:
-        r = self.res[src]
-        base = t if t >= r else r
-        inj = base + self.cfg.serialization_time(wire)
-        self.res[src] = inj
-        self.pkts_sent[src] += 1
-        self.bytes_sent[src] += wire
-        return inj
-
-    def flight(self, src: int, dst: int, inject: float) -> float:
-        arrival = inject + self.lat
-        key = (src, dst)
-        prev = self.ld.get(key)
-        if prev is None:
-            prev = self.fabric._last_delivery.get(key, -1.0)
-        if arrival <= prev:
-            arrival = prev + 1e-9
-        self.ld[key] = arrival
-        return arrival
-
-    def count_send(self, src: int) -> None:
-        self.sends[src] += 1
-        self.eager_sends[src] += 1
-
-    def deliver_stats(self, dst: int, wire: int) -> None:
-        self.pkts_recv[dst] += 1
-        self.delivered += 1
-        self.delivered_bytes += wire
-
-    # -- message matching -------------------------------------------------
-    def post(self, dst: int, key: tuple, posted: float, cb, meta) -> None:
-        full = (dst,) + key
-        slot = self.slots.pop(full, None)
-        if slot is None:
-            self.slots[full] = ("p", posted, cb, meta)
+    def injected(self) -> None:
+        """Serialization is over: ``Nic._finish_single`` hands the packet
+        to ``Fabric.transmit``, then the resumed rank posts this round's
+        receive."""
+        nic = self.nic
+        nic.packets_sent += 1
+        nic.bytes_sent += HEADER_SIZE
+        nexus = self.nexus
+        fabric = nexus.fabric
+        sim = self.sim
+        now = sim.now
+        rank = self.rank
+        dst_local = (self.local + self.dist) % self.n
+        dst = self.wmap[dst_local]
+        dead = fabric._dead
+        if dead and (rank in dead or dst in dead):
+            fabric.dead_dropped += 1
         else:
-            _a, arrival, data, nbytes = slot
-            self._match(dst, posted, arrival, data, nbytes, cb, meta)
+            arrival = now + nexus.latency
+            pair = (rank, dst)
+            prev = fabric._last_delivery.get(pair, -1.0)
+            if arrival <= prev:
+                arrival = prev + 1e-9
+            fabric._last_delivery[pair] = arrival
+            sim.schedule_call(arrival - now, nexus.arrive, self.slots,
+                              (self.k, dst_local), rank, dst)
+        if self.parked:
+            key = (self.k, self.local)
+            arrived = self.slots.pop(key, None)
+            if arrived is None:
+                self.slots[key] = self
+            else:
+                if arrived < now:
+                    self.ep.unexpected_matches += 1
+                sim.schedule_call(self.orecv, self.got)
 
-    def arrive_msg(self, now: float, dst: int, key: tuple,
-                   data: Any, nbytes: int) -> None:
-        self.deliver_stats(dst, HEADER_SIZE + nbytes)
-        full = (dst,) + key
-        slot = self.slots.pop(full, None)
-        if slot is None:
-            self.slots[full] = ("a", now, data, nbytes)
+    def got(self) -> None:
+        """The receive overhead is paid (``irecv``'s receiver finishes):
+        the rank starts the next round or leaves the barrier."""
+        self.ep.recvs += 1
+        self.k += 1
+        self.dist <<= 1
+        if self.dist < self.n:
+            self.sim.schedule_call(self.charge, self.send)
         else:
-            _p, posted, cb, meta = slot
-            self._match(dst, posted, now, data, nbytes, cb, meta)
-
-    def post_any(self, dst: int, ctx: tuple, posted: float, cb, meta) -> None:
-        buf = self.anybuf.get((dst, ctx))
-        if buf:
-            arrival, data, nbytes, tag, srcw = buf.popleft()
-            self._match(dst, posted, arrival, data, nbytes, cb, meta,
-                        tag, srcw)
-        else:
-            self.anywait[(dst, ctx)] = (posted, cb, meta)
-
-    def arrive_any(self, now: float, dst: int, ctx: tuple,
-                   tag: int, data: Any, nbytes: int, srcw: int) -> None:
-        self.deliver_stats(dst, HEADER_SIZE + nbytes)
-        waiter = self.anywait.pop((dst, ctx), None)
-        if waiter is not None:
-            posted, cb, meta = waiter
-            self._match(dst, posted, now, data, nbytes, cb, meta, tag, srcw)
-        else:
-            self.anybuf.setdefault((dst, ctx), deque()).append(
-                (now, data, nbytes, tag, srcw))
-
-    def _match(self, dst: int, posted: float, arrival: float, data: Any,
-               nbytes: int, cb, meta, tag: int = 0, srcw: int = -1) -> None:
-        match = posted if posted >= arrival else arrival
-        mc = self.mcopy[dst]
-        if arrival < posted:
-            self.unexpected[dst] += 1
-            copy_cost = nbytes * mc
-        else:
-            copy_cost = 0.0
-        # identical operand order to MpiEndpoint.irecv's receiver timeout
-        done = match + (self.orecv[dst] + nbytes * mc + copy_cost)
-        self.recvs[dst] += 1
-        self.mini.at(done, cb, meta, data, nbytes, tag, srcw)
+            self.ev.succeed()
 
 
 class CollectiveNexus:
-    """World-level analytic fast path for full-communicator collectives.
+    """World-level live fast path for ``Comm.barrier``.
 
     One instance per :class:`~repro.runtime.World`, reachable as
-    ``sim.context["nexus"]``.  ``Comm.barrier``, ``Comm.allgather`` and
-    ``RmaInterface.complete_collective`` offer their entry to it; a
-    ``None`` return means "run the per-packet path yourself".
+    ``sim.context["nexus"]``.  Every barrier instance is counted once in
+    the world's metrics as ``collective.route{kind=barrier, path=live}``
+    or ``{…, path=packet, reason=<the gate that closed>}``.
     """
 
     #: Class-wide toggle (tests pin it off to diff against the real path).
@@ -245,686 +166,76 @@ class CollectiveNexus:
     def __init__(self, world: "World") -> None:
         self.world = world
         self.sim = world.sim
-        self.active = False
-        self._abandoned = False
-        self._kind: Optional[str] = None
-        self._entries: List[_Entry] = []
-        self._comm_ctx: Optional[tuple] = None
-        self._coll_ctxs: Tuple[tuple, ...] = ()
-        #: number of collectives committed analytically (observability)
-        self.commits = 0
-        self.rescues = 0
-        # Collective instances (by their context tuples) where the open
-        # check failed for the first entrant: later entrants of the SAME
-        # instance must decline too, or half the ranks would run the
-        # per-packet protocol against analytically-parked peers.
-        # Maps instance key -> number of ranks turned away so far; the
-        # map self-cleans once every rank of the instance declined.
-        self._declined: dict = {}
-        #: window generation — bumped on every reset so stale sentinel
-        #: callbacks recognise the window they guarded is gone.
-        self._gen = 0
-        self._comm_size = 0
-        # Earliest *virtual* flush-request arrival per target rank, over
-        # every parked "complete" entrant (lower bounds: a standing
-        # origin-NIC reservation only pushes the true arrival later).
-        # Past that instant the target's engine and NIC reservation are
-        # part of the replayed trajectory: note_reserve() rejects local
-        # sends that would mutate them, and a rescue *delivers* the
-        # overdue flushes through _drain_backdated().
-        self._flush_due: Dict[int, float] = {}
-        #: deliveries whose computed arrival predates a rescue instant,
-        #: queued by Fabric.transmit during the rescue replay and
-        #: executed in global arrival order by _drain_backdated().
-        self._backdated: List[tuple] = []
-        self._backdated_seq = 0
+        self.fabric = world.fabric
+        self.nics = world.nics
+        self.latency = world.fabric.config.latency
+        # Barrier instances some but not all ranks have entered, by
+        # collective context: [the instance's shared match slots (None:
+        # it runs per packet), ranks entered so far].
+        self._instances: Dict[tuple, list] = {}
 
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def _send_horizon(self, t: float, charge: float, cfg) -> float:
-        """First-delivery instant of a charge-then-send replay: the
-        charge end replays absolutely (``resume_at``), a charge end in
-        the past backdates the injection (``inject_from``), so the first
-        *irreversible* real instant is the packet's delivery.  The float
-        grouping mirrors the replay exactly: ``Nic.send`` computes
-        ``max(inject_from, reserved) + ser`` (a reservation beyond the
-        charge end only pushes the delivery later) and
-        ``Fabric.transmit`` adds the latency on top."""
-        return ((t + charge) + cfg.serialization_time(HEADER_SIZE)
-                ) + self.world.fabric.config.latency
+    def _closed_gate(self, comm: "Comm") -> Optional[str]:
+        """Why the closed forms do not hold in this world, or ``None``.
 
-    def enter_barrier(self, comm: "Comm", ctx: tuple) -> Optional[Event]:
-        ep = comm.endpoint
-        cfg = ep.nic.config
-        horizon = self._send_horizon(
-            self.sim.now, ep.timings.call_overhead + cfg.overhead_send, cfg)
-        return self._enter("barrier", comm, (ctx,), horizon, None, None)
-
-    def enter_allgather(self, comm: "Comm", obj: Any):
-        """Returns ``(park_event, gather_ctx, bcast_ctx)`` or ``None``.
-
-        Consumes both collective contexts itself (the same two the real
-        gather+bcast pair would) so a rescued fallback can reuse them.
+        Everything but ``faulty`` is fixed when the world is built;
+        ``faulty`` flips once, at the first ``kill_rank``.
         """
-        ep = comm.endpoint
-        if comm.rank == 0:
-            horizon = float("inf")  # root's first action is a recv post
-        else:
-            cfg = ep.nic.config
-            horizon = self._send_horizon(
-                self.sim.now,
-                ep.timings.call_overhead + cfg.overhead_send, cfg)
-        gctx = comm._next_coll_ctx()
-        bctx = comm._next_coll_ctx()
-        ev = self._enter("allgather", comm, (gctx, bctx), horizon, obj, None)
-        if ev is None:
-            # undo nothing: the caller falls back and must use these
-            # exact contexts, so hand them over regardless
-            return None, gctx, bctx
-        return ev, gctx, bctx
+        fabric = self.fabric
+        nic = comm.endpoint.nic
+        if not self.enabled:
+            return "disabled"
+        if fabric._topo is not None:
+            return "topology"       # flight time is per route and load
+        if fabric.intra_config is not None:
+            return "hierarchical"   # latency is per pair
+        if not fabric.config.ordered:
+            return "unordered"      # arrival draws jitter
+        if fabric.tracer.enabled:
+            return "traced"         # packets leave inject/deliver records
+        if fabric._faulty:
+            return "faulty"         # every transmit consults the injector
+        if nic.transport is not None:
+            return "transport"      # sequence numbers, acks, retransmits
+        if not nic.burst_enabled:
+            return "burst-off"      # sends queue behind the injector process
+        return None
 
-    def enter_complete(self, comm: "Comm", engine) -> Optional[tuple]:
-        """Fused ``complete_all`` + barrier.  Returns
-        ``(park_event, barrier_ctx)`` or ``None``."""
-        bctx = comm._next_coll_ctx()
-        # With a flush round trip ahead, a late replay stays exact until
-        # the first flush *acknowledgement* would deliver back to this
-        # rank: the requests themselves land on engines whose state is
-        # frozen from each virtual arrival onward (deliveries are barred
-        # by note_transmit, local reservation writes by note_reserve), so
-        # a rescue re-delivers them verbatim through _drain_backdated().
-        # Without a flush the horizon is just the charge itself (the
-        # resume — first ack or a future deferred due — postdates any
-        # in-bound rescue instant).
-        now = self.sim.now
-        flush_dsts = sorted(
-            dst for dst, peer in engine._origin_peers.items()
-            if peer.outstanding
-            and any(rec.ev_remote is None for rec in peer.outstanding))
-        if flush_dsts:
-            cfg = engine.nic.config
-            ser = cfg.serialization_time(HEADER_SIZE)
-            lat = self.world.fabric.config.latency
-            # Replay float grouping: complete_all resumes at now+CO, the
-            # flush requests chain on the origin NIC in sorted(dst) order.
-            inject = now + engine.timings.call_overhead
-            first_arrival = None
-            arrivals = []
-            for dst in flush_dsts:
-                inject = inject + ser
-                arrival = inject + lat
-                if first_arrival is None:
-                    first_arrival = arrival
-                arrivals.append((dst, arrival))
-            # First irreversible instant: the earliest flush ack's
-            # delivery back here (an idle target answers immediately;
-            # anything else only delays it).
-            horizon = (first_arrival + ser) + lat
-        else:
-            arrivals = []
-            horizon = now + engine.timings.call_overhead
-        ev = self._enter("complete", comm, (bctx,), horizon, None, engine)
-        if ev is None:
-            return None, bctx
-        if self.active:  # window still open (not closed by this entry)
-            due = self._flush_due
-            for dst, arrival in arrivals:
-                prev = due.get(dst)
-                if prev is None or arrival < prev:
-                    due[dst] = arrival
-        return ev, bctx
-
-    # ------------------------------------------------------------------
-    def _enter(self, kind: str, comm: "Comm", ctxs: tuple, horizon: float,
-               obj: Any, engine) -> Optional[Event]:
-        if not self.enabled or self._abandoned:
+    def enter_barrier(self, comm: "Comm",
+                      ctx: tuple) -> Optional[_BarrierWalk]:
+        """Start the calling rank's walk; ``None`` means "this instance
+        runs per packet, do it yourself"."""
+        inst = self._instances.get(ctx)
+        if inst is None:
+            reason = self._closed_gate(comm)
+            labels = ({"path": "live"} if reason is None
+                      else {"path": "packet", "reason": reason})
+            self.world.metrics.counter("collective.route", kind="barrier",
+                                       **labels).inc()
+            inst = self._instances[ctx] = [{} if reason is None else None, 0]
+        inst[1] += 1
+        if inst[1] == comm.size:
+            del self._instances[ctx]
+        if inst[0] is None:
             return None
-        key = (kind, comm.context, ctxs)
-        if key in self._declined:
-            # A peer already declined this very instance — everyone must
-            # take the real path together.
-            self._decline(key, comm.size)
-            return None
-        if (kind == "allgather" and comm.rank != 0
-                and payload_nbytes(obj) > comm.endpoint.eager_threshold):
-            # Rendezvous-size gather payload: the closed form only covers
-            # the eager protocol.  Decline; if peers are already parked on
-            # this instance, pull them back onto the real path too.
-            if self.active:
-                self._rescue("rendezvous-size allgather payload")
-            self._decline(key, comm.size)
-            return None
-        if not self.active:
-            if not self._open_ok(comm):
-                self._decline(key, comm.size)
-                return None
-            self._kind = kind
-            self._comm_ctx = comm.context
-            self._coll_ctxs = ctxs
-            self._comm_size = comm.size
-        elif (kind != self._kind or comm.context != self._comm_ctx
-                or ctxs != self._coll_ctxs):
-            # Mismatched concurrent collectives (only possible with
-            # derived comms racing COMM_WORLD) — bail out to the real
-            # path for everyone, on both instances.
-            self._rescue("mismatched collective entries")
-            self._decline(key, comm.size)
-            return None
-        ev = self.sim.event()
-        self._entries.append(_Entry(comm.endpoint.rank, comm.rank,
-                                    self.sim.now, ev, obj, engine, horizon))
-        self.active = True
-        self.world.fabric._nexus_active = True
-        if len(self._entries) == comm.size:
-            self._close(comm)
-        elif horizon != float("inf"):
-            # Sentinel: the window may only stay open while every parked
-            # rank is still replayable.  At this entrant's horizon — the
-            # first irreversible instant of its replayed slow path —
-            # abandon the window unless everyone has arrived, so a rescue
-            # is in-bounds *by construction* no matter when real traffic
-            # or a straggler forces one.
-            self.sim.schedule_call_at(horizon, self._sentinel, self._gen)
-        return ev
+        walk = _BarrierWalk(self, comm, inst[0])
+        self.sim.schedule_call(walk.charge, walk.send)
+        return walk
 
-    def _decline(self, key: tuple, size: int) -> None:
-        # Count declines per instance; the map self-cleans once every
-        # rank of the instance has been turned away.
-        cnt = self._declined.get(key, 0) + 1
-        if cnt >= size:
-            self._declined.pop(key, None)
+    def arrive(self, slots: dict, key: tuple, src: int, dst: int) -> None:
+        """The flight is over: ``Fabric._deliver``, ``Nic._on_deliver``
+        and the match against the endpoint's posted receives."""
+        fabric = self.fabric
+        dead = fabric._dead
+        if dead and (dst in dead or src in dead):
+            fabric.dead_dropped += 1
+            return
+        if fabric._pending_trains:
+            fabric.materialize_trains(dst)
+        fabric.packets_delivered += 1
+        fabric.bytes_delivered += HEADER_SIZE
+        self.nics[dst].packets_received += 1
+        walk = slots.pop(key, None)
+        if walk is None:
+            slots[key] = self.sim.now
         else:
-            self._declined[key] = cnt
-
-    def _open_ok(self, comm: "Comm") -> bool:
-        world = self.world
-        if comm.size != world.n_ranks or comm.size < 2:
-            return False
-        fabric = world.fabric
-        if (fabric._topo is not None or fabric._faulty
-                or fabric.tracer.enabled or fabric.intra_config is not None
-                or fabric._in_flight or not fabric.config.ordered):
-            return False
-        from repro.network.nic import Nic
-        from repro.rma.engine import _TRAIN_MUTATIONS, RmaEngine
-
-        if not RmaEngine.train_enabled or not Nic.burst_enabled:
-            return False
-        for r in range(world.n_ranks):
-            ctx = world.contexts[r]
-            eng = ctx.rma.engine
-            nic = eng.nic
-            if nic.transport is not None or nic._pending:
-                return False
-            if nic._scheduled:
-                return False
-            ep = ctx.comm.endpoint
-            if ep._inbox._items or ep._rdv_out or ep._rdv_in:
-                return False
-            if (eng._flush_waiters or eng._pending_gets
-                    or eng._pending_replies or eng._sw_ack_waiters):
-                return False
-            if not eng.conformance_mutations <= _TRAIN_MUTATIONS:
-                return False
-            for tpeer in eng._target_peers.values():
-                if tpeer.inbound or tpeer.gated or tpeer.flush_waiters:
-                    return False
-            ser = eng.serializer
-            if getattr(ser, "queue_depth", 0):
-                return False
-            if getattr(ser, "_pending", None):
-                return False
-            if getattr(ser, "_held_by", -1) != -1 or getattr(
-                    ser, "_wait_queue", None):
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Interrupt / rescue
-    # ------------------------------------------------------------------
-    def note_reserve(self, rank: int) -> None:
-        """A rank is about to read-and-write its NIC serializer
-        reservation while a window is open.  Harmless — the trajectory
-        reads live NIC state at close — *unless* a parked entrant's
-        flush request virtually arrived at this rank earlier: from that
-        instant on the reservation is an *input* to the replayed flush
-        acknowledgement, and advancing it now would make a later commit
-        inexact.  Rescue synchronously instead: every parked generator
-        replays its sends inline, the overdue flush requests are
-        delivered (and acknowledged, reserving this very NIC at the
-        true instants) by the drain, and only then does the caller
-        proceed against the — now correct — reservation."""
-        if self.active:
-            due = self._flush_due.get(rank)
-            if due is not None and self.sim.now > due:
-                self._rescue("new traffic at a rank already holding a "
-                             "parked peer's virtual flush request",
-                             sync=True)
-
-    def queue_backdated(self, arrival: float, packet) -> None:
-        """A rescue replay produced a delivery whose computed arrival
-        predates the rescue instant (a flush request to an engine whose
-        state is frozen since that arrival — see note_reserve).  Queue it;
-        _drain_backdated executes the queue in global arrival order after
-        every rescued generator has replayed its sends."""
-        self._backdated.append((arrival, self._backdated_seq, packet))
-        self._backdated_seq += 1
-
-    def deliver_due(self, rank: int, upto: float) -> None:
-        """Phase-one interleaving: a rescued generator is about to claim
-        ``rank``'s serializer for a send replayed at ``upto``.  Queued
-        backdated deliveries to that rank with ``arrival <= upto`` claimed
-        the serializer *first* in the live order (their handlers ran at
-        the arrival instants) — execute them now, in arrival order,
-        before the caller reads the reservation."""
-        queue = self._backdated
-        if not queue:
-            return
-        mine = [e for e in queue if e[2].dst == rank and e[0] <= upto]
-        if not mine:
-            return
-        self._backdated = [e for e in queue
-                           if not (e[2].dst == rank and e[0] <= upto)]
-        mine.sort()
-        self._deliver_backdated(mine)
-
-    def _drain_backdated(self) -> None:
-        queue, self._backdated = self._backdated, []
-        if queue:
-            queue.sort()
-            self._deliver_backdated(queue)
-
-    def _deliver_backdated(self, queue: List[tuple]) -> None:
-        fabric = self.world.fabric
-        contexts = self.world.contexts
-        for arrival, _seq, packet in queue:
-            if packet.kind != "rma.flush_req" or packet.want_ack:
-                raise RuntimeError(
-                    f"unreplayable backdated delivery: {packet.kind} to "
-                    f"rank {packet.dst} at {arrival}")
-            # Mirror Fabric._deliver at `arrival` exactly: op-trains that
-            # analytically landed first materialize first, counters bump,
-            # then the real handler runs.  Its acknowledgement send picks
-            # the arrival up as its injection base (Nic._backdate), so
-            # the ack timeline matches a live delivery bit for bit.
-            fabric._in_flight -= 1
-            nic = contexts[packet.dst].rma.engine.nic
-            nic._backdate = arrival
-            try:
-                fabric.materialize_trains_upto(packet.dst, arrival)
-                fabric.packets_delivered += 1
-                fabric.bytes_delivered += packet.wire_bytes
-                fabric._deliver_fns[packet.dst](packet)
-            finally:
-                nic._backdate = None
-
-    def note_transmit(self) -> None:
-        """A real packet hit the fabric while a window was open: abandon
-        the window before anything is committed.  The sentinel guarantees
-        this is always replayable — past the earliest entrant's bound the
-        window has already dissolved itself, so no transmit can ever
-        interrupt an unrescuable window."""
-        if self.active:
-            self._rescue("real traffic interleaved with an analytic "
-                         "collective window")
-
-    def _sentinel(self, gen: int) -> None:
-        """Fires at an entrant's rescue bound.  If the window it guarded
-        is still open (a peer is late), dissolve it now while every
-        parked rank can still replay its first charge exactly."""
-        if self.active and gen == self._gen:
-            self._rescue("collective entry skew exceeded the rescue "
-                         "bound")
-
-    def interrupt(self) -> None:
-        """A rank kill (or other hard fabric mutation) while ranks were
-        parked: abandon the analytic window before anything is
-        committed, and never engage again this run."""
-        if self.active:
-            self._rescue("fabric mutated under an analytic collective "
-                         "window", abandon=True)
-        else:
-            self._abandoned = True
-
-    def _rescue(self, reason: str, abandon: bool = False,
-                sync: bool = False) -> None:
-        now = self.sim.now
-        for ent in self._entries:
-            if now > ent.horizon:
-                raise RuntimeError(
-                    f"analytic collective cannot be abandoned: rank "
-                    f"{ent.rank} entered at {ent.t} and its first "
-                    f"slow-path action predates {now} ({reason}); set "
-                    f"CollectiveNexus.enabled = False to force the "
-                    f"per-packet path")
-        entries = self._entries
-        # Ranks of this instance that have NOT entered yet must take the
-        # real path too — pre-mark the instance as declined on their
-        # behalf so they join the rescued ranks on the wire.
-        if len(entries) < self._comm_size:
-            key = (self._kind, self._comm_ctx, self._coll_ctxs)
-            self._declined[key] = len(entries)
-        self._reset(abandoned=abandon)
-        self.rescues += 1
-        if sync:
-            # The caller (note_reserve) must observe the fully replayed
-            # state before it continues: resume every rescued generator
-            # inline, then execute the backdated deliveries their
-            # replays produced.
-            for ent in entries:
-                ent.ev.succeed_now(("rescue", ent.t))
-            self._drain_backdated()
-            return
-        for ent in entries:
-            ent.ev.succeed(("rescue", ent.t))
-        # Event.succeed defers its callbacks through the urgent FIFO, so
-        # enqueueing the drain *after* the loop runs it once every rescued
-        # generator has resumed and replayed its (possibly backdated)
-        # sends — phase two of the rescue, in global arrival order.
-        self.sim.schedule_urgent_call(self._drain_backdated)
-
-    def _reset(self, abandoned: bool = False) -> None:
-        self._entries = []
-        self._kind = None
-        self._comm_ctx = None
-        self._coll_ctxs = ()
-        self._flush_due = {}
-        self.active = False
-        self._gen += 1
-        self.world.fabric._nexus_active = False
-        if abandoned:
-            self._abandoned = True
-
-    # ------------------------------------------------------------------
-    # Close: compute, then commit
-    # ------------------------------------------------------------------
-    def _close(self, comm: "Comm") -> None:
-        try:
-            traj = self._compute(comm)
-        except _Unmodelable as exc:
-            self._rescue(str(exc))
-            return
-        self._commit(traj)
-
-    def _compute(self, comm: "Comm") -> dict:
-        world = self.world
-        mini = _Mini()
-        net = _Net(world, mini)
-        n = comm.size
-        wmap = comm.group.world_ranks
-        exits: List[tuple] = []   # (time, mini_seq, park_ev, value)
-        mats: List[tuple] = []    # (dst_world, upto) in chronological order
-        flush_next: Dict[int, int] = {}
-        swaps: List[tuple] = []   # (_OriginPeer,) to completing-swap
-        kind = self._kind
-
-        def record_exit(ent: _Entry, t: float, value: Any) -> None:
-            exits.append((t, mini.seq, ent.ev, value))
-            mini.seq += 1
-
-        # -- dissemination barrier (used standalone and by "complete") --
-        def barrier_begin(t: float, ent: _Entry, ctx: tuple) -> None:
-            barrier_step(t, ent, ctx, 0, 1)
-
-        def barrier_step(t: float, ent: _Entry, ctx: tuple,
-                         k: int, dist: int) -> None:
-            if dist >= n:
-                record_exit(ent, t, None)
-                return
-            mini.at(t + net.charge[ent.rank], barrier_send,
-                    ent, ctx, k, dist)
-
-        def barrier_send(t: float, ent: _Entry, ctx: tuple,
-                         k: int, dist: int) -> None:
-            net.count_send(ent.rank)
-            inject = net.inject(ent.rank, t, HEADER_SIZE)
-            mini.at(inject, barrier_sent, ent, ctx, k, dist)
-
-        def barrier_sent(t: float, ent: _Entry, ctx: tuple,
-                         k: int, dist: int) -> None:
-            # the rank resumes inline at injection: it posts the round's
-            # receive *before* the fabric computes the flight
-            srcw = wmap[(ent.local - dist) % n]
-            net.post(ent.rank, (ctx, k, srcw), t, barrier_got,
-                     (ent, ctx, k, dist))
-            dstw = wmap[(ent.local + dist) % n]
-            arrival = net.flight(ent.rank, dstw, t)
-            mini.at(arrival, net.arrive_msg, dstw, (ctx, k, ent.rank),
-                    None, 0)
-
-        def barrier_got(t: float, meta, _data, _nb, _tag, _src) -> None:
-            ent, ctx, k, dist = meta
-            barrier_step(t, ent, ctx, k + 1, dist << 1)
-
-        if kind == "barrier":
-            ctx = self._coll_ctxs[0]
-            for ent in self._entries:
-                barrier_begin(ent.t, ent, ctx)
-
-        # -- allgather = linear gather to local 0, binomial bcast -------
-        elif kind == "allgather":
-            gctx, bctx = self._coll_ctxs
-            rootw = wmap[0]
-            out: List[Any] = [None] * n
-            ents_by_local = {ent.local: ent for ent in self._entries}
-            out[0] = ents_by_local[0].obj
-            nb_of = {}
-            for ent in self._entries:
-                nb = payload_nbytes(ent.obj)
-                if ent.local != 0 and nb > net.eager[ent.rank]:
-                    raise _Unmodelable("rendezvous-size allgather payload")
-                nb_of[ent.local] = nb
-            nb_list: List[int] = []  # pickled size of the gathered list
-
-            def gathered_nbytes() -> int:
-                if not nb_list:
-                    nb = payload_nbytes(out)
-                    for ent in self._entries:
-                        if nb > net.eager[ent.rank]:
-                            raise _Unmodelable(
-                                "rendezvous-size gathered list")
-                    nb_list.append(nb)
-                return nb_list[0]
-
-            def bcast_forward(t: float, ent: _Entry, mask: int,
-                              data: Any) -> None:
-                while mask > 0 and ent.local + mask >= n:
-                    mask >>= 1
-                if mask == 0:
-                    record_exit(ent, t, data)
-                    return
-                mini.at(t + net.charge[ent.rank], bcast_send,
-                        ent, mask, data)
-
-            def bcast_send(t: float, ent: _Entry, mask: int,
-                           data: Any) -> None:
-                nb = gathered_nbytes()
-                net.count_send(ent.rank)
-                inject = net.inject(ent.rank, t, HEADER_SIZE + nb)
-                mini.at(inject, bcast_sent, ent, mask, data, nb)
-
-            def bcast_sent(t: float, ent: _Entry, mask: int,
-                           data: Any, nb: int) -> None:
-                dstw = wmap[(ent.local + mask) % n]
-                arrival = net.flight(ent.rank, dstw, t)
-                mini.at(arrival, net.arrive_msg, dstw,
-                        (bctx, 0, ent.rank), data, nb)
-                bcast_forward(t, ent, mask >> 1, data)
-
-            def bcast_got(t: float, meta, data, _nb, _tag, _src) -> None:
-                ent, mask = meta
-                bcast_forward(t, ent, mask >> 1, data)
-
-            def ng_send(t: float, ent: _Entry) -> None:
-                net.count_send(ent.rank)
-                inject = net.inject(ent.rank, t,
-                                    HEADER_SIZE + nb_of[ent.local])
-                mini.at(inject, ng_sent, ent)
-
-            def ng_sent(t: float, ent: _Entry) -> None:
-                # back from the gather send: this rank is a bcast
-                # receiver — find its subtree parent and post the recv
-                mask = 1
-                while not (ent.local & mask):
-                    mask <<= 1
-                srcw = wmap[(ent.local - mask) % n]
-                net.post(ent.rank, (bctx, 0, srcw), t, bcast_got,
-                         (ent, mask))
-                arrival = net.flight(ent.rank, rootw, t)
-                mini.at(arrival, net.arrive_any, rootw, gctx, ent.local,
-                        ents_by_local[ent.local].obj, nb_of[ent.local],
-                        ent.rank)
-
-            def root_recv(t: float, got: int) -> None:
-                ent = ents_by_local[0]
-                if got == n - 1:
-                    top = 1
-                    while top < n:
-                        top <<= 1
-                    bcast_forward(t, ent, top >> 1, out)
-                    return
-                net.post_any(rootw, gctx, t, root_got, got)
-
-            def root_got(t: float, got, data, _nb, tag, _src) -> None:
-                out[tag] = data
-                root_recv(t, got + 1)
-
-            for ent in self._entries:
-                if ent.local == 0:
-                    root_recv(ent.t, 0)
-                else:
-                    mini.at(ent.t + net.charge[ent.rank], ng_send, ent)
-
-        # -- complete_all + barrier (MPI_RMA_complete_collective) -------
-        elif kind == "complete":
-            bctx = self._coll_ctxs[0]
-
-            def complete_start(t: float, ent: _Entry) -> None:
-                eng = ent.engine
-                me = ent.rank
-                times: List[float] = []
-                pending = 0
-                for dst in sorted(eng._origin_peers):
-                    peer = eng._origin_peers[dst]
-                    if not peer.outstanding:
-                        continue
-                    if peer.broken:
-                        raise _Unmodelable("broken path at complete")
-                    watermark = 0
-                    due_max = -1.0
-                    for rec in peer.outstanding:
-                        ev = rec.ev_remote
-                        if ev is None:
-                            if rec.seq > watermark:
-                                watermark = rec.seq
-                        elif (ev._value is _PENDING
-                                and ev._exception is None):
-                            if type(ev) is not DeferredEvent or ev._armed:
-                                raise _Unmodelable(
-                                    "pending non-analytic completion")
-                            # the per-packet path observes it at t: past
-                            # due it auto-fires (no wait); otherwise the
-                            # bulk-arm retires the group at max(due)
-                            if ev.due > t and ev.due > due_max:
-                                due_max = ev.due
-                        # else: already triggered, contributes no wait
-                    if due_max > t:
-                        times.append(due_max)
-                    if watermark:
-                        flush_next[me] = flush_next.get(
-                            me, eng._next_flush_id) + 1
-                        inject = net.inject(me, t, HEADER_SIZE)
-                        arrival = net.flight(me, dst, inject)
-                        pending += 1
-                        mini.at(arrival, flush_req_arrive, ent, dst)
-                    swaps.append((peer,))
-                ent_state[ent.local] = [times, pending]
-                if pending == 0:
-                    resume = max(times) if times else t
-                    if resume == t:
-                        barrier_begin(t, ent, bctx)
-                    else:
-                        mini.at(resume, barrier_begin, ent, bctx)
-
-            def flush_req_arrive(t: float, ent: _Entry, dst: int) -> None:
-                net.deliver_stats(dst, HEADER_SIZE)
-                # every op covered by the watermark is an op-train
-                # element whose analytic arrival predates this flight
-                # (same-NIC reservation chaining + per-pair FIFO), so
-                # the target answers immediately after materializing
-                mats.append((dst, t))
-                inject = net.inject(dst, t, HEADER_SIZE)
-                arrival = net.flight(dst, ent.rank, inject)
-                mini.at(arrival, flush_ack_arrive, ent)
-
-            def flush_ack_arrive(t: float, ent: _Entry) -> None:
-                net.deliver_stats(ent.rank, HEADER_SIZE)
-                times, pending = state = ent_state[ent.local]
-                times.append(t)
-                state[1] = pending - 1
-                if state[1] == 0:
-                    # AllOf completes at the last contribution; acks are
-                    # processed chronologically so that is simply `t`,
-                    # unless a deferred due lies even later
-                    resume = max(times)
-                    if resume == t:
-                        barrier_begin(t, ent, bctx)
-                    else:
-                        mini.at(resume, barrier_begin, ent, bctx)
-
-            ent_state: Dict[int, list] = {}
-            for ent in self._entries:
-                mini.at(ent.t + ent.engine.timings.call_overhead,
-                        complete_start, ent)
-
-        else:  # pragma: no cover - defensive
-            raise _Unmodelable(f"unknown collective kind {kind!r}")
-
-        mini.run()
-        if len(exits) != n:
-            raise _Unmodelable("collective trajectory did not converge")
-        return {
-            "net": net,
-            "exits": sorted(exits, key=lambda e: (e[0], e[1])),
-            "mats": mats,
-            "flush_next": flush_next,
-            "swaps": swaps,
-            "kind": kind,
-        }
-
-    def _commit(self, traj: dict) -> None:
-        world = self.world
-        sim = self.sim
-        fabric = world.fabric
-        net: _Net = traj["net"]
-        for r, reserved in net.res.items():
-            ctx = world.contexts[r]
-            ep = ctx.comm.endpoint
-            nic = ep.nic
-            nic._reserved_until = reserved
-            nic.packets_sent += net.pkts_sent[r]
-            nic.bytes_sent += net.bytes_sent[r]
-            nic.packets_received += net.pkts_recv[r]
-            ep.sends += net.sends[r]
-            ep.eager_sends += net.eager_sends[r]
-            ep.recvs += net.recvs[r]
-            ep.unexpected_matches += net.unexpected[r]
-        fabric._last_delivery.update(net.ld)
-        fabric.packets_delivered += net.delivered
-        fabric.bytes_delivered += net.delivered_bytes
-        if traj["kind"] == "complete":
-            for ent in self._entries:
-                eng = ent.engine
-                eng.stats["completes"] += 1
-                nxt = traj["flush_next"].get(ent.rank)
-                if nxt is not None:
-                    eng._next_flush_id = nxt
-            for (peer,) in traj["swaps"]:
-                peer.completing, peer.outstanding = peer.outstanding, []
-            for dst, upto in traj["mats"]:
-                fabric.materialize_trains_upto(dst, upto)
-        self.commits += 1
-        self._reset()
-        for t, _seq, ev, value in traj["exits"]:
-            sim.schedule_call_at(t, ev.succeed, ("ok", value))
+            self.sim.schedule_call(walk.orecv, walk.got)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional
 
+from repro.mpi.constants import ERRORS_RAISE
 from repro.sim.events import AllOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -19,25 +20,30 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Request", "Status"]
 
 
+#: ``repro.rma.target_mem.RmaError``, resolved on first use: importing
+#: it at module level would be circular (repro.rma imports repro.mpi).
+_RmaError: Any = None
+
+
 def _rma_error_of(value: Any) -> Any:
     """Extract an :class:`~repro.rma.target_mem.RmaError` carried as an
     event *value* (failure-aware completion never uses ``Event.fail`` —
     a failed operation's event succeeds with the error object so AllOf
     aggregation keeps working)."""
-    from repro.rma.target_mem import RmaError
+    global _RmaError
+    if _RmaError is None:
+        from repro.rma.target_mem import RmaError as _RmaError
 
-    if isinstance(value, RmaError):
+    if isinstance(value, _RmaError):
         return value
     if isinstance(value, list):
         for item in value:
-            if isinstance(item, RmaError):
+            if isinstance(item, _RmaError):
                 return item
     return None
 
 
 def _errhandler_of(sim: "Simulator") -> str:
-    from repro.mpi.constants import ERRORS_RAISE
-
     world = sim.context.get("world")
     if world is None:
         return ERRORS_RAISE
@@ -108,8 +114,6 @@ class Request:
         value = self.event.value
         err = _rma_error_of(value)
         if err is not None:
-            from repro.mpi.constants import ERRORS_RAISE
-
             if _errhandler_of(self.sim) == ERRORS_RAISE:
                 raise err
             return err
@@ -134,8 +138,6 @@ class Request:
         values = [r.event.value for r in reqs]
         errs = [e for e in (_rma_error_of(v) for v in values) if e is not None]
         if errs:
-            from repro.mpi.constants import ERRORS_RAISE
-
             if _errhandler_of(reqs[0].sim) == ERRORS_RAISE:
                 raise errs[0]
         return values

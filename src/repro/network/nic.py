@@ -75,18 +75,6 @@ class Nic:
         # _reserved_until — the burst already accounted for that wire time.
         self._pending: int = 0
         self._reserved_until: float = 0.0
-        # Idle-path sends whose injection callback is scheduled but has
-        # not fired yet.  Distinct from `_pending` (queued behind the
-        # injector) and from a bare reservation (which may outlive any
-        # packet — analytic trains and committed collectives only move
-        # `_reserved_until`).  The collective nexus refuses to open a
-        # window while any NIC has one of these in the pipe.
-        self._scheduled: int = 0
-        # Injection base forced on the next send(s): set by the nexus
-        # drain around a backdated delivery so the handler's response
-        # (a flush ack) serializes from the delivery's true arrival, not
-        # from the later drain instant.
-        self._backdate: Optional[float] = None
         #: Reliable transport, armed only for fault-injection runs (see
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
@@ -133,34 +121,17 @@ class Nic:
         )
 
     # -- send path -------------------------------------------------------
-    def send(self, packet: Packet, inject_from: float = None) -> Packet:
+    def send(self, packet: Packet) -> Packet:
         """Queue ``packet`` for injection.
 
         Creates ``ev_injected`` if absent.  If the packet wants an ack
         and the fabric supports remote-completion events,
         ``ev_remote_complete`` is created too (callers may wait on it).
-
-        ``inject_from`` backdates the serialization start to an earlier
-        instant (nexus-rescue replay: the rank should have reached this
-        call then).  Only valid on the idle-injector path, and only while
-        the resulting *delivery* still lies in the future — the rescue
-        bounds guarantee both.
         """
         if packet.src != self.rank:
             raise ValueError(
                 f"packet src {packet.src} does not match NIC rank {self.rank}"
             )
-        if inject_from is None:
-            if self._backdate is not None:
-                inject_from = self._backdate
-            elif self.fabric._nexus_active:
-                self.fabric._nexus.note_reserve(self.rank)
-        if inject_from is not None and self.fabric._nexus is not None:
-            # Rescue-replay interleaving: a queued backdated delivery to
-            # this rank whose arrival predates the send instant claimed
-            # the serializer first in the live order (its handler ran at
-            # the arrival) — apply it before reading the reservation.
-            self.fabric._nexus.deliver_due(self.rank, inject_from)
         if packet.ev_injected is None:
             packet.ev_injected = self.sim.event()
         if (
@@ -182,31 +153,13 @@ class Nic:
             # single callback at the injection time replaces the Store
             # hop and two process resumes; every simulated timestamp is
             # identical to the injector's.
-            if inject_from is None:
-                t = (
-                    max(self.sim.now, self._reserved_until)
-                    + self.config.serialization_time(packet.wire_bytes)
-                )
-                self._reserved_until = t
-                self._scheduled += 1
-                self.sim.schedule_call(t - self.sim.now, self._finish_single,
-                                       packet, t)
-                return packet
-            # Backdated replay: serialization starts at ``inject_from``,
-            # exactly as the real path would have.  An injection instant
-            # already in the past runs synchronously, handing the fabric
-            # its original timestamp (the delivery is still future).
             t = (
-                max(inject_from, self._reserved_until)
+                max(self.sim.now, self._reserved_until)
                 + self.config.serialization_time(packet.wire_bytes)
             )
             self._reserved_until = t
-            if t >= self.sim.now:
-                self._scheduled += 1
-                self.sim.schedule_call_at(t, self._finish_single, packet, t)
-            else:
-                self._scheduled += 1
-                self._finish_single(packet, t, past=True)
+            self.sim.schedule_call(t - self.sim.now, self._finish_single,
+                                   packet, t)
             return packet
         if self.transport is not None:
             self.transport.prepare(packet)
@@ -214,15 +167,13 @@ class Nic:
         self._queue.put(packet)
         return packet
 
-    def _finish_single(self, packet: Packet, t: float,
-                       past: bool = False) -> None:
-        self._scheduled -= 1
+    def _finish_single(self, packet: Packet, t: float) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.wire_bytes
         ev = packet.ev_injected
         if ev is not None and not ev.triggered:
             ev.succeed(t)
-        self.fabric.transmit(packet, at=t if past else None)
+        self.fabric.transmit(packet)
 
     def send_burst(self, packets: "list[Packet]") -> "list[Packet]":
         """Queue a train of same-destination packets for injection.
@@ -256,8 +207,6 @@ class Nic:
             for packet in packets:
                 self.send(packet)
             return packets
-        if self.fabric._nexus_active:
-            self.fabric._nexus.note_reserve(self.rank)
         cfg = self.config
         ack_capable = path_cfg.remote_completion_events
         # Chain off any standing reservation — exactly where the injector
@@ -280,14 +229,12 @@ class Nic:
             t += cfg.serialization_time(packet.wire_bytes)
             inject_times.append(t)
         self._reserved_until = t
-        self._scheduled += 1
         self.sim.schedule_call(
             t - self.sim.now, self._finish_burst, packets, inject_times
         )
         return packets
 
     def _finish_burst(self, packets, inject_times) -> None:
-        self._scheduled -= 1
         for packet, t in zip(packets, inject_times):
             self.packets_sent += 1
             self.bytes_sent += packet.wire_bytes

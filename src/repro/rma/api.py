@@ -425,34 +425,6 @@ class RmaInterface:
         """``MPI_RMA_complete_collective``: everyone completes, then a
         barrier guarantees global visibility."""
         comm = comm if comm is not None else self.comm_world
-        nexus = self.engine.sim.context.get("nexus")
-        if nexus is not None:
-            ev, bctx = nexus.enter_complete(comm, self.engine)
-            if ev is not None:
-                state, val = yield ev
-                if state == "ok":
-                    # Analytic collective complete: no packet ever
-                    # lands here to trigger lazy train application, so
-                    # apply the arrived inbound prefix before the
-                    # caller reads its own memory.
-                    self.engine.materialize_inbound()
-                    return []
-                # rescued: replay the complete_all charge at its exact
-                # end, then run the real flush + barrier protocol
-                errs = yield from self.engine.complete_all(
-                    resume_at=val + self.engine.timings.call_overhead
-                )
-                if self._barrier_doomed(errs):
-                    return self._handle_completion_errors(errs)
-                yield from comm.barrier(_ctx=bctx)
-                self.engine.materialize_inbound()
-                return self._handle_completion_errors(errs)
-            errs = yield from self.engine.complete_all()
-            if self._barrier_doomed(errs):
-                return self._handle_completion_errors(errs)
-            yield from comm.barrier(_ctx=bctx)
-            self.engine.materialize_inbound()
-            return self._handle_completion_errors(errs)
         errs = yield from self.engine.complete_all()
         if self._barrier_doomed(errs):
             return self._handle_completion_errors(errs)

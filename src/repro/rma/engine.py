@@ -606,12 +606,11 @@ class RmaEngine:
     # Issue path helpers
     # ------------------------------------------------------------------
     def send_control(self, dst: int, kind: str, payload: Dict[str, Any],
-                     data_bytes: int = 0, want_ack: bool = False,
-                     inject_from: float = None) -> Packet:
+                     data_bytes: int = 0, want_ack: bool = False) -> Packet:
         """Inject a small protocol packet."""
         pkt = Packet(src=self.rank, dst=dst, kind=kind, payload=payload,
                      data_bytes=data_bytes, want_ack=want_ack)
-        self.nic.send(pkt, inject_from=inject_from)
+        self.nic.send(pkt)
         return pkt
 
     def _pick_remote_mode(self, attrs: RmaAttrs, tmem: TargetMem,
@@ -829,12 +828,6 @@ class RmaEngine:
             ser = self._train_ser_cache[sizes] = [
                 max(gap, (HEADER_SIZE + s) * bt) for s in sizes
             ]
-        if fabric._nexus_active:
-            # A parked peer's virtual flush request may already cover this
-            # NIC; the nexus then rescues synchronously (delivering the
-            # flush and reserving the serializer for its ack) before the
-            # reservation is read below.
-            fabric._nexus.note_reserve(self.rank)
         now = sim.now
         start = now if now > nic._reserved_until else nic._reserved_until
         key = (self.rank, dst)
@@ -1720,26 +1713,13 @@ class RmaEngine:
         self.stats["completes"] += 1
         return errs
 
-    def complete_all(self, resume_at: float = None):
+    def complete_all(self):
         """Remote-complete every target with outstanding traffic
-        (``MPI_ALL_RANKS``).  Returns the list of failures.
-
-        ``resume_at`` replays the call-overhead charge at its exact
-        absolute end (nexus-rescue fallback); an end already in the
-        simulated past is skipped, with the flush sends backdated to it —
-        everything downstream runs at absolute times, so the timeline is
-        reproduced exactly."""
-        inject_from = None
-        if resume_at is None:
-            yield self.sim.timeout(self.timings.call_overhead)
-        elif resume_at >= self.sim.now:
-            yield self.sim.wake_at(resume_at)
-        else:
-            inject_from = resume_at
+        (``MPI_ALL_RANKS``).  Returns the list of failures."""
+        yield self.sim.timeout(self.timings.call_overhead)
         events = []
         for dst in sorted(self._origin_peers):
-            events.extend(self._completion_events(dst,
-                                                  inject_from=inject_from))
+            events.extend(self._completion_events(dst))
         if events:
             yield AllOf(self.sim, events)
         # Completion is an observation point for this rank's own memory
@@ -1759,8 +1739,7 @@ class RmaEngine:
         self.materialize_inbound()
         return _collect_errors(events)
 
-    def _completion_events(self, dst: int,
-                           inject_from: float = None) -> List[Event]:
+    def _completion_events(self, dst: int) -> List[Event]:
         peer = self._origin_peers.get(dst)
         if peer is None or not peer.outstanding:
             return []
@@ -1808,7 +1787,6 @@ class RmaEngine:
                 dst, "rma.flush_req",
                 {"watermark": flush_watermark, "flush_id": flush_id,
                  "src": self.rank},
-                inject_from=inject_from,
             )
             events.append(ev)
         peer.completing, peer.outstanding = peer.outstanding, []

@@ -227,14 +227,13 @@ class World:
                     self, rank, self.sim, comm, mem, nic
                 )
         self.sim.context["world"] = self
-        # Analytic fast path for full-communicator collectives.  Always
-        # constructed; its own gates keep it inert on traced / faulty /
-        # routed / contended runs (see repro.mpi.nexus).
+        # Live fast path for barriers.  Always constructed; its gate
+        # sends traced / faulty / routed worlds down the per-packet path
+        # (see repro.mpi.nexus).
         from repro.mpi.nexus import CollectiveNexus
 
         self.nexus = CollectiveNexus(self)
         self.sim.context["nexus"] = self.nexus
-        self.fabric._nexus = self.nexus
         self.fault_plan = fault_plan
         self.injector = None
         self.rma_errhandler = rma_errhandler

@@ -130,27 +130,6 @@ class Simulator:
         _heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_call_at(
-        self, t: float, fn: Callable[..., None], *args: Any
-    ) -> None:
-        """Run ``fn(*args)`` at the *absolute* simulated time ``t``.
-
-        Unlike ``schedule_call(t - now, ...)``, the heap entry carries
-        ``t`` itself — no ``now + (t - now)`` float round trip — so a
-        precomputed analytic timestamp is reproduced bit-exactly.
-        """
-        if t < self._now:
-            raise ValueError(f"cannot schedule in the past (t={t!r})")
-        _heappush(self._heap, (t, self._seq, fn, args))
-        self._seq += 1
-
-    def wake_at(self, t: float, value: Any = None) -> Event:
-        """An event that succeeds at the absolute time ``t`` exactly
-        (the absolute-time counterpart of :meth:`timeout`)."""
-        ev = Event(self)
-        self.schedule_call_at(t, ev.succeed, value)
-        return ev
-
     def schedule_bulk_succeed(
         self, delay: float, events: List[Event], values: List[Any]
     ) -> None:

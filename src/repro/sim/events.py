@@ -115,19 +115,6 @@ class Event:
         self.sim.schedule_urgent_call(self._process_callbacks)
         return self
 
-    def succeed_now(self, value: Any = None) -> "Event":
-        """:meth:`succeed`, but with the callbacks run inline instead of
-        deferred through the urgent queue — for the rare caller that must
-        observe the waiters' resulting state before its own next
-        statement (the collective nexus's synchronous rescue)."""
-        if self._value is not _PENDING or self._exception is not None:
-            raise EventError(f"{self!r} already triggered")
-        self._value = value
-        self._to_run = self._callbacks
-        self._callbacks = None
-        self._process_callbacks()
-        return self
-
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with a failure; waiters get the exception."""
         if self._value is not _PENDING or self._exception is not None:

@@ -11,7 +11,7 @@ from repro.bench import (
     latency_once,
     run_sweep,
 )
-from repro.bench.workloads import _fig2_attrs
+from repro.bench.workloads import _fig2_attrs, all_to_all_time, rank_fill
 
 
 class TestFig2Attrs:
@@ -68,6 +68,26 @@ class TestHaloWorkload:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown sync mode"):
             halo_exchange_time("vibes", n_ranks=2, iterations=1)
+
+
+class TestBeyond256Ranks:
+    """``fill=ctx.rank`` used to overflow ``uint8`` at rank 256."""
+
+    def test_rank_fill_is_a_nonzero_byte_at_any_rank(self):
+        fills = {rank_fill(r) for r in range(5000)}
+        assert min(fills) == 1 and max(fills) == 251
+
+    def test_halo_runs_at_260_ranks(self):
+        assert halo_exchange_time("strawman", n_ranks=260, halo_bytes=256,
+                                  iterations=1) > 0
+
+    def test_all_to_all_runs_at_260_ranks(self):
+        assert all_to_all_time(n_ranks=260, nbytes=64, iterations=1) > 0
+
+    def test_small_points_did_not_move(self):
+        # payload bytes never reach a timestamp
+        assert halo_exchange_time("strawman") == 38.38599999999998
+        assert all_to_all_time() == 61.18799999999999
 
 
 class TestHarness:

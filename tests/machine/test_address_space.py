@@ -25,6 +25,11 @@ class TestAlloc:
         a = space.alloc(4, fill=7)
         assert space.buffer(a).tolist() == [7, 7, 7, 7]
 
+    @pytest.mark.parametrize("fill", [-1, 256, 259])
+    def test_non_byte_fill_rejected_by_name(self, space, fill):
+        with pytest.raises(ValueError, match="fill"):
+            space.alloc(4, fill=fill)
+
     def test_negative_size_rejected(self, space):
         with pytest.raises(MemoryError_):
             space.alloc(-1)

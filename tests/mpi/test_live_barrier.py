@@ -1,0 +1,233 @@
+"""The live barrier (:mod:`repro.mpi.nexus`) against the per-packet one.
+
+Every test runs one program twice — ``CollectiveNexus.enabled`` on, then
+off — and demands identical simulated times *and* identical endpoint,
+NIC and fabric state, under the conditions the old park-and-replay
+design had to rescue: entry skew, real traffic interleaved with the
+rounds, concurrent instances, and a rank dying in mid-barrier.
+"""
+
+import pytest
+
+from repro.datatypes import BYTE
+from repro.mpi.nexus import CollectiveNexus
+from repro.network.config import quadrics_like, seastar_portals
+from repro.network.nic import Nic
+from repro.runtime import World
+from repro.sim.core import SimulationError
+from repro.topo import torus_network
+
+
+def _routes(world):
+    """``{(path, reason): instances}`` of the barrier route telemetry."""
+    return {
+        (c["labels"]["path"], c["labels"].get("reason")): c["value"]
+        for c in world.metrics.snapshot()["counters"]
+        if c["name"] == "collective.route"
+        and c["labels"]["kind"] == "barrier"
+    }
+
+
+def _state(world):
+    """Everything a barrier message touches, per rank and fabric-wide."""
+    fabric = world.fabric
+    ranks = []
+    for r in range(world.n_ranks):
+        ep, nic = world.endpoints[r], world.nics[r]
+        ranks.append((ep.sends, ep.eager_sends, ep.recvs,
+                      ep.unexpected_matches, nic.packets_sent,
+                      nic.bytes_sent, nic.packets_received,
+                      nic._reserved_until))
+    return (ranks, fabric.packets_delivered, fabric.bytes_delivered,
+            fabric.dead_dropped, dict(fabric._last_delivery))
+
+
+def _both(build, program, *, fails=False, setup=None):
+    """Run ``program`` with the nexus on and off; returns the two
+    ``(results, state, routes)`` triples after checking they agree."""
+    out = {}
+    prev = CollectiveNexus.enabled
+    try:
+        for enabled in (True, False):
+            CollectiveNexus.enabled = enabled
+            world = build()
+            if setup is not None:
+                setup(world)
+            if fails:
+                with pytest.raises(SimulationError):
+                    world.run(program)
+                results = None
+            else:
+                results = world.run(program)
+            out[enabled] = (results, _state(world), _routes(world))
+    finally:
+        CollectiveNexus.enabled = prev
+    assert out[True][0] == out[False][0]
+    assert out[True][1] == out[False][1]
+    return out[True], out[False]
+
+
+def _flat(n):
+    return lambda: World(n_ranks=n, network=seastar_portals(), seed=0)
+
+
+def test_skewed_entries_identical_and_all_live():
+    latency = seastar_portals().latency
+
+    def program(ctx):
+        exits = []
+        for i in range(6):
+            # several latencies of rank-dependent compute before each entry
+            yield ctx.sim.timeout(((ctx.rank * 7 + i * 13) % 11) * latency)
+            yield from ctx.comm.barrier()
+            exits.append(ctx.sim.now)
+        return exits
+
+    live, packet = _both(_flat(64), program)
+    assert live[2] == {("live", None): 6}
+    assert packet[2] == {("packet", "disabled"): 6}
+
+
+def test_straggler_traffic_into_a_rank_inside_the_barrier():
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(4096)
+        src = ctx.mem.space.alloc(1024, fill=7)
+        dst = ctx.mem.space.alloc(1024)
+        yield from ctx.comm.barrier()
+        if ctx.rank == 0:
+            # peers are a few rounds into the barrier by now
+            yield ctx.sim.timeout(9.0)
+            yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[1], 0, 1024,
+                                   BYTE, remote_completion=True,
+                                   blocking=True)
+            yield from ctx.rma.get(dst, 0, 1024, BYTE, tmems[1], 0, 1024,
+                                   BYTE, blocking=True)
+        yield from ctx.comm.barrier()
+        got = bytes(ctx.mem.space.read(dst, 0, 1024)) if ctx.rank == 0 else None
+        return ctx.sim.now, got
+
+    live, _ = _both(_flat(8), program)
+    assert live[0][0][1] == bytes([7]) * 1024
+    assert live[2] == {("live", None): 2}
+
+
+def test_subcommunicator_barrier_races_world_barrier():
+    def program(ctx):
+        sub = yield from ctx.comm.split(ctx.rank % 2)
+        times = []
+        if ctx.rank % 2:
+            yield from ctx.comm.barrier()
+            times.append(ctx.sim.now)
+            yield from sub.barrier()
+        else:
+            yield from sub.barrier()
+            times.append(ctx.sim.now)
+            yield from ctx.comm.barrier()
+        times.append(ctx.sim.now)
+        return times
+
+    live, _ = _both(_flat(8), program)
+    # one world instance and one per colour, all live, side by side
+    assert live[2] == {("live", None): 3}
+
+
+def test_barrier_message_queues_behind_an_op_train_on_its_pair():
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(1 << 16)
+        src = ctx.mem.space.alloc(1 << 16, fill=1 + ctx.rank)
+        right = (ctx.rank + 1) % ctx.size
+        yield from ctx.comm.barrier()
+        # an un-completed train to the round-0 partner: the barrier
+        # message is FIFO-clamped behind its last fragment, and landing
+        # it is what makes the train's bytes visible to the reader below
+        yield from ctx.rma.put(src, 0, 1 << 16, BYTE, tmems[right], 0,
+                               1 << 16, BYTE)
+        yield from ctx.comm.barrier()
+        seen = bytes(ctx.mem.space.read(alloc, 0, 1 << 16))
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return ctx.sim.now, seen
+
+    live, _ = _both(_flat(4), program)
+    assert live[0][1][1] == bytes([1]) * (1 << 16)
+    assert live[2] == {("live", None): 3}
+
+
+def test_kill_rank_mid_barrier_then_packet_path():
+    victim = 2
+
+    def program(ctx):
+        half = yield from ctx.comm.split(ctx.rank // 4)
+        if ctx.rank >= 4:
+            yield ctx.sim.timeout(200.0)
+        # ranks 0..3 are in this barrier when the victim dies; 4..7
+        # start theirs on a fabric that has seen a failure
+        yield from half.barrier()
+        return ctx.sim.now
+
+    t_split = {}
+
+    def probe(ctx):
+        yield from ctx.comm.split(ctx.rank // 4)
+        t_split[ctx.rank] = ctx.sim.now
+
+    _flat(8)().run(probe)
+    start = min(t_split[r] for r in range(4))
+    dropped = set()
+    # sweep the kill across both rounds (≈ 7.5 µs each) so it lands in
+    # every phase: charging, serializing, in flight, receiving
+    for step in range(30):
+        def setup(world, at=start + 0.3 + 0.55 * step):
+            world.sim.schedule_call(at, world._kill_rank, victim)
+
+        live, packet = _both(_flat(8), program, fails=True, setup=setup)
+        dropped.add(live[1][3])
+        assert live[2] == {("live", None): 1, ("packet", "faulty"): 1}
+        assert packet[2] == {("packet", "disabled"): 2}
+    assert len(dropped) > 1     # at transmit, at delivery, both, …
+
+
+def test_flat_256_rank_halo_has_no_packet_routed_barrier():
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(2 * 512)
+        src = ctx.mem.space.alloc(512, fill=1 + ctx.rank % 251)
+        right = (ctx.rank + 1) % ctx.size
+        yield from ctx.comm.barrier()
+        for _ in range(2):
+            yield from ctx.rma.put(src, 0, 512, BYTE, tmems[right], 0, 512,
+                                   BYTE, blocking=True)
+            yield from ctx.rma.complete_collective(ctx.comm)
+        yield from ctx.comm.barrier()
+
+    world = _flat(256)()
+    world.run(program)
+    assert _routes(world) == {("live", None): 4}
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: World(n_ranks=8, network=torus_network((2, 2, 2)), seed=0),
+     "topology"),
+    (lambda: World(n_ranks=4, network=quadrics_like(), seed=0), "unordered"),
+    (lambda: World(n_ranks=4, network=seastar_portals(), seed=0, trace=True),
+     "traced"),
+])
+def test_closed_gate_is_named(build, reason):
+    def program(ctx):
+        yield from ctx.comm.barrier()
+
+    world = build()
+    world.run(program)
+    assert _routes(world) == {("packet", reason): 1}
+
+
+def test_burst_off_gate_is_named():
+    def program(ctx):
+        yield from ctx.comm.barrier()
+
+    prev = Nic.burst_enabled
+    Nic.burst_enabled = False
+    try:
+        world = _flat(4)()
+        world.run(program)
+    finally:
+        Nic.burst_enabled = prev
+    assert _routes(world) == {("packet", "burst-off"): 1}
