@@ -348,7 +348,7 @@ def run_program(
     # the exactly-once observable for notified puts.
     notify_counts: Dict[Tuple[int, int], int] = {}
     for rank, ctx in world.contexts.items():
-        for (mem_id, match), n in ctx.rma.engine.notify_delivered().items():
+        for (mem_id, match), n in ctx.rma.engine.board.delivered().items():
             if mem_id == mem_ids.get(rank):
                 notify_counts[(rank, match)] = \
                     notify_counts.get((rank, match), 0) + n

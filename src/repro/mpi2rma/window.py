@@ -184,7 +184,7 @@ class Win:
             raise Mpi2Error("wait_notify on a freed window")
         self._check_revoked("wait_notify")
         world_watch = [self.comm.group.world_rank(r) for r in watch]
-        err = yield from self._engine.wait_notify(
+        err = yield from self._engine.board.wait_notify(
             self._tmems[self.comm.rank], match, count=count,
             watch=world_watch,
         )
@@ -199,7 +199,7 @@ class Win:
             raise Mpi2Error("test_notify on a freed window")
         self._check_revoked("test_notify")
         yield self._engine.sim.timeout(self._engine.timings.call_overhead)
-        return self._engine.test_notify(
+        return self._engine.board.test_notify(
             self._tmems[self.comm.rank], match, count=count
         )
 
@@ -210,7 +210,7 @@ class Win:
         if self._freed:
             raise Mpi2Error("notify_all on a freed window")
         yield self._engine.sim.timeout(self._engine.timings.call_overhead)
-        return self._engine.notify_all(self._tmems[self.comm.rank], match)
+        return self._engine.board.notify_all(self._tmems[self.comm.rank], match)
 
     # -- fence (Fig. 1a) ---------------------------------------------------
     def fence(self):

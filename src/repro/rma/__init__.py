@@ -16,9 +16,12 @@ piece                     role
                           ``accumulate``/``xfer``; ``complete``/``order``
                           (per-target, ``ALL_RANKS``, collective);
                           conditional/unconditional RMW; RMI extension
-:mod:`~repro.rma.engine`  the protocol engine: fragmentation, per-pair
-                          sequencing, software/hardware completion
-                          strategies, heterogeneity conversion
+:mod:`~repro.rma.engine`  the protocol engine: one issue pipeline over
+                          the route table shared → train → packet;
+                          fragmentation, per-pair sequencing, software/
+                          hardware completion strategies, heterogeneity
+                          conversion
+:mod:`~repro.rma.train`   the op-train route: closed-form runs of puts
 :mod:`~repro.rma.serializer`  the three atomicity serializers of §V-A:
                           communication thread, coarse-grain process-level
                           lock, bare MPI progress

@@ -30,6 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.datatypes.base import Datatype
 from repro.machine.address_space import Allocation
 from repro.mpi.comm import Comm
+from repro.mpi.constants import ERRORS_RAISE
 from repro.mpi.request import Request
 from repro.rma.attributes import ALL_RANKS, RmaAttrs
 from repro.rma.engine import RmaEngine
@@ -447,14 +448,7 @@ class RmaInterface:
                    for e in errs)
 
     def _handle_completion_errors(self, errs):
-        if not errs:
-            return []
-        from repro.mpi.constants import ERRORS_RAISE
-
-        world = self.engine.sim.context.get("world")
-        handler = getattr(world, "rma_errhandler", ERRORS_RAISE) \
-            if world is not None else ERRORS_RAISE
-        if handler == ERRORS_RAISE:
+        if errs and self.engine.world.rma_errhandler == ERRORS_RAISE:
             raise errs[0]
         return errs
 
@@ -492,8 +486,8 @@ class RmaInterface:
         returned under ``ERRORS_RETURN``.  Returns the error list
         (empty on success).
         """
-        err = yield from self.engine.wait_notify(target_mem, match,
-                                                count=count, watch=watch)
+        err = yield from self.engine.board.wait_notify(
+            target_mem, match, count=count, watch=watch)
         if err is None:
             return []
         return self._handle_completion_errors([err])
@@ -503,18 +497,19 @@ class RmaInterface:
         """Non-blocking probe (``yield from``): consume ``count``
         notifications if present, returning whether it did."""
         yield self.engine.sim.timeout(self.engine.timings.call_overhead)
-        return self.engine.test_notify(target_mem, match, count=count)
+        return self.engine.board.test_notify(target_mem, match,
+                                             count=count)
 
     def notify_all(self, target_mem: TargetMem, match: int):
         """Release every local waiter parked on ``(target_mem, match)``
         without consuming board counts (``yield from``); returns how
         many were released."""
         yield self.engine.sim.timeout(self.engine.timings.call_overhead)
-        return self.engine.notify_all(target_mem, match)
+        return self.engine.board.notify_all(target_mem, match)
 
     def notify_count(self, target_mem: TargetMem, match: int) -> int:
         """Unconsumed notifications on the slot (pure local peek)."""
-        return self.engine.notify_count(target_mem, match)
+        return self.engine.board.notify_count(target_mem, match)
 
     @property
     def stats(self) -> Dict[str, int]:

@@ -1,0 +1,1058 @@
+"""The strawman RMA protocol engine.
+
+One :class:`RmaEngine` per rank.  It owns every wire protocol behind the
+strawman API and enforces each attribute with the cheapest mechanism the
+fabric/machine combination offers (paper §III-B: "when they are offered
+as features by the underlying network, [attributes] are trivial to
+implement", otherwise software protocols add a penalty):
+
+ordering
+    Every operation between an (origin, target) pair carries a sequence
+    number and a *barrier*: the highest sequence number that must be
+    applied at the target before this operation may apply.  The
+    ordering attribute sets ``barrier = seq - 1``; ``rma_order`` sets a
+    standing barrier for subsequent operations.  On an ordered fabric
+    the gate never actually delays anything (the attribute is free); on
+    an unordered fabric late fragments are buffered at the target.
+
+remote completion
+    Three strategies, picked per operation:
+
+    - ``hw``  — per-fragment hardware delivery acks (Portals event
+      queue); valid only when delivery *is* application (non-atomic op,
+      coherent target, no gating).
+    - ``sw``  — the target engine acks when the operation has been
+      *applied* (needed for atomic ops, non-coherent targets, and gated
+      ops on unordered fabrics).
+    - ``flush`` — nothing per-op; ``rma_complete`` sends a watermark
+      flush and the target answers once everything up to the watermark
+      has applied.  This is the default for attribute-free operations.
+
+atomicity
+    Routed through the machine's serializer (thread / coarse lock /
+    progress — :mod:`repro.rma.serializer`).  With the coarse lock the
+    origin acquires the target's process-level lock around the whole
+    operation and application happens directly (exclusivity by lock);
+    with the thread/progress serializers fragments are staged at the
+    target and applied as one FIFO job.
+
+Transfers fragment at the fabric MTU; fragments of concurrent
+*non-atomic* operations to overlapping memory interleave — exactly the
+"permitted but undefined" behaviour the paper asks for (§IV req. 3).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.datatypes.base import Datatype
+from repro.datatypes.pack import check_bounds, pack, unpack, unpack_swapped
+from repro.machine.address_space import Allocation
+from repro.machine.config import MachineConfig, MachineTimings
+from repro.machine.node import RankMemory
+from repro.mpi.endpoint import payload_nbytes
+from repro.network.nic import Nic
+from repro.network.packet import Packet
+from repro.rma.attributes import RmaAttrs
+from repro.rma.engine.board import NotifyBoard, check_notify_attr
+from repro.rma.engine.failure import FailureSide
+from repro.rma.engine.shared import SharedRoute
+from repro.rma.engine.target import TargetSide, _TargetPeer
+from repro.rma.layout import fragment_layout
+from repro.rma.serializer import Serializer, make_serializer
+from repro.rma.target_mem import RmaError, TargetMem
+from repro.rma.train import TrainRoute
+from repro.sim.events import AllOf, DeferredEvent, Event
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime import World
+    from repro.sim.core import Simulator
+
+__all__ = ["RmaEngine", "OpRecord", "build_rma"]
+
+#: Accumulate operations supported by the engine.
+ACC_OPS = ("sum", "prod", "min", "max", "replace", "daxpy")
+#: Read-modify-write operations (paper §V: conditional and unconditional).
+RMW_OPS = ("cas", "fetch_add", "swap")
+
+#: ``stats`` counters bumped once per issued op of each kind.
+_TALLY = {"put": ("puts",), "acc": ("accumulates",), "get": ("gets",),
+          "getacc": ("accumulates", "gets"), "rmw": ("rmws",),
+          "rmi": ("rmis",)}
+
+
+@dataclass(slots=True)
+class OpRecord:
+    """Origin-side record of one outstanding write-style operation."""
+
+    op_key: Tuple[int, int]
+    dst: int
+    seq: int
+    kind: str
+    remote_mode: str  # "hw" | "sw" | "flush"
+    ev_local: Event
+    ev_remote: Optional[Event]
+    nbytes: int
+    #: Attributes the op was issued with (carried into RmaError on a
+    #: delivery failure).
+    attrs: Optional[RmaAttrs] = None
+
+
+class _Op:
+    """One operation travelling the issue pipeline (:meth:`RmaEngine._issue`):
+    what the public ``issue_*`` call asked for, plus what the remote
+    prologue works out for the routes behind it."""
+
+    __slots__ = ("kind", "is_write", "has_payload", "dst", "attrs",
+                 "ordering", "notify",
+                 "nbytes", "tmem", "disp", "count", "dtype", "origin", "acc",
+                 "call", "wire", "via_queue", "via_lock")
+
+    def __init__(self, kind: str, dst: int, attrs: Optional[RmaAttrs],
+                 nbytes: int, tmem: Optional[TargetMem] = None, disp: int = 0,
+                 count: int = 0, dtype: Optional[Datatype] = None,
+                 origin: Optional[tuple] = None, acc: Optional[tuple] = None,
+                 call: Optional[tuple] = None) -> None:
+        self.kind = kind  # put | acc | get | getacc | rmw | rmi
+        self.is_write = kind == "put" or kind == "acc"
+        #: Origin bytes travel to the target (put / acc / getacc).
+        self.has_payload = self.is_write or kind == "getacc"
+        self.dst = dst
+        #: As passed (None for getacc, and for an rmw issued without).
+        self.attrs = attrs
+        self.ordering = attrs is not None and attrs.ordering
+        self.notify = None if attrs is None else attrs.notify
+        #: Transfer size; the operand size of an rmw, the argument
+        #: payload of an rmi.
+        self.nbytes = nbytes
+        self.tmem = tmem
+        self.disp = disp
+        self.count = count
+        self.dtype = dtype
+        #: ``(alloc, offset, count, dtype)`` of the origin buffer.
+        self.origin = origin
+        #: ``(np_elem, op, scale)`` of an accumulate / get-accumulate.
+        self.acc = acc
+        #: ``(np_elem, op, operand, compare)`` of an rmw, ``(name,
+        #: args)`` of an rmi.
+        self.call = call
+        # filled in by the remote prologue
+        self.wire = None
+        self.via_queue = False
+        self.via_lock = False
+
+
+def _collect_errors(events: List[Event]) -> List[RmaError]:
+    """RmaError values carried by completion events (failure-aware
+    completion succeeds events *with* the error object as value)."""
+    errs: List[RmaError] = []
+    for ev in events:
+        value = ev.value
+        if isinstance(value, RmaError):
+            errs.append(value)
+        elif isinstance(value, list):
+            errs.extend(v for v in value if isinstance(v, RmaError))
+    return errs
+
+
+class _OriginPeer:
+    """Origin-side per-target state."""
+
+    __slots__ = ("last_seq", "order_barrier", "outstanding",
+                 "last_atomic_seq", "last_deferred_seq", "broken",
+                 "completing")
+
+    def __init__(self) -> None:
+        self.last_seq = 0
+        self.order_barrier = 0
+        self.outstanding: List[OpRecord] = []
+        #: Sequence number of the most recent atomic op issued to this
+        #: target (atomic application is deferred, which matters for
+        #: deciding whether delivery == application downstream).
+        self.last_atomic_seq = 0
+        #: Most recent op whose *application* happens after delivery
+        #: without being atomic (serializer-routed rmw, RMI handlers,
+        #: atomic-queue gets).  The op-train route reasons
+        #: "delivery order == application order" and must stand down
+        #: while any such op is in the sequence window.
+        self.last_deferred_seq = 0
+        #: Set on a transport path failure; every later op to this
+        #: target fails fast at issue.
+        self.broken = False
+        #: Records handed to an in-flight complete() (moved out of
+        #: ``outstanding``); a path failure must fail these too or the
+        #: waiting complete() would hang.
+        self.completing: List[OpRecord] = []
+
+    def alloc_seq(self) -> int:
+        self.last_seq += 1
+        return self.last_seq
+
+
+class _PendingGet:
+    """Origin-side reassembly state for a get / get-accumulate reply."""
+
+    __slots__ = ("buffer", "received", "ev_done", "origin", "swap",
+                 "location")
+
+    def __init__(self, total: int, ev_done: Event, origin: tuple, swap: bool,
+                 location: Tuple[int, int, int]) -> None:
+        self.buffer = np.empty(total, dtype=np.uint8)
+        self.received = 0
+        self.ev_done = ev_done
+        self.origin = origin
+        self.swap = swap
+        self.location = location
+
+
+class PacketRoute:
+    """Last route of the table: the op travels as real packets.  It
+    never declines, and it is the one place an op gets its sequence
+    number, ordering barrier and wire descriptor."""
+
+    name = "packet"
+    remote = True
+
+    def __init__(self, engine: "RmaEngine") -> None:
+        self.eng = engine
+
+    def declines(self, op: _Op) -> Optional[str]:
+        return None
+
+    def issue(self, op: _Op):
+        eng = self.eng
+        sim = eng.sim
+        dst = op.dst
+        kind = op.kind
+        if op.via_lock:
+            yield from eng.serializer.origin_acquire(dst)
+        peer = eng._origin_peer(dst)
+        seq = peer.alloc_seq()
+        barrier = seq - 1 if op.ordering else peer.order_barrier
+        if "drop_order_barrier" in eng.conformance_mutations:
+            barrier = 0  # the planted ordering bug
+        if op.has_payload:
+            # Atomic application is deferred to the serializer job (or
+            # bracketed by the process lock).
+            if op.via_queue or op.via_lock:
+                peer.last_atomic_seq = seq
+        elif op.via_queue or kind == "rmi":
+            # Served by a queued job (or an RMI handler process) after
+            # delivery: later train ops cannot assume delivery order
+            # equals application order.
+            peer.last_deferred_seq = seq
+        op_key = (eng.rank, next(eng._op_counter))
+        desc = {"op_key": op_key, "src": eng.rank, "seq": seq,
+                "barrier": barrier, "kind": kind}
+        if op.notify is not None:
+            # Only notify-carrying ops grow these keys: notify-free
+            # descriptors (and thus traces) stay byte-identical to a
+            # build without the subsystem.
+            desc["notify"] = op.notify
+            desc["notify_ts"] = sim.now
+        tmem = op.tmem
+        swap = tmem is not None and eng.mem.space.endianness != tmem.endianness
+        if tmem is not None:
+            desc["mem_id"] = tmem.mem_id
+            desc["base_disp"] = op.disp
+
+        if op.has_payload:
+            mode = "none" if not op.is_write else eng._pick_remote_mode(
+                op.attrs, tmem, barrier, op.via_queue, op.via_lock, peer)
+            want_ack = mode == "hw"
+            frags = fragment_layout(op.dtype, op.count, op.wire,
+                                    eng.network.mtu)
+            desc.update(
+                nfrags=len(frags), ack=mode, swap=swap,
+                total_bytes=op.nbytes, acc=op.acc, dtype=op.dtype,
+                count=op.count,
+                # Applied whole, as one serializer job: atomic-queue
+                # writes, and every get-accumulate (the old contents must
+                # be read before any fragment applies, even under the
+                # process lock).
+                via_job=op.via_queue or kind == "getacc",
+            )
+            packets = [
+                Packet(
+                    src=eng.rank, dst=dst, kind="rma.frag",
+                    payload={"desc": desc, "frag": frag},
+                    data_bytes=len(frag.data),
+                    want_ack=want_ack,
+                )
+                for frag in frags
+            ]
+            eng.nic.send_burst(packets)
+        else:
+            if kind == "get":
+                desc.update(count=op.count, dtype=op.dtype)
+            else:
+                desc["call"] = op.call
+            desc.update(total_bytes=op.nbytes, via_job=op.via_queue)
+            eng.send_control(dst, f"rma.{kind}_req", desc,
+                             data_bytes=0 if kind == "get" else op.nbytes)
+
+        if op.is_write:
+            one = len(packets) == 1
+            ev_local = (packets[0].ev_injected if one else
+                        AllOf(sim, [pkt.ev_injected for pkt in packets]))
+            if mode == "hw":
+                done: Optional[Event] = (
+                    packets[0].ev_remote_complete if one else
+                    AllOf(sim, [pkt.ev_remote_complete for pkt in packets]))
+            elif mode == "sw":
+                done = sim.event()
+                eng._sw_ack_waiters[op_key] = (dst, done)
+            else:
+                done = None
+            result = eng._retain(peer, op, op_key, seq, mode, ev_local, done)
+            if eng.tracer.enabled and op.nbytes <= 16:
+                # consistency-litmus support: small writes are recorded
+                # with their value so checkers can rebuild reads-from
+                # relations
+                eng.tracer.record(
+                    sim.now, "consistency", "write", rank=eng.rank,
+                    location=(dst, tmem.mem_id, op.disp),
+                    value=tuple(op.wire.tolist()),
+                )
+        else:
+            result = done = sim.event()
+            if op.origin is None:
+                eng._pending_replies[op_key] = (dst, kind, done)
+            else:
+                eng._pending_gets[op_key] = _PendingGet(
+                    op.nbytes, done, op.origin, swap,
+                    (dst, tmem.mem_id, op.disp))
+        if op.via_lock:
+            sim.spawn(self._release_lock_after(dst, done),
+                      name=f"lockrel-{eng.rank}")
+        if eng.tracer.enabled and kind != "rmi":
+            # (an RMI has never left an issue record; traces are pinned)
+            extra = {"attrs": str(op.attrs)} if op.is_write else {}
+            eng.tracer.record(sim.now, "rma", f"{kind}_issue", rank=eng.rank,
+                              dst=dst, seq=seq, bytes=op.nbytes, **extra,
+                              op=op_key)
+        return result
+
+    def _release_lock_after(self, dst: int, done: Event):
+        if not done.triggered:
+            yield done
+        yield from self.eng.serializer.origin_release(dst)
+
+
+class RmaEngine(FailureSide, TargetSide):
+    """Per-rank RMA protocol engine (see module docstring)."""
+
+    #: Master switch for the vectorized op-train route
+    #: (:class:`repro.rma.train.TrainRoute`).  The determinism
+    #: regression tests flip this off to prove the analytic and
+    #: event-loop paths produce identical simulated timestamps.
+    train_enabled: bool = True
+
+    #: Treat *every* exposure as a shared window (subject to the shared
+    #: route's other gates).  The ``--shared-windows`` perf toggle and
+    #: the conformance runner's shared mode set this; it must leave
+    #: every off-node timestamp bit-identical, since the route requires
+    #: co-location.
+    shared_default: bool = False
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        rank: int,
+        nic: Nic,
+        mem: RankMemory,
+        machine: MachineConfig,
+        serializer_kind: str = "auto",
+        tracer=None,
+    ) -> None:
+        self.sim = sim
+        self.rank = rank
+        self.nic = nic
+        self.mem = mem
+        self.machine = machine
+        self.timings: MachineTimings = machine.timings
+        self.network = nic.config
+        self.tracer = tracer if tracer is not None else nic.fabric.tracer
+        #: The world this engine lives in: the shared and train routes
+        #: reach the *target's* engine through it.
+        self.world: "World" = sim.context["world"]
+
+        self._exposures: Dict[int, Allocation] = {}
+        self._next_mem_id = 1
+        self._origin_peers: Dict[int, _OriginPeer] = {}
+        self._target_peers: Dict[int, _TargetPeer] = {}
+        # Waiter maps carry the destination rank so a path failure can
+        # sweep exactly the waiters stranded on the broken path.
+        self._sw_ack_waiters: Dict[Tuple[int, int], Tuple[int, Event]] = {}
+        self._pending_gets: Dict[Tuple[int, int], _PendingGet] = {}
+        self._pending_replies: Dict[Tuple[int, int], Tuple[int, str, Event]] = {}
+        self._flush_waiters: Dict[int, Tuple[int, Event]] = {}
+        self._next_flush_id = 1
+        # Per-engine op-key counter: keys are (rank, n), so a per-engine
+        # count keeps them unique within a world while staying identical
+        # across same-seed runs (a process-global counter would leak
+        # between worlds and break trace bit-identity).
+        self._op_counter = itertools.count(1)
+        #: Test-only semantic mutations for the conformance fuzzer
+        #: (``repro.check``): an empty set (the default, always, outside
+        #: fuzzer self-tests) keeps behaviour — and traces — untouched.
+        #: Each name is read at exactly one site: ``drop_order_barrier``
+        #: (:class:`PacketRoute` ignores every ordering barrier),
+        #: ``train_mistime`` (:class:`~repro.rma.train.TrainRoute`
+        #: shifts the first train op per target by +1e-3 µs),
+        #: ``shm_skip_fence`` (:class:`SharedRoute`) and
+        #: ``notify_before_apply`` (:class:`TargetSide`).
+        self.conformance_mutations: frozenset = frozenset()
+        #: The route table, in order of preference: the first route
+        #: that does not decline an op takes it.  ``rma.route`` counter
+        #: handles are cached per (path, reason).
+        self.routes = (SharedRoute(self), TrainRoute(self), PacketRoute(self))
+        self._route_counters: Dict[tuple, Any] = {}
+        #: Notification board (DESIGN §15).
+        self.board = NotifyBoard(self)
+        # Failure-aware completion state.
+        self._path_failures: Dict[int, Any] = {}
+        self.failures: List[Any] = []
+        self._failed_ops: set = set()
+        self._rmi_handlers: Dict[str, Callable[..., Any]] = {}
+        # Reusable staging buffer for *transient* byte work (e.g. the
+        # swap pass of a heterogeneous get completion).  Never handed to
+        # anything that outlives the call that borrowed it — in-flight
+        # fragment data must not alias it.
+        self._pack_scratch = np.empty(0, dtype=np.uint8)
+
+        self.serializer: Serializer = make_serializer(serializer_kind, self)
+
+        nic.register_handler("rma.frag", self._on_frag)
+        for kind in ("rma.get_req", "rma.rmw_req", "rma.rmi_req"):
+            nic.register_handler(kind, self._on_request)
+        nic.register_handler("rma.get_reply", self._on_get_reply)
+        nic.register_handler("rma.ack", self._on_ack)
+        nic.register_handler("rma.flush_req", self._on_flush_req)
+        nic.register_handler("rma.flush_ack", self._on_flush_ack)
+        nic.register_handler("rma.reply", self._on_reply)
+        # Process-lock packets go straight to the lock serializer.
+        for kind, handler in (("rma.lock_req", "on_lock_req"),
+                              ("rma.lock_grant", "on_grant"),
+                              ("rma.unlock", "on_unlock")):
+            nic.register_handler(
+                kind, getattr(self.serializer, handler, self._no_lock))
+
+        transport = nic.transport
+        if transport is not None:
+            transport.add_path_failure_callback(self._on_path_failure)
+
+        # statistics
+        self.stats: Dict[str, int] = {
+            "puts": 0,
+            "gets": 0,
+            "accumulates": 0,
+            "rmws": 0,
+            "rmis": 0,
+            "completes": 0,
+            "orders": 0,
+            "bytes_put": 0,
+            "bytes_got": 0,
+            "gated_frags": 0,
+            "train_ops": 0,
+            "train_bytes": 0,
+            "shm_ops": 0,
+            "shm_bytes": 0,
+            "notifies": 0,
+            "notify_waits": 0,
+        }
+
+    # ------------------------------------------------------------------
+    # Memory exposure
+    # ------------------------------------------------------------------
+    def expose(self, alloc: Allocation, shared: bool = False) -> TargetMem:
+        """Register local memory for remote access (non-collective).
+
+        ``shared=True`` requests the shared-memory window flavor:
+        co-located origins then bypass the NIC (:class:`SharedRoute`).
+        A non-coherent owner cannot offer load/store sharing — peers'
+        stores would sit invisible behind stale cache lines without the
+        owner's involvement — so the request degrades to a plain
+        exposure there.
+        """
+        if alloc.rank != self.rank:
+            raise RmaError(
+                f"rank {self.rank} cannot expose memory owned by rank "
+                f"{alloc.rank}"
+            )
+        self.mem.space.buffer(alloc)  # validates liveness
+        mem_id = self._next_mem_id
+        self._next_mem_id += 1
+        self._exposures[mem_id] = alloc
+        return TargetMem(
+            rank=self.rank,
+            mem_id=mem_id,
+            size=alloc.size,
+            pointer_bits=self.mem.space.pointer_bits,
+            endianness=self.mem.space.endianness,
+            coherent=self.mem.coherent,
+            shared=bool(shared) and self.mem.coherent,
+        )
+
+    def registration_cost(self, nbytes: int) -> float:
+        """NIC registration cost for exposing ``nbytes`` (charged by the
+        generator-based exposure paths; plain :meth:`expose` is the
+        zero-time registration-cache hit)."""
+        pages = -(-max(nbytes, 1) // 4096)
+        return (self.timings.mem_register_base
+                + pages * self.timings.mem_register_per_page)
+
+    def withdraw(self, tmem: TargetMem) -> None:
+        """Deregister; later remote access through it is an error."""
+        if tmem.rank != self.rank or tmem.mem_id not in self._exposures:
+            raise RmaError(f"cannot withdraw unknown target_mem {tmem}")
+        del self._exposures[tmem.mem_id]
+
+    def _resolve(self, mem_id: int) -> Allocation:
+        alloc = self._exposures.get(mem_id)
+        if alloc is None:
+            raise RmaError(
+                f"rank {self.rank}: RMA access to unknown/withdrawn "
+                f"target_mem id {mem_id}"
+            )
+        return alloc
+
+    def register_rmi(self, name: str, fn: Callable[..., Any]) -> None:
+        """Register a remote-method-invocation handler (§IV extension)."""
+        if name in self._rmi_handlers:
+            raise RmaError(f"RMI handler {name!r} already registered")
+        self._rmi_handlers[name] = fn
+
+    def _origin_peer(self, dst: int) -> _OriginPeer:
+        peer = self._origin_peers.get(dst)
+        if peer is None:
+            peer = self._origin_peers[dst] = _OriginPeer()
+        return peer
+
+    # ------------------------------------------------------------------
+    # The five operations: argument checks, then the one pipeline
+    # ------------------------------------------------------------------
+    def issue_put(
+        self,
+        origin_alloc: Allocation,
+        origin_offset: int,
+        origin_count: int,
+        origin_dtype: Datatype,
+        tmem: TargetMem,
+        target_disp: int,
+        target_count: int,
+        target_dtype: Datatype,
+        attrs: RmaAttrs,
+    ):
+        """Issue a put; returns an :class:`OpRecord` (``yield from``)."""
+        return self._issue(self._transfer(
+            "put", origin_alloc, origin_offset, origin_count, origin_dtype,
+            tmem, target_disp, target_count, target_dtype, attrs,
+        ))
+
+    def issue_accumulate(
+        self,
+        origin_alloc: Allocation,
+        origin_offset: int,
+        origin_count: int,
+        origin_dtype: Datatype,
+        tmem: TargetMem,
+        target_disp: int,
+        target_count: int,
+        target_dtype: Datatype,
+        attrs: RmaAttrs,
+        op: str = "sum",
+        scale: float = 1.0,
+    ):
+        """Issue an accumulate (remote update); returns an OpRecord."""
+        return self._issue(self._transfer(
+            "acc", origin_alloc, origin_offset, origin_count, origin_dtype,
+            tmem, target_disp, target_count, target_dtype, attrs, op, scale,
+        ))
+
+    def issue_get(
+        self,
+        origin_alloc: Allocation,
+        origin_offset: int,
+        origin_count: int,
+        origin_dtype: Datatype,
+        tmem: TargetMem,
+        target_disp: int,
+        target_count: int,
+        target_dtype: Datatype,
+        attrs: RmaAttrs,
+    ):
+        """Issue a get; returns the completion :class:`Event` whose value
+        is ``None`` once data sits in the origin buffer."""
+        return self._issue(self._transfer(
+            "get", origin_alloc, origin_offset, origin_count, origin_dtype,
+            tmem, target_disp, target_count, target_dtype, attrs,
+        ))
+
+    # Get-accumulate: atomic fetch-and-op on a whole section — the
+    # natural generalization of §V's RMW discussion (and what MPI-3
+    # eventually standardized as MPI_Get_accumulate).
+    def issue_get_accumulate(
+        self,
+        origin_alloc: Allocation,
+        origin_offset: int,
+        origin_count: int,
+        origin_dtype: Datatype,
+        tmem: TargetMem,
+        target_disp: int,
+        target_count: int,
+        target_dtype: Datatype,
+        op: str = "sum",
+        scale: float = 1.0,
+    ):
+        """Atomically fetch the target section and apply ``op`` to it;
+        the *old* contents land in the origin buffer.  Returns the
+        completion event (``yield from``).
+
+        Always atomic: routed through the serializer (or the process
+        lock).  ``op="replace"`` gives a section-sized swap;
+        ``origin_count == 0`` with ``op="sum"``/scale 0 degenerates to
+        an atomic get.
+        """
+        return self._issue(self._transfer(
+            "getacc", origin_alloc, origin_offset, origin_count,
+            origin_dtype, tmem, target_disp, target_count, target_dtype,
+            None, op, scale,
+        ))
+
+    def _transfer(self, kind, origin_alloc, origin_offset, origin_count,
+                  origin_dtype, tmem, target_disp, target_count,
+                  target_dtype, attrs, acc_op=None, scale=1.0) -> _Op:
+        """Argument checks shared by the four section transfers."""
+        acc = None
+        if acc_op is not None:
+            if acc_op not in ACC_OPS:
+                raise RmaError(
+                    f"unknown accumulate op {acc_op!r}; choose from {ACC_OPS}")
+            if target_dtype.elem_np is None:
+                raise RmaError(
+                    "accumulate requires a datatype with a uniform element "
+                    "type"
+                )
+            acc = (target_dtype.elem_np, acc_op, scale)
+        nbytes = origin_count * origin_dtype.size
+        t_bytes = target_count * target_dtype.size
+        if nbytes != t_bytes:
+            raise RmaError(
+                f"origin layout ({nbytes} B) does not match target layout "
+                f"({t_bytes} B)"
+            )
+        lo, hi = target_dtype.byte_range(target_count)
+        tmem.check_access(target_disp, lo, hi)
+        if kind == "get" or kind == "getacc":
+            # data lands in the origin buffer: validate its range before
+            # any waiting
+            check_bounds(self.mem.space.buffer(origin_alloc), origin_offset,
+                         origin_dtype, origin_count)
+        op = _Op(kind, tmem.rank, attrs, nbytes, tmem, target_disp,
+                 target_count, target_dtype,
+                 (origin_alloc, origin_offset, origin_count, origin_dtype),
+                 acc)
+        if op.notify is not None:
+            check_notify_attr(attrs, kind, nbytes, self.rank)
+        return op
+
+    # RMW (paper §V: conditional and unconditional read-modify-write)
+    def issue_rmw(
+        self,
+        tmem: TargetMem,
+        target_disp: int,
+        np_elem: str,
+        op: str,
+        operand,
+        compare=None,
+        attrs: Optional[RmaAttrs] = None,
+    ):
+        """Issue a CAS / fetch-and-add / swap; returns the completion
+        event whose value is the *old* target value."""
+        if op not in RMW_OPS:
+            raise RmaError(f"unknown RMW op {op!r}; choose from {RMW_OPS}")
+        if op == "cas" and compare is None:
+            raise RmaError("cas requires a compare value")
+        if attrs is not None and attrs.notify is not None:
+            raise RmaError(
+                "rmw cannot carry a notification (DESIGN §15: notify is "
+                "defined for put/get/accumulate; an RMW already returns "
+                "its old value to the origin)",
+                op="rmw", src=self.rank, target=tmem.rank, attrs=attrs,
+            )
+        elem_size = np.dtype(np_elem).itemsize
+        tmem.check_access(target_disp, 0, elem_size)
+        return self._issue(_Op("rmw", tmem.rank, attrs, elem_size, tmem,
+                               target_disp,
+                               call=(np_elem, op, operand, compare)))
+
+    # RMI (the xfer optype expansion discussed in §IV)
+    def issue_rmi(self, dst: int, name: str, args: tuple, attrs: RmaAttrs):
+        """Invoke a registered remote method; completion value is the
+        handler's return value."""
+        if not (self.network.active_messages or self.machine.threads_allowed):
+            raise RmaError(
+                "RMI requires active messages or a communication thread "
+                "(paper §V: not trivial on all architectures)"
+            )
+        if attrs.notify is not None:
+            raise RmaError(
+                "rmi cannot carry a notification (DESIGN §15: notify is "
+                "defined for put/get/accumulate; a handler signals its "
+                "own completion through its reply)",
+                op="rmi", src=self.rank, target=dst, attrs=attrs,
+            )
+        return self._issue(_Op("rmi", dst, attrs, payload_nbytes(args),
+                               call=(name, args)))
+
+    def _issue(self, op: _Op):
+        """The one issue pipeline.  A broken path fails fast; otherwise
+        the first route of :attr:`routes` that does not decline takes
+        the op, counted as ``rma.route{path=, reason=}`` — the reason
+        being the gate that closed the route before it.  The remote
+        prologue (issue charge, packing, atomic routing) runs once,
+        ahead of the first remote route."""
+        if self._path_broken(op.dst):
+            return self._fail_fast(op)
+        reason = None
+        charged = False
+        for route in self.routes:
+            if route.remote and not charged:
+                charged = True
+                charge = self.timings.call_overhead + self.network.overhead_send
+                if op.is_write and not op.origin[3].is_contiguous:
+                    charge += op.nbytes * self.timings.mem_copy_per_byte
+                yield self.sim.timeout(charge)
+                if op.nbytes == 0 and op.tmem is not None:
+                    if op.is_write:
+                        self._tally(op, 0)
+                    return self._finished(op)
+                if op.has_payload:
+                    # Eager/rendezvous split: single-fragment transfers
+                    # are copied at issue (buffer free at local
+                    # completion); larger contiguous ones ride as a
+                    # zero-copy view, pinned until remote delivery — the
+                    # same contract real RDMA rendezvous protocols impose.
+                    alloc, offset, count, dtype = op.origin
+                    op.wire = pack(self.mem.space.buffer(alloc), offset,
+                                   dtype, count,
+                                   copy=op.nbytes <= self.network.mtu)
+                self._route_atomic(op)
+            why = route.declines(op)
+            if why is None:
+                counter = self._route_counters.get((route.name, reason))
+                if counter is None:
+                    counter = self._route_counter(route.name, reason)
+                counter.inc()
+                self._tally(op, op.nbytes)
+                return (yield from route.issue(op))
+            reason = why
+
+    def _route_atomic(self, op: _Op) -> None:
+        """Decide how ``op``'s atomicity is enforced: not at all, by the
+        target's serializer queue (``via_queue``), or by the origin
+        holding the target's process lock (``via_lock``)."""
+        kind = op.kind
+        if kind == "rmw":
+            # RMWs are atomic by definition.  Hardware atomics serve
+            # when the fabric has them.
+            atomic = not (self.network.small_atomics and op.nbytes <= 8)
+        elif kind == "getacc":
+            atomic = True
+        else:
+            atomic = kind != "rmi" and op.attrs.atomicity
+        if atomic:
+            if self.serializer.kind == "lock":
+                op.via_lock = True
+            else:
+                op.via_queue = True
+
+    def _pick_remote_mode(self, attrs: RmaAttrs, tmem: TargetMem,
+                          barrier: int, atomic_via_serializer: bool,
+                          lock_serialized: bool,
+                          peer: _OriginPeer) -> str:
+        if lock_serialized or atomic_via_serializer:
+            # Atomic semantics are only established at application time,
+            # so atomic ops always track an application ack: the lock
+            # serializer needs it to release the lock, and a blocking
+            # atomic call returns only once the exclusive update is in.
+            return "sw"
+        if attrs.remote_completion:
+            # A hardware delivery ack (Portals EQ) equals remote
+            # completion only when delivery == application: coherent
+            # target, and either no gating barrier, or an ordered fabric
+            # where every op covered by the barrier applies at its own
+            # (earlier) delivery — i.e. none of them was atomic.  Both
+            # capabilities are properties of the (src, dst) *path*: on
+            # hierarchical machines the intra-node personality may differ
+            # from the interconnect's.
+            path = self.nic.fabric.config_for(self.rank, tmem.rank)
+            barrier_instant = barrier == 0 or (
+                path.ordered
+                and not (0 < peer.last_atomic_seq <= barrier)
+            )
+            hw_ok = (
+                tmem.coherent
+                and barrier_instant
+                and path.remote_completion_events
+                # Persistent loss toward the target: hardware delivery
+                # acks keep getting dropped, so degrade to software
+                # acks (which the reliable transport retransmits).
+                and not self.nic.path_degraded(tmem.rank)
+            )
+            return "hw" if hw_ok else "sw"
+        return "flush"
+
+    def _route_counter(self, path: str, reason: Optional[str]):
+        """The ``rma.route`` counter for one (path, reason), cached."""
+        labels = {"path": path}
+        if reason is not None:
+            labels["reason"] = reason
+        counter = self._route_counters[(path, reason)] = \
+            self.tracer.metrics.counter("rma.route", **labels)
+        return counter
+
+    def _tally(self, op: _Op, nbytes: int) -> None:
+        stats = self.stats
+        for key in _TALLY[op.kind]:
+            stats[key] += 1
+        if op.kind == "put":
+            stats["bytes_put"] += nbytes
+        elif op.kind == "get":
+            stats["bytes_got"] += nbytes
+
+    def _retain(self, peer: _OriginPeer, op: _Op, op_key, seq: int,
+                mode: str, ev_local: Event,
+                ev_remote: Optional[Event]) -> OpRecord:
+        """Record an issued write as outstanding toward its target (the
+        next completion call waits for, or flushes, it)."""
+        rec = OpRecord(op_key, op.dst, seq, op.kind, mode, ev_local,
+                       ev_remote, op.nbytes, op.attrs)
+        peer.outstanding.append(rec)
+        return rec
+
+    def _finished(self, op: _Op, nbytes: int = 0, value=None):
+        """What ``issue_*`` returns for an op that is already over (a
+        zero-byte transfer, a shared-window access, a fail-fast): the
+        completion event, wrapped in an :class:`OpRecord` for writes."""
+        ev = Event(self.sim).succeed(value)
+        if not op.is_write:
+            return ev
+        return OpRecord((self.rank, 0), op.dst, 0, op.kind, "hw", ev, ev,
+                        nbytes, op.attrs)
+
+    def _land(self, data: np.ndarray, origin: tuple, swap: bool) -> None:
+        """Unpack fetched wire bytes into the origin buffer."""
+        alloc, offset, count, dtype = origin
+        buf = self.mem.space.buffer(alloc)
+        if swap:
+            if self._pack_scratch.size < data.size:
+                self._pack_scratch = np.empty(data.size, dtype=np.uint8)
+            unpack_swapped(data, buf, offset, dtype, count,
+                           scratch=self._pack_scratch)
+        else:
+            unpack(data, buf, offset, dtype, count)
+
+    def send_control(self, dst: int, kind: str, payload: Dict[str, Any],
+                     data_bytes: int = 0, want_ack: bool = False) -> Packet:
+        """Inject a small protocol packet."""
+        pkt = Packet(src=self.rank, dst=dst, kind=kind, payload=payload,
+                     data_bytes=data_bytes, want_ack=want_ack)
+        self.nic.send(pkt)
+        return pkt
+
+    # ------------------------------------------------------------------
+    # Completion and ordering (MPI_RMA_complete / MPI_RMA_order)
+    # ------------------------------------------------------------------
+    def complete_one(self, dst: int):
+        """Wait for remote completion of all prior ops to ``dst``.
+        Returns the list of :class:`RmaError` failures (empty normally)."""
+        yield self.sim.timeout(self.timings.call_overhead)
+        events = self._completion_events(dst)
+        if len(events) == 1:
+            yield events[0]
+        elif events:
+            yield AllOf(self.sim, events)
+        self.materialize_inbound()
+        self.stats["completes"] += 1
+        return _collect_errors(events)
+
+    def complete_all(self):
+        """Remote-complete every target with outstanding traffic
+        (``MPI_ALL_RANKS``).  Returns the list of failures."""
+        yield self.sim.timeout(self.timings.call_overhead)
+        events = []
+        for dst in sorted(self._origin_peers):
+            events.extend(self._completion_events(dst))
+        if events:
+            yield AllOf(self.sim, events)
+        # Completion is an observation point for this rank's own memory
+        # (the caller will read local buffers next): apply any arrived
+        # inbound train elements — notably self-directed puts, which on
+        # an all-analytic run have no packet delivery to trigger them.
+        self.materialize_inbound()
+        self.stats["completes"] += 1
+        return _collect_errors(events)
+
+    def _completion_events(self, dst: int) -> List[Event]:
+        peer = self._origin_peers.get(dst)
+        if peer is None or not peer.outstanding:
+            return []
+        events: List[Event] = []
+        if peer.broken:
+            # No flush round trip on a broken path: every record resolves
+            # to an error immediately (ops with per-op events were already
+            # failed by _on_path_failure; flush-mode ones get one here).
+            for rec in peer.outstanding:
+                ev = rec.ev_remote
+                if ev is None:
+                    ev = Event(self.sim).succeed(
+                        self._error(dst, rec.kind, rec.attrs))
+                events.append(ev)
+            peer.completing, peer.outstanding = peer.outstanding, []
+            return events
+        flush_watermark = 0
+        deferred: List[DeferredEvent] = []
+        for rec in peer.outstanding:
+            ev = rec.ev_remote
+            if ev is not None:
+                events.append(ev)
+                if (type(ev) is DeferredEvent and not ev._armed
+                        and not ev.triggered):
+                    deferred.append(ev)
+            else:
+                flush_watermark = max(flush_watermark, rec.seq)
+        if deferred:
+            # Retire the whole group of analytic hw-ack events with one
+            # heap entry at the latest due time.  Each event still
+            # auto-fires at its own due when polled (DeferredEvent), so
+            # no observable timestamp moves — only the timer count does.
+            due = max(ev.due for ev in deferred)
+            for ev in deferred:
+                ev.mark_armed()
+            self.sim.schedule_bulk_succeed_at(
+                due, deferred,
+                [ev._deferred_value for ev in deferred],
+            )
+        if flush_watermark:
+            flush_id = self._next_flush_id
+            self._next_flush_id += 1
+            ev = self.sim.event()
+            self._flush_waiters[flush_id] = (dst, ev)
+            self.send_control(
+                dst, "rma.flush_req",
+                {"watermark": flush_watermark, "flush_id": flush_id,
+                 "src": self.rank},
+            )
+            events.append(ev)
+        peer.completing, peer.outstanding = peer.outstanding, []
+        return events
+
+    def order_one(self, dst: int) -> None:
+        """Order subsequent ops to ``dst`` after all prior ones — a pure
+        origin-side barrier annotation, no network traffic (the paper's
+        "weaker form of synchronization")."""
+        peer = self._origin_peer(dst)
+        peer.order_barrier = peer.last_seq
+        self.stats["orders"] += 1
+
+    def order_all(self) -> None:
+        for peer in self._origin_peers.values():
+            peer.order_barrier = peer.last_seq
+        self.stats["orders"] += 1
+
+    # ------------------------------------------------------------------
+    # Origin-side protocol packet handlers
+    # ------------------------------------------------------------------
+    def _on_ack(self, packet: Packet) -> None:
+        op_key = packet.payload["op_key"]
+        if self.tracer.enabled:
+            # Span milestone: software application ack back at the origin.
+            self.tracer.record(self.sim.now, "rma", "ack",
+                               rank=self.rank, src=packet.src, op=op_key)
+        pair = self._sw_ack_waiters.pop(op_key, None)
+        if pair is not None and not pair[1].triggered:
+            pair[1].succeed(self.sim.now)
+
+    def _on_flush_ack(self, packet: Packet) -> None:
+        if self.tracer.enabled:
+            # Timeline marker only: a flush covers many ops, so it is
+            # not attributed to any single span.
+            self.tracer.record(self.sim.now, "rma", "flush_ack",
+                               rank=self.rank, src=packet.src,
+                               flush_id=packet.payload["flush_id"])
+        pair = self._flush_waiters.pop(packet.payload["flush_id"], None)
+        if pair is not None and not pair[1].triggered:
+            pair[1].succeed(self.sim.now)
+
+    def _on_get_reply(self, packet: Packet) -> None:
+        p = packet.payload
+        pend = self._pending_gets.get(p["op_key"])
+        if pend is None:
+            if p["op_key"] in self._failed_ops:
+                # The op was failed by a path failure; a straggler reply
+                # (e.g. delivered after a rank restart) is not an error.
+                return
+            raise RmaError(f"rank {self.rank}: stray get reply {p['op_key']}")
+        chunk = p["data"]
+        pend.buffer[p["wire_off"] : p["wire_off"] + len(chunk)] = chunk
+        pend.received += len(chunk)
+        if pend.received >= p["total"]:
+            del self._pending_gets[p["op_key"]]
+            self.sim.spawn(self._finish_get(pend, p["op_key"]),
+                           name=f"getfin-{self.rank}")
+
+    def _finish_get(self, pend: _PendingGet, op_key):
+        yield self.sim.timeout(
+            self.network.overhead_recv
+            + pend.buffer.size * self.timings.mem_copy_per_byte
+        )
+        self._land(pend.buffer, pend.origin, pend.swap)
+        if self.tracer.enabled:
+            if pend.buffer.size <= 16:
+                self.tracer.record(
+                    self.sim.now, "consistency", "read", rank=self.rank,
+                    location=pend.location,
+                    value=tuple(pend.buffer.tolist()),
+                )
+            # Span milestone: reply unpacked into the origin buffer.
+            self.tracer.record(self.sim.now, "rma", "complete",
+                               rank=self.rank, op=op_key)
+        pend.ev_done.succeed()
+
+    def _on_reply(self, packet: Packet) -> None:
+        op_key = packet.payload["op_key"]
+        if self.tracer.enabled:
+            self.tracer.record(self.sim.now, "rma", "complete",
+                               rank=self.rank, src=packet.src, op=op_key)
+        entry = self._pending_replies.pop(op_key, None)
+        if entry is not None and not entry[2].triggered:
+            entry[2].succeed(packet.payload["value"])
+
+    def _no_lock(self, packet: Packet) -> None:
+        raise RmaError(
+            f"rank {self.rank}: received a process-lock packet but the "
+            f"serializer is {self.serializer.kind!r}"
+        )
+
+
+def build_rma(world: "World") -> None:
+    """Construct one engine + frontend per rank and attach to contexts."""
+    from repro.rma.api import RmaInterface
+
+    for rank, ctx in world.contexts.items():
+        engine = RmaEngine(
+            world.sim,
+            rank,
+            world.nics[rank],
+            world.memories[rank],
+            world.machine,
+            serializer_kind=world.serializer_kind,
+            tracer=world.tracer,
+        )
+        ctx.rma = RmaInterface(engine, ctx.comm)

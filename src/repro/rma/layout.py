@@ -13,7 +13,7 @@ assembles the full dense buffer and unpacks it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.machine.node import RankMemory
 from repro.machine.address_space import Allocation
 
 __all__ = ["Fragment", "fragment_layout", "apply_put_fragment",
-           "apply_accumulate", "read_layout"]
+           "apply_accumulate", "apply_write", "rmw_apply", "read_layout"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +156,49 @@ def apply_accumulate(
             alloc, base_disp + disp, result.astype(np_dt).view(np.uint8)
         )
         pos += nbytes
+
+
+def apply_write(
+    mem: RankMemory,
+    alloc: Allocation,
+    base_disp: int,
+    frags: Optional[Sequence[Fragment]],
+    swap: bool = False,
+    acc: Optional[tuple] = None,
+    wire: Optional[np.ndarray] = None,
+) -> None:
+    """Deposit a put (``acc`` is None) or an accumulate (``acc`` is
+    ``(np_elem, op, scale)``) into target memory: the one applier behind
+    the packet, serializer, get-accumulate, shared-window and op-train
+    paths.  ``frags=None`` is the dense form — a contiguous same-endian
+    put whose whole ``wire`` lands at ``base_disp`` in one deposit."""
+    if frags is None:
+        mem.nic_write(alloc, base_disp, wire)
+    elif acc is None:
+        for frag in frags:
+            apply_put_fragment(mem, alloc, base_disp, frag, swap)
+    else:
+        np_elem, op, scale = acc
+        byteorder = mem.space.np_byteorder
+        for frag in frags:
+            apply_accumulate(mem, alloc, base_disp, frag, swap, np_elem, op,
+                             scale, byteorder)
+
+
+def rmw_apply(mem: RankMemory, alloc: Allocation, disp: int, np_elem: str,
+              op: str, operand, compare=None):
+    """Read-modify-write one element at the target (``fetch_add``,
+    ``swap`` or ``cas`` — validated at issue); returns the old value."""
+    np_dt = np.dtype(np_elem).newbyteorder(mem.space.np_byteorder)
+    old = mem.nic_read(alloc, disp, np_dt.itemsize).view(np_dt)[0]
+    if op == "fetch_add":
+        new = old + np_dt.type(operand)
+    elif op == "swap":
+        new = np_dt.type(operand)
+    else:
+        new = np_dt.type(operand) if old == np_dt.type(compare) else old
+    mem.nic_write(alloc, disp, np.array([new], dtype=np_dt).view(np.uint8))
+    return old.item()
 
 
 def read_layout(

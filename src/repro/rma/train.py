@@ -3,11 +3,12 @@
 PR 1 proved that the flight of an uncontended burst on a flat, ordered,
 fault-free path is closed-form: injection times are a running sum of
 serialization charges, arrivals are ``inject + latency`` clamped
-monotonic per (src, dst) pair.  The *op-train* fast path lifts that
+monotonic per (src, dst) pair.  The *op-train* route lifts that
 observation from one operation's fragments to a whole run of
-operations: the engine computes every timestamp of each eligible op as
-a numpy expression at issue time (:meth:`RmaEngine._try_issue_train`)
-and records the op here instead of injecting packets.
+operations: :class:`TrainRoute` — the second route of the engine's
+table — computes every timestamp of each eligible put/accumulate at
+issue time and records the op on an :class:`OpTrain` instead of
+injecting packets.
 
 A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
 fully-described write (put/accumulate) with a precomputed *apply time*
@@ -29,61 +30,35 @@ the arithmetic below is the same float arithmetic `Nic._injector` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.rma.layout import Fragment, apply_accumulate, apply_put_fragment
+from repro.network.packet import ACK_SIZE, HEADER_SIZE
+from repro.rma.layout import Fragment, apply_write, fragment_layout
+from repro.sim.events import DeferredEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Simulator
+    from repro.rma.engine.core import RmaEngine
 
-__all__ = ["TrainElement", "OpTrain"]
+__all__ = ["TrainElement", "OpTrain", "TrainRoute"]
 
-
-def _dead_in_batch(batch: List["TrainElement"], i: int) -> bool:
-    """Whether ``batch[i]``'s memcpy can be elided: some later put in
-    the same materialization batch rewrites every byte it writes,
-    before any accumulate could read them.
-
-    Two cases, both byte-exact: a later put with the *identical*
-    layout signature (any shape, the PR 6 rule), or — for a contiguous
-    put — a later contiguous put to the same memory whose interval
-    contains this one.  An intervening overlapping accumulate reads
-    the target bytes, so the scan stops conservatively at the first
-    accumulate (batches are same-(src, dst) runs into one scratch
-    area; precise acc intervals are not worth tracking here)."""
-    elem = batch[i]
-    sig = elem.overwrite_sig
-    if sig is None:
-        return False
-    contig = sig[0] == "contig"
-    if contig:
-        _, mem_id, lo, nb = sig
-        hi = lo + nb
-    for later in batch[i + 1:]:
-        if later.kind != "put":
-            return False
-        lsig = later.overwrite_sig
-        if lsig == sig:
-            return True
-        if contig and lsig is not None and lsig[0] == "contig":
-            _, lmem, llo, lnb = lsig
-            if lmem == mem_id and llo <= lo and llo + lnb >= hi:
-                return True
-    return False
+#: Conformance mutations under which the train route may stay active:
+#: its own planted bug, plus ``shm_skip_fence`` — that one only alters
+#: the shared-window route (and in fact *needs* live trains: the bug it
+#: plants is skipping the train flush before a shared access).  Any
+#: other mutation alters per-packet behaviour the closed form does not
+#: model, so the route stands down.
+_TRAIN_MUTATIONS = frozenset({"train_mistime", "shm_skip_fence"})
 
 
 class TrainElement:
     """One analytically-timed write riding a train."""
 
-    __slots__ = ("seq", "op_key", "kind", "mem_id", "base_disp", "swap",
-                 "frags", "wire", "nfrags", "apply_time", "acc_args",
-                 "overwrite_sig", "total_wire")
+    __slots__ = ("seq", "mem_id", "base_disp", "swap", "frags", "wire",
+                 "nfrags", "apply_time", "acc", "total_wire")
 
     def __init__(
         self,
         seq: int,
-        op_key: Tuple[int, int],
-        kind: str,
         mem_id: int,
         base_disp: int,
         swap: bool,
@@ -91,13 +66,10 @@ class TrainElement:
         wire: Any,
         nfrags: int,
         apply_time: float,
-        acc_args: Optional[tuple],
-        overwrite_sig: Optional[tuple],
+        acc: Optional[tuple],
         total_wire: int,
     ) -> None:
         self.seq = seq
-        self.op_key = op_key
-        self.kind = kind  # "put" | "acc"
         self.mem_id = mem_id
         self.base_disp = base_disp
         self.swap = swap
@@ -112,29 +84,21 @@ class TrainElement:
         #: counts as applied (matching `_deliver_burst`'s replay point).
         self.apply_time = apply_time
         #: (np_elem, op, scale) for accumulates, None for puts.
-        self.acc_args = acc_args
-        #: Tagged layout signature for puts — two puts with equal
-        #: signatures write byte-identical regions, and a later
-        #: ``("contig", mem_id, disp, nbytes)`` signature *covers* an
-        #: earlier one whose byte interval it contains.  A put covered
-        #: later in its own materialization batch is dead and its
-        #: memcpy is elided.
-        self.overwrite_sig = overwrite_sig
+        self.acc = acc
         self.total_wire = total_wire
 
 
 class OpTrain:
     """A pending run of analytic ops from one origin to one target."""
 
-    __slots__ = ("src", "dst", "_sim", "_elements", "_next", "_target")
+    __slots__ = ("src", "dst", "_elements", "_next", "_target")
 
-    def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
-        self._sim = sim
+    def __init__(self, src: int, dst: int, target: "RmaEngine") -> None:
         self.src = src
         self.dst = dst
         self._elements: List[TrainElement] = []
         self._next = 0
-        self._target = None  # target-rank RmaEngine, resolved lazily
+        self._target = target  # the target rank's engine
 
     @property
     def done(self) -> bool:
@@ -159,13 +123,6 @@ class OpTrain:
         del self._elements[self._next:]
         return sum(e.nfrags for e in dropped)
 
-    def _target_engine(self):
-        eng = self._target
-        if eng is None:
-            world = self._sim.context["world"]
-            eng = self._target = world.contexts[self.dst].rma.engine
-        return eng
-
     def materialize_upto(self, now: float) -> bool:
         """Apply every element whose analytic arrival has passed.
 
@@ -176,7 +133,9 @@ class OpTrain:
         answering once per batch (`_op_applied` does the same pair of
         calls per op; batching them is safe because the intermediate
         watermark states are never observable — nothing else can run
-        between elements of one materialization).
+        between elements of one materialization).  Train ops never
+        register an inbound op, never sw-ack, never notify and only form
+        untraced, so the rest of `_op_applied` is moot.
         """
         elements = self._elements
         end = self._next
@@ -185,55 +144,224 @@ class OpTrain:
             end += 1
         if end == self._next:
             return self._next >= n
-        eng = self._target_engine()
+        eng = self._target
         fabric = eng.nic.fabric
         tpeer = eng._target_peer(self.src)
         mem = eng.mem
         batch = elements[self._next:end]
         self._next = end
-        nbatch = len(batch)
         # A train riding a same-node path carries the same packets the
         # per-packet path would have: keep the intra-node stat honest —
         # one count per fragment, exactly like Fabric.transmit[_burst].
         intra = (fabric.intra_config is not None
                  and fabric.config_for(self.src, self.dst)
                  is fabric.intra_config)
-        for i, elem in enumerate(batch):
+        for elem in batch:
             fabric.packets_delivered += elem.nfrags
             fabric.bytes_delivered += elem.total_wire
             if intra:
                 fabric.intra_node_packets += elem.nfrags
-            alloc = eng._resolve(elem.mem_id)
-            if elem.kind == "put":
-                if i + 1 < nbatch and _dead_in_batch(batch, i):
-                    # Dead store: a later element of this same batch
-                    # rewrites every byte — elide the memcpy (the
-                    # watermark below still rolls).
-                    pass
-                elif elem.frags is None:
-                    mem.nic_write(alloc, elem.base_disp, elem.wire)
-                else:
-                    for frag in elem.frags:
-                        apply_put_fragment(mem, alloc, elem.base_disp, frag,
-                                           elem.swap)
-            else:
-                np_elem, acc_op, acc_scale = elem.acc_args  # type: ignore
-                for frag in elem.frags:
-                    apply_accumulate(mem, alloc, elem.base_disp, frag,
-                                     elem.swap, np_elem, acc_op, acc_scale,
-                                     mem.space.np_byteorder)
-            # applied-watermark roll (mirror of RmaEngine._op_applied;
-            # train ops never register an _InboundOp, never sw-ack, and
-            # only form untraced, so the rest of _op_applied is moot)
-            seq = elem.seq
-            if seq == tpeer.applied_upto + 1:
-                tpeer.applied_upto = seq
-                extra = tpeer.applied_extra
-                while tpeer.applied_upto + 1 in extra:
-                    extra.discard(tpeer.applied_upto + 1)
-                    tpeer.applied_upto += 1
-            else:
-                tpeer.applied_extra.add(seq)
+            apply_write(mem, eng._resolve(elem.mem_id), elem.base_disp,
+                        elem.frags, elem.swap, elem.acc, elem.wire)
+            tpeer.mark_applied(elem.seq)
         eng._drain_gated(tpeer)
         eng._answer_flushes(tpeer)
         return self._next >= n
+
+
+class TrainRoute:
+    """Closed-form issue of one non-atomic write riding an op-train —
+    the second route of the engine's table.
+
+    When no gate of :meth:`declines` closes, the op's entire lifetime —
+    injection, serialization, arrival, application, hardware ack — is
+    a pure function of current NIC/fabric state, so :meth:`issue`
+    computes it as float arithmetic identical to what the event-loop
+    path would perform, records it on the destination's
+    :class:`OpTrain`, and it costs zero kernel events until observed.
+    """
+
+    name = "train"
+    remote = True
+
+    def __init__(self, engine: "RmaEngine") -> None:
+        self.eng = engine
+        # The open train per destination (a train closes once
+        # materialized) and the destinations already mis-timed by the
+        # ``train_mistime`` mutation.
+        self._active: Dict[int, OpTrain] = {}
+        self._mistimed: set = set()
+        # fig2/halo issue thousands of identically-shaped ops, so both
+        # the fragment-size split (keyed by (dtype, count)) and the
+        # per-fragment serialization charges (keyed by the sizes tuple)
+        # are computed once.
+        self._sizes_cache: Dict[tuple, tuple] = {}
+        self._ser_cache: Dict[tuple, Any] = {}
+
+    def declines(self, op) -> Optional[str]:
+        """The gate that closes for ``op``, or None to ride the train.
+        Each is load-bearing (DESIGN §12 renders this list): facts fixed
+        when the world was built, then the op's own attributes, then
+        the (src, dst) path, then what the NIC and the peer window hold
+        right now."""
+        eng = self.eng
+        nic = eng.nic
+        fabric = nic.fabric
+        if not (eng.train_enabled and nic.burst_enabled):
+            return "disabled"       # the tests' reference switches
+        if nic.transport is not None:
+            return "transport"      # seq numbers, acks, retransmit timers
+        if fabric._faulty:
+            return "faulty"         # every transmit consults the injector
+        if fabric.topology is not None:
+            return "topology"       # per-hop queueing is state-dependent
+        if fabric.tracer.enabled:
+            return "traced"         # packets leave inject/deliver records
+        if not eng.conformance_mutations <= _TRAIN_MUTATIONS:
+            return "mutation"       # planted bugs live on the per-op path
+        if not op.is_write:
+            return "reply"          # get/rmw/rmi: the target must answer
+        if op.via_queue or op.via_lock:
+            return "atomic"         # serializer job / lock round trips
+        if op.notify is not None:
+            return "notify"         # delivered by target code at apply
+        if not op.tmem.coherent:
+            return "noncoherent"    # invalidate-then-apply runs per op
+        path = fabric.config_for(eng.rank, op.dst)
+        if not path.ordered:
+            return "unordered"      # arrival clamping assumes FIFO order
+        if op.attrs.remote_completion and not path.remote_completion_events:
+            return "sw-ack"         # the target engine must ack per op
+        if nic._pending:
+            return "nic-busy"       # timing depends on the injector queue
+        peer = eng._origin_peers.get(op.dst)
+        if peer is not None and (peer.last_atomic_seq
+                                 or peer.last_deferred_seq):
+            # an earlier op's application is deferred past its delivery,
+            # so "delivery order == application order" does not hold
+            return "deferred-window"
+        return None
+
+    def issue(self, op):
+        eng = self.eng
+        sim = eng.sim
+        nic = eng.nic
+        fabric = nic.fabric
+        dst = op.dst
+        tmem = op.tmem
+        nbytes = op.nbytes
+        wire = op.wire
+        path = fabric.config_for(eng.rank, dst)
+        # With a clean window on an ordered path to a coherent target,
+        # _pick_remote_mode would choose exactly this.
+        mode = "hw" if op.attrs.remote_completion else "flush"
+        cfg = eng.network
+        mtu = cfg.mtu
+        if nbytes > mtu:
+            # Rendezvous transfers ride as zero-copy views pinned until
+            # delivery; the train applies them after the caller may have
+            # reused the buffer, so snapshot the payload at issue.
+            wire = wire.copy()
+        peer = eng._origin_peer(dst)
+        seq = peer.alloc_seq()
+        op_key = (eng.rank, next(eng._op_counter))
+        swap = eng.mem.space.endianness != tmem.endianness
+        dtype = op.dtype
+        if op.kind == "put" and not swap and dtype.is_contiguous:
+            # Lazy element: one dense run — fragment sizes are pure
+            # arithmetic and application is a single NIC deposit of the
+            # whole wire, so no Fragment objects are ever built.
+            frags = None
+            skey = (dtype, op.count)
+            sizes = self._sizes_cache.get(skey)
+            if sizes is None:
+                elem = dtype.segments[0].elem_size
+                full = mtu - (mtu % elem) if elem > 1 else mtu
+                nfull, rem = divmod(nbytes, full)
+                sizes = (full,) * nfull + ((rem,) if rem else ())
+                self._sizes_cache[skey] = sizes
+        else:
+            frags = fragment_layout(dtype, op.count, wire, mtu)
+            sizes = tuple(len(f.data) for f in frags)
+        nfrags = len(sizes)
+        ser = self._ser_cache.get(sizes)
+        if ser is None:
+            gap, bt = cfg.gap, cfg.byte_time
+            ser = self._ser_cache[sizes] = [
+                max(gap, (HEADER_SIZE + s) * bt) for s in sizes
+            ]
+        now = sim.now
+        start = now if now > nic._reserved_until else nic._reserved_until
+        key = (eng.rank, dst)
+        prev = fabric._last_delivery.get(key, -1.0)
+        latency = path.latency
+        inject_value = None
+        arrivals = None
+        if nfrags == 1:
+            # Scalar algebra: exactly Nic.send's idle path + transmit.
+            inject_end = start + ser[0]
+            arrival = inject_end + latency
+            if arrival <= prev:
+                arrival = prev + 1e-9
+        else:
+            # A plain running sum: it IS the send_burst / transmit_burst
+            # float sequence, so it is trivially bit-exact.
+            t = start
+            a = prev
+            inject_value = []
+            arrivals = []
+            for s in ser:
+                t += s
+                inject_value.append(t)
+                r = t + latency
+                if r <= a:
+                    r = a + 1e-9
+                a = r
+                arrivals.append(r)
+            inject_end = t
+            arrival = a
+        if ("train_mistime" in eng.conformance_mutations
+                and dst not in self._mistimed):
+            # Planted batch-path bug: shift every timestamp of the first
+            # train op per destination.  Reservation and FIFO bookkeeping
+            # shift too, so nothing hangs — the run simply diverges.
+            self._mistimed.add(dst)
+            shift = 1e-3
+            inject_end += shift
+            arrival += shift
+            if arrivals is not None:
+                arrivals = [a + shift for a in arrivals]
+                inject_value = [v + shift for v in inject_value]
+        nic._reserved_until = inject_end
+        fabric._last_delivery[key] = arrival
+        nic.packets_sent += nfrags
+        nic.bytes_sent += nbytes + HEADER_SIZE * nfrags
+        ev_local = DeferredEvent(
+            sim, inject_end,
+            inject_end if inject_value is None else inject_value,
+        )
+        ev_remote = None
+        if mode == "hw":
+            rev = fabric.config_for(dst, eng.rank)
+            ack_flight = rev.latency + ACK_SIZE * rev.byte_time
+            if nfrags == 1:
+                ack_due = ack_value = arrival + ack_flight
+            else:
+                ack_value = [a + ack_flight for a in arrivals]
+                ack_due = ack_value[-1]
+            fabric.acks_generated += nfrags
+            ev_remote = DeferredEvent(sim, ack_due, ack_value)
+
+        train = self._active.get(dst)
+        if train is None or train.done:
+            train = self._active[dst] = OpTrain(
+                eng.rank, dst, eng.world.contexts[dst].rma.engine)
+            fabric.register_train(dst, train)
+        train.append(TrainElement(
+            seq, tmem.mem_id, op.disp, swap, frags, wire, nfrags, arrival,
+            op.acc, nbytes + HEADER_SIZE * nfrags,
+        ))
+        eng.stats["train_ops"] += 1
+        eng.stats["train_bytes"] += nbytes
+        return eng._retain(peer, op, op_key, seq, mode, ev_local, ev_remote)
+        yield  # pragma: no cover - a route's issue is a generator

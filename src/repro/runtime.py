@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from repro.machine.config import MachineConfig, generic_cluster
 from repro.machine.node import Node, RankMemory, build_nodes
 from repro.mpi.comm import Comm, Group
-from repro.mpi.constants import ERRORS_RAISE
+from repro.mpi.constants import ERRORS_RAISE, ERRORS_RETURN
 from repro.mpi.endpoint import MpiEndpoint
 from repro.network.config import NetworkConfig, generic_rdma
 from repro.network.fabric import Fabric
@@ -236,7 +236,7 @@ class World:
         self.sim.context["nexus"] = self.nexus
         self.fault_plan = fault_plan
         self.injector = None
-        self.rma_errhandler = rma_errhandler
+        self.set_errhandler(rma_errhandler)
         self._rank_procs: Dict[int, Process] = {}
         if fault_plan is not None and fault_plan.active:
             # Must happen before the subsystems attach: the RMA engines
@@ -308,6 +308,13 @@ class World:
     # ------------------------------------------------------------------
     def set_errhandler(self, handler: str) -> None:
         """Switch the RMA error handler (``ERRORS_RAISE``/``ERRORS_RETURN``)."""
+        if handler not in (ERRORS_RAISE, ERRORS_RETURN):
+            # every consumer compares ``== ERRORS_RAISE``: a typo would
+            # silently turn each failed op's error into a returned value
+            raise ValueError(
+                f"rma_errhandler must be ERRORS_RAISE ({ERRORS_RAISE!r}) or "
+                f"ERRORS_RETURN ({ERRORS_RETURN!r}), got {handler!r}"
+            )
         self.rma_errhandler = handler
 
     def fault_stats(self) -> Dict[str, Any]:
@@ -370,16 +377,11 @@ class World:
                     engine.stats["notifies"])
                 metrics.gauge("notify.waits", rank=rank).set(
                     engine.stats["notify_waits"])
-            # Latencies accumulate on the engine; publish only the
-            # not-yet-observed suffix so repeated collect_metrics calls
-            # stay idempotent like the gauges above.
-            lat = engine.notify_latencies
-            start = getattr(engine, "_notify_lat_published", 0)
-            if len(lat) > start:
+            fresh = engine.board.unpublished_latencies()
+            if fresh:
                 hist = metrics.histogram("notify.latency_us", rank=rank)
-                for value in lat[start:]:
+                for value in fresh:
                     hist.observe(value)
-                engine._notify_lat_published = len(lat)
         return metrics
 
     def _kill_rank(self, rank: int, kill_program: bool = True) -> None:
@@ -400,7 +402,7 @@ class World:
                 continue
             engine = getattr(getattr(ctx, "rma", None), "engine", None)
             if engine is not None:
-                engine.fail_notify_waiters(rank)
+                engine.board.fail_waiters(rank)
 
     def _restart_rank(self, rank: int) -> None:
         """Fault injection: rank comes back.  Every peer's transport

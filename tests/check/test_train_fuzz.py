@@ -12,16 +12,12 @@ the batch path must be caught.
 import pytest
 
 from repro.check import generate_program, run_program
-from repro.rma.engine import RmaEngine
+from tests.conftest import fast_paths
 
 
 def _run(program, fabric, seed, train, **kw):
-    prev = RmaEngine.train_enabled
-    RmaEngine.train_enabled = train
-    try:
+    with fast_paths(train=train):
         return run_program(program, fabric, seed, trace=False, **kw)
-    finally:
-        RmaEngine.train_enabled = prev
 
 
 def _observables(result):
@@ -58,12 +54,8 @@ def test_train_path_self_disables_when_traced():
     """Traced runs (the consistency-oracle configuration) must never
     take the batch path — tracing is an eligibility gate."""
     program = generate_program(3)
-    prev = RmaEngine.train_enabled
-    RmaEngine.train_enabled = True
-    try:
+    with fast_paths(train=True):
         result = run_program(program, "portals", seed=3)  # trace=True
-    finally:
-        RmaEngine.train_enabled = prev
     assert result.stats["train_ops"] == 0
 
 

@@ -15,9 +15,9 @@ import pytest
 
 from repro.datatypes import BYTE
 from repro.faults import FaultPlan
-from repro.network import Nic
 from repro.network.config import generic_rdma
 from repro.runtime import World
+from tests.conftest import fast_paths
 
 
 def workload(ctx):
@@ -67,11 +67,10 @@ class TestReproducibility:
 class TestFastPathPreserved:
     @pytest.mark.parametrize("burst", [True, False],
                              ids=["burst-on", "burst-off"])
-    def test_empty_plan_is_timestamp_identical_to_no_plan(
-            self, burst, monkeypatch):
-        monkeypatch.setattr(Nic, "burst_enabled", burst)
-        _, t_none = run(None)
-        _, t_empty = run(FaultPlan.empty())
+    def test_empty_plan_is_timestamp_identical_to_no_plan(self, burst):
+        with fast_paths(burst=burst):
+            _, t_none = run(None)
+            _, t_empty = run(FaultPlan.empty())
         assert t_empty == t_none
 
     def test_empty_plan_arms_nothing(self):

@@ -10,12 +10,11 @@ rounds, concurrent instances, and a rank dying in mid-barrier.
 import pytest
 
 from repro.datatypes import BYTE
-from repro.mpi.nexus import CollectiveNexus
 from repro.network.config import quadrics_like, seastar_portals
-from repro.network.nic import Nic
 from repro.runtime import World
 from repro.sim.core import SimulationError
 from repro.topo import torus_network
+from tests.conftest import fast_paths
 
 
 def _routes(world):
@@ -46,10 +45,8 @@ def _both(build, program, *, fails=False, setup=None):
     """Run ``program`` with the nexus on and off; returns the two
     ``(results, state, routes)`` triples after checking they agree."""
     out = {}
-    prev = CollectiveNexus.enabled
-    try:
-        for enabled in (True, False):
-            CollectiveNexus.enabled = enabled
+    for enabled in (True, False):
+        with fast_paths(nexus=enabled):
             world = build()
             if setup is not None:
                 setup(world)
@@ -59,9 +56,7 @@ def _both(build, program, *, fails=False, setup=None):
                 results = None
             else:
                 results = world.run(program)
-            out[enabled] = (results, _state(world), _routes(world))
-    finally:
-        CollectiveNexus.enabled = prev
+        out[enabled] = (results, _state(world), _routes(world))
     assert out[True][0] == out[False][0]
     assert out[True][1] == out[False][1]
     return out[True], out[False]
@@ -223,11 +218,7 @@ def test_burst_off_gate_is_named():
     def program(ctx):
         yield from ctx.comm.barrier()
 
-    prev = Nic.burst_enabled
-    Nic.burst_enabled = False
-    try:
+    with fast_paths(burst=False):
         world = _flat(4)()
         world.run(program)
-    finally:
-        Nic.burst_enabled = prev
     assert _routes(world) == {("packet", "burst-off"): 1}

@@ -7,6 +7,7 @@ from repro.datatypes import BYTE
 from repro.machine import nec_sx9
 from repro.network import seastar_portals, shared_memory_like
 from repro.runtime import World
+from tests.conftest import fast_paths
 
 
 def one_put_latency(world, origin, target):
@@ -63,12 +64,10 @@ class TestIntraNodePath:
         w = World(machine=machine, intra_node_network=custom)
         assert w.fabric.intra_config.latency == 0.01
 
-    def test_intra_count_invariant_across_modes(self, monkeypatch):
+    def test_intra_count_invariant_across_modes(self):
         """One same-node transfer is counted once whether it rides the
         per-packet path, a NIC burst, or an analytic op-train."""
         from repro.machine import MachineConfig
-        from repro.network.nic import Nic
-        from repro.rma.engine import RmaEngine
 
         def traffic(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(512)
@@ -81,10 +80,9 @@ class TestIntraNodePath:
             yield from ctx.comm.barrier()
 
         def count(train, burst):
-            monkeypatch.setattr(RmaEngine, "train_enabled", train)
-            monkeypatch.setattr(Nic, "burst_enabled", burst)
-            w = World(machine=MachineConfig(n_nodes=2, ranks_per_node=2))
-            w.run(traffic)
+            with fast_paths(train=train, burst=burst):
+                w = World(machine=MachineConfig(n_nodes=2, ranks_per_node=2))
+                w.run(traffic)
             return w.fabric.intra_node_packets
 
         with_train = count(train=True, burst=True)

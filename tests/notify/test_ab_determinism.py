@@ -13,8 +13,8 @@ import os
 
 from repro.bench import perf
 from repro.datatypes import BYTE
-from repro.rma.engine import RmaEngine
 from repro.runtime import World
+from tests.conftest import fast_paths
 
 BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "BENCH_PR1.json")
@@ -91,7 +91,7 @@ class TestNotifyFreeBitIdentity:
         for ctx in world.contexts.values():
             assert ctx.rma.engine.stats["notifies"] == 0
             assert ctx.rma.engine.stats["notify_waits"] == 0
-            assert ctx.rma.engine.notify_delivered() == {}
+            assert ctx.rma.engine.board.delivered() == {}
 
 
 class TestPerfBaselineStillExact:
@@ -101,17 +101,9 @@ class TestPerfBaselineStillExact:
         return perf.compare_to_baseline(doc, tolerance=0.0)
 
     def test_baseline_with_trains_on(self):
-        prev = RmaEngine.train_enabled
-        RmaEngine.train_enabled = True
-        try:
+        with fast_paths(train=True):
             assert self._compare() == []
-        finally:
-            RmaEngine.train_enabled = prev
 
     def test_baseline_with_trains_off(self):
-        prev = RmaEngine.train_enabled
-        RmaEngine.train_enabled = False
-        try:
+        with fast_paths(train=False):
             assert self._compare() == []
-        finally:
-            RmaEngine.train_enabled = prev

@@ -15,6 +15,7 @@ from repro.mpi2rma import Mpi2Error
 from repro.rma.attributes import RmaAttrs
 from repro.rma.target_mem import RmaError
 from repro.runtime import World
+from tests.conftest import fast_paths
 
 MATCH = 7
 
@@ -180,8 +181,6 @@ class TestDeclines:
     def test_trains_stand_down_for_notified_ops(self):
         """A long attribute-uniform run of notified puts must not batch
         (each op's notification needs its own apply point)."""
-        from repro.rma.engine import RmaEngine
-
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(1024)
             yield from ctx.comm.barrier()
@@ -194,12 +193,8 @@ class TestDeclines:
             yield from ctx.rma.complete_collective(ctx.comm)
             return ctx.rma.engine.stats["train_ops"]
 
-        prev = RmaEngine.train_enabled
-        RmaEngine.train_enabled = True
-        try:
+        with fast_paths(train=True):
             out = World(n_ranks=2, trace=False).run(program)
-        finally:
-            RmaEngine.train_enabled = prev
         assert out[0] == 0
 
 

@@ -34,7 +34,7 @@ def _producer_consumer(n_puts, consumer_body=None):
         yield from ctx.rma.complete_collective(ctx.comm)
         result = None
         if ctx.rank == 1:
-            result = ctx.rma.engine.notify_delivered()
+            result = ctx.rma.engine.board.delivered()
         yield from ctx.comm.barrier()
         return result
 

@@ -5,7 +5,8 @@ import pytest
 from repro.machine import cray_xt5_cnl, nec_sx9
 from repro.network import infiniband_like, quadrics_like, seastar_portals
 from repro.rma import RmaAttrs
-from repro.rma.engine import _OriginPeer, _TargetPeer
+from repro.rma.engine.core import _OriginPeer
+from repro.rma.engine.target import _InboundOp, _TargetPeer
 from repro.rma.target_mem import TargetMem
 from repro.runtime import World
 
@@ -111,8 +112,6 @@ class TestWatermarkBookkeeping:
 
     def test_out_of_order_absorbed_via_engine(self):
         """Drive the real _op_applied with synthetic inbound ops."""
-        from repro.rma.engine import _InboundOp
-
         w = World(n_ranks=2)
         eng = w.contexts[0].rma.engine
         peer = eng._target_peer(1)

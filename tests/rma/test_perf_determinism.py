@@ -25,18 +25,8 @@ from repro.datatypes.derived import contiguous, vector
 from repro.datatypes.pack import pack, unpack_swapped
 from repro.network.config import infiniband_like, shared_memory_like
 from repro.network.fabric import Fabric
-from repro.network.nic import Nic
 from repro.runtime import World
-
-
-@pytest.fixture
-def per_packet_nic():
-    """Disable the analytic burst path for the duration of a test."""
-    Nic.burst_enabled = False
-    try:
-        yield
-    finally:
-        Nic.burst_enabled = True
+from tests.conftest import fast_paths
 
 
 def _trace_tuples(world):
@@ -100,16 +90,11 @@ class TestBurstTimestampParity:
     @pytest.mark.parametrize("idx", range(len(WORKLOADS)))
     def test_burst_on_off_identical(self, idx):
         wl = self.WORKLOADS[idx]
-        Nic.burst_enabled = False
-        try:
+        with fast_paths(burst=False):
             reference = wl()
-        finally:
-            Nic.burst_enabled = True
         assert wl() == reference
 
     def test_burst_path_actually_engages(self, monkeypatch):
-        from repro.rma.engine import RmaEngine
-
         hits = []
         original = Fabric.transmit_burst
 
@@ -120,8 +105,8 @@ class TestBurstTimestampParity:
         monkeypatch.setattr(Fabric, "transmit_burst", counting)
         # The op-train fast path supersedes burst transmission entirely
         # (no packets at all); pin it off to observe the burst layer.
-        monkeypatch.setattr(RmaEngine, "train_enabled", False)
-        fig2_attribute_cost("remote_complete", 65536, puts_per_origin=10)
+        with fast_paths(train=False):
+            fig2_attribute_cost("remote_complete", 65536, puts_per_origin=10)
         assert hits and all(n >= 2 for n in hits)
 
     def test_per_packet_fallback_when_tracing(self, monkeypatch):
@@ -177,12 +162,9 @@ class TestObservabilityOffPinnedToBaseline:
     @pytest.mark.parametrize("mode,size", FIG2_POINTS)
     def test_fig2_sim_us_bit_identical(self, mode, size, burst):
         expected = self._baseline()["fig2"]["points"][f"{mode}/{size}"]["sim_us"]
-        Nic.burst_enabled = burst
-        try:
+        with fast_paths(burst=burst):
             assert fig2_attribute_cost(mode, size,
                                        puts_per_origin=50) == expected
-        finally:
-            Nic.burst_enabled = True
 
     def test_fig2_sim_us_with_empty_fault_plan(self):
         from repro.faults import FaultPlan

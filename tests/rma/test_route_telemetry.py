@@ -1,0 +1,211 @@
+"""``rma.route{path=, reason=}``: every op is counted on the route that
+took it, labelled with the gate that closed the route before it.  One
+scenario per gate of the table trips exactly that gate in a tiny world;
+the seed-0 benchmark shape is pinned on small analogues (a flat halo
+rides trains, a torus halo is all ``topology``)."""
+
+import pytest
+
+from repro.datatypes import BYTE
+from repro.faults import FaultPlan
+from repro.machine import generic_cluster, nec_sx9
+from repro.network.config import (
+    infiniband_like,
+    quadrics_like,
+    seastar_portals,
+)
+from repro.runtime import World
+from repro.topo import torus_network
+from tests.conftest import fast_paths
+
+
+def routes(world, path=None):
+    """``{(path, reason): ops}`` of the route telemetry."""
+    return {
+        (c["labels"]["path"], c["labels"].get("reason")): c["value"]
+        for c in world.metrics.snapshot()["counters"]
+        if c["name"] == "rma.route"
+        and path in (None, c["labels"]["path"])
+    }
+
+
+def _flat(**kw):
+    return World(n_ranks=2, network=seastar_portals(), **kw)
+
+
+def one_put(before=None, **attrs):
+    """Rank 0 issues ``before`` (optional), then the one put under test."""
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(256)
+        yield from ctx.comm.barrier()
+        if ctx.rank == 0:
+            src = ctx.mem.space.alloc(64, fill=7)
+            if before is not None:
+                yield from before(ctx, tmems[1])
+            yield from ctx.rma.put(src, 0, 64, BYTE, tmems[1], 0, 64, BYTE,
+                                   **attrs)
+        yield from ctx.rma.complete_collective(ctx.comm)
+    return program
+
+
+def _queued_rmw(ctx, tmem):
+    # portals has no hardware atomics: the fetch-add is a serializer job
+    yield from ctx.rma.fetch_and_add(tmem, 128, "int64", 1)
+
+
+def _atomic_get(ctx, tmem):
+    dst = ctx.mem.space.alloc(8)
+    yield from ctx.rma.get(dst, 0, 8, BYTE, tmem, 128, 8, BYTE,
+                           atomicity=True, blocking=True)
+
+
+def _mutated(world):
+    for ctx in world.contexts.values():
+        ctx.rma.engine.conformance_mutations = frozenset(
+            {"drop_order_barrier"})
+    return world
+
+
+#: gate -> (world builder, program, ops the scenario sends by packet for
+#: another reason: {reason: count})
+GATES = {
+    "notify": (_flat, one_put(notify=5), {}),
+    "topology": (lambda: World(n_ranks=8, network=torus_network((2, 2, 2))),
+                 one_put(), {}),
+    "atomic": (_flat, one_put(atomicity=True), {}),
+    "deferred-window": (_flat, one_put(before=_queued_rmw), {"reply": 1}),
+    "deferred-window/get": (_flat, one_put(before=_atomic_get),
+                            {"reply": 1}),
+    "transport": (lambda: _flat(fault_plan=FaultPlan().drop(1e-9)),
+                  one_put(), {}),
+    "traced": (lambda: _flat(trace=True), one_put(), {}),
+    "unordered": (lambda: World(n_ranks=2, network=quadrics_like()),
+                  one_put(), {}),
+    "noncoherent": (lambda: World(machine=nec_sx9(2, 1),
+                                  network=seastar_portals()),
+                    one_put(), {}),
+    "sw-ack": (lambda: World(n_ranks=2, network=infiniband_like()),
+               one_put(remote_completion=True), {}),
+    "mutation": (lambda: _mutated(_flat()), one_put(), {}),
+    "reply": (_flat, one_put(before=_atomic_get, notify=5),
+              {"notify": 1}),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_closed_train_gate_is_named(gate):
+    build, program, others = GATES[gate]
+    world = build()
+    world.run(program)
+    expected = {("packet", r): n for r, n in others.items()}
+    reason = gate.split("/")[0]
+    expected["packet", reason] = expected.get(("packet", reason), 0) + 1
+    assert routes(world, "packet") == expected
+    assert routes(world, "train") == {}
+
+
+def test_disabled_switches_are_named():
+    for switch in ({"train": False}, {"burst": False}):
+        with fast_paths(**switch):
+            world = _flat()
+            world.run(one_put())
+        assert routes(world) == {("packet", "disabled"): 1}
+
+
+def test_open_gates_ride_the_train_and_say_why_not_shared():
+    world = _flat()
+    world.run(one_put())
+    assert routes(world) == {("train", "window-not-shared"): 1}
+
+
+def _colocated(coherent=True):
+    machine = (generic_cluster(n_nodes=1, ranks_per_node=2) if coherent
+               else nec_sx9(1, 2))
+    return World(machine=machine, network=seastar_portals())
+
+
+def _shared_put(behind_remote=False):
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(256,
+                                                            shared=True)
+        plain_alloc, plain = yield from ctx.rma.expose_collective(256)
+        yield from ctx.comm.barrier()
+        if ctx.rank == 0:
+            src = ctx.mem.space.alloc(64, fill=7)
+            if behind_remote:
+                # a sequenced remote op (plain window) for the ordered
+                # shared-window put to stand behind
+                yield from ctx.rma.put(src, 0, 64, BYTE, plain[1], 0, 64,
+                                       BYTE)
+            yield from ctx.rma.put(src, 0, 64, BYTE, tmems[1], 0, 64, BYTE,
+                                   ordering=behind_remote)
+        yield from ctx.rma.complete_collective(ctx.comm)
+    return program
+
+
+def test_shared_route_and_its_gates_are_named():
+    world = _colocated()
+    world.run(_shared_put())
+    assert routes(world) == {("shared", None): 1}
+
+    world = World(n_ranks=2, network=seastar_portals())
+    world.run(_shared_put())
+    assert routes(world) == {("train", "off-node"): 1}
+
+    # a non-coherent owner's exposure degrades to a plain window
+    world = _colocated(coherent=False)
+    world.run(_shared_put())
+    assert routes(world) == {("packet", "noncoherent"): 1}
+
+    world = _colocated()
+    world.run(_shared_put(behind_remote=True))
+    assert routes(world) == {("train", "window-not-shared"): 1,
+                             ("train", "ordered-behind-remote"): 1}
+
+
+def test_gates_no_tiny_program_reaches_are_named():
+    """Asked of the table directly: a gate hidden behind a later route's
+    own decline, and two that need a fault or a busy injector."""
+    from repro.rma import RmaAttrs
+    from repro.rma.engine.core import _Op
+
+    def put_to_rank1(world):
+        tmem = world.contexts[1].rma.expose(
+            world.memories[1].space.alloc(64))
+        return _Op("put", 1, RmaAttrs(), 64, tmem)
+
+    world = _colocated(coherent=False)
+    shared, train, _packet = world.contexts[0].rma.engine.routes
+    shared.eng.shared_default = True
+    assert shared.declines(put_to_rank1(world)) == "node-noncoherent"
+
+    world = World(n_ranks=3, network=seastar_portals())
+    shared, train, _packet = world.contexts[0].rma.engine.routes
+    op = put_to_rank1(world)
+    assert train.declines(op) is None
+    world.nics[0]._pending = 1
+    assert train.declines(op) == "nic-busy"
+    world.fabric.kill_rank(2)
+    assert train.declines(op) == "faulty"
+
+
+def test_seed0_shape_on_small_analogues():
+    """rmabench seed 0: every halo256 put rides a train; every
+    torus_halo put goes by packet for ``topology``."""
+    def halo(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(2048)
+        src = ctx.mem.space.alloc(1024, fill=ctx.rank + 1)
+        yield from ctx.comm.barrier()
+        for _ in range(3):
+            for nbr, disp in (((ctx.rank + 1) % ctx.size, 0),
+                              ((ctx.rank - 1) % ctx.size, 1024)):
+                yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[nbr], disp,
+                                       1024, BYTE, blocking=True)
+            yield from ctx.rma.complete_collective(ctx.comm)
+
+    for network, taken in (
+            (seastar_portals(), ("train", "window-not-shared")),
+            (torus_network((2, 2, 2)), ("packet", "topology"))):
+        world = World(n_ranks=8, network=network)
+        world.run(halo)
+        assert routes(world) == {taken: 8 * 2 * 3}

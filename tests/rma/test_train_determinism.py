@@ -14,16 +14,14 @@ import pytest
 
 from repro.bench.workloads import fig2_attribute_cost, halo_exchange_time
 from repro.faults import FaultPlan
-from repro.mpi.nexus import CollectiveNexus
 from repro.network.config import (
     generic_rdma,
     infiniband_like,
     quadrics_like,
     seastar_portals,
 )
-from repro.network.nic import Nic
-from repro.rma.engine import RmaEngine
 from repro.topo import fattree_network, torus_network
+from tests.conftest import fast_paths
 from tests.mpi.test_live_barrier import _routes as _barrier_routes
 
 # The seven fabrics the parity sweep covers: the four flat LogGP
@@ -40,24 +38,6 @@ FABRICS = {
 }
 
 
-def _with_train(enabled, workload):
-    prev = RmaEngine.train_enabled
-    RmaEngine.train_enabled = enabled
-    try:
-        return workload()
-    finally:
-        RmaEngine.train_enabled = prev
-
-
-def _with_nexus(enabled, workload):
-    prev = CollectiveNexus.enabled
-    CollectiveNexus.enabled = enabled
-    try:
-        return workload()
-    finally:
-        CollectiveNexus.enabled = prev
-
-
 class TestTrainParityAcrossFabrics:
     @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_halo_bit_identical(self, fabric):
@@ -66,7 +46,7 @@ class TestTrainParityAcrossFabrics:
                 "strawman", n_ranks=8, halo_bytes=4096, iterations=4,
                 network=FABRICS[fabric](),
             )
-        assert _with_train(True, run) == _with_train(False, run)
+        assert fast_paths(train=True)(run)() == fast_paths(train=False)(run)()
 
     @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_fig2_bit_identical(self, fabric):
@@ -75,7 +55,7 @@ class TestTrainParityAcrossFabrics:
                 "remote_complete", 16384, puts_per_origin=10,
                 network=FABRICS[fabric](),
             )
-        assert _with_train(True, run) == _with_train(False, run)
+        assert fast_paths(train=True)(run)() == fast_paths(train=False)(run)()
 
 
 class TestTrainSelfDisables:
@@ -97,7 +77,7 @@ class TestTrainSelfDisables:
                 for r in world.tracer
             ]
             return sim_us, records
-        assert _with_train(True, run) == _with_train(False, run)
+        assert fast_paths(train=True)(run)() == fast_paths(train=False)(run)()
 
     def test_with_nonempty_fault_plan(self):
         def run():
@@ -105,7 +85,7 @@ class TestTrainSelfDisables:
                 "remote_complete", 16384, puts_per_origin=10,
                 fault_plan=FaultPlan().drop(0.05), seed=11,
             )
-        assert _with_train(True, run) == _with_train(False, run)
+        assert fast_paths(train=True)(run)() == fast_paths(train=False)(run)()
 
     def test_mixed_attribute_stream(self):
         # Alternating attribute sets break op-window uniformity; the
@@ -133,7 +113,7 @@ class TestTrainSelfDisables:
                 return ctx.sim.now
 
             return world.run(program)
-        assert _with_train(True, run) == _with_train(False, run)
+        assert fast_paths(train=True)(run)() == fast_paths(train=False)(run)()
 
 
 class TestTrainEngages:
@@ -153,7 +133,7 @@ class TestTrainEngages:
                                 world_out=sink)
             return sum(ctx.rma.engine.stats["train_ops"]
                        for ctx in sink[0].contexts.values())
-        assert _with_train(False, run) == 0
+        assert fast_paths(train=False)(run)() == 0
 
 
 class TestNexusParity:
@@ -161,7 +141,7 @@ class TestNexusParity:
         def run():
             return halo_exchange_time("strawman", n_ranks=8,
                                       halo_bytes=8192, iterations=10)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
+        assert fast_paths(nexus=True)(run)() == fast_paths(nexus=False)(run)()
 
     def test_halo_non_power_of_two_ranks(self):
         # Dissemination rounds with a non-power-of-2 world hit the
@@ -169,13 +149,13 @@ class TestNexusParity:
         def run():
             return halo_exchange_time("strawman", n_ranks=6,
                                       halo_bytes=2048, iterations=6)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
+        assert fast_paths(nexus=True)(run)() == fast_paths(nexus=False)(run)()
 
     def test_fig2_bit_identical(self):
         def run():
             return fig2_attribute_cost("ordering", 16384,
                                        puts_per_origin=10)
-        assert _with_nexus(True, run) == _with_nexus(False, run)
+        assert fast_paths(nexus=True)(run)() == fast_paths(nexus=False)(run)()
 
     def test_nexus_commits_on_halo(self):
         # Same shape as the perf harness halo: every barrier — the two
@@ -234,7 +214,7 @@ class TestNexusParity:
 
             return world.run(program)
 
-        assert _with_nexus(True, run) == _with_nexus(False, run)
+        assert fast_paths(nexus=True)(run)() == fast_paths(nexus=False)(run)()
 
     def test_nexus_declines_when_burst_disabled(self):
         # The live barrier stands in for Nic.send's idle-injector path;
@@ -243,10 +223,6 @@ class TestNexusParity:
         def run():
             return halo_exchange_time("strawman", n_ranks=4,
                                       halo_bytes=2048, iterations=4)
-        prev = Nic.burst_enabled
-        Nic.burst_enabled = False
-        try:
-            no_burst = _with_nexus(True, run)
-        finally:
-            Nic.burst_enabled = prev
-        assert no_burst == _with_nexus(False, run)
+        with fast_paths(burst=False, nexus=True):
+            no_burst = run()
+        assert no_burst == fast_paths(nexus=False)(run)()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.machine import generic_cluster, nec_sx9
+from repro.mpi.constants import ERRORS_RAISE, ERRORS_RETURN
 from repro.network import quadrics_like
 from repro.runtime import World
 from repro.sim import SimulationError
@@ -25,6 +26,19 @@ class TestConstruction:
     def test_conflicting_rank_spec_rejected(self):
         with pytest.raises(ValueError, match="conflicts"):
             World(n_ranks=5, machine=nec_sx9(n_nodes=2, ranks_per_node=2))
+
+    def test_unknown_errhandler_rejected_at_both_entry_points(self):
+        """A typo such as "raise" used to be accepted and then compared
+        unequal to ERRORS_RAISE everywhere — silently ERRORS_RETURN."""
+        with pytest.raises(ValueError, match="rma_errhandler.*errors_raise"
+                                             ".*errors_return"):
+            World(n_ranks=2, rma_errhandler="raise")
+        w = World(n_ranks=2)
+        with pytest.raises(ValueError, match="rma_errhandler"):
+            w.set_errhandler("errors_ignore")
+        assert w.rma_errhandler == ERRORS_RAISE
+        w.set_errhandler(ERRORS_RETURN)
+        assert w.rma_errhandler == ERRORS_RETURN
 
     def test_multirank_nodes(self):
         w = World(machine=nec_sx9(n_nodes=2, ranks_per_node=2))
