@@ -16,12 +16,15 @@ We model exactly that observable behaviour:
 - :class:`NoCache` — vector-unit style direct memory access.
 
 All models operate on (alloc_id, line_index) granularity with a
-configurable line size.
+configurable line size.  Cached lines are indexed **per allocation**, so
+what a remote write costs the host depends on how many lines of that
+allocation are cached — none, on a typical RMA target — and never on
+the payload size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -33,6 +36,14 @@ __all__ = [
     "NoCache",
     "WriteThroughNonCoherentCache",
 ]
+
+
+def _cached_in(cached: Collection[int], span: range) -> List[int]:
+    """The lines of ``span`` held in ``cached`` (a set, or a dict keyed
+    by line), visiting whichever of the two is shorter."""
+    if len(span) <= len(cached):
+        return [line for line in span if line in cached]
+    return [line for line in cached if line in span]
 
 
 class CacheModel:
@@ -54,6 +65,12 @@ class CacheModel:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+
+    def _span(self, offset: int, n: int) -> range:
+        """The lines ``[offset, offset + n)`` touches (a zero-length
+        access still touches the line holding ``offset``)."""
+        size = self.line_size
+        return range(offset // size, (offset + max(n, 1) - 1) // size + 1)
 
     # -- the three access paths ----------------------------------------
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
@@ -88,18 +105,18 @@ class CoherentCache(CacheModel):
 
     def __init__(self, space: AddressSpace, line_size: int = 64) -> None:
         super().__init__(space, line_size)
-        self._present: set = set()
+        self._present: Dict[int, set] = {}
 
     def _touch(self, alloc: Allocation, offset: int, n: int) -> None:
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
-            if key in self._present:
-                self.hits += 1
-            else:
-                self.misses += 1
-                self._present.add(key)
+        span = self._span(offset, n)
+        present = self._present.get(alloc.alloc_id)
+        if present is None:
+            present = self._present[alloc.alloc_id] = set()
+        before = len(present)
+        present.update(span)
+        missed = len(present) - before
+        self.misses += missed
+        self.hits += len(span) - missed
 
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
         self._touch(alloc, offset, n)
@@ -113,9 +130,11 @@ class CoherentCache(CacheModel):
     def remote_write(
         self, alloc: Allocation, offset: int, data: np.ndarray
     ) -> None:
-        # Coherence protocol invalidates the lines the NIC writes.
+        # Coherence protocol invalidates the lines the NIC writes — a
+        # rank that has loaded nothing since its last fence has none.
         data = np.asarray(data, dtype=np.uint8)
-        self.invalidate_range(alloc, offset, data.size)
+        if self._present:
+            self.invalidate_range(alloc, offset, data.size)
         self.space.write(alloc, offset, data)
 
     def fence(self) -> None:
@@ -123,12 +142,12 @@ class CoherentCache(CacheModel):
         self._present.clear()
 
     def invalidate_range(self, alloc: Allocation, offset: int, n: int) -> None:
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            if (alloc.alloc_id, line) in self._present:
-                self._present.discard((alloc.alloc_id, line))
-                self.invalidations += 1
+        present = self._present.get(alloc.alloc_id)
+        if not present:
+            return
+        stale = _cached_in(present, self._span(offset, n))
+        present.difference_update(stale)
+        self.invalidations += len(stale)
 
 
 class WriteThroughNonCoherentCache(CacheModel):
@@ -144,7 +163,8 @@ class WriteThroughNonCoherentCache(CacheModel):
 
     def __init__(self, space: AddressSpace, line_size: int = 64) -> None:
         super().__init__(space, line_size)
-        self._lines: Dict[Tuple[int, int], np.ndarray] = {}
+        #: alloc_id -> {line: snapshot of that line taken at miss time}
+        self._lines: Dict[int, Dict[int, np.ndarray]] = {}
 
     def _line_bounds(self, buf_size: int, line: int) -> Tuple[int, int]:
         start = line * self.line_size
@@ -153,16 +173,17 @@ class WriteThroughNonCoherentCache(CacheModel):
     def load(self, alloc: Allocation, offset: int, n: int) -> np.ndarray:
         buf = self.space.buffer(alloc)
         out = np.empty(n, dtype=np.uint8)
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
+        lines = self._lines.get(alloc.alloc_id)
+        if lines is None:
+            lines = self._lines[alloc.alloc_id] = {}
+        # A CPU read is per line by nature: each line is fresh or stale
+        # on its own.
+        for line in self._span(offset, n):
             lstart, lend = self._line_bounds(buf.size, line)
-            snapshot = self._lines.get(key)
+            snapshot = lines.get(line)
             if snapshot is None:
                 self.misses += 1
-                snapshot = buf[lstart:lend].copy()
-                self._lines[key] = snapshot
+                snapshot = lines[line] = buf[lstart:lend].copy()
             else:
                 self.hits += 1
             # Copy the overlap of [offset, offset+n) with this line.
@@ -175,16 +196,14 @@ class WriteThroughNonCoherentCache(CacheModel):
     def store(self, alloc: Allocation, offset: int, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=np.uint8)
         self.space.write(alloc, offset, data)
+        lines = self._lines.get(alloc.alloc_id)
+        if not lines:
+            return
         buf = self.space.buffer(alloc)
-        n = data.size
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            key = (alloc.alloc_id, line)
-            if key in self._lines:
-                # Write-through: refresh the cached snapshot from memory.
-                lstart, lend = self._line_bounds(buf.size, line)
-                self._lines[key] = buf[lstart:lend].copy()
+        for line in _cached_in(lines, self._span(offset, data.size)):
+            # Write-through: refresh the cached snapshot from memory.
+            lstart, lend = self._line_bounds(buf.size, line)
+            lines[line] = buf[lstart:lend].copy()
 
     def remote_write(
         self, alloc: Allocation, offset: int, data: np.ndarray
@@ -193,15 +212,17 @@ class WriteThroughNonCoherentCache(CacheModel):
         self.space.write(alloc, offset, np.asarray(data, dtype=np.uint8))
 
     def fence(self) -> None:
-        self.invalidations += len(self._lines)
+        self.invalidations += sum(map(len, self._lines.values()))
         self._lines.clear()
 
     def invalidate_range(self, alloc: Allocation, offset: int, n: int) -> None:
-        first = offset // self.line_size
-        last = (offset + max(n, 1) - 1) // self.line_size
-        for line in range(first, last + 1):
-            if self._lines.pop((alloc.alloc_id, line), None) is not None:
-                self.invalidations += 1
+        lines = self._lines.get(alloc.alloc_id)
+        if not lines:
+            return
+        stale = _cached_in(lines, self._span(offset, n))
+        for line in stale:
+            del lines[line]
+        self.invalidations += len(stale)
 
 
 class NoCache(CacheModel):

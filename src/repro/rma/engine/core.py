@@ -639,6 +639,12 @@ class RmaEngine(FailureSide, TargetSide):
                     "type"
                 )
             acc = (target_dtype.elem_np, acc_op, scale)
+        if origin_count < 0 or target_count < 0:
+            name, count = (("origin_count", origin_count) if origin_count < 0
+                           else ("target_count", target_count))
+            raise RmaError(
+                f"{name} must be >= 0, got {count!r} ({kind} from rank "
+                f"{self.rank} to target_mem on rank {tmem.rank})")
         nbytes = origin_count * origin_dtype.size
         t_bytes = target_count * target_dtype.size
         if nbytes != t_bytes:

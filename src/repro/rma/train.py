@@ -14,7 +14,8 @@ A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
 fully-described write (put/accumulate) with a precomputed *apply time*
 (its last fragment's analytic arrival).  Application is **lazy**: the
 fabric materializes the arrived prefix of every train headed for a rank
-immediately before delivering any real packet to it
+immediately before delivering any real packet to it, in global
+analytic-arrival order across origins
 (:meth:`~repro.network.fabric.Fabric.materialize_trains`), and the
 world drains all trains at end of run.  Because arrivals on an ordered
 path are clamped strictly monotonic, any real packet was sent *after*
@@ -89,84 +90,75 @@ class TrainElement:
 
 
 class OpTrain:
-    """A pending run of analytic ops from one origin to one target."""
+    """The pending analytic ops from one origin to one target, in issue
+    (= arrival) order.  One per (src, dst) for the whole run; the
+    fabric's arrival heap holds it exactly while it has elements."""
 
-    __slots__ = ("src", "dst", "_elements", "_next", "_target")
+    __slots__ = ("src", "dst", "_elements", "_head", "_target")
 
     def __init__(self, src: int, dst: int, target: "RmaEngine") -> None:
         self.src = src
         self.dst = dst
+        #: Elements from index ``_head`` on are pending; the list is
+        #: cleared when the last one is taken, so "empty" means drained.
         self._elements: List[TrainElement] = []
-        self._next = 0
+        self._head = 0
         self._target = target  # the target rank's engine
 
-    @property
-    def done(self) -> bool:
-        return self._next >= len(self._elements)
-
-    @property
-    def next_time(self) -> Optional[float]:
-        """Analytic arrival of the earliest unapplied element, or
-        ``None`` when the train is drained."""
-        if self._next >= len(self._elements):
-            return None
-        return self._elements[self._next].apply_time
-
     def append(self, elem: TrainElement) -> None:
+        """Queue ``elem``; appending to an empty train arms it on the
+        fabric's arrival heap."""
+        if not self._elements:
+            self._target.nic.fabric.register_train(
+                self.dst, self, elem.apply_time)
         self._elements.append(elem)
 
     def drop_rest(self) -> int:
         """Discard every unmaterialized element (rank death); returns
         the number of fragments dropped (they count as in-flight
         packets for the fabric's ``dead_dropped`` stat)."""
-        dropped = self._elements[self._next:]
-        del self._elements[self._next:]
-        return sum(e.nfrags for e in dropped)
+        dropped = sum(e.nfrags for e in self._elements[self._head:])
+        self._elements.clear()
+        self._head = 0
+        return dropped
 
-    def materialize_upto(self, now: float) -> bool:
-        """Apply every element whose analytic arrival has passed.
-
-        Returns True once the train is fully drained (the fabric then
-        drops it from the registry).  Replays the exact target-side
-        effects of per-packet delivery: fragment application, delivery
-        stats, the applied-watermark roll, then gate draining and flush
-        answering once per batch (`_op_applied` does the same pair of
-        calls per op; batching them is safe because the intermediate
-        watermark states are never observable — nothing else can run
-        between elements of one materialization).  Train ops never
-        register an inbound op, never sw-ack, never notify and only form
-        untraced, so the rest of `_op_applied` is moot.
-        """
+    def pop_head(self):
+        """Take the earliest pending element off the train.  Returns it
+        with the arrival of the next one (``None`` when none is left),
+        so the fabric can re-key the train on its heap *before*
+        :meth:`apply` runs target-side hooks that may re-enter it."""
         elements = self._elements
-        end = self._next
-        n = len(elements)
-        while end < n and elements[end].apply_time <= now:
-            end += 1
-        if end == self._next:
-            return self._next >= n
+        elem = elements[self._head]
+        self._head += 1
+        if self._head < len(elements):
+            return elem, elements[self._head].apply_time
+        elements.clear()
+        self._head = 0
+        return elem, None
+
+    def apply(self, elem: TrainElement) -> None:
+        """Replay the exact target-side effects of per-packet delivery:
+        fragment application, delivery stats, the applied-watermark
+        roll, then gate draining and flush answering.  Train ops never
+        register an inbound op, never sw-ack, never notify and only
+        form untraced, so the rest of `_op_applied` is moot."""
         eng = self._target
         fabric = eng.nic.fabric
         tpeer = eng._target_peer(self.src)
-        mem = eng.mem
-        batch = elements[self._next:end]
-        self._next = end
+        fabric.packets_delivered += elem.nfrags
+        fabric.bytes_delivered += elem.total_wire
         # A train riding a same-node path carries the same packets the
         # per-packet path would have: keep the intra-node stat honest —
         # one count per fragment, exactly like Fabric.transmit[_burst].
-        intra = (fabric.intra_config is not None
-                 and fabric.config_for(self.src, self.dst)
-                 is fabric.intra_config)
-        for elem in batch:
-            fabric.packets_delivered += elem.nfrags
-            fabric.bytes_delivered += elem.total_wire
-            if intra:
-                fabric.intra_node_packets += elem.nfrags
-            apply_write(mem, eng._resolve(elem.mem_id), elem.base_disp,
-                        elem.frags, elem.swap, elem.acc, elem.wire)
-            tpeer.mark_applied(elem.seq)
+        if (fabric.intra_config is not None
+                and fabric.config_for(self.src, self.dst)
+                is fabric.intra_config):
+            fabric.intra_node_packets += elem.nfrags
+        apply_write(eng.mem, eng._resolve(elem.mem_id), elem.base_disp,
+                    elem.frags, elem.swap, elem.acc, elem.wire)
+        tpeer.mark_applied(elem.seq)
         eng._drain_gated(tpeer)
         eng._answer_flushes(tpeer)
-        return self._next >= n
 
 
 class TrainRoute:
@@ -186,10 +178,9 @@ class TrainRoute:
 
     def __init__(self, engine: "RmaEngine") -> None:
         self.eng = engine
-        # The open train per destination (a train closes once
-        # materialized) and the destinations already mis-timed by the
-        # ``train_mistime`` mutation.
-        self._active: Dict[int, OpTrain] = {}
+        # This origin's train per destination, and the destinations
+        # already mis-timed by the ``train_mistime`` mutation.
+        self._trains: Dict[int, OpTrain] = {}
         self._mistimed: set = set()
         # fig2/halo issue thousands of identically-shaped ops, so both
         # the fragment-size split (keyed by (dtype, count)) and the
@@ -352,11 +343,10 @@ class TrainRoute:
             fabric.acks_generated += nfrags
             ev_remote = DeferredEvent(sim, ack_due, ack_value)
 
-        train = self._active.get(dst)
-        if train is None or train.done:
-            train = self._active[dst] = OpTrain(
+        train = self._trains.get(dst)
+        if train is None:
+            train = self._trains[dst] = OpTrain(
                 eng.rank, dst, eng.world.contexts[dst].rma.engine)
-            fabric.register_train(dst, train)
         train.append(TrainElement(
             seq, tmem.mem_id, op.disp, swap, frags, wire, nfrags, arrival,
             op.acc, nbytes + HEADER_SIZE * nfrags,

@@ -19,6 +19,7 @@ Example
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.machine.config import MachineConfig, generic_cluster
@@ -151,8 +152,12 @@ class World:
         rma_errhandler: str = ERRORS_RAISE,
         resilience: Any = None,
     ) -> None:
+        if n_ranks is not None and not (
+                isinstance(n_ranks, numbers.Integral) and n_ranks >= 1):
+            raise ValueError(
+                f"n_ranks must be an integer >= 1, got {n_ranks!r}")
         if machine is None:
-            machine = generic_cluster(n_nodes=n_ranks if n_ranks else 8)
+            machine = generic_cluster(n_nodes=8 if n_ranks is None else n_ranks)
         if n_ranks is not None and machine.n_ranks != n_ranks:
             if machine.ranks_per_node != 1:
                 raise ValueError(
@@ -441,6 +446,12 @@ class World:
         blocked) raises :class:`~repro.sim.core.SimulationError`.
         """
         target_ranks = list(ranks) if ranks is not None else list(range(self.n_ranks))
+        for rank in target_ranks:
+            if rank not in self.contexts:
+                raise ValueError(
+                    f"ranks must name ranks of this world (integers in "
+                    f"[0, {self.n_ranks})), got {rank!r}"
+                )
         procs = {}
         for rank in target_ranks:
             ctx = self.contexts[rank]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datatypes import BYTE, FLOAT64
 from repro.network import NetworkConfig, generic_rdma
-from repro.rma import RmaAttrs
+from repro.rma import RmaAttrs, RmaError
 from repro.runtime import World
 
 
@@ -253,3 +253,31 @@ class TestCompletionCorners:
                 program
             )
             assert out[0] == [3] * 8, f"seed {seed}"
+
+
+class TestNegativeCounts:
+    """A negative element count used to reach ``np.empty`` in the packer
+    ("negative dimensions are not allowed"); it is a usage error of the
+    op, reported like an out-of-window access, before any time passes."""
+
+    @pytest.mark.parametrize("entry", ["put", "get", "accumulate",
+                                       "get_accumulate"])
+    @pytest.mark.parametrize("which", ["origin_count", "target_count"])
+    def test_rejected_by_name_before_time_passes(self, entry, which):
+        o_count, t_count = (-1, 8) if which == "origin_count" else (8, -2)
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64)
+            before = ctx.sim.now
+            with pytest.raises(RmaError) as err:
+                yield from getattr(ctx.rma, entry)(
+                    buf, 0, o_count, BYTE, tmems[1 - ctx.rank], 0, t_count,
+                    BYTE)
+            assert ctx.sim.now == before
+            yield from ctx.comm.barrier()
+            return str(err.value)
+
+        for message in World(n_ranks=2).run(program):
+            assert f"{which} must be >= 0" in message
+            assert f"got {min(o_count, t_count)}" in message

@@ -40,6 +40,14 @@ class TestConstruction:
         w.set_errhandler(ERRORS_RETURN)
         assert w.rma_errhandler == ERRORS_RETURN
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+    def test_bad_n_ranks_names_the_argument(self, bad):
+        """0 used to read as "unset" and complain about ``n_nodes``; 2.5
+        died as a TypeError inside the placement map."""
+        with pytest.raises(ValueError, match="n_ranks must be an integer "
+                                             ">= 1, got " + repr(bad)):
+            World(n_ranks=bad)
+
     def test_multirank_nodes(self):
         w = World(machine=nec_sx9(n_nodes=2, ranks_per_node=2))
         assert w.n_ranks == 4
@@ -82,6 +90,20 @@ class TestRun:
 
         out = World(n_ranks=4).run(program, ranks=[1, 3])
         assert out == [1, 3]
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_unknown_rank_in_subset_rejected_before_anything_runs(self, bad):
+        started = []
+
+        def program(ctx):
+            started.append(ctx.rank)
+            yield ctx.sim.timeout(1)
+
+        w = World(n_ranks=2)
+        with pytest.raises(ValueError, match=r"ranks must name .*\[0, 2\)"
+                                             r".*got " + str(bad)):
+            w.run(program, ranks=[0, bad])
+        assert started == [] and w.sim.now == 0.0
 
     def test_rank_exception_propagates(self):
         def program(ctx):
