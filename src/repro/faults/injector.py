@@ -11,8 +11,9 @@ named streams (``faults.path.{src}.{dst}``) of the world's
 - arming the injector never perturbs the fabric's jitter streams — a
   faulty run and a fault-free run stay comparable.
 
-Scheduled faults (NIC stalls, rank kills/restarts) are installed onto
-the simulator by :meth:`FaultInjector.arm` before the workload starts.
+Scheduled faults are installed by :meth:`FaultInjector.arm` before the
+workload starts: rank kills/restarts and link failures onto the
+simulator, NIC stalls as windows on the NIC's injection queue.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def arm(self, world: "World") -> None:
-        """Schedule the plan's stalls, kills and restarts on the world's
-        simulator (call once, before the workload runs)."""
+        """Hand each NIC its stall windows and schedule the plan's kills,
+        restarts and link failures on the world's simulator (call once,
+        before the workload runs)."""
         sim = world.sim
         for stall in self.plan.stalls:
             nic = world.nics.get(stall.rank)
@@ -166,8 +168,7 @@ class FaultInjector:
                 raise ValueError(f"stall names unknown rank {stall.rank}")
             self.stats["stalls"] += 1
             self._bump("fault.stall", rank=stall.rank)
-            sim.schedule_call(max(0.0, stall.start - sim.now),
-                              nic.stall_until, stall.start + stall.duration)
+            nic.stall(stall.start, stall.start + stall.duration)
         for kill in self.plan.kills:
             if kill.rank not in world.nics:
                 raise ValueError(f"kill names unknown rank {kill.rank}")

@@ -16,9 +16,10 @@ rank entering ``Comm.barrier`` parks on one event while a
 :class:`_BarrierWalk` takes its place: plain ``(fn, args)`` callbacks on
 the simulator's **own** heap, one per heap pop of the per-packet path
 (send charge over → serialization over → flight over → receive overhead
-over), each reading and writing the live ``Nic._reserved_until``,
-``Fabric._last_delivery`` and the endpoint / NIC / fabric counters at the
-real simulated instant.  Nothing is deferred or replayed, so entry skew
+over), each reading and writing the live NIC reservation
+(``Nic.reserve``), ``Fabric._last_delivery`` and the endpoint / NIC /
+fabric counters at the real simulated instant.  Nothing is deferred or
+replayed, so entry skew
 between ranks and real traffic interleaved with the rounds need no
 handling: a flush acknowledgement leaving a NIC in mid-barrier chains
 off the same reservation the walk just wrote, exactly as it would behind
@@ -91,20 +92,17 @@ class _BarrierWalk:
 
     def send(self) -> None:
         """The send charge is over (``MpiEndpoint.isend`` resumes): claim
-        the serializer as the idle path of ``Nic.send`` does."""
+        the serializer as ``Nic.send`` does."""
         if not self.parked:
             return
         ep = self.ep
         ep.sends += 1
         ep.eager_sends += 1
-        nic = self.nic
-        now = self.sim.now
-        t = max(now, nic._reserved_until) + self.ser
-        nic._reserved_until = t
-        self.sim.schedule_call(t - now, self.injected)
+        sim = self.sim
+        sim.schedule_call(self.nic.reserve(self.ser) - sim.now, self.injected)
 
     def injected(self) -> None:
-        """Serialization is over: ``Nic._finish_single`` hands the packet
+        """Serialization is over: ``Nic._injected`` hands the packet
         to ``Fabric.transmit``, then the resumed rank posts this round's
         receive."""
         nic = self.nic
@@ -181,7 +179,6 @@ class CollectiveNexus:
         ``faulty`` flips once, at the first ``kill_rank``.
         """
         fabric = self.fabric
-        nic = comm.endpoint.nic
         if not self.enabled:
             return "disabled"
         if fabric._topo is not None:
@@ -194,10 +191,8 @@ class CollectiveNexus:
             return "traced"         # packets leave inject/deliver records
         if fabric._faulty:
             return "faulty"         # every transmit consults the injector
-        if nic.transport is not None:
+        if comm.endpoint.nic.transport is not None:
             return "transport"      # sequence numbers, acks, retransmits
-        if not nic.burst_enabled:
-            return "burst-off"      # sends queue behind the injector process
         return None
 
     def enter_barrier(self, comm: "Comm",

@@ -1,10 +1,12 @@
 """The network interface controller.
 
-Each rank owns a :class:`Nic`.  Sending goes through an injection queue
-drained by a NIC engine process that charges LogGP serialization
-(``max(g, bytes*G)``) per packet, then hands the packet to the fabric.
-``Packet.ev_injected`` triggers when serialization finishes — that is
-the *local completion* point of a transfer (the origin buffer is free).
+Each rank owns a :class:`Nic`.  Its injection queue is a FIFO server with
+the deterministic LogGP service time ``max(g, bytes*G)``, so the whole
+queue is one number — the time the serializer is spoken for
+(:meth:`Nic.reserve`).  A packet handed to :meth:`Nic.send` reserves its
+slot at once and one callback at the end of it hands the packet to the
+fabric.  ``Packet.ev_injected`` triggers then — that is the *local
+completion* point of a transfer (the origin buffer is free).
 
 On the receive side, packets are dispatched to handlers registered by
 kind.  Handlers model NIC hardware (RDMA deposit, tag-match DMA): they
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.network.config import NetworkConfig
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
@@ -54,11 +55,12 @@ class UnknownPacketKind(RuntimeError):
 
 
 class Nic:
-    """One rank's NIC: injection engine + receive dispatch."""
+    """One rank's NIC: injection queue + receive dispatch."""
 
-    #: Master switch for the analytic burst path (see :meth:`send_burst`).
-    #: The determinism regression tests flip this off to prove batched
-    #: and per-packet injection produce identical simulated timestamps.
+    #: Whether :meth:`send_burst` batches a train of fragments into one
+    #: callback.  The determinism regression tests flip this off to prove
+    #: batched and per-packet injection produce identical simulated
+    #: timestamps.
     burst_enabled: bool = True
 
     def __init__(self, sim: "Simulator", rank: int, fabric: Fabric) -> None:
@@ -66,20 +68,17 @@ class Nic:
         self.rank = rank
         self.fabric = fabric
         self.config: NetworkConfig = fabric.config
-        self._queue: Store = Store(sim)
         self._handlers: Dict[str, Callable[[Packet], None]] = {}
         self._default_handler: Optional[Callable[[Packet], None]] = None
-        # Injector occupancy: packets queued-or-serializing, and the time
-        # up to which an analytic burst has reserved the serializer (see
-        # send_burst).  The injector may not start serializing before
-        # _reserved_until — the burst already accounted for that wire time.
-        self._pending: int = 0
+        # The injection queue: the serializer is spoken for until
+        # _reserved_until (see reserve), and may not start a packet inside
+        # a fault plan's stall window [start, until), kept sorted.
         self._reserved_until: float = 0.0
+        self._stalls: "list[tuple[float, float]]" = []
         #: Reliable transport, armed only for fault-injection runs (see
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
         fabric.attach(rank, self._on_deliver)
-        self._engine = sim.spawn(self._injector(), name=f"nic-{rank}")
         # stats
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -90,8 +89,8 @@ class Nic:
         """Arm the reliable transport (sequence numbers, acks,
         retransmission, dedup, checksums) on this NIC.  Done once per
         NIC by the :class:`~repro.runtime.World` when it is built with
-        an active fault plan; with the transport armed the analytic
-        burst path is disabled (bursts fall back to per-packet sends)."""
+        an active fault plan; with the transport armed :meth:`send_burst`
+        sends packet by packet."""
         if self.transport is not None:
             raise ValueError(f"rank {self.rank}: reliability already enabled")
         from repro.network.transport import ReliableTransport
@@ -99,16 +98,16 @@ class Nic:
         self.transport = ReliableTransport(self.sim, self, params)
         return self.transport
 
-    def stall_until(self, until: float) -> None:
-        """Freeze the injector until simulated time ``until`` (fault
-        injection: a wedged NIC).  Packets already being serialized
-        finish; queued ones wait."""
-        self._reserved_until = max(self._reserved_until, until)
-
-    def reinject(self, packet: Packet) -> None:
-        """Requeue an already-prepared packet (transport retransmission)."""
-        self._pending += 1
-        self._queue.put(packet)
+    def stall(self, start: float, until: float) -> None:
+        """Wedge the serializer over ``[start, until)`` (fault injection):
+        :meth:`reserve` starts no packet inside the window.  A packet
+        already being serialized when it opens finishes; one whose turn
+        falls inside it starts at ``until``.  Only a fault plan stalls a
+        NIC and an active plan arms the transport, under which bursts,
+        op-trains and barrier walks stand down — so :meth:`reserve` is
+        the only writer of the reservation that ever meets a window."""
+        self._stalls.append((start, until))
+        self._stalls.sort()
 
     def path_degraded(self, dst: int) -> bool:
         """Whether persistent loss toward ``dst`` crossed the transport's
@@ -121,6 +120,21 @@ class Nic:
         )
 
     # -- send path -------------------------------------------------------
+    def reserve(self, ser: float) -> float:
+        """Claim the serializer for ``ser`` behind everything already
+        handed to this NIC; returns the time the claim ends.  This is
+        the injection queue: FIFO, deterministic service time, so the
+        backlog is the single number ``_reserved_until``."""
+        start = self._reserved_until
+        now = self.sim.now
+        if start < now:
+            start = now
+        for opens, until in self._stalls:  # by opening: one pass composes
+            if opens <= start < until:
+                start = until
+        self._reserved_until = t = start + ser
+        return t
+
     def send(self, packet: Packet) -> Packet:
         """Queue ``packet`` for injection.
 
@@ -140,54 +154,53 @@ class Nic:
             and self.fabric.config_for(self.rank, packet.dst).remote_completion_events
         ):
             packet.ev_remote_complete = self.sim.event()
-        if (
-            self.burst_enabled
-            and self.transport is None
-            and self._pending == 0
-            and self.fabric.topology is None
-            and not self.fabric.tracer.enabled
-        ):
-            # Idle-injector analytic path: with nothing queued ahead, the
-            # injector would wake, wait out any serializer reservation,
-            # and charge exactly one serialization — all closed-form.  A
-            # single callback at the injection time replaces the Store
-            # hop and two process resumes; every simulated timestamp is
-            # identical to the injector's.
-            t = (
-                max(self.sim.now, self._reserved_until)
-                + self.config.serialization_time(packet.wire_bytes)
-            )
-            self._reserved_until = t
-            self.sim.schedule_call(t - self.sim.now, self._finish_single,
-                                   packet, t)
-            return packet
         if self.transport is not None:
             self.transport.prepare(packet)
-        self._pending += 1
-        self._queue.put(packet)
+        t = self.reserve(self.config.serialization_time(packet.wire_bytes))
+        self.sim.schedule_call(t - self.sim.now, self._injected, packet, t)
         return packet
 
-    def _finish_single(self, packet: Packet, t: float) -> None:
+    def reinject(self, packet: Packet) -> None:
+        """Requeue an already-prepared packet (transport retransmission)."""
+        t = self.reserve(self.config.serialization_time(packet.wire_bytes))
+        self.sim.schedule_call(t - self.sim.now, self._injected, packet, t)
+
+    def _injected(self, packet: Packet, t: float) -> None:
+        """Serialization of ``packet`` ends (at ``t``): it leaves for
+        the fabric."""
         self.packets_sent += 1
         self.bytes_sent += packet.wire_bytes
+        tracer = self.fabric.tracer
+        if tracer.enabled:
+            # Span milestone: serialization finished (the op's
+            # "inject" phase ends at the last fragment's record).
+            tracer.record(self.sim.now, "net", "inject",
+                          rank=self.rank, dst=packet.dst,
+                          kind_=packet.kind, op=packet.op_key(),
+                          bytes=packet.wire_bytes)
         ev = packet.ev_injected
         if ev is not None and not ev.triggered:
+            # Retransmits reuse the packet; only the first injection
+            # is the local-completion point.
             ev.succeed(t)
         self.fabric.transmit(packet)
+        transport = self.transport
+        if transport is not None and packet.flow_seq is not None:
+            transport.packet_injected(packet)
 
     def send_burst(self, packets: "list[Packet]") -> "list[Packet]":
         """Queue a train of same-destination packets for injection.
 
-        When the injector is idle and the (src, dst) path is ordered and
-        untraced, the whole train is modeled analytically: injection
-        times are the running sum of per-packet serialization, the
-        serializer is reserved until the last one, and a single callback
-        finishes the burst (succeeding each ``ev_injected`` with its
-        analytic time) and hands the train to
+        On a flat, ordered, untraced path without the transport the
+        train shares one callback: injection times are the running sum
+        of per-packet serialization behind the standing reservation —
+        what :meth:`reserve` would return packet by packet — and the
+        callback at the last one succeeds each ``ev_injected`` with its
+        time and hands the train to
         :meth:`~repro.network.fabric.Fabric.transmit_burst`.  Simulated
-        timestamps of every defined observable match the per-packet
-        path; only the event count changes.  Otherwise falls back to
-        per-packet :meth:`send`.
+        timestamps of every defined observable match per-packet
+        :meth:`send`, which every other train takes; only the event
+        count changes.
         """
         if len(packets) < 2:
             for packet in packets:
@@ -201,7 +214,6 @@ class Nic:
             or self.fabric.topology is not None
             or not path_cfg.ordered
             or self.fabric.tracer.enabled
-            or self._pending
             or any(p.dst != dst for p in packets)
         ):
             for packet in packets:
@@ -209,8 +221,7 @@ class Nic:
             return packets
         cfg = self.config
         ack_capable = path_cfg.remote_completion_events
-        # Chain off any standing reservation — exactly where the injector
-        # would start serializing the first packet.
+        # Chain off the standing reservation, as reserve does.
         t = max(self.sim.now, self._reserved_until)
         inject_times = []
         for packet in packets:
@@ -240,40 +251,6 @@ class Nic:
             self.bytes_sent += packet.wire_bytes
             packet.ev_injected.succeed(t)
         self.fabric.transmit_burst(packets, inject_times)
-
-    def _injector(self):
-        while True:
-            packet: Packet = yield from self._queue.get()
-            while self.sim.now < self._reserved_until:
-                # A burst owns the serializer until then (or a fault has
-                # stalled the NIC); this packet waits its turn.
-                yield self.sim.timeout(self._reserved_until - self.sim.now)
-            yield self.sim.timeout(self.config.serialization_time(packet.wire_bytes))
-            self.packets_sent += 1
-            self.bytes_sent += packet.wire_bytes
-            self._pending -= 1
-            tracer = self.fabric.tracer
-            if tracer.enabled:
-                # Span milestone: serialization finished (the op's
-                # "inject" phase ends at the last fragment's record).
-                tracer.record(self.sim.now, "net", "inject",
-                              rank=self.rank, dst=packet.dst,
-                              kind_=packet.kind, op=packet.op_key(),
-                              bytes=packet.wire_bytes)
-            ev = packet.ev_injected
-            if ev is not None and not ev.triggered:
-                # Retransmits reuse the packet; only the first injection
-                # is the local-completion point.
-                ev.succeed(self.sim.now)
-            self.fabric.transmit(packet)
-            transport = self.transport
-            if transport is not None and packet.flow_seq is not None:
-                transport.packet_injected(packet)
-
-    @property
-    def queue_depth(self) -> int:
-        """Packets waiting for injection (diagnostic)."""
-        return len(self._queue)
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:

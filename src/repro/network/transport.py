@@ -169,8 +169,8 @@ class ReliableTransport:
         self.stats["sent"] += 1
 
     def packet_injected(self, packet: Packet) -> None:
-        """Arm (or re-arm) the retransmission timer; called by the NIC
-        injector after handing the packet to the fabric."""
+        """Arm (or re-arm) the retransmission timer; called by
+        ``Nic._injected`` after handing the packet to the fabric."""
         entry = self._outstanding.get((packet.dst, packet.flow_seq))
         if entry is None:
             return  # acked while a retransmit sat in the injection queue

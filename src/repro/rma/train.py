@@ -25,7 +25,7 @@ target-memory and watermark state the per-packet path would have
 produced at the same simulated time.
 
 Timestamps are bit-identical to the event-loop path by construction:
-the arithmetic below is the same float arithmetic `Nic._injector` /
+the arithmetic below is the same float arithmetic `Nic.reserve` /
 `Fabric.transmit` perform, just evaluated eagerly.
 """
 
@@ -193,13 +193,13 @@ class TrainRoute:
         """The gate that closes for ``op``, or None to ride the train.
         Each is load-bearing (DESIGN §12 renders this list): facts fixed
         when the world was built, then the op's own attributes, then
-        the (src, dst) path, then what the NIC and the peer window hold
-        right now."""
+        the (src, dst) path, then what the peer window holds right
+        now."""
         eng = self.eng
         nic = eng.nic
         fabric = nic.fabric
-        if not (eng.train_enabled and nic.burst_enabled):
-            return "disabled"       # the tests' reference switches
+        if not eng.train_enabled:
+            return "disabled"       # the tests' reference switch
         if nic.transport is not None:
             return "transport"      # seq numbers, acks, retransmit timers
         if fabric._faulty:
@@ -223,8 +223,6 @@ class TrainRoute:
             return "unordered"      # arrival clamping assumes FIFO order
         if op.attrs.remote_completion and not path.remote_completion_events:
             return "sw-ack"         # the target engine must ack per op
-        if nic._pending:
-            return "nic-busy"       # timing depends on the injector queue
         peer = eng._origin_peers.get(op.dst)
         if peer is not None and (peer.last_atomic_seq
                                  or peer.last_deferred_seq):
@@ -289,7 +287,7 @@ class TrainRoute:
         inject_value = None
         arrivals = None
         if nfrags == 1:
-            # Scalar algebra: exactly Nic.send's idle path + transmit.
+            # Scalar algebra: exactly Nic.reserve + transmit.
             inject_end = start + ser[0]
             arrival = inject_end + latency
             if arrival <= prev:

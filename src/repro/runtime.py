@@ -156,6 +156,13 @@ class World:
                 isinstance(n_ranks, numbers.Integral) and n_ranks >= 1):
             raise ValueError(
                 f"n_ranks must be an integer >= 1, got {n_ranks!r}")
+        if not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not (isinstance(eager_threshold, numbers.Real)
+                and eager_threshold >= 0):
+            raise ValueError(
+                f"eager_threshold must be a byte count >= 0, "
+                f"got {eager_threshold!r}")
         if machine is None:
             machine = generic_cluster(n_nodes=8 if n_ranks is None else n_ranks)
         if n_ranks is not None and machine.n_ranks != n_ranks:
@@ -277,36 +284,17 @@ class World:
         Imported lazily to keep layering acyclic (those packages import
         machine/network/mpi, not the runtime).
         """
-        try:
-            from repro.rma.engine import build_rma
-        except ImportError:  # pragma: no cover - during bootstrap only
-            build_rma = None
-        if build_rma is not None:
-            build_rma(self)
-        try:
-            from repro.mpi2rma.window import build_mpi2
-        except ImportError:  # pragma: no cover
-            build_mpi2 = None
-        if build_mpi2 is not None:
-            build_mpi2(self)
-        try:
-            from repro.baselines.armci import build_armci
-        except ImportError:  # pragma: no cover
-            build_armci = None
-        if build_armci is not None:
-            build_armci(self)
-        try:
-            from repro.baselines.gasnet import build_gasnet
-        except ImportError:  # pragma: no cover
-            build_gasnet = None
-        if build_gasnet is not None:
-            build_gasnet(self)
-        try:
-            from repro.baselines.shmem import build_shmem
-        except ImportError:  # pragma: no cover
-            build_shmem = None
-        if build_shmem is not None:
-            build_shmem(self)
+        from repro.rma.engine import build_rma
+        from repro.mpi2rma.window import build_mpi2
+        from repro.baselines.armci import build_armci
+        from repro.baselines.gasnet import build_gasnet
+        from repro.baselines.shmem import build_shmem
+
+        build_rma(self)
+        build_mpi2(self)
+        build_armci(self)
+        build_gasnet(self)
+        build_shmem(self)
 
     # ------------------------------------------------------------------
     # Fault machinery
@@ -445,6 +433,10 @@ class World:
         propagates; a deadlock (event loop drained with ranks still
         blocked) raises :class:`~repro.sim.core.SimulationError`.
         """
+        if limit is not None and not (
+                isinstance(limit, numbers.Real) and limit >= 0):
+            raise ValueError(
+                f"limit must be None or a simulated time >= 0, got {limit!r}")
         target_ranks = list(ranks) if ranks is not None else list(range(self.n_ranks))
         for rank in target_ranks:
             if rank not in self.contexts:
@@ -460,8 +452,8 @@ class World:
             )
         self._rank_procs = procs
         # Stop when every rank program has finished — daemon processes
-        # (NIC engines, serializer workers, progress pollers) never
-        # terminate, so draining the heap is not a useful stop condition.
+        # (serializer workers, progress pollers) never terminate, so
+        # draining the heap is not a useful stop condition.
         pending = set(procs.values())
         for proc in procs.values():
             proc.add_callback(pending.discard)

@@ -215,10 +215,17 @@ def test_closed_gate_is_named(build, reason):
 
 
 def test_burst_off_gate_is_named():
+    """There is no such gate any more: ``Nic.burst_enabled`` only
+    batches ``send_burst``, so with it off the barrier still walks live
+    and leaves the times and state of the burst-on run."""
     def program(ctx):
         yield from ctx.comm.barrier()
+        return ctx.sim.now
 
-    with fast_paths(burst=False):
-        world = _flat(4)()
-        world.run(program)
-    assert _routes(world) == {("packet", "burst-off"): 1}
+    seen = {}
+    for burst in (True, False):
+        with fast_paths(burst=burst):
+            world = _flat(4)()
+            seen[burst] = (world.run(program), _state(world))
+        assert _routes(world) == {("live", None): 1}
+    assert seen[False] == seen[True]

@@ -103,9 +103,9 @@ def test_every_combination_equals_all_off(name):
         trains = sum(c.rma.stats["train_ops"]
                      for c in world.contexts.values())
         if name != "fig2-atomicity":
-            # the train needs its own switch and the burst layer's
-            assert (trains > 0) == (train and burst), (train, burst, nexus)
-        if name == "mixed" and train and burst:
+            # the switches are independent: the train needs only its own
+            assert (trains > 0) == train, (train, burst, nexus)
+        if name == "mixed" and train:
             assert all(c.rma.stats["train_bytes"] == BIG
                        for c in world.contexts.values())
     reference = seen[False, False, False]

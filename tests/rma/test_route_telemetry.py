@@ -104,12 +104,28 @@ def test_closed_train_gate_is_named(gate):
     assert routes(world, "train") == {}
 
 
+def _window_bytes(world):
+    return {rank: [bytes(world.memories[rank].space.buffer(a))
+                   for a in ctx.rma.engine._exposures.values()]
+            for rank, ctx in world.contexts.items()}
+
+
 def test_disabled_switches_are_named():
-    for switch in ({"train": False}, {"burst": False}):
-        with fast_paths(**switch):
+    """``disabled`` names the route's own switch and nothing else: the
+    NIC's burst switch no longer closes the train."""
+    with fast_paths(train=False):
+        world = _flat()
+        world.run(one_put())
+    assert routes(world) == {("packet", "disabled"): 1}
+
+    seen = {}
+    for burst in (True, False):
+        with fast_paths(burst=burst):
             world = _flat()
             world.run(one_put())
-        assert routes(world) == {("packet", "disabled"): 1}
+        assert routes(world) == {("train", "window-not-shared"): 1}
+        seen[burst] = (world.sim.now, _window_bytes(world))
+    assert seen[False] == seen[True]
 
 
 def test_open_gates_ride_the_train_and_say_why_not_shared():
@@ -165,7 +181,9 @@ def test_shared_route_and_its_gates_are_named():
 
 def test_gates_no_tiny_program_reaches_are_named():
     """Asked of the table directly: a gate hidden behind a later route's
-    own decline, and two that need a fault or a busy injector."""
+    own decline, and one that needs a fault.  A busy NIC closes nothing:
+    the train chains off the reservation the queued packets wrote."""
+    from repro.network.packet import Packet
     from repro.rma import RmaAttrs
     from repro.rma.engine.core import _Op
 
@@ -183,8 +201,12 @@ def test_gates_no_tiny_program_reaches_are_named():
     shared, train, _packet = world.contexts[0].rma.engine.routes
     op = put_to_rank1(world)
     assert train.declines(op) is None
-    world.nics[0]._pending = 1
-    assert train.declines(op) == "nic-busy"
+    nic = world.nics[0]
+    for _ in range(3):
+        nic.send(Packet(src=0, dst=1, kind="test", payload={},
+                        data_bytes=64))
+    assert nic._reserved_until > world.sim.now
+    assert train.declines(op) is None
     world.fabric.kill_rank(2)
     assert train.declines(op) == "faulty"
 

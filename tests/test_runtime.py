@@ -48,6 +48,36 @@ class TestConstruction:
                                              ">= 1, got " + repr(bad)):
             World(n_ranks=bad)
 
+    def test_bad_seed_names_the_argument(self):
+        """Used to die in the RNG registry as ``invalid literal for
+        int() with base 10: 'x'``, naming no argument."""
+        with pytest.raises(ValueError, match="seed must be an integer, "
+                                             "got 'x'"):
+            World(n_ranks=2, seed="x")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            World(n_ranks=2, seed=1.5)
+
+    @pytest.mark.parametrize("bad", [-1, "4096", None])
+    def test_bad_eager_threshold_names_the_argument(self, bad):
+        """-1 used to be accepted silently (every message rendezvous)."""
+        with pytest.raises(ValueError, match="eager_threshold must be a "
+                                             "byte count >= 0, got "
+                                             + repr(bad)):
+            World(n_ranks=2, eager_threshold=bad)
+        assert World(n_ranks=2, eager_threshold=0).endpoints[0] \
+            .eager_threshold == 0
+
+    def test_a_broken_frontend_import_surfaces_at_construction(
+            self, monkeypatch):
+        """An ImportError inside a frontend used to be swallowed, leave
+        ``ctx.gasnet = None`` and resurface in the rank program as
+        ``'NoneType' object has no attribute 'put'``."""
+        import sys
+
+        monkeypatch.setitem(sys.modules, "repro.baselines.gasnet", None)
+        with pytest.raises(ImportError, match="repro.baselines.gasnet"):
+            World(n_ranks=2)
+
     def test_multirank_nodes(self):
         w = World(machine=nec_sx9(n_nodes=2, ranks_per_node=2))
         assert w.n_ranks == 4
@@ -128,6 +158,24 @@ class TestRun:
 
         with pytest.raises(SimulationError, match="time limit"):
             World(n_ranks=1).run(program, limit=10.0)
+
+    @pytest.mark.parametrize("bad", [-1, -0.5, float("nan"), "10"])
+    def test_bad_limit_rejected_before_anything_runs(self, bad):
+        """limit=-1 used to spawn the ranks and then report them as
+        never completed "(time limit reached)" at t = 0."""
+        started = []
+
+        def program(ctx):
+            started.append(ctx.rank)
+            yield ctx.sim.timeout(1)
+
+        w = World(n_ranks=2)
+        spawned = w.sim._processes_spawned
+        with pytest.raises(ValueError, match="limit must be None or a "
+                                             "simulated time >= 0, got"):
+            w.run(program, limit=bad)
+        assert started == [] and w.sim._processes_spawned == spawned
+        assert w.run(program, limit=5.0) == [None, None]
 
     def test_consecutive_runs_share_state(self):
         """The same World can run phases back to back; memory persists."""
