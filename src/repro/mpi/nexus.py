@@ -6,18 +6,20 @@ cost of the *data* plane; what remains on the halo critical path is the
 ``MPI_RMA_complete_collective``.  Per packet, one barrier message costs
 a ``Packet``, an ``Event`` or three, two process resumes, a spawned
 receiver coroutine and a predicate scan of the endpoint's inbox, although
-on an uncontended flat fabric every one of its timestamps is a two-line
-formula: injection is a running reservation per NIC, arrival is
-``inject + latency`` FIFO-clamped per (src, dst) pair, matching is
-``max(posted, arrived)`` plus the receive overhead.
+none of its timestamps needs any of them: injection is a running
+reservation per NIC (``Nic.reserve``), arrival is whatever the fabric
+says a packet leaving now lands at (``Fabric.arrival`` — flat or routed,
+FIFO-clamped or jittered), matching is ``max(posted, arrived)`` plus the
+receive overhead.
 
-:class:`CollectiveNexus` keeps the formulas and drops the objects.  A
+:class:`CollectiveNexus` keeps the arithmetic and drops the objects.  A
 rank entering ``Comm.barrier`` parks on one event while a
 :class:`_BarrierWalk` takes its place: plain ``(fn, args)`` callbacks on
 the simulator's **own** heap, one per heap pop of the per-packet path
 (send charge over → serialization over → flight over → receive overhead
-over), each reading and writing the live NIC reservation
-(``Nic.reserve``), ``Fabric._last_delivery`` and the endpoint / NIC /
+over).  The middle two are the NIC's lean message (``Nic.launch`` /
+``Nic.land``, shared with ``Nic.post``), which read and write the live
+NIC reservation, the fabric's per-pair and per-link state and the NIC /
 fabric counters at the real simulated instant.  Nothing is deferred or
 replayed, so entry skew
 between ranks and real traffic interleaved with the rounds need no
@@ -28,11 +30,13 @@ pushes the same heap entries, at the same instants and in the same
 order, as the coroutines it stands in for, and the heap breaks ties by
 push order.
 
-The only decision left is *whether* the formulas hold, and it depends on
-world-construction facts alone (see :meth:`CollectiveNexus._closed_gate`).
-The first rank to enter a collective instance decides for all of them,
-so a ``kill_rank`` between two entries cannot split one instance across
-the two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
+The only decision left is whether the world needs what the lean form
+does not build — trace records, the fault injector's verdict, transport
+sequence numbers (see :meth:`CollectiveNexus.closed_gate`; the RMA
+engine asks the same gate for its own header-only messages).  The first
+rank to enter a collective instance decides for all of them, so a
+``kill_rank`` between two entries cannot split one instance across the
+two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
 as they are: they are the reference the tests diff against
 (``CollectiveNexus.enabled = False``) and the path every gated world
 takes.
@@ -42,10 +46,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.network.packet import HEADER_SIZE
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Comm
+    from repro.network.nic import Nic
     from repro.runtime import World
 
 __all__ = ["CollectiveNexus"]
@@ -62,9 +65,8 @@ class _BarrierWalk:
     serialization, land a packet, finish a receive) do not.
     """
 
-    __slots__ = ("nexus", "sim", "ep", "nic", "rank", "local", "n", "wmap",
-                 "slots", "k", "dist", "ev", "parked", "charge", "ser",
-                 "orecv")
+    __slots__ = ("nexus", "sim", "ep", "nic", "local", "n", "wmap",
+                 "slots", "k", "dist", "ev", "parked", "charge", "orecv")
 
     def __init__(self, nexus: "CollectiveNexus", comm: "Comm",
                  slots: dict) -> None:
@@ -74,7 +76,6 @@ class _BarrierWalk:
         self.sim = nexus.sim
         self.ep = ep
         self.nic = ep.nic
-        self.rank = ep.rank
         self.local = comm.rank
         self.n = comm.size
         self.wmap = comm.group.world_ranks
@@ -87,7 +88,6 @@ class _BarrierWalk:
         # barrier message carries no payload, so irecv's per-byte copy
         # terms are exact zeros
         self.charge = ep.timings.call_overhead + cfg.overhead_send
-        self.ser = cfg.serialization_time(HEADER_SIZE)
         self.orecv = cfg.overhead_recv
 
     def send(self) -> None:
@@ -99,41 +99,24 @@ class _BarrierWalk:
         ep.sends += 1
         ep.eager_sends += 1
         sim = self.sim
-        sim.schedule_call(self.nic.reserve(self.ser) - sim.now, self.injected)
+        nic = self.nic
+        sim.schedule_call(nic.reserve(nic.header_ser) - sim.now, self.injected)
 
     def injected(self) -> None:
         """Serialization is over: ``Nic._injected`` hands the packet
         to ``Fabric.transmit``, then the resumed rank posts this round's
         receive."""
-        nic = self.nic
-        nic.packets_sent += 1
-        nic.bytes_sent += HEADER_SIZE
-        nexus = self.nexus
-        fabric = nexus.fabric
-        sim = self.sim
-        now = sim.now
-        rank = self.rank
         dst_local = (self.local + self.dist) % self.n
-        dst = self.wmap[dst_local]
-        dead = fabric._dead
-        if dead and (rank in dead or dst in dead):
-            fabric.dead_dropped += 1
-        else:
-            arrival = now + nexus.latency
-            pair = (rank, dst)
-            prev = fabric._last_delivery.get(pair, -1.0)
-            if arrival <= prev:
-                arrival = prev + 1e-9
-            fabric._last_delivery[pair] = arrival
-            sim.schedule_call(arrival - now, nexus.arrive, self.slots,
-                              (self.k, dst_local), rank, dst)
+        self.nic.launch(self.wmap[dst_local], self.nexus.arrive,
+                        (self.slots, (self.k, dst_local)))
         if self.parked:
             key = (self.k, self.local)
             arrived = self.slots.pop(key, None)
             if arrived is None:
                 self.slots[key] = self
             else:
-                if arrived < now:
+                sim = self.sim
+                if arrived < sim.now:
                     self.ep.unexpected_matches += 1
                 sim.schedule_call(self.orecv, self.got)
 
@@ -150,7 +133,8 @@ class _BarrierWalk:
 
 
 class CollectiveNexus:
-    """World-level live fast path for ``Comm.barrier``.
+    """World-level live fast path for ``Comm.barrier``, and the gate of
+    the whole live control plane.
 
     One instance per :class:`~repro.runtime.World`, reachable as
     ``sim.context["nexus"]``.  Every barrier instance is counted once in
@@ -158,42 +142,56 @@ class CollectiveNexus:
     or ``{…, path=packet, reason=<the gate that closed>}``.
     """
 
-    #: Class-wide toggle (tests pin it off to diff against the real path).
+    #: Class-wide toggle (tests pin it off to diff against the real
+    #: path): the reference switch for every header-only message that
+    #: can travel without a packet — barrier rounds here, flush
+    #: round-trips, software acks and lock hand-offs in the RMA engine.
     enabled = True
 
     def __init__(self, world: "World") -> None:
         self.world = world
         self.sim = world.sim
         self.fabric = world.fabric
-        self.nics = world.nics
-        self.latency = world.fabric.config.latency
         # Barrier instances some but not all ranks have entered, by
         # collective context: [the instance's shared match slots (None:
         # it runs per packet), ranks entered so far].
         self._instances: Dict[tuple, list] = {}
+        # Route-telemetry counter handles per (metric, kind, reason).
+        self._counters: Dict[tuple, object] = {}
 
-    def _closed_gate(self, comm: "Comm") -> Optional[str]:
-        """Why the closed forms do not hold in this world, or ``None``.
+    def closed_gate(self, nic: "Nic") -> Optional[str]:
+        """Why a header-only message leaving ``nic`` must be a real
+        packet, or ``None``: the lean form (``Nic.post``) builds no
+        object for a tracer, an injector or a transport to look at.
 
-        Everything but ``faulty`` is fixed when the world is built;
+        ``traced`` and ``transport`` are fixed when the world is built;
         ``faulty`` flips once, at the first ``kill_rank``.
         """
-        fabric = self.fabric
         if not self.enabled:
             return "disabled"
-        if fabric._topo is not None:
-            return "topology"       # flight time is per route and load
-        if fabric.intra_config is not None:
-            return "hierarchical"   # latency is per pair
-        if not fabric.config.ordered:
-            return "unordered"      # arrival draws jitter
+        fabric = self.fabric
         if fabric.tracer.enabled:
             return "traced"         # packets leave inject/deliver records
         if fabric._faulty:
             return "faulty"         # every transmit consults the injector
-        if comm.endpoint.nic.transport is not None:
+        if nic.transport is not None:
             return "transport"      # sequence numbers, acks, retransmits
         return None
+
+    def route(self, nic: "Nic", metric: str, kind: str) -> Optional[str]:
+        """Decide the form of one header-only message (or one barrier
+        instance) leaving ``nic`` and count the decision as
+        ``metric{kind=, path=live}`` or ``{…, path=packet, reason=}``.
+        Returns :meth:`closed_gate`'s verdict: ``None`` means live."""
+        reason = self.closed_gate(nic)
+        counter = self._counters.get((metric, kind, reason))
+        if counter is None:
+            labels = ({"path": "live"} if reason is None
+                      else {"path": "packet", "reason": reason})
+            counter = self._counters[(metric, kind, reason)] = \
+                self.world.metrics.counter(metric, kind=kind, **labels)
+        counter.inc()
+        return reason
 
     def enter_barrier(self, comm: "Comm",
                       ctx: tuple) -> Optional[_BarrierWalk]:
@@ -201,11 +199,8 @@ class CollectiveNexus:
         runs per packet, do it yourself"."""
         inst = self._instances.get(ctx)
         if inst is None:
-            reason = self._closed_gate(comm)
-            labels = ({"path": "live"} if reason is None
-                      else {"path": "packet", "reason": reason})
-            self.world.metrics.counter("collective.route", kind="barrier",
-                                       **labels).inc()
+            reason = self.route(comm.endpoint.nic, "collective.route",
+                                "barrier")
             inst = self._instances[ctx] = [{} if reason is None else None, 0]
         inst[1] += 1
         if inst[1] == comm.size:
@@ -216,19 +211,9 @@ class CollectiveNexus:
         self.sim.schedule_call(walk.charge, walk.send)
         return walk
 
-    def arrive(self, slots: dict, key: tuple, src: int, dst: int) -> None:
-        """The flight is over: ``Fabric._deliver``, ``Nic._on_deliver``
-        and the match against the endpoint's posted receives."""
-        fabric = self.fabric
-        dead = fabric._dead
-        if dead and (dst in dead or src in dead):
-            fabric.dead_dropped += 1
-            return
-        if fabric._pending_trains:
-            fabric.materialize_trains(dst)
-        fabric.packets_delivered += 1
-        fabric.bytes_delivered += HEADER_SIZE
-        self.nics[dst].packets_received += 1
+    def arrive(self, slots: dict, key: tuple) -> None:
+        """A barrier message landed (``Nic.land``): the match against
+        the endpoint's posted receives."""
         walk = slots.pop(key, None)
         if walk is None:
             slots[key] = self.sim.now

@@ -8,6 +8,11 @@ slot at once and one callback at the end of it hands the packet to the
 fabric.  ``Packet.ev_injected`` triggers then — that is the *local
 completion* point of a transfer (the origin buffer is free).
 
+A header-only control message whose effect at the destination is one
+call needs none of that: :meth:`Nic.post` reserves the same slot and
+pushes the same two heap entries — injection, arrival — with no
+``Packet``, event or payload behind them (see :meth:`Nic.post`).
+
 On the receive side, packets are dispatched to handlers registered by
 kind.  Handlers model NIC hardware (RDMA deposit, tag-match DMA): they
 run without the target process calling anything.  Anything requiring
@@ -21,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.network.config import NetworkConfig
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet
+from repro.network.packet import HEADER_SIZE, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
@@ -79,6 +84,9 @@ class Nic:
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
         fabric.attach(rank, self._on_deliver)
+        fabric.nics[rank] = self
+        #: Serialization time of a payload-free message.
+        self.header_ser = self.config.serialization_time(HEADER_SIZE)
         # stats
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -187,6 +195,58 @@ class Nic:
         transport = self.transport
         if transport is not None and packet.flow_seq is not None:
             transport.packet_injected(packet)
+
+    def post(self, dst: int, fn: Callable[..., None], *args) -> None:
+        """Send a header-only control message whose whole effect at
+        ``dst`` is ``fn(*args)``: the lean form of :meth:`send`.
+
+        Same reservation, and the same two heap entries pushed at the
+        same instants in the same order as :meth:`send` →
+        :meth:`_injected` → ``Fabric.transmit`` → ``Fabric._deliver``
+        push for a payload-free packet — so every timestamp, counter and
+        RNG draw is the per-packet one, and equal-time ties resolve as
+        they do per packet.  What is gone is the ``Packet``, its event,
+        its payload dict and the kind dispatch.  It synthesizes no trace
+        record and knows neither the fault injector nor the transport:
+        callers use it only where ``CollectiveNexus.closed_gate`` is
+        open."""
+        t = self.reserve(self.header_ser)
+        self.sim.schedule_call(t - self.sim.now, self.launch, dst, fn, args)
+
+    def launch(self, dst: int, fn: Callable[..., None], args: tuple) -> None:
+        """Serialization of a posted message ends: what :meth:`_injected`
+        and ``Fabric.transmit`` do for a packet, then one callback at the
+        arrival instant (:meth:`land`, on ``dst``'s NIC)."""
+        self.packets_sent += 1
+        self.bytes_sent += HEADER_SIZE
+        fabric = self.fabric
+        dead = fabric._dead
+        if dead and (self.rank in dead or dst in dead):
+            fabric.dead_dropped += 1
+            return
+        arrival = fabric.arrival(self.rank, dst, HEADER_SIZE)
+        if arrival is not None:
+            sim = self.sim
+            sim.schedule_call(arrival - sim.now, fabric.nics[dst].land,
+                              self.rank, fn, args)
+
+    def land(self, src: int, fn: Callable[..., None], args: tuple) -> None:
+        """The flight of a posted message from ``src`` ends here: what
+        ``Fabric._deliver`` and :meth:`_on_deliver` do for a packet,
+        then the message's effect."""
+        fabric = self.fabric
+        dead = fabric._dead
+        if dead and (self.rank in dead or src in dead):
+            fabric.dead_dropped += 1
+            return
+        if fabric._pending_trains:
+            # as in _deliver: train elements that analytically arrived
+            # before this message apply first
+            fabric.materialize_trains(self.rank)
+        fabric.packets_delivered += 1
+        fabric.bytes_delivered += HEADER_SIZE
+        self.packets_received += 1
+        fn(*args)
 
     def send_burst(self, packets: "list[Packet]") -> "list[Packet]":
         """Queue a train of same-destination packets for injection.

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -83,6 +84,22 @@ RMW_OPS = ("cas", "fetch_add", "swap")
 _TALLY = {"put": ("puts",), "acc": ("accumulates",), "get": ("gets",),
           "getacc": ("accumulates", "gets"), "rmw": ("rmws",),
           "rmi": ("rmis",)}
+
+
+#: The header-only control messages, by packet kind: (``control.route``
+#: kind, the message's one body — looked up on the *destination* engine
+#: and called as ``body(src, *fields)`` —, the payload keys its fields
+#: travel under when the message is a packet).  :meth:`RmaEngine.signal`
+#: is the one place that chooses between the two forms.
+_SIGNALS = {
+    "rma.flush_req": ("flush", attrgetter("_flush_req"),
+                      ("watermark", "flush_id")),
+    "rma.flush_ack": ("flush", attrgetter("_flush_ack"), ("flush_id",)),
+    "rma.ack": ("ack", attrgetter("_ack"), ("op_key",)),
+    "rma.lock_req": ("lock", attrgetter("serializer.lock_req"), ()),
+    "rma.lock_grant": ("lock", attrgetter("serializer.lock_grant"), ()),
+    "rma.unlock": ("lock", attrgetter("serializer.unlock"), ()),
+}
 
 
 @dataclass(slots=True)
@@ -431,16 +448,9 @@ class RmaEngine(FailureSide, TargetSide):
         for kind in ("rma.get_req", "rma.rmw_req", "rma.rmi_req"):
             nic.register_handler(kind, self._on_request)
         nic.register_handler("rma.get_reply", self._on_get_reply)
-        nic.register_handler("rma.ack", self._on_ack)
-        nic.register_handler("rma.flush_req", self._on_flush_req)
-        nic.register_handler("rma.flush_ack", self._on_flush_ack)
         nic.register_handler("rma.reply", self._on_reply)
-        # Process-lock packets go straight to the lock serializer.
-        for kind, handler in (("rma.lock_req", "on_lock_req"),
-                              ("rma.lock_grant", "on_grant"),
-                              ("rma.unlock", "on_unlock")):
-            nic.register_handler(
-                kind, getattr(self.serializer, handler, self._no_lock))
+        for message in _SIGNALS:
+            nic.register_handler(message, self._on_signal)
 
         transport = nic.transport
         if transport is not None:
@@ -872,6 +882,29 @@ class RmaEngine(FailureSide, TargetSide):
         self.nic.send(pkt)
         return pkt
 
+    def signal(self, dst: int, message: str, *fields) -> None:
+        """Send the header-only control ``message`` (a key of
+        ``_SIGNALS``) to ``dst``'s engine — THE decision point of the
+        live control plane.  Where the barrier walk's gate is open the
+        message is a :meth:`Nic.post <repro.network.nic.Nic.post>`: two
+        heap callbacks, the second calling the message's body on the
+        destination engine.  Otherwise it is a packet of that kind,
+        whose handler (:meth:`_on_signal`) calls the same body.  Counted
+        as ``control.route{kind=, path=live|packet, reason=}``."""
+        kind, body, keys = _SIGNALS[message]
+        world = self.world
+        if world.nexus.route(self.nic, "control.route", kind) is None:
+            self.nic.post(dst, body(world.contexts[dst].rma.engine),
+                          self.rank, *fields)
+        else:
+            self.send_control(dst, message, dict(zip(keys, fields)))
+
+    def _on_signal(self, packet: Packet) -> None:
+        """Packet form of a control message: unpack it into its body."""
+        _kind, body, keys = _SIGNALS[packet.kind]
+        payload = packet.payload
+        body(self)(packet.src, *[payload[key] for key in keys])
+
     # ------------------------------------------------------------------
     # Completion and ordering (MPI_RMA_complete / MPI_RMA_order)
     # ------------------------------------------------------------------
@@ -950,11 +983,7 @@ class RmaEngine(FailureSide, TargetSide):
             self._next_flush_id += 1
             ev = self.sim.event()
             self._flush_waiters[flush_id] = (dst, ev)
-            self.send_control(
-                dst, "rma.flush_req",
-                {"watermark": flush_watermark, "flush_id": flush_id,
-                 "src": self.rank},
-            )
+            self.signal(dst, "rma.flush_req", flush_watermark, flush_id)
             events.append(ev)
         peer.completing, peer.outstanding = peer.outstanding, []
         return events
@@ -975,24 +1004,25 @@ class RmaEngine(FailureSide, TargetSide):
     # ------------------------------------------------------------------
     # Origin-side protocol packet handlers
     # ------------------------------------------------------------------
-    def _on_ack(self, packet: Packet) -> None:
-        op_key = packet.payload["op_key"]
+    def _ack(self, src: int, op_key) -> None:
+        """``ack`` from ``src``: it applied our sw-acked op ``op_key``."""
         if self.tracer.enabled:
             # Span milestone: software application ack back at the origin.
             self.tracer.record(self.sim.now, "rma", "ack",
-                               rank=self.rank, src=packet.src, op=op_key)
+                               rank=self.rank, src=src, op=op_key)
         pair = self._sw_ack_waiters.pop(op_key, None)
         if pair is not None and not pair[1].triggered:
             pair[1].succeed(self.sim.now)
 
-    def _on_flush_ack(self, packet: Packet) -> None:
+    def _flush_ack(self, src: int, flush_id: int) -> None:
+        """``flush_ack`` from ``src``: our flush ``flush_id`` is covered
+        by its applied watermark."""
         if self.tracer.enabled:
             # Timeline marker only: a flush covers many ops, so it is
             # not attributed to any single span.
             self.tracer.record(self.sim.now, "rma", "flush_ack",
-                               rank=self.rank, src=packet.src,
-                               flush_id=packet.payload["flush_id"])
-        pair = self._flush_waiters.pop(packet.payload["flush_id"], None)
+                               rank=self.rank, src=src, flush_id=flush_id)
+        pair = self._flush_waiters.pop(flush_id, None)
         if pair is not None and not pair[1].triggered:
             pair[1].succeed(self.sim.now)
 
@@ -1039,12 +1069,6 @@ class RmaEngine(FailureSide, TargetSide):
         entry = self._pending_replies.pop(op_key, None)
         if entry is not None and not entry[2].triggered:
             entry[2].succeed(packet.payload["value"])
-
-    def _no_lock(self, packet: Packet) -> None:
-        raise RmaError(
-            f"rank {self.rank}: received a process-lock packet but the "
-            f"serializer is {self.serializer.kind!r}"
-        )
 
 
 def build_rma(world: "World") -> None:

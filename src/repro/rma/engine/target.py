@@ -306,7 +306,7 @@ class TargetSide:
         peer.inbound.pop(op.seq, None)
         peer.mark_applied(op.seq)
         if desc.get("ack") == "sw":
-            self.send_control(desc["src"], "rma.ack", {"op_key": desc["op_key"]})
+            self.signal(desc["src"], "rma.ack", desc["op_key"])
         m = desc.get("notify")
         if m is not None:
             # THE delivery point: the payload is applied (watermark just
@@ -361,13 +361,14 @@ class TargetSide:
             w for w in peer.flush_waiters if w[0] > peer.applied_upto
         ]
         for _watermark, flush_id, src in ready:
-            self.send_control(src, "rma.flush_ack", {"flush_id": flush_id})
+            self.signal(src, "rma.flush_ack", flush_id)
 
-    def _on_flush_req(self, packet: Packet) -> None:
-        p = packet.payload
-        peer = self._target_peer(p["src"])
-        if peer.applied_upto >= p["watermark"]:
-            self.send_control(p["src"], "rma.flush_ack",
-                              {"flush_id": p["flush_id"]})
+    def _flush_req(self, src: int, watermark: int, flush_id: int) -> None:
+        """``flush_req`` from ``src``: answer once everything it sent up
+        to ``watermark`` has applied — now, or from
+        :meth:`_answer_flushes` when the watermark gets there."""
+        peer = self._target_peer(src)
+        if peer.applied_upto >= watermark:
+            self.signal(src, "rma.flush_ack", flush_id)
         else:
-            peer.flush_waiters.append((p["watermark"], p["flush_id"], p["src"]))
+            peer.flush_waiters.append((watermark, flush_id, src))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator
 
-from repro.network.packet import Packet
+from repro.rma.target_mem import RmaError
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,6 +75,15 @@ class Serializer:
         """Schedule a target-side application job for execution."""
         raise NotImplementedError
 
+    # -- process-lock messages (only the lock serializer speaks them) -----
+    def _no_lock(self, src: int) -> None:
+        raise RmaError(
+            f"rank {self.engine.rank}: received a process-lock message "
+            f"from rank {src} but the serializer is {self.kind!r}"
+        )
+
+    lock_req = lock_grant = unlock = _no_lock
+
 
 class ThreadSerializer(Serializer):
     """A communication thread at the target executes jobs FIFO."""
@@ -105,9 +114,12 @@ class ThreadSerializer(Serializer):
 class CoarseLockSerializer(Serializer):
     """MPI-process-level lock acquired over the network by origins.
 
-    The target side of the lock (grant queue) lives here; the engine
-    forwards ``rma.lock_req`` / ``rma.unlock`` packets.  Grants are FIFO
-    so contention behaviour is deterministic and starvation-free.
+    The target side of the lock (grant queue) lives here; requests,
+    grants and unlocks travel as the engine's ``rma.lock_req`` /
+    ``rma.lock_grant`` / ``rma.unlock`` control messages
+    (:meth:`RmaEngine.signal <repro.rma.engine.core.RmaEngine.signal>`).
+    Grants are FIFO so contention behaviour is deterministic and
+    starvation-free.
     """
 
     kind = "lock"
@@ -139,43 +151,42 @@ class CoarseLockSerializer(Serializer):
         ev = self.sim.event()
         self._grants[dst] = ev
         yield self.sim.timeout(self.engine.timings.lock_op)
-        self.engine.send_control(dst, "rma.lock_req", {})
-        yield ev  # the grant packet triggers it
+        self.engine.signal(dst, "rma.lock_req")
+        yield ev  # the grant triggers it
         self.lock_acquisitions += 1
 
     def origin_release(self, dst: int):
         yield self.sim.timeout(self.engine.timings.lock_op)
-        self.engine.send_control(dst, "rma.unlock", {})
+        self.engine.signal(dst, "rma.unlock")
         del self._grants[dst]
         self._gate(dst).release()
 
-    def on_grant(self, packet: Packet) -> None:
-        """A grant arrived from ``packet.src`` for our pending request."""
-        ev = self._grants.get(packet.src)
+    def lock_grant(self, src: int) -> None:
+        """A grant arrived from ``src`` for our pending request."""
+        ev = self._grants.get(src)
         if ev is None:
             raise RuntimeError(
-                f"rank {self.engine.rank}: unexpected lock grant from "
-                f"{packet.src}"
+                f"rank {self.engine.rank}: unexpected lock grant from {src}"
             )
         ev.succeed()
 
     # -- target side ------------------------------------------------------
-    def on_lock_req(self, packet: Packet) -> None:
+    def lock_req(self, src: int) -> None:
         if self._held_by < 0:
-            self._held_by = packet.src
-            self.engine.send_control(packet.src, "rma.lock_grant", {})
+            self._held_by = src
+            self.engine.signal(src, "rma.lock_grant")
         else:
-            self._wait_queue.append(packet.src)
+            self._wait_queue.append(src)
 
-    def on_unlock(self, packet: Packet) -> None:
-        if packet.src != self._held_by:
+    def unlock(self, src: int) -> None:
+        if src != self._held_by:
             raise RuntimeError(
-                f"rank {self.engine.rank}: unlock from {packet.src} but lock "
+                f"rank {self.engine.rank}: unlock from {src} but lock "
                 f"held by {self._held_by}"
             )
         if self._wait_queue:
             self._held_by = self._wait_queue.popleft()
-            self.engine.send_control(self._held_by, "rma.lock_grant", {})
+            self.engine.signal(self._held_by, "rma.lock_grant")
         else:
             self._held_by = -1
 

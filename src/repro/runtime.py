@@ -41,6 +41,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["World", "RankContext"]
 
 
+def _expect(name: str, value: Any, cls: type, optional: str = "") -> None:
+    """Boundary check of one ``World`` argument: ``value`` must be a
+    ``cls`` (``optional`` names what else is accepted).  A preset passed
+    uncalled (``network=seastar_portals``) is the common slip."""
+    if isinstance(value, cls):
+        return
+    hint = (f" — a callable: did you mean {name}={value.__name__}()?"
+            if callable(value) and hasattr(value, "__name__") else "")
+    raise TypeError(
+        f"{name} must be {optional}a {cls.__name__}, got {value!r} "
+        f"(type {type(value).__name__}){hint}")
+
+
 class RankContext:
     """Everything one rank's program can touch.
 
@@ -163,6 +176,24 @@ class World:
             raise ValueError(
                 f"eager_threshold must be a byte count >= 0, "
                 f"got {eager_threshold!r}")
+        # Configuration objects are checked by argument name before
+        # anything is built: a wrong-typed one would otherwise surface
+        # as an AttributeError deep in construction or in a rank program.
+        if machine is not None:
+            _expect("machine", machine, MachineConfig)
+        if network is not None:
+            _expect("network", network, NetworkConfig)
+        if intra_node_network is not None:
+            _expect("intra_node_network", intra_node_network, NetworkConfig)
+        if fault_plan is not None:
+            from repro.faults.plan import FaultPlan
+
+            _expect("fault_plan", fault_plan, FaultPlan)
+        if resilience is not None and not isinstance(resilience, bool):
+            from repro.resil.detector import ResilienceConfig
+
+            _expect("resilience", resilience, ResilienceConfig,
+                    "None, a bool or ")
         if machine is None:
             machine = generic_cluster(n_nodes=8 if n_ranks is None else n_ranks)
         if n_ranks is not None and machine.n_ranks != n_ranks:

@@ -27,6 +27,14 @@ are recomputed around it (BFS on the surviving graph).  When no path
 survives the packet is unroutable — the fabric drops it, and with the
 reliable transport armed the retry budget eventually surfaces the
 partition as a structured RMA error.
+
+**Compiled routes.**  Each directed link's live state is one slotted
+:class:`_Hop` (latency, byte time, busy-until, its :class:`LinkStats`),
+and the per-pair route memo holds tuples of those records, so
+:meth:`TopoRuntime.flight` — once per inter-node packet — walks
+attributes instead of copying a path list and doing four tuple-keyed
+dict lookups per hop.  ``tests/topo/test_flight_equivalence.py`` keeps
+the dict-walking loop as the reference.
 """
 
 from __future__ import annotations
@@ -63,6 +71,22 @@ class LinkStats:
                 f"busy={self.busy_us:.1f}us queue={self.queue_us:.1f}us>")
 
 
+class _Hop:
+    """One directed link as :meth:`TopoRuntime.flight` sees it: its
+    parameters, when it is next free, and its :class:`LinkStats` —
+    created, and entered into the public ``link_stats`` dict, by the
+    first packet that crosses it."""
+
+    __slots__ = ("link", "latency", "byte_time", "busy_until", "stats")
+
+    def __init__(self, link: Link, latency: float, byte_time: float) -> None:
+        self.link = link
+        self.latency = latency
+        self.byte_time = byte_time
+        self.busy_until = 0.0
+        self.stats: Optional[LinkStats] = None
+
+
 class TopoRuntime:
     """One simulation's routed-fabric state.
 
@@ -90,20 +114,24 @@ class TopoRuntime:
             if host not in topology.graph:
                 raise ValueError(
                     f"rank {rank} placed on unknown host {host!r}")
-        self._params: Dict[Link, Tuple[float, float]] = {
-            link: topology.link_params(*link) for link in topology.links()
+        # Per-directed-link contention + accounting state.
+        self._hops: Dict[Link, _Hop] = {
+            link: _Hop(link, *topology.link_params(*link))
+            for link in topology.links()
         }
         self.tracer = tracer
         self._route_rng = (
             rng.stream("topo.route")
             if (rng is not None and topology.adaptive) else None
         )
-        # Per-directed-link contention + accounting state.
-        self._busy: Dict[Link, float] = {}
+        #: Accounting of every link a packet has crossed (no entry for
+        #: an untraversed one).
         self.link_stats: Dict[Link, LinkStats] = {}
-        # Route memo, valid only while no link is dead and routing is
-        # deterministic (adaptive routes are drawn per packet).
-        self._routes: Dict[Tuple[Any, Any], Any] = {}
+        # Compiled-route memo per (src rank, dst rank): a tuple of hops,
+        # or _UNROUTABLE.  Valid only while the set of dead links stands
+        # and routing is deterministic (adaptive routes are drawn per
+        # packet).
+        self._routes: Dict[Tuple[int, int], Any] = {}
         self._dead: Set[Link] = set()
         # stats
         self.packets_routed = 0
@@ -116,64 +144,64 @@ class TopoRuntime:
         return self._host_of[rank]
 
     # -- routing ---------------------------------------------------------
-    def path_for(self, src_rank: int, dst_rank: int) -> Optional[List[Link]]:
-        """The directed-link route for one packet, or ``None`` when the
+    def _compile(self, src_rank: int, dst_rank: int) -> Any:
+        """The compiled route for one packet: a tuple of hops (empty
+        between ranks sharing a host port), or ``_UNROUTABLE`` when the
         pair is partitioned by dead links."""
         src = self._host_of[src_rank]
         dst = self._host_of[dst_rank]
-        if src == dst:
-            return []
-        if self._route_rng is not None:
-            try:
-                return self.topology.route(src, dst, rng=self._route_rng,
-                                           avoid=self._dead)
-            except NoRoute:
-                return None
-        key = (src, dst)
-        path = self._routes.get(key)
-        if path is None:
-            try:
-                path = tuple(self.topology.route(src, dst, avoid=self._dead))
-            except NoRoute:
-                path = _UNROUTABLE
-            self._routes[key] = path
-        return None if path is _UNROUTABLE else list(path)
+        hops = self._hops
+        try:
+            route = tuple([hops[link] for link in self.topology.route(
+                src, dst, rng=self._route_rng, avoid=self._dead)])
+        except NoRoute:
+            route = _UNROUTABLE
+        if self._route_rng is None:
+            self._routes[(src_rank, dst_rank)] = route
+        return route
+
+    def path_for(self, src_rank: int, dst_rank: int) -> Optional[List[Link]]:
+        """The directed-link route for one packet, or ``None`` when the
+        pair is partitioned by dead links."""
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._compile(src_rank, dst_rank)
+        return None if route is _UNROUTABLE else [hop.link for hop in route]
 
     # -- flight-time model ----------------------------------------------
     def flight(self, src_rank: int, dst_rank: int, wire_bytes: int,
                now: float) -> Optional[float]:
         """Arrival time of a packet injected at ``now``, accruing
         per-hop serialization and queueing; ``None`` if unroutable."""
-        path = self.path_for(src_rank, dst_rank)
-        if path is None:
+        route = self._routes.get((src_rank, dst_rank))
+        if route is None:
+            route = self._compile(src_rank, dst_rank)
+        if route is _UNROUTABLE:
             self.unroutable += 1
             if self.tracer is not None:
                 self.tracer.bump("topo.unroutable")
             return None
-        if not path:
+        if not route:
             # Loopback between ranks sharing a host port: one switch
             # traversal, no cable contention.
             return now + self.topology.link_latency
         t = now
-        busy = self._busy
-        stats = self.link_stats
-        for link in path:
-            latency, byte_time = self._params[link]
-            start = busy.get(link, 0.0)
+        for hop in route:
+            start = hop.busy_until
             if start < t:
                 start = t
-            ser = wire_bytes * byte_time
-            busy[link] = start + ser
-            st = stats.get(link)
+            ser = wire_bytes * hop.byte_time
+            hop.busy_until = free = start + ser
+            st = hop.stats
             if st is None:
-                st = stats[link] = LinkStats()
+                st = hop.stats = self.link_stats[hop.link] = LinkStats()
             st.packets += 1
             st.bytes += wire_bytes
             st.busy_us += ser
             st.queue_us += start - t
-            t = start + ser + latency
+            t = free + hop.latency
         self.packets_routed += 1
-        self.hops_traversed += len(path)
+        self.hops_traversed += len(route)
         return t
 
     # -- fault surface ---------------------------------------------------
@@ -185,7 +213,7 @@ class TopoRuntime:
     def fail_link(self, u: Any, v: Any, both: bool = True) -> None:
         """Take the cable ``u -> v`` (and ``v -> u`` unless ``both`` is
         false) out of service; routes recompute around it."""
-        if (u, v) not in self._params:
+        if (u, v) not in self._hops:
             raise ValueError(f"unknown link {link_label((u, v))}")
         self._dead.add((u, v))
         if both:

@@ -10,10 +10,11 @@ from repro.rma.engine import RmaEngine
 @contextmanager
 def fast_paths(train=None, burst=None, nexus=None):
     """Pin the class-level fast-path switches (``RmaEngine.train_enabled``,
-    ``Nic.burst_enabled``, ``CollectiveNexus.enabled``) for the duration;
-    ``None`` leaves a switch alone.  Worlds read the switches while they
-    run, so build *and* run inside the block.  Also works as a decorator:
-    ``fast_paths(train=False)(workload)()``."""
+    ``Nic.burst_enabled``, ``CollectiveNexus.enabled`` — the last covers
+    the barrier walk and the engine's packet-free control messages) for
+    the duration; ``None`` leaves a switch alone.  Worlds read the
+    switches while they run, so build *and* run inside the block.  Also
+    works as a decorator: ``fast_paths(train=False)(workload)()``."""
     wanted = [(RmaEngine, "train_enabled", train),
               (Nic, "burst_enabled", burst),
               (CollectiveNexus, "enabled", nexus)]

@@ -231,3 +231,79 @@ def test_seed0_shape_on_small_analogues():
         world = World(n_ranks=8, network=network)
         world.run(halo)
         assert routes(world) == {taken: 8 * 2 * 3}
+
+
+def control_routes(world):
+    """``{(kind, path, reason): messages}`` of ``control.route``: every
+    header-only control message, counted at ``RmaEngine.signal``."""
+    return {
+        (c["labels"]["kind"], c["labels"]["path"], c["labels"].get("reason")):
+        c["value"]
+        for c in world.metrics.snapshot()["counters"]
+        if c["name"] == "control.route"
+    }
+
+
+def _alltoall(ctx):
+    """Plain puts (flushed), one software-acked atomic put per peer."""
+    alloc, tmems = yield from ctx.rma.expose_collective(ctx.size * 128)
+    src = ctx.mem.space.alloc(128, fill=ctx.rank + 1)
+    yield from ctx.comm.barrier()
+    for step in range(1, ctx.size):
+        peer = (ctx.rank + step) % ctx.size
+        yield from ctx.rma.put(src, 0, 64, BYTE, tmems[peer],
+                               ctx.rank * 128, 64, BYTE)
+        yield from ctx.rma.put(src, 0, 64, BYTE, tmems[peer],
+                               ctx.rank * 128 + 64, 64, BYTE,
+                               atomicity=True)
+    yield from ctx.rma.complete_collective(ctx.comm)
+
+
+def test_control_messages_are_counted_once_on_the_form_they_took():
+    n = 6 * 5   # ordered pairs: one flush round trip and one ack each
+
+    world = World(n_ranks=6, network=seastar_portals())
+    world.run(_alltoall)
+    assert control_routes(world) == {("flush", "live", None): 2 * n,
+                                     ("ack", "live", None): n}
+
+    world = World(n_ranks=6, network=seastar_portals(), trace=True)
+    world.run(_alltoall)
+    assert control_routes(world) == {("flush", "packet", "traced"): 2 * n,
+                                     ("ack", "packet", "traced"): n}
+
+    # an armed plan installs the injector (faulty) and the transport
+    world = World(n_ranks=6, network=seastar_portals(),
+                  fault_plan=FaultPlan().drop(1e-9))
+    world.run(_alltoall)
+    routes = control_routes(world)
+    assert {key[:2] for key in routes} == {("flush", "packet"),
+                                           ("ack", "packet")}
+    assert {key[2] for key in routes} <= {"faulty", "transport"}
+    assert sum(routes.values()) == 3 * n
+
+    with fast_paths(nexus=False):
+        world = World(n_ranks=6, network=seastar_portals())
+        world.run(_alltoall)
+    assert control_routes(world) == {("flush", "packet", "disabled"): 2 * n,
+                                     ("ack", "packet", "disabled"): n}
+
+
+def test_lock_hand_offs_are_counted():
+    from repro.machine import cray_xt5_catamount
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(256)
+        yield from ctx.comm.barrier()
+        if ctx.rank:
+            src = ctx.mem.space.alloc(64, fill=ctx.rank)
+            yield from ctx.rma.put(src, 0, 64, BYTE, tmems[0], 0, 64, BYTE,
+                                   atomicity=True, blocking=True)
+        yield from ctx.rma.complete_collective(ctx.comm)
+
+    world = World(machine=cray_xt5_catamount(3), network=seastar_portals(),
+                  serializer="lock")
+    world.run(program)
+    # per origin: lock_req, lock_grant, unlock; and the op's software ack
+    assert control_routes(world) == {("lock", "live", None): 6,
+                                     ("ack", "live", None): 2}

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.machine import generic_cluster, nec_sx9
 from repro.mpi.constants import ERRORS_RAISE, ERRORS_RETURN
-from repro.network import quadrics_like
+from repro.network import quadrics_like, seastar_portals
 from repro.runtime import World
 from repro.sim import SimulationError
 
@@ -66,6 +67,48 @@ class TestConstruction:
             World(n_ranks=2, eager_threshold=bad)
         assert World(n_ranks=2, eager_threshold=0).endpoints[0] \
             .eager_threshold == 0
+
+    @pytest.mark.parametrize("bad", ["portals", seastar_portals])
+    def test_bad_network_names_the_argument(self, bad):
+        """Used to die as ``'str' / 'function' object has no attribute
+        'topology'``."""
+        with pytest.raises(TypeError, match="network must be a "
+                                            "NetworkConfig, got .*"
+                                            + type(bad).__name__):
+            World(n_ranks=2, network=bad)
+        with pytest.raises(TypeError, match=r"network=seastar_portals\(\)"):
+            World(n_ranks=2, network=seastar_portals)
+
+    @pytest.mark.parametrize("bad", ["xt5", 4])
+    def test_bad_machine_names_the_argument(self, bad):
+        """Used to die as ``… object has no attribute 'n_ranks'``."""
+        with pytest.raises(TypeError, match="machine must be a "
+                                            "MachineConfig, got "
+                                            + repr(bad)):
+            World(machine=bad)
+
+    def test_bad_fault_plan_names_the_argument(self):
+        """Used to die as ``'str' object has no attribute 'active'``."""
+        with pytest.raises(TypeError, match="fault_plan must be a "
+                                            "FaultPlan, got 'drop'"):
+            World(n_ranks=2, fault_plan="drop")
+        assert World(n_ranks=2, fault_plan=FaultPlan()).injector is None
+
+    def test_bad_intra_node_network_names_the_argument(self):
+        """Used to be accepted and fail at the first same-node packet."""
+        with pytest.raises(TypeError, match="intra_node_network must be a "
+                                            "NetworkConfig, got 'shm'"):
+            World(machine=nec_sx9(n_nodes=2, ranks_per_node=2),
+                  intra_node_network="shm")
+
+    def test_bad_resilience_names_the_argument(self):
+        """Any truthy value used to build the detector with defaults."""
+        with pytest.raises(TypeError, match="resilience must be None, a "
+                                            "bool or a ResilienceConfig, "
+                                            "got 'on'"):
+            World(n_ranks=2, resilience="on")
+        assert World(n_ranks=2, resilience=False).resil is None
+        assert World(n_ranks=2, resilience=True).resil is not None
 
     def test_a_broken_frontend_import_surfaces_at_construction(
             self, monkeypatch):

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """How host cost per op grows with the rank count: personalized
-all-to-all and 1-target incast on the flat Portals fabric.  Report only
-(``PYTHONPATH=src python tools/scale_probe.py [P ...]``) — the gate on
-the fan-in structures is the counting test in
+all-to-all and 1-target incast on the flat Portals fabric, and
+(``--torus``) the routed point: a 6-neighbour halo on a 4x4x4 and an
+8x8x8 torus, seeded random placement.  Report only
+(``PYTHONPATH=src python tools/scale_probe.py [--torus] [P ...]``) — the
+gate on the fan-in structures is the counting test in
 ``tests/network/test_train_registry.py``."""
 
 import gc
@@ -11,10 +13,12 @@ import sys
 import time
 
 from repro.datatypes import BYTE
+from repro.machine import generic_cluster
 from repro.network.config import seastar_portals
 from repro.runtime import World
+from repro.topo import torus_network
 
-NBYTES, INCAST_PUTS = 1024, 32
+NBYTES, INCAST_PUTS, HALO_ITERS = 1024, 32, 4
 
 
 def program(ctx, incast):
@@ -29,16 +33,34 @@ def program(ctx, incast):
     yield from ctx.rma.complete_collective(ctx.comm)
 
 
-def point(ranks, incast):
-    world = World(n_ranks=ranks, network=seastar_portals())
+def halo(ctx, side):
+    alloc, tmems = yield from ctx.rma.expose_collective(6 * NBYTES)
+    src = ctx.mem.space.alloc(NBYTES, fill=1 + ctx.rank % 250)
+    coord = (ctx.rank // (side * side), ctx.rank // side % side,
+             ctx.rank % side)
+    peers = []
+    for dim in range(3):
+        for sign in (1, -1):
+            c = list(coord)
+            c[dim] = (c[dim] + sign) % side
+            peers.append((c[0] * side + c[1]) * side + c[2])
+    yield from ctx.comm.barrier()
+    for _ in range(HALO_ITERS):
+        for slot, peer in enumerate(peers):
+            yield from ctx.rma.put(src, 0, NBYTES, BYTE, tmems[peer],
+                                   slot * NBYTES, NBYTES, BYTE)
+        yield from ctx.rma.complete_collective(ctx.comm)
+
+
+def point(label, world, rank_program, *args):
     gc.collect()
     full = gc.get_stats()[2]["collections"]
     t0 = time.perf_counter()
-    world.run(program, incast)
+    world.run(rank_program, *args)
     wall = time.perf_counter() - t0
     ops = sum(ctx.rma.stats["puts"] for ctx in world.contexts.values())
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{'incast' if incast else 'alltoall':9s} P={ranks:4d} "
+    print(f"{label:9s} P={world.n_ranks:4d} "
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
           f"rss_high_water={rss:6.1f}MiB "
           f"gen2_gc={gc.get_stats()[2]['collections'] - full}")
@@ -46,8 +68,24 @@ def point(ranks, incast):
 
 
 if __name__ == "__main__":
+    if "--torus" in sys.argv[1:]:
+        sides = [int(a) for a in sys.argv[1:] if a != "--torus"] or [4, 8]
+        per_op = [
+            point("torushalo",
+                  World(machine=generic_cluster(n_nodes=side ** 3)
+                        .with_placement("random", 0),
+                        network=torus_network((side,) * 3)),
+                  halo, side)
+            for side in sides]
+        print(f"  us/op(side={sides[-1]}) / us/op(side={sides[0]}) = "
+              f"{per_op[-1] / per_op[0]:.2f}")
+        sys.exit(0)
     sizes = [int(a) for a in sys.argv[1:]] or [24, 48, 96, 192]
     for incast in (False, True):
-        per_op = [point(ranks, incast) for ranks in sizes]
+        per_op = [
+            point("incast" if incast else "alltoall",
+                  World(n_ranks=ranks, network=seastar_portals()),
+                  program, incast)
+            for ranks in sizes]
         print(f"  us/op(P={sizes[-1]}) / us/op(P={sizes[0]}) = "
               f"{per_op[-1] / per_op[0]:.2f}")
