@@ -14,6 +14,7 @@ guidance for numerical Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 __all__ = ["Datatype", "DatatypeError", "Segment"]
@@ -71,7 +72,10 @@ class Datatype:
 
     Subclasses must set ``_segments`` (flattened layout of a single
     instance), ``_size`` (total payload bytes) and ``_extent`` (span in
-    the buffer from one instance to the next).
+    the buffer from one instance to the next).  A datatype is immutable
+    once constructed, so what the RMA issue path asks of it per
+    operation — :attr:`is_contiguous`, the hash, the one-instance byte
+    span — is derived once per object.
     """
 
     _segments: Tuple[Segment, ...]
@@ -101,7 +105,7 @@ class Datatype:
         """Flattened, coalesced layout of one instance."""
         return self._segments
 
-    @property
+    @cached_property
     def is_contiguous(self) -> bool:
         """True when one instance is a single run starting at offset 0
         whose length equals the extent — the fast path for pack/unpack."""
@@ -154,9 +158,14 @@ class Datatype:
         """
         if count <= 0 or not self._segments:
             return (0, 0)
-        lo = min(s.disp for s in self._segments)
-        hi = max(s.disp + s.nbytes for s in self._segments)
+        lo, hi = self._span
         return (lo, (count - 1) * self._extent + hi)
+
+    @cached_property
+    def _span(self) -> Tuple[int, int]:
+        """``(lo, hi)`` byte bounds of one instance."""
+        return (min(s.disp for s in self._segments),
+                max(s.disp + s.nbytes for s in self._segments))
 
     def __repr__(self) -> str:
         return (
@@ -174,4 +183,8 @@ class Datatype:
         )
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self._segments, self._size, self._extent))

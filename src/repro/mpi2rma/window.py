@@ -27,6 +27,7 @@ from repro.mpi2rma.locks import WindowLockManager
 from repro.network.packet import Packet
 from repro.resil.errors import WindowRevoked
 from repro.rma.attributes import RmaAttrs
+from repro.rma.engine.board import check_notify_count
 from repro.rma.target_mem import TargetMem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -198,6 +199,7 @@ class Win:
         if self._freed:
             raise Mpi2Error("test_notify on a freed window")
         self._check_revoked("test_notify")
+        check_notify_count(count, "test_notify", self._engine.rank)
         yield self._engine.sim.timeout(self._engine.timings.call_overhead)
         return self._engine.board.test_notify(
             self._tmems[self.comm.rank], match, count=count

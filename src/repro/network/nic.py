@@ -80,6 +80,13 @@ class Nic:
         # a fault plan's stall window [start, until), kept sorted.
         self._reserved_until: float = 0.0
         self._stalls: "list[tuple[float, float]]" = []
+        #: Injection instant of the last thing handed to this NIC that
+        #: books its arrival (``Fabric.arrival``) only when injected.
+        #: While ``now`` is before it, un-booked traffic is queued ahead
+        #: and nothing behind it may book an arrival at issue: the
+        #: per-pair FIFO clamp would then hold the earlier-injected
+        #: packet behind the later one (see ``TrainRoute.issue``).
+        self._unbooked_until: float = 0.0
         #: Reliable transport, armed only for fault-injection runs (see
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
@@ -132,7 +139,10 @@ class Nic:
         """Claim the serializer for ``ser`` behind everything already
         handed to this NIC; returns the time the claim ends.  This is
         the injection queue: FIFO, deterministic service time, so the
-        backlog is the single number ``_reserved_until``."""
+        backlog is the single number ``_reserved_until``.  Every caller
+        (:meth:`send`, :meth:`reinject`, :meth:`post`, the barrier walk)
+        books the arrival from a callback at the returned instant, so
+        the claim also moves ``_unbooked_until``."""
         start = self._reserved_until
         now = self.sim.now
         if start < now:
@@ -140,7 +150,7 @@ class Nic:
         for opens, until in self._stalls:  # by opening: one pass composes
             if opens <= start < until:
                 start = until
-        self._reserved_until = t = start + ser
+        self._reserved_until = self._unbooked_until = t = start + ser
         return t
 
     def send(self, packet: Packet) -> Packet:
@@ -299,7 +309,7 @@ class Nic:
                 packet.ev_remote_complete = self.sim.event()
             t += cfg.serialization_time(packet.wire_bytes)
             inject_times.append(t)
-        self._reserved_until = t
+        self._reserved_until = self._unbooked_until = t
         self.sim.schedule_call(
             t - self.sim.now, self._finish_burst, packets, inject_times
         )

@@ -37,6 +37,12 @@ from repro.rma.target_mem import TargetMem
 
 __all__ = ["PgasError", "Team", "TeamSegment"]
 
+#: Native NumPy dtype -> predefined datatype.  ``PREDEFINED`` is keyed by
+#: ``np.dtype.name``, which NumPy computes in Python on every read —
+#: once per put/get/accumulate of a segment without this table.
+_ELEM_OF = {t.np_dtype: t for name, t in PREDEFINED.items()
+            if t.np_dtype.name == name}
+
 
 class PgasError(RuntimeError):
     """Team/segment usage error."""
@@ -236,9 +242,12 @@ class TeamSegment:
 
     def _elem(self, dtype) -> object:
         np_dtype = np.dtype(dtype)
-        if np_dtype.name not in PREDEFINED:
-            raise PgasError(f"unsupported dtype {dtype!r}")
-        return PREDEFINED[np_dtype.name]
+        elem = _ELEM_OF.get(np_dtype)
+        if elem is None:  # not a native dtype: by name, or unsupported
+            if np_dtype.name not in PREDEFINED:
+                raise PgasError(f"unsupported dtype {dtype!r}")
+            elem = PREDEFINED[np_dtype.name]
+        return elem
 
     def put(self, ptr: GlobalPtr, data, blocking: bool = True):
         """One-sided write of ``data`` at ``ptr`` (``yield from``;

@@ -34,11 +34,17 @@ from repro.mpi.constants import ERRORS_RAISE
 from repro.mpi.request import Request
 from repro.rma.attributes import ALL_RANKS, RmaAttrs
 from repro.rma.engine import RmaEngine
+from repro.rma.engine.board import check_notify_count
 from repro.rma.target_mem import RmaError, TargetMem
 
 __all__ = ["RmaInterface"]
 
 _XFER_OPTYPES = ("put", "get", "accumulate", "get_accumulate", "rmi")
+#: The default of a communicator nobody set one for (immutable, shared).
+_NO_ATTRS = RmaAttrs.none()
+#: Bound on one interface's resolved-attributes memo (a program minting
+#: a fresh ``notify=`` match per op must not grow it without limit).
+_RESOLVED_MAX = 256
 
 
 class RmaInterface:
@@ -48,6 +54,9 @@ class RmaInterface:
         self.engine = engine
         self.comm_world = comm_world
         self._defaults: Dict[Tuple, RmaAttrs] = {}
+        #: (default attrs, keyword items, value types) -> resolved attrs
+        #: (a program passes the same few keyword sets over and over).
+        self._resolved: Dict[Tuple, RmaAttrs] = {}
 
     # ------------------------------------------------------------------
     # Attribute management (§IV req. 5)
@@ -62,7 +71,7 @@ class RmaInterface:
     def default_attrs(self, comm: Optional[Comm] = None) -> RmaAttrs:
         """The attribute default in effect for ``comm``."""
         comm = comm if comm is not None else self.comm_world
-        return self._defaults.get(comm.context, RmaAttrs.none())
+        return self._defaults.get(comm.context, _NO_ATTRS)
 
     def _resolve_attrs(
         self,
@@ -74,15 +83,28 @@ class RmaInterface:
             raise RmaError("pass either attrs= or attribute keywords, not both")
         if attrs is not None:
             return attrs
-        if kwargs:
+        default = self.default_attrs(comm)
+        if not kwargs:
+            return default
+        # Value types are part of the key: True == 1 == 1.0 hash alike
+        # but make different attribute sets (notify=True is an error).
+        key = (default, tuple(kwargs.items()),
+               tuple(map(type, kwargs.values())))
+        try:
+            resolved = self._resolved.get(key)
+        except TypeError:  # an unhashable value: no memo, today's errors
+            key = resolved = None
+        if resolved is None:
             bad = set(kwargs) - {
                 "ordering", "remote_completion", "atomicity", "blocking",
                 "notify",
             }
             if bad:
                 raise RmaError(f"unknown RMA attributes: {sorted(bad)}")
-            return self.default_attrs(comm).with_(**kwargs)
-        return self.default_attrs(comm)
+            resolved = default.with_(**kwargs)
+            if key is not None and len(self._resolved) < _RESOLVED_MAX:
+                self._resolved[key] = resolved
+        return resolved
 
     def _check_target_rank(
         self, tmem: TargetMem, target_rank: Optional[int], comm: Optional[Comm]
@@ -496,6 +518,7 @@ class RmaInterface:
                     count: int = 1):
         """Non-blocking probe (``yield from``): consume ``count``
         notifications if present, returning whether it did."""
+        check_notify_count(count, "test_notify", self.engine.rank)
         yield self.engine.sim.timeout(self.engine.timings.call_overhead)
         return self.engine.board.test_notify(target_mem, match,
                                              count=count)

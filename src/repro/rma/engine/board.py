@@ -20,13 +20,24 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rma.engine.core import RmaEngine
 
-__all__ = ["NotifyBoard", "check_notify_attr"]
+__all__ = ["NotifyBoard", "check_notify_attr", "check_notify_count"]
 
 
 def _check_match(match, **where) -> None:
     if not isinstance(match, int) or isinstance(match, bool) or match < 0:
         raise RmaError(
             f"notify match value must be an int >= 0, got {match!r}", **where
+        )
+
+
+def check_notify_count(count, call: str, rank: int) -> None:
+    """``count`` of a ``wait_notify`` / ``test_notify`` call: consuming
+    fewer than one notification would mint them (the consumed counter
+    runs backwards), a non-integer can never be met."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise RmaError(
+            f"notify count must be an int >= 1, got {count!r} "
+            f"({call} on rank {rank})"
         )
 
 
@@ -159,10 +170,16 @@ class NotifyBoard:
 
     # -- the window owner's calls -----------------------------------------
     def _slot_key(self, tmem: TargetMem, match: int) -> Tuple[int, int]:
-        """Validate a local wait/test/notify_all call and return the
-        board key.  Notifications are *target-side* state: only the
-        window owner may wait on its own board."""
+        """Validate a local wait/test/count/notify_all call and return
+        the board key.  Notifications are *target-side* state: only the
+        window owner may wait on its own board.  Every such call reads
+        the board, so it is an observation point like any other read of
+        target state: train elements that have analytically arrived
+        apply — and surface their notifications — first.  (At the
+        bit-identical instant of an arrival the query therefore sees
+        the notification, whichever was scheduled first.)"""
         eng = self._eng
+        eng.materialize_inbound()
         if tmem.rank != eng.rank:
             raise RmaError(
                 f"rank {eng.rank} cannot wait on rank {tmem.rank}'s "
@@ -196,6 +213,7 @@ class NotifyBoard:
                     count: int = 1) -> bool:
         """Consume ``count`` notifications if that is possible right
         now; returns whether it consumed."""
+        check_notify_count(count, "test_notify", self._eng.rank)
         return self._try_consume(self._slot_key(tmem, match), count)
 
     def wait_notify(self, tmem: TargetMem, match: int, count: int = 1,
@@ -207,6 +225,7 @@ class NotifyBoard:
         failure surfaces as a structured value, never a hang.
         """
         eng = self._eng
+        check_notify_count(count, "wait_notify", eng.rank)
         yield eng.sim.timeout(eng.timings.call_overhead)
         key = self._slot_key(tmem, match)
         eng.stats["notify_waits"] += 1

@@ -4,7 +4,8 @@ the applied watermark and flush answering.
 Every inbound op is an :class:`_InboundOp` keyed by its per-origin
 sequence number.  An op whose *barrier* (the highest sequence number
 that must be applied before it) is not yet covered by the peer's
-applied watermark waits in ``peer.gated``; :meth:`TargetSide._op_applied`
+applied watermark waits in ``peer.gated``; :meth:`TargetSide._applied`
+— the tail every applied write passes through, packet or train element —
 rolls the watermark, delivers the op's notification, drains the gate
 and answers watermark flushes.
 """
@@ -106,7 +107,7 @@ class TargetSide:
         any such access must first apply whatever the per-op path would
         already have delivered by now."""
         fabric = self.nic.fabric
-        if fabric._pending_trains:
+        if self.rank in fabric._pending_trains:
             fabric.materialize_trains(self.rank)
 
     def _notify_early(self, desc: Dict[str, Any]) -> None:
@@ -304,21 +305,34 @@ class TargetSide:
     def _op_applied(self, peer: _TargetPeer, op: _InboundOp) -> None:
         desc = op.desc
         peer.inbound.pop(op.seq, None)
-        peer.mark_applied(op.seq)
         if desc.get("ack") == "sw":
             self.signal(desc["src"], "rma.ack", desc["op_key"])
         m = desc.get("notify")
-        if m is not None:
+        self._applied(peer, desc["src"], op.seq, desc.get("mem_id"),
+                      None if m is None
+                      else (m, desc["op_key"], desc["notify_ts"]),
+                      desc["kind"], desc.get("op_key"))
+
+    def _applied(self, peer: _TargetPeer, src: int, seq: int, mem_id,
+                 notify, kind=None, op_key=None) -> None:
+        """The one tail of target-side application — watermark roll →
+        notification → gated drain → flush answers — reached by both
+        appliers: :meth:`_op_applied` for an op that came as packets,
+        :meth:`OpTrain.apply <repro.rma.train.OpTrain.apply>` for a
+        train element.  ``notify`` is the op's ``(match, op_key,
+        issued)`` or None; ``kind`` and ``op_key`` label the trace
+        record (train elements only form untraced)."""
+        peer.mark_applied(seq)
+        if notify is not None:
             # THE delivery point: the payload is applied (watermark just
             # advanced), so the notification may now surface.  Idempotent
             # via the op_key — if the planted ``notify_before_apply``
             # mutation already delivered at arrival, this is a no-op.
-            self.board.deliver(desc["src"], desc["mem_id"], m,
-                               desc["op_key"], desc["notify_ts"])
+            self.board.deliver(src, mem_id, *notify)
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "rma", "applied",
-                               rank=self.rank, src=desc["src"], seq=op.seq,
-                               kind_=desc["kind"], op=desc.get("op_key"))
+                               rank=self.rank, src=src, seq=seq,
+                               kind_=kind, op=op_key)
         self._drain_gated(peer)
         self._answer_flushes(peer)
 

@@ -10,13 +10,25 @@ table — computes every timestamp of each eligible put/accumulate at
 issue time and records the op on an :class:`OpTrain` instead of
 injecting packets.
 
+An element learns its arrivals in one of two ways
+(:meth:`TrainRoute.books_late`).  *At issue*: the closed form above,
+valid on a flat path with nothing un-booked queued ahead on the NIC —
+zero heap entries.  *At the injection instant*: the NIC side stays
+closed-form and one callback per fragment (:meth:`TrainRoute.inject`)
+calls :meth:`Fabric.arrival <repro.network.fabric.Fabric.arrival>` —
+the one arrival function, link reservations and FIFO clamp included —
+which is what a routed path needs, and what keeps the per-pair clamp in
+injection order behind traffic that books at injection itself.
+
 A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
-fully-described write (put/accumulate) with a precomputed *apply time*
-(its last fragment's analytic arrival).  Application is **lazy**: the
+fully-described write (put/accumulate) with an *apply time* (its last
+fragment's arrival) and, if notified, who waits for it.  Application is
+**lazy**: the
 fabric materializes the arrived prefix of every train headed for a rank
 immediately before delivering any real packet to it, in global
 analytic-arrival order across origins
-(:meth:`~repro.network.fabric.Fabric.materialize_trains`), and the
+(:meth:`~repro.network.fabric.Fabric.materialize_trains`), a notified
+element wakes the target at its apply time, and the
 world drains all trains at end of run.  Because arrivals on an ordered
 path are clamped strictly monotonic, any real packet was sent *after*
 the train elements it follows and arrives after them — so handlers
@@ -26,7 +38,8 @@ produced at the same simulated time.
 
 Timestamps are bit-identical to the event-loop path by construction:
 the arithmetic below is the same float arithmetic `Nic.reserve` /
-`Fabric.transmit` perform, just evaluated eagerly.
+`Fabric.transmit` perform, evaluated eagerly — or, for arrivals booked
+at injection, the same call at the same instant.
 """
 
 from __future__ import annotations
@@ -55,7 +68,8 @@ class TrainElement:
     """One analytically-timed write riding a train."""
 
     __slots__ = ("seq", "mem_id", "base_disp", "swap", "frags", "wire",
-                 "nfrags", "apply_time", "acc", "total_wire")
+                 "nfrags", "apply_time", "acc", "total_wire",
+                 "notification", "booked")
 
     def __init__(
         self,
@@ -66,9 +80,10 @@ class TrainElement:
         frags: Optional[List[Fragment]],
         wire: Any,
         nfrags: int,
-        apply_time: float,
+        apply_time: Optional[float],
         acc: Optional[tuple],
         total_wire: int,
+        notification: Optional[tuple],
     ) -> None:
         self.seq = seq
         self.mem_id = mem_id
@@ -83,10 +98,16 @@ class TrainElement:
         self.nfrags = nfrags
         #: Analytic arrival of the last fragment — the instant the op
         #: counts as applied (matching `_deliver_burst`'s replay point).
+        #: None until the last fragment is injected when the element
+        #: books its arrivals late (:meth:`TrainRoute.inject`).
         self.apply_time = apply_time
         #: (np_elem, op, scale) for accumulates, None for puts.
         self.acc = acc
         self.total_wire = total_wire
+        #: ``(match, op_key, issued)`` of a notified write, else None.
+        self.notification = notification
+        #: Fragments of a late-booked element put in flight so far.
+        self.booked = 0
 
 
 class OpTrain:
@@ -138,10 +159,12 @@ class OpTrain:
 
     def apply(self, elem: TrainElement) -> None:
         """Replay the exact target-side effects of per-packet delivery:
-        fragment application, delivery stats, the applied-watermark
-        roll, then gate draining and flush answering.  Train ops never
-        register an inbound op, never sw-ack, never notify and only
-        form untraced, so the rest of `_op_applied` is moot."""
+        fragment application, delivery stats, then the tail every
+        applied write shares (:meth:`TargetSide._applied
+        <repro.rma.engine.target.TargetSide._applied>`: watermark roll,
+        notification, gate draining, flush answering).  Train ops never
+        register an inbound op and never sw-ack, so the rest of
+        `_op_applied` is moot."""
         eng = self._target
         fabric = eng.nic.fabric
         tpeer = eng._target_peer(self.src)
@@ -156,9 +179,8 @@ class OpTrain:
             fabric.intra_node_packets += elem.nfrags
         apply_write(eng.mem, eng._resolve(elem.mem_id), elem.base_disp,
                     elem.frags, elem.swap, elem.acc, elem.wire)
-        tpeer.mark_applied(elem.seq)
-        eng._drain_gated(tpeer)
-        eng._answer_flushes(tpeer)
+        eng._applied(tpeer, self.src, elem.seq, elem.mem_id,
+                     elem.notification)
 
 
 class TrainRoute:
@@ -167,10 +189,11 @@ class TrainRoute:
 
     When no gate of :meth:`declines` closes, the op's entire lifetime —
     injection, serialization, arrival, application, hardware ack — is
-    a pure function of current NIC/fabric state, so :meth:`issue`
-    computes it as float arithmetic identical to what the event-loop
-    path would perform, records it on the destination's
-    :class:`OpTrain`, and it costs zero kernel events until observed.
+    a pure function of NIC/fabric state, so :meth:`issue` computes it
+    as float arithmetic identical to what the event-loop path would
+    perform and records it on the destination's :class:`OpTrain`.
+    Booked at issue it costs zero kernel events until observed; booked
+    at injection (:meth:`books_late`), one per fragment.
     """
 
     name = "train"
@@ -204,8 +227,6 @@ class TrainRoute:
             return "transport"      # seq numbers, acks, retransmit timers
         if fabric._faulty:
             return "faulty"         # every transmit consults the injector
-        if fabric.topology is not None:
-            return "topology"       # per-hop queueing is state-dependent
         if fabric.tracer.enabled:
             return "traced"         # packets leave inject/deliver records
         if not eng.conformance_mutations <= _TRAIN_MUTATIONS:
@@ -214,15 +235,18 @@ class TrainRoute:
             return "reply"          # get/rmw/rmi: the target must answer
         if op.via_queue or op.via_lock:
             return "atomic"         # serializer job / lock round trips
-        if op.notify is not None:
-            return "notify"         # delivered by target code at apply
         if not op.tmem.coherent:
             return "noncoherent"    # invalidate-then-apply runs per op
         path = fabric.config_for(eng.rank, op.dst)
         if not path.ordered:
             return "unordered"      # arrival clamping assumes FIFO order
-        if op.attrs.remote_completion and not path.remote_completion_events:
-            return "sw-ack"         # the target engine must ack per op
+        if op.attrs.remote_completion:
+            if not path.remote_completion_events:
+                return "sw-ack"     # the target engine must ack per op
+            if self.books_late(path, eng.sim.now):
+                # no arrival at issue to build ev_remote from, and on a
+                # routed path the hardware ack reserves links at arrival
+                return "late-ack"
         peer = eng._origin_peers.get(op.dst)
         if peer is not None and (peer.last_atomic_seq
                                  or peer.last_deferred_seq):
@@ -230,6 +254,59 @@ class TrainRoute:
             # so "delivery order == application order" does not hold
             return "deferred-window"
         return None
+
+    def _arrives(self, train: OpTrain, elem: TrainElement) -> None:
+        """``elem``'s apply time is known: it joins its train.  A
+        notified element also pushes its wake — one heap entry at the
+        apply time itself (not ``now + (t - now)``, which can fall one
+        ulp short and find nothing due) that materializes the target's
+        arrived trains, so a waiter parked on the board resumes at the
+        instant a packet's delivery would have woken it."""
+        train.append(elem)
+        if elem.notification is not None:
+            fabric = self.eng.nic.fabric
+            self.eng.sim.schedule_call_at(
+                elem.apply_time, fabric.materialize_trains, train.dst)
+
+    def inject(self, train: OpTrain, elem: TrainElement, wire_bytes: int,
+               last: bool) -> None:
+        """Serialization of one fragment of a late-booked element ends:
+        what ``Nic._injected`` → ``Fabric.transmit`` do for a packet.  A
+        dead endpoint drops it; otherwise :meth:`Fabric.arrival
+        <repro.network.fabric.Fabric.arrival>` books its flight — link
+        reservations and FIFO clamp — at this instant.  The last
+        fragment's arrival is the element's apply time."""
+        fabric = self.eng.nic.fabric
+        dead = fabric._dead
+        if dead and (train.src in dead or train.dst in dead):
+            # with it die the fragments already in flight: the element
+            # never joins its train
+            fabric.dead_dropped += 1 + (elem.booked if last else 0)
+            return
+        arrival = fabric.arrival(train.src, train.dst, wire_bytes)
+        if arrival is None:
+            return
+        elem.booked += 1
+        if last and elem.booked == elem.nfrags:
+            elem.apply_time = arrival
+            self._arrives(train, elem)
+
+    def books_late(self, path, now: float) -> bool:
+        """Whether an element issued ``now`` learns its arrivals at the
+        injection instant instead of at issue.  The closed form books
+        ``_last_delivery`` at issue, which is only right when nothing
+        un-booked stands between issue and injection: not on a routed
+        path (link reservations must be made in injection order across
+        all NICs), and not while something that books at injection is
+        still queued on this NIC — booking ahead of it would FIFO-clamp
+        the earlier-injected packet behind this later one.  Inclusive:
+        at the bit-identical instant the queued packet leaves, its
+        callback may still be behind the issuing process on the heap."""
+        nic = self.eng.nic
+        fabric = nic.fabric
+        return ((fabric._topo is not None
+                 and path is not fabric.intra_config)
+                or now <= nic._unbooked_until)
 
     def issue(self, op):
         eng = self.eng
@@ -281,22 +358,35 @@ class TrainRoute:
             ]
         now = sim.now
         start = now if now > nic._reserved_until else nic._reserved_until
+        late = self.books_late(path, now)
         key = (eng.rank, dst)
-        prev = fabric._last_delivery.get(key, -1.0)
-        latency = path.latency
         inject_value = None
         arrivals = None
-        if nfrags == 1:
+        arrival = None
+        if late:
+            # The NIC side stays closed-form (the same running sum);
+            # arrivals are learnt fragment by fragment, in inject().
+            if nfrags == 1:
+                inject_end = start + ser[0]
+            else:
+                inject_end = start
+                inject_value = []
+                for s in ser:
+                    inject_end += s
+                    inject_value.append(inject_end)
+        elif nfrags == 1:
             # Scalar algebra: exactly Nic.reserve + transmit.
             inject_end = start + ser[0]
-            arrival = inject_end + latency
+            arrival = inject_end + path.latency
+            prev = fabric._last_delivery.get(key, -1.0)
             if arrival <= prev:
                 arrival = prev + 1e-9
         else:
             # A plain running sum: it IS the send_burst / transmit_burst
             # float sequence, so it is trivially bit-exact.
+            latency = path.latency
             t = start
-            a = prev
+            a = fabric._last_delivery.get(key, -1.0)
             inject_value = []
             arrivals = []
             for s in ser:
@@ -312,17 +402,19 @@ class TrainRoute:
         if ("train_mistime" in eng.conformance_mutations
                 and dst not in self._mistimed):
             # Planted batch-path bug: shift every timestamp of the first
-            # train op per destination.  Reservation and FIFO bookkeeping
+            # train op per destination (a late element's arrivals follow
+            # its shifted injections).  Reservation and FIFO bookkeeping
             # shift too, so nothing hangs — the run simply diverges.
             self._mistimed.add(dst)
             shift = 1e-3
             inject_end += shift
-            arrival += shift
-            if arrivals is not None:
-                arrivals = [a + shift for a in arrivals]
+            if inject_value is not None:
                 inject_value = [v + shift for v in inject_value]
+            if not late:
+                arrival += shift
+                if arrivals is not None:
+                    arrivals = [a + shift for a in arrivals]
         nic._reserved_until = inject_end
-        fabric._last_delivery[key] = arrival
         nic.packets_sent += nfrags
         nic.bytes_sent += nbytes + HEADER_SIZE * nfrags
         ev_local = DeferredEvent(
@@ -330,7 +422,7 @@ class TrainRoute:
             inject_end if inject_value is None else inject_value,
         )
         ev_remote = None
-        if mode == "hw":
+        if mode == "hw":  # never late: declines() names ``late-ack``
             rev = fabric.config_for(dst, eng.rank)
             ack_flight = rev.latency + ACK_SIZE * rev.byte_time
             if nfrags == 1:
@@ -345,10 +437,23 @@ class TrainRoute:
         if train is None:
             train = self._trains[dst] = OpTrain(
                 eng.rank, dst, eng.world.contexts[dst].rma.engine)
-        train.append(TrainElement(
+        element = TrainElement(
             seq, tmem.mem_id, op.disp, swap, frags, wire, nfrags, arrival,
             op.acc, nbytes + HEADER_SIZE * nfrags,
-        ))
+            None if op.notify is None else (op.notify, op_key, now),
+        )
+        if late:
+            # One callback per fragment, pushed with the delay Nic.send
+            # pushes _injected with: equal-instant injections of two
+            # NICs reserve shared links in the order packets would.
+            nic._unbooked_until = inject_end
+            last = nfrags - 1
+            for i, t in enumerate(inject_value or (inject_end,)):
+                sim.schedule_call(t - now, self.inject, train, element,
+                                  HEADER_SIZE + sizes[i], i == last)
+        else:
+            fabric._last_delivery[key] = arrival
+            self._arrives(train, element)
         eng.stats["train_ops"] += 1
         eng.stats["train_bytes"] += nbytes
         return eng._retain(peer, op, op_key, seq, mode, ev_local, ev_remote)

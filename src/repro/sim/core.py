@@ -130,6 +130,19 @@ class Simulator:
         _heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
 
+    def schedule_call_at(
+        self, t: float, fn: Callable[..., None], *args: Any
+    ) -> None:
+        """Absolute-time variant of :meth:`schedule_call`: the heap entry
+        carries ``t`` itself.  ``now + (t - now)`` can round to one ulp
+        before ``t``; a callback that tests ``something_due_at_t <= now``
+        (the op-train's wake) would then find nothing due and never be
+        called again."""
+        if t < self._now:
+            raise ValueError(f"cannot schedule in the past (t={t!r})")
+        _heappush(self._heap, (t, self._seq, fn, args))
+        self._seq += 1
+
     def schedule_bulk_succeed(
         self, delay: float, events: List[Event], values: List[Any]
     ) -> None:

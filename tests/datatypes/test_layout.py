@@ -184,6 +184,37 @@ class TestEquality:
         assert contiguous(4, INT32) == vector(4, 1, 1, INT32)
 
 
+class TestDerivedOncePerObject:
+    """``is_contiguous``, the hash and the one-instance byte span are
+    computed on first use and kept: every read equals the definition."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: INT32,
+        lambda: contiguous(8, INT32),
+        lambda: contiguous(0, BYTE),
+        lambda: vector(3, 2, 4, INT64),
+        lambda: hvector(2, 1, 24, DOUBLE),
+        lambda: indexed([2, 1], [4, 0], INT32),
+        lambda: hindexed([1, 2], [16, 0], BYTE),
+        lambda: struct_type([1, 1], [-8, 8], [INT64, DOUBLE]),
+    ])
+    def test_reads_equal_the_definition(self, make):
+        t, twin = make(), make()
+        segs = t.segments
+        contiguous_ = (len(segs) == 1 and segs[0].disp == 0
+                       and segs[0].nbytes == t.size == t.extent)
+        for _ in range(2):
+            assert t.is_contiguous is contiguous_
+            assert hash(t) == hash((segs, t.size, t.extent)) == hash(twin)
+            if segs:
+                lo = min(s.disp for s in segs)
+                hi = max(s.disp + s.nbytes for s in segs)
+                assert t.byte_range(1) == (lo, hi)
+                assert t.byte_range(3) == (lo, 2 * t.extent + hi)
+            assert t.byte_range(0) == (0, 0)
+        assert t == twin and len({t, twin}) == 1
+
+
 class TestSegmentsFor:
     def test_multiple_instances_coalesce(self):
         t = contiguous(4, BYTE)

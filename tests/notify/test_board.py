@@ -3,8 +3,9 @@
 The board is the target-side half of notified RMA: a notified put's
 match value becomes visible to ``wait_notify``/``test_notify`` only
 after the payload is applied, waiters wake FIFO without overtaking,
-and ineligible ops (rmw, zero-byte, op-train batches) decline loudly
-rather than silently dropping the notification.
+ineligible ops (rmw, zero-byte) decline loudly rather than silently
+dropping the notification, and a notified op riding an op-train
+surfaces at its own apply instant.
 """
 
 import numpy as np
@@ -179,23 +180,85 @@ class TestDeclines:
         assert out[0] is not None
 
     def test_trains_stand_down_for_notified_ops(self):
-        """A long attribute-uniform run of notified puts must not batch
-        (each op's notification needs its own apply point)."""
+        """A long attribute-uniform run of notified puts rides the train
+        (the gate this test is named after is gone) and still gives each
+        op's notification its own apply point: the waiter wakes eight
+        times, at the instants the per-packet run wakes it."""
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(1024)
             yield from ctx.comm.barrier()
+            wakes = []
             if ctx.rank == 0:
                 src = ctx.mem.space.alloc(64, fill=3)
                 for k in range(8):
                     yield from ctx.rma.put(
                         src, 0, 64, BYTE, tmems[1], 64 * k, 64, BYTE,
                         notify=MATCH)
+            else:
+                for _ in range(8):
+                    yield from ctx.rma.wait_notify(tmems[1], MATCH)
+                    wakes.append(repr(ctx.sim.now))
             yield from ctx.rma.complete_collective(ctx.comm)
-            return ctx.rma.engine.stats["train_ops"]
+            return ctx.rma.engine.stats["train_ops"], wakes
 
-        with fast_paths(train=True):
-            out = World(n_ranks=2, trace=False).run(program)
-        assert out[0] == 0
+        seen = {}
+        for train in (True, False):
+            with fast_paths(train=train):
+                seen[train] = World(n_ranks=2, trace=False).run(program)
+        assert seen[True][0][0] == 8 and seen[False][0][0] == 0
+        wakes = seen[True][1][1]
+        assert len(set(wakes)) == 8
+        assert wakes == seen[False][1][1]
+
+
+class TestCountIsChecked:
+    """``count`` of a wait/test must be an int >= 1: a negative one used
+    to mint notifications, zero waited for nothing, a fraction parked
+    forever, a string died inside ``_try_consume``."""
+
+    @pytest.mark.parametrize("count", [-1, 0, 1.5, "2", None, True],
+                             ids=repr)
+    @pytest.mark.parametrize("call", ["wait_notify", "test_notify"])
+    @pytest.mark.parametrize("front", ["rma", "win"])
+    def test_bad_count_raises_at_once_and_leaves_the_board_alone(
+            self, front, call, count):
+        def program(ctx):
+            alloc = ctx.mem.space.alloc(64)
+            src = ctx.mem.space.alloc(8, fill=1)
+            if front == "win":
+                win = yield from ctx.mpi2.win_create(alloc)
+                yield from win.fence()
+                if ctx.rank == 0:
+                    yield from win.put(src, 0, 8, BYTE, 1, 0, notify=MATCH)
+                yield from win.fence()
+                mine, entry, args = win._tmems[ctx.rank], win, ()
+            else:
+                tmems = yield from ctx.comm.allgather(ctx.rma.expose(alloc))
+                if ctx.rank == 0:
+                    yield from ctx.rma.put(src, 0, 8, BYTE, tmems[1], 0, 8,
+                                           BYTE, notify=MATCH)
+                yield from ctx.rma.complete_collective(ctx.comm)
+                mine, entry, args = tmems[ctx.rank], ctx.rma, (tmems[1],)
+            if ctx.rank != 1:
+                return None
+            board = ctx.rma.engine.board
+
+            def state():
+                return (dict(board._counts), dict(board._consumed),
+                        len(board._waiters), board.notify_count(mine, MATCH),
+                        ctx.rma.stats["notify_waits"], ctx.sim.now)
+
+            before = state()
+            assert before[3] == 1
+            with pytest.raises(RmaError) as err:
+                yield from getattr(entry, call)(*args, MATCH, count=count)
+            assert str(err.value) == (
+                f"notify count must be an int >= 1, got {count!r} "
+                f"({call} on rank 1)")
+            assert state() == before
+            return True
+
+        assert World(n_ranks=2).run(program)[1] is True
 
 
 class TestWindowApi:

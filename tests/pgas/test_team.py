@@ -210,3 +210,20 @@ class TestTeamSegment:
             return False
 
         assert w.run(program) == [True, True]
+
+    def test_element_type_lookup_by_dtype_equals_lookup_by_name(self):
+        """``TeamSegment._elem`` finds a native dtype in a table built
+        once; anything else still goes (or fails) by ``np.dtype.name``."""
+        from repro.datatypes import PREDEFINED
+        from repro.pgas.team import TeamSegment
+
+        for name, expected in PREDEFINED.items():
+            if name in ("byte", "char"):    # no NumPy dtype of that name
+                continue
+            for spelling in (name, np.dtype(name), expected.np_dtype.type):
+                assert TeamSegment._elem(None, spelling) is expected
+        swapped = np.dtype("float64").newbyteorder()
+        assert TeamSegment._elem(None, swapped) is PREDEFINED["float64"]
+        for _ in range(2):
+            with pytest.raises(PgasError, match="unsupported dtype"):
+                TeamSegment._elem(None, np.complex128)

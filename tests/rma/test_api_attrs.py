@@ -97,6 +97,28 @@ class TestAttrResolution:
         with pytest.raises(RmaError, match="unknown RMA attributes"):
             World(n_ranks=1).run(program)
 
+    def test_resolved_keywords_are_memoized_by_value_and_type(self):
+        """The memo returns what ``with_`` returns — equal for equal
+        keywords, distinct where ``True == 1`` would alias two keys —
+        and neither a bad keyword nor an unhashable value is cached
+        into silence."""
+        rma = World(n_ranks=1).contexts[0].rma
+        first = rma._resolve_attrs(None, None, {"notify": 1})
+        assert first == RmaAttrs(notify=1)
+        assert rma._resolve_attrs(None, None, {"notify": 1}) is first
+        assert rma._resolve_attrs(None, None, {"notify": True}).notify is True
+        assert rma._resolve_attrs(None, None, {"blocking": 1}).blocking == 1
+        assert rma._resolve_attrs(None, None, {"blocking": True}) == \
+            RmaAttrs(blocking=True)
+        rma.set_default_attrs(RmaAttrs.strict())
+        assert rma._resolve_attrs(None, None, {"notify": 1}) == \
+            RmaAttrs.strict().with_(notify=1)
+        for _ in range(2):
+            with pytest.raises(RmaError, match="unknown RMA attributes"):
+                rma._resolve_attrs(None, None, {"consistency": True})
+            assert rma._resolve_attrs(None, None, {"notify": [1]}) == \
+                RmaAttrs.strict().with_(notify=[1])
+
     def test_default_scoped_per_communicator(self):
         def program(ctx):
             comm2 = yield from ctx.comm.dup()

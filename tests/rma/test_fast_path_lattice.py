@@ -1,21 +1,29 @@
 """The fast-path lattice: every combination of the three class switches
 (op-train, NIC burst, live control plane) must be indistinguishable from
 the all-off per-packet run — simulated times, returns, final window
-memory, every engine statistic except the train's own two counters, and
-the NIC, fabric and per-link counters.  The ``nexus`` axis covers the
-barrier walk *and* the engine's header-only messages (flush round-trips,
-software acks, lock hand-offs), so the scenarios below include each."""
+memory, every engine statistic except the train's own two counters, the
+notification boards (deliveries and latencies), and the NIC, fabric and
+per-link counters.  The ``nexus`` axis covers the barrier walk *and* the
+engine's header-only messages (flush round-trips, software acks, lock
+hand-offs), so the scenarios below include each; the ``train`` axis
+covers both ways an element is timed (at issue; at the injection
+instant, on routed paths and behind queued traffic) and notified
+writes."""
 
+import dataclasses
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import fig2_attribute_cost, rank_fill
 from repro.datatypes import BYTE, INT64
 from repro.machine import generic_cluster
+from repro.mpi.constants import ERRORS_RETURN
 from repro.network.config import seastar_portals
 from repro.network.nic import Nic
+from repro.notify import DisseminationBarrier, NotifyQueue
 from repro.rma.engine import RmaEngine
 from repro.runtime import World
 from repro.sim.core import SimulationError
@@ -29,14 +37,16 @@ BIG = 33 * 4096 + 100  # 34 fragments at the 4 KiB MTU
 
 def _observe(world, results):
     """Everything a run exposes, minus the train's own counters."""
-    memory, stats = {}, {}
+    memory, stats, boards = {}, {}, {}
     for rank, ctx in world.contexts.items():
         space = world.memories[rank].space
         memory[rank] = [hashlib.sha256(bytes(space.buffer(a))).hexdigest()
                         for a in ctx.rma.engine._exposures.values()]
         stats[rank] = {k: v for k, v in ctx.rma.stats.items()
                        if k not in ("train_ops", "train_bytes")}
-    return results, world.sim.now, memory, stats
+        board = ctx.rma.engine.board
+        boards[rank] = (board.delivered(), list(board.latencies))
+    return results, world.sim.now, memory, stats, boards
 
 
 def _traffic(world):
@@ -89,8 +99,8 @@ def _halo():
 
 def _mixed():
     """A > 32-fragment put (rides the train's running-sum loop when the
-    train is on) beside ops that decline it: a notified put, a
-    get-accumulate and a CAS."""
+    train is on) and a notified put, beside ops that decline the train:
+    a get-accumulate and a CAS."""
     world = World(n_ranks=4, network=seastar_portals())
 
     def program(ctx):
@@ -116,25 +126,131 @@ def _mixed():
     return world, world.run(program)
 
 
-def _torus_halo():
-    """6-neighbour halo on a 2x2x2 torus, seeded random placement: every
-    put is packets over contended links, every completion a flush round
-    trip and a barrier."""
+def _torus_world():
     machine = generic_cluster(n_nodes=8).with_placement("random", 11)
-    world = World(machine=machine, network=torus_network((2, 2, 2)))
+    return World(machine=machine, network=torus_network((2, 2, 2)))
+
+
+def _torus_halo(notified=False):
+    """6-neighbour halo on a 2x2x2 torus, seeded random placement: every
+    put crosses contended links (a train element booking its link
+    reservations at the injection instant, or a packet), every
+    completion is a flush round trip and a barrier — or, ``notified``,
+    six waits on the board."""
+    def run():
+        world = _torus_world()
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(6 * 2048)
+            src = ctx.mem.space.alloc(2048, fill=rank_fill(ctx.rank))
+            peers = [ctx.rank ^ 4, ctx.rank ^ 4, ctx.rank ^ 2, ctx.rank ^ 2,
+                     ctx.rank ^ 1, ctx.rank ^ 1]
+            yield from ctx.comm.barrier()
+            for _ in range(3):
+                for slot, peer in enumerate(peers):
+                    yield from ctx.rma.put(
+                        src, 0, 2048, BYTE, tmems[peer], slot * 2048, 2048,
+                        BYTE, notify=slot if notified else None)
+                if notified:
+                    for slot in range(6):
+                        yield from ctx.rma.wait_notify(tmems[ctx.rank], slot)
+                else:
+                    yield from ctx.rma.complete_collective(ctx.comm)
+            if notified:
+                yield from ctx.rma.complete_collective(ctx.comm)
+            return ctx.sim.now
+
+        return world, world.run(program)
+    return run
+
+
+def _torus_big():
+    """A 34-fragment put on the torus (34 late-booked fragments, or 34
+    packets) beside a get to the same target: request and reply share
+    the NICs and the links with the fragments."""
+    world = _torus_world()
 
     def program(ctx):
-        alloc, tmems = yield from ctx.rma.expose_collective(6 * 2048)
-        src = ctx.mem.space.alloc(2048, fill=rank_fill(ctx.rank))
-        peers = [ctx.rank ^ 4, ctx.rank ^ 4, ctx.rank ^ 2, ctx.rank ^ 2,
-                 ctx.rank ^ 1, ctx.rank ^ 1]
+        alloc, tmems = yield from ctx.rma.expose_collective(BIG + 4096)
+        src = ctx.mem.space.alloc(BIG, fill=rank_fill(ctx.rank))
+        got = ctx.mem.space.alloc(4096)
+        peer = ctx.rank ^ 5
         yield from ctx.comm.barrier()
-        for _ in range(3):
-            for slot, peer in enumerate(peers):
-                yield from ctx.rma.put(src, 0, 2048, BYTE, tmems[peer],
-                                       slot * 2048, 2048, BYTE)
-            yield from ctx.rma.complete_collective(ctx.comm)
-        return ctx.sim.now
+        yield from ctx.rma.put(src, 0, BIG, BYTE, tmems[peer], 0, BIG, BYTE)
+        yield from ctx.rma.get(got, 0, 4096, BYTE, tmems[peer], BIG, 4096,
+                               BYTE, blocking=True)
+        fetched = ctx.sim.now
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return fetched, ctx.sim.now
+
+    return world, world.run(program)
+
+
+def _notified_halo():
+    """8-rank ring halo synchronized by the board alone: both
+    neighbours, two waits per iteration."""
+    world = World(n_ranks=8, network=seastar_portals())
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(2 * 1024)
+        src = ctx.mem.space.alloc(1024, fill=rank_fill(ctx.rank))
+        right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+        yield from ctx.comm.barrier()
+        woken = []
+        for _ in range(4):
+            yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[right], 0, 1024,
+                                   BYTE, notify=1)
+            yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[left], 1024,
+                                   1024, BYTE, notify=2)
+            for match in (1, 2):
+                yield from ctx.rma.wait_notify(tmems[ctx.rank], match)
+                woken.append(ctx.sim.now)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return woken, ctx.sim.now
+
+    return world, world.run(program)
+
+
+def _notify_queue():
+    """4-stage ``NotifyQueue`` pipeline: data one way, credits the
+    other, every hand-off a notified put and a wait."""
+    world = World(n_ranks=4, network=seastar_portals())
+
+    def program(ctx):
+        queues = []
+        for stage in range(ctx.size - 1):
+            queues.append((yield from NotifyQueue.create(
+                ctx, producer=stage, consumer=stage + 1, capacity=2,
+                slot_bytes=64, name=f"stage{stage}")))
+        yield from ctx.comm.barrier()
+        seen = []
+        for i in range(10):
+            if ctx.rank:
+                data = yield from queues[ctx.rank - 1].pop()
+                seen.append((ctx.sim.now, int(data[0])))
+            else:
+                data = np.full(64, i + 1, dtype=np.uint8)
+            if ctx.rank < ctx.size - 1:
+                yield from queues[ctx.rank].push(data)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return seen, ctx.sim.now
+
+    return world, world.run(program)
+
+
+def _dissemination():
+    """Five generations of the notified dissemination barrier."""
+    world = World(n_ranks=6, network=seastar_portals())
+
+    def program(ctx):
+        bar = yield from DisseminationBarrier.create(ctx)
+        left = []
+        for i in range(5):
+            yield ctx.sim.timeout(0.3 * ((ctx.rank + i) % 4))
+            yield from bar.wait()
+            left.append(ctx.sim.now)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return left, ctx.sim.now
 
     return world, world.run(program)
 
@@ -170,9 +286,13 @@ WORKLOADS = {"fig2-none": _fig2("none"),
              # lock_req -> lock_grant -> unlock hand-offs, 7 contenders
              "fig2-lock": _fig2("atomicity+lock", 1024),
              "halo8": _halo, "mixed": _mixed,
-             "torus-halo": _torus_halo, "hierarchical": _hierarchical}
+             "torus-halo": _torus_halo(), "hierarchical": _hierarchical,
+             "notified-halo": _notified_halo, "notify-queue": _notify_queue,
+             "dissemination": _dissemination,
+             "torus-notified": _torus_halo(notified=True),
+             "torus-big": _torus_big}
 #: Scenarios in which no op can ride the train, whatever the switch.
-TRAINLESS = ("fig2-atomicity", "fig2-lock", "torus-halo")
+TRAINLESS = ("fig2-atomicity", "fig2-lock")
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -190,7 +310,7 @@ def test_every_combination_equals_all_off(name):
             # the switches are independent: the train needs only its own
             assert (trains > 0) == train, (train, burst, nexus)
         if name == "mixed" and train:
-            assert all(c.rma.stats["train_bytes"] == BIG
+            assert all(c.rma.stats["train_bytes"] == BIG + 512
                        for c in world.contexts.values())
     reference, ref_traffic = seen[False, False, False]
     for combo, (observed, traffic) in seen.items():
@@ -345,3 +465,232 @@ def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
     assert _traffic(live) == _traffic(packet)
     assert (sum(nic.packets_sent for nic in live.nics.values())
             == live.fabric.packets_delivered)
+
+
+# ----------------------------------------------------------------------
+# Notified and late-booked train elements (PR 19)
+# ----------------------------------------------------------------------
+def _two_ranks(call_overhead, **network):
+    """Two ranks whose windows exist before the program starts (no
+    collective set-up), so an op can be issued at a chosen instant."""
+    machine = generic_cluster(n_nodes=2)
+    machine = dataclasses.replace(machine, timings=dataclasses.replace(
+        machine.timings, call_overhead=call_overhead))
+    world = World(machine=machine, network=dataclasses.replace(
+        seastar_portals(), overhead_send=0.0, **network))
+    tmem = world.contexts[1].rma.expose(world.memories[1].space.alloc(64))
+    return world, tmem
+
+
+def test_the_wake_of_a_notified_element_cannot_miss_it():
+    """The wake is a heap entry at the element's apply time itself.  A
+    put issued so early that ``now + (apply - now)`` rounds one ulp
+    short of ``apply`` would, scheduled by delay, run before its element
+    is due, find nothing to materialize and leave the waiter parked."""
+    world, tmem = _two_ranks(call_overhead=1776 * 1e-7)
+
+    def program(ctx):
+        if ctx.rank == 1:
+            yield from ctx.rma.wait_notify(tmem, 3)
+            return ctx.sim.now
+        src = ctx.mem.space.alloc(8, fill=9)
+        yield from ctx.rma.put(src, 0, 8, BYTE, tmem, 0, 8, BYTE, notify=3)
+        return ctx.sim.now
+
+    issued, woken = world.run(program)      # a missed wake is a deadlock
+    assert world.contexts[0].rma.stats["train_ops"] == 1
+    assert woken == (issued + 0.3) + 2.2    # inject (the gap), then fly
+    assert issued + (woken - issued) != woken
+
+
+def test_a_board_query_at_the_arrival_instant_sees_the_notification():
+    """The tie rule (DESIGN §15): a board query is an observation point,
+    so at the bit-identical instant of an element's arrival it sees the
+    notification even when its own heap entry is older than the wake.
+    All times dyadic: issue 0.5, injected 0.75, applied 2.75."""
+    world, tmem = _two_ranks(call_overhead=0.5, gap=0.25, latency=2.0)
+
+    def program(ctx):
+        if ctx.rank == 1:
+            yield ctx.sim.timeout(2.75)     # pushed before the put exists
+            board = ctx.rma.engine.board
+            return ctx.sim.now, board.test_notify(tmem, 3)
+        src = ctx.mem.space.alloc(8, fill=9)
+        yield from ctx.rma.put(src, 0, 8, BYTE, tmem, 0, 8, BYTE, notify=3)
+
+    _, seen = world.run(program)
+    assert world.contexts[0].rma.stats["train_ops"] == 1
+    assert world.contexts[1].rma.engine.board.latencies == [2.25]
+    assert seen == (2.75, True)
+
+
+def test_a_put_issued_at_a_queued_replys_injection_instant_books_late():
+    """``now <= _unbooked_until`` is inclusive: at the bit-identical
+    instant a queued packet leaves, its injection callback may still be
+    behind the issuing process on the heap.  All times dyadic: rank 1's
+    get request lands on rank 0 at 3.25, the reply is injected at 3.5 —
+    the instant rank 0, parked since 3.0, issues a put to rank 1.
+    Booked at issue the put would clamp the reply from 5.5 to behind
+    its own 5.75."""
+    def run():
+        world, to_1 = _two_ranks(call_overhead=0.5, gap=0.25, latency=2.0)
+        to_0 = world.contexts[0].rma.expose(world.memories[0].space.alloc(64))
+
+        def program(ctx):
+            buf = ctx.mem.space.alloc(8, fill=9)
+            if ctx.rank == 0:
+                yield ctx.sim.timeout(3.0)
+                yield from ctx.rma.put(buf, 0, 8, BYTE, to_1, 0, 8, BYTE)
+            else:
+                yield ctx.sim.timeout(0.5)
+                yield from ctx.rma.get(buf, 0, 8, BYTE, to_0, 0, 8, BYTE,
+                                       blocking=True)
+            return ctx.sim.now
+
+        return world, world.run(program)
+
+    seen = {}
+    for train in (True, False):
+        with fast_paths(train=train):
+            world, results = run()
+        assert world.contexts[0].rma.stats["train_ops"] == train
+        assert world.fabric._last_delivery == {(1, 0): 3.25, (0, 1): 5.75}
+        seen[train] = results
+    assert seen[True] == seen[False] and seen[True][0] == 3.5
+
+
+def test_kill_rank_drops_late_and_notified_elements_like_packets():
+    """2x2x2 torus, every rank sends a notified halo to its three
+    neighbours (elements booked at injection) and waits for theirs,
+    watching them.  Rank 0 dies at twelve instants spread over the
+    exchange — fragments queued, in flight, applied: drops, the
+    watchers' errors and the survivors' memory match the per-packet
+    run."""
+    spans = []
+
+    def run(at=None):
+        world = _torus_world()
+        world.set_errhandler(ERRORS_RETURN)
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(3 * 2048)
+            src = ctx.mem.space.alloc(2048, fill=rank_fill(ctx.rank))
+            yield from ctx.comm.barrier()
+            start = ctx.sim.now
+            outcome = []
+            for round_ in range(2):
+                for slot, bit in enumerate((1, 2, 4)):
+                    yield from ctx.rma.put(
+                        src, 0, 2048, BYTE, tmems[ctx.rank ^ bit],
+                        slot * 2048, 2048, BYTE, notify=slot)
+                for slot, bit in enumerate((1, 2, 4)):
+                    errs = yield from ctx.rma.wait_notify(
+                        tmems[ctx.rank], slot, watch=[ctx.rank ^ bit])
+                    outcome.append((ctx.sim.now,
+                                    [(e.kind, e.target) for e in errs]))
+            if ctx.rank == 0:
+                spans.append((start, ctx.sim.now))
+            return outcome
+
+        if at is not None:
+            world.sim.schedule_call(at, world._kill_rank, 0)
+        return world, world.run(program)
+
+    run()
+    (start, end), = spans
+    for i in range(12):
+        at = start + (end - start) * (i + 0.5) / 12
+        seen = {}
+        for train in (True, False):
+            with fast_paths(train=train):
+                world, results = run(at)
+            observed = _observe(world, results)
+            memory = {r: m for r, m in observed[2].items() if r != 0}
+            seen[train] = (results, observed[1], memory, observed[4],
+                           world.fabric.dead_dropped)
+            assert results[0] is None
+        assert seen[True] == seen[False], at
+        assert seen[True][4] > 0
+
+
+def test_kill_rank_between_the_fragments_of_a_late_element():
+    """A three-fragment put on the torus whose origin dies after the
+    first fragment left and before it lands: the fragment in flight and
+    the two still queued are dropped, the element never forms and the
+    target's window is untouched — as with packets."""
+    seen = {}
+    for train in (True, False):
+        with fast_paths(train=train):
+            world = _torus_world()
+            tmem = world.contexts[5].rma.expose(
+                world.memories[5].space.alloc(3 * 4096))
+
+            def program(ctx):
+                if ctx.rank == 0:
+                    src = ctx.mem.space.alloc(3 * 4096, fill=7)
+                    yield from ctx.rma.put(src, 0, 3 * 4096, BYTE, tmem, 0,
+                                           3 * 4096, BYTE)
+                    # issued at 4.2 us; fragments leave 2.064 us apart
+                    world.sim.schedule_call(3.0, world._kill_rank, 0)
+                yield ctx.sim.timeout(40.0)
+
+            world.run(program)
+        assert world.contexts[0].rma.stats["train_ops"] == train
+        seen[train] = (world.fabric.dead_dropped,
+                       world.fabric.packets_delivered,
+                       bytes(world.memories[5].space.buffer(
+                           world.contexts[5].rma.engine._exposures[
+                               tmem.mem_id])))
+    assert seen[True] == seen[False]
+    assert seen[True][:2] == (3, 0) and not any(seen[True][2])
+
+
+@pytest.mark.parametrize("name", ["notified-ring", "torus-halo"])
+def test_train_writes_build_no_fragment_packet(name, monkeypatch):
+    """The counting guard: notified writes and writes over a routed
+    fabric reach no ``Nic.send`` as ``rma.frag``, yet every traffic
+    counter reads what the per-packet run reads."""
+    sent = []
+    send = Nic.send
+
+    def spy(self, packet):
+        sent.append(packet.kind)
+        return send(self, packet)
+
+    monkeypatch.setattr(Nic, "send", spy)
+
+    def ring():
+        world = World(n_ranks=16, network=seastar_portals())
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(2 * 1024)
+            src = ctx.mem.space.alloc(1024, fill=rank_fill(ctx.rank))
+            right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+            yield from ctx.comm.barrier()
+            for _ in range(3):
+                yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[right], 0,
+                                       1024, BYTE, notify=1)
+                yield from ctx.rma.put(src, 0, 1024, BYTE, tmems[left], 1024,
+                                       1024, BYTE, notify=2)
+                yield from ctx.rma.wait_notify(tmems[ctx.rank], 1)
+                yield from ctx.rma.wait_notify(tmems[ctx.rank], 2)
+            yield from ctx.rma.complete_collective(ctx.comm)
+            return ctx.sim.now
+
+        return world, world.run(program)
+
+    run = ring if name == "notified-ring" else WORKLOADS["torus-halo"]
+    counted = {}
+    for train in (True, False):
+        del sent[:]
+        with fast_paths(train=train):
+            world, results = run()
+        puts = sum(c.rma.stats["puts"] for c in world.contexts.values())
+        assert sent.count("rma.frag") == (0 if train else puts)
+        counted[train] = (
+            results,
+            sum(nic.packets_sent for nic in world.nics.values()),
+            sum(nic.bytes_sent for nic in world.nics.values()),
+            world.fabric.packets_delivered, world.fabric.bytes_delivered,
+            None if world.topo is None else world.topo.hops_traversed)
+    assert counted[True] == counted[False]

@@ -1,8 +1,9 @@
 """``rma.route{path=, reason=}``: every op is counted on the route that
 took it, labelled with the gate that closed the route before it.  One
-scenario per gate of the table trips exactly that gate in a tiny world;
-the seed-0 benchmark shape is pinned on small analogues (a flat halo
-rides trains, a torus halo is all ``topology``)."""
+scenario per gate of the table trips exactly that gate in a tiny world
+(``notify`` and ``topology`` named gates until PR 19; their worlds now
+ride the train); the seed-0 benchmark shape is pinned on small analogues
+(a flat halo and a torus halo both ride trains)."""
 
 import pytest
 
@@ -33,10 +34,11 @@ def _flat(**kw):
     return World(n_ranks=2, network=seastar_portals(), **kw)
 
 
-def one_put(before=None, **attrs):
-    """Rank 0 issues ``before`` (optional), then the one put under test."""
+def one_put(before=None, peer=None, window=256, **attrs):
+    """Rank 0 issues ``before`` (optional), then the one put under test;
+    rank 1 meanwhile runs ``peer`` (optional) against rank 0's window."""
     def program(ctx):
-        alloc, tmems = yield from ctx.rma.expose_collective(256)
+        alloc, tmems = yield from ctx.rma.expose_collective(window)
         yield from ctx.comm.barrier()
         if ctx.rank == 0:
             src = ctx.mem.space.alloc(64, fill=7)
@@ -44,8 +46,14 @@ def one_put(before=None, **attrs):
                 yield from before(ctx, tmems[1])
             yield from ctx.rma.put(src, 0, 64, BYTE, tmems[1], 0, 64, BYTE,
                                    **attrs)
+        elif ctx.rank == 1 and peer is not None:
+            yield from peer(ctx, tmems[0])
         yield from ctx.rma.complete_collective(ctx.comm)
     return program
+
+
+def _torus():
+    return World(n_ranks=8, network=torus_network((2, 2, 2)))
 
 
 def _queued_rmw(ctx, tmem):
@@ -59,6 +67,17 @@ def _atomic_get(ctx, tmem):
                            atomicity=True, blocking=True)
 
 
+def _big_get(ctx, tmem):
+    """A 64 KiB get: its reply occupies the target's NIC for ~33 us."""
+    dst = ctx.mem.space.alloc(1 << 16)
+    yield from ctx.rma.get(dst, 0, 1 << 16, BYTE, tmem, 0, 1 << 16, BYTE,
+                           blocking=True)
+
+
+def _let_the_reply_queue(ctx, tmem):
+    yield ctx.sim.timeout(15.0)
+
+
 def _mutated(world):
     for ctx in world.contexts.values():
         ctx.rma.engine.conformance_mutations = frozenset(
@@ -66,12 +85,16 @@ def _mutated(world):
     return world
 
 
+#: Gates deleted in PR 19 (a train element may tell who waits, and may
+#: learn its arrival at the injection instant): the worlds that tripped
+#: them now ride the train.
+OPENED = ("notify", "topology")
+
 #: gate -> (world builder, program, ops the scenario sends by packet for
 #: another reason: {reason: count})
 GATES = {
     "notify": (_flat, one_put(notify=5), {}),
-    "topology": (lambda: World(n_ranks=8, network=torus_network((2, 2, 2))),
-                 one_put(), {}),
+    "topology": (_torus, one_put(), {}),
     "atomic": (_flat, one_put(atomicity=True), {}),
     "deferred-window": (_flat, one_put(before=_queued_rmw), {"reply": 1}),
     "deferred-window/get": (_flat, one_put(before=_atomic_get),
@@ -88,7 +111,14 @@ GATES = {
                one_put(remote_completion=True), {}),
     "mutation": (lambda: _mutated(_flat()), one_put(), {}),
     "reply": (_flat, one_put(before=_atomic_get, notify=5),
-              {"notify": 1}),
+              {"deferred-window": 1}),
+    # no arrival at issue to build the remote-completion event from: the
+    # path is routed, or a get reply is still queued on the origin's NIC
+    "late-ack": (_torus, one_put(remote_completion=True), {}),
+    "late-ack/queued": (_flat,
+                        one_put(before=_let_the_reply_queue, peer=_big_get,
+                                window=1 << 16, remote_completion=True),
+                        {"reply": 1}),
 }
 
 
@@ -97,6 +127,9 @@ def test_closed_train_gate_is_named(gate):
     build, program, others = GATES[gate]
     world = build()
     world.run(program)
+    if gate in OPENED:
+        assert routes(world) == {("train", "window-not-shared"): 1}
+        return
     expected = {("packet", r): n for r, n in others.items()}
     reason = gate.split("/")[0]
     expected["packet", reason] = expected.get(("packet", reason), 0) + 1
@@ -182,7 +215,8 @@ def test_shared_route_and_its_gates_are_named():
 def test_gates_no_tiny_program_reaches_are_named():
     """Asked of the table directly: a gate hidden behind a later route's
     own decline, and one that needs a fault.  A busy NIC closes nothing:
-    the train chains off the reservation the queued packets wrote."""
+    the train chains off the reservation the queued packets wrote, and
+    books its arrival when they have been injected."""
     from repro.network.packet import Packet
     from repro.rma import RmaAttrs
     from repro.rma.engine.core import _Op
@@ -207,13 +241,20 @@ def test_gates_no_tiny_program_reaches_are_named():
                         data_bytes=64))
     assert nic._reserved_until > world.sim.now
     assert train.declines(op) is None
+    path = world.fabric.config_for(0, 1)
+    assert train.books_late(path, world.sim.now)
+    world.sim.run(until=nic._unbooked_until)
+    # inclusive: the instant itself is a tie
+    assert train.books_late(path, world.sim.now)
+    world.sim.run(until=nic._unbooked_until + 0.125)
+    assert not train.books_late(path, world.sim.now)
     world.fabric.kill_rank(2)
     assert train.declines(op) == "faulty"
 
 
 def test_seed0_shape_on_small_analogues():
-    """rmabench seed 0: every halo256 put rides a train; every
-    torus_halo put goes by packet for ``topology``."""
+    """rmabench seed 0: every halo256 put and every torus_halo put
+    rides a train."""
     def halo(ctx):
         alloc, tmems = yield from ctx.rma.expose_collective(2048)
         src = ctx.mem.space.alloc(1024, fill=ctx.rank + 1)
@@ -225,12 +266,10 @@ def test_seed0_shape_on_small_analogues():
                                        1024, BYTE, blocking=True)
             yield from ctx.rma.complete_collective(ctx.comm)
 
-    for network, taken in (
-            (seastar_portals(), ("train", "window-not-shared")),
-            (torus_network((2, 2, 2)), ("packet", "topology"))):
+    for network in (seastar_portals(), torus_network((2, 2, 2))):
         world = World(n_ranks=8, network=network)
         world.run(halo)
-        assert routes(world) == {taken: 8 * 2 * 3}
+        assert routes(world) == {("train", "window-not-shared"): 8 * 2 * 3}
 
 
 def control_routes(world):
