@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
-from repro.mpi.endpoint import MpiEndpoint
+from repro.mpi.endpoint import MpiEndpoint, payload_nbytes
 from repro.mpi.request import Request, Status
 
 __all__ = ["Group", "Comm"]
@@ -174,24 +174,32 @@ class Comm:
             k += 1
 
     def bcast(self, obj: Any, root: int = 0):
-        """Binomial-tree broadcast; returns the object on every rank."""
+        """Binomial-tree broadcast; returns the object on every rank.
+        The wire size is worked out once, at the root: every other rank
+        forwards the message at the size it arrived with."""
         ctx = self._next_coll_ctx()
         n = self.size
         if n == 1:
             return obj
         relative = (self.rank - root) % n
+        nbytes = None
         mask = 1
         while mask < n:
             if relative & mask:
                 src = (self.rank - mask) % n
-                obj = yield from self.endpoint.recv(self._world(src), 0, ctx)
+                obj, status = yield from self.endpoint.recv_status(
+                    self._world(src), 0, ctx)
+                nbytes = status.nbytes
                 break
             mask <<= 1
+        if nbytes is None:
+            nbytes = payload_nbytes(obj)
         mask >>= 1
         while mask > 0:
             if relative + mask < n:
                 dst = (self.rank + mask) % n
-                yield from self.endpoint.send(obj, self._world(dst), 0, ctx)
+                yield from self.endpoint.send(obj, self._world(dst), 0, ctx,
+                                              nbytes=nbytes)
             mask >>= 1
         return obj
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -97,7 +97,8 @@ class MpiEndpoint:
         self.eager_threshold = eager_threshold
         self._inbox = Channel(sim)
         #: sender side: rendezvous payloads awaiting CTS
-        self._rdv_out: Dict[int, Tuple[Any, Any]] = {}  # id -> (data, req_ev)
+        #: (id -> (data, nbytes, req_ev))
+        self._rdv_out: Dict[int, Tuple[Any, int, Any]] = {}
         #: receiver side: events per rendezvous payload arrival
         self._rdv_in: Dict[int, Any] = {}
         nic.register_handler("p2p.msg", self._on_message)
@@ -141,13 +142,13 @@ class MpiEndpoint:
 
     def _on_cts(self, packet: Packet) -> None:
         rdv_id = packet.payload["rdv_id"]
-        data, req_ev = self._rdv_out.pop(rdv_id)
+        data, nbytes, req_ev = self._rdv_out.pop(rdv_id)
         pkt = Packet(
             src=self.rank,
             dst=packet.src,
             kind="p2p.data",
             payload={"rdv_id": rdv_id, "data": data},
-            data_bytes=payload_nbytes(data),
+            data_bytes=nbytes,
         )
         self.nic.send(pkt)
         # the send request completes when the payload has left
@@ -163,14 +164,18 @@ class MpiEndpoint:
 
     # ------------------------------------------------------------------
     def isend(
-        self, data: Any, dst: int, tag: int, context: Tuple
+        self, data: Any, dst: int, tag: int, context: Tuple, *,
+        nbytes: Optional[int] = None,
     ) -> Generator[Any, Any, Request]:
         """Start a nonblocking send; returns a :class:`Request`.
 
         Charges the sender's call + injection overhead before returning,
-        which is why this is a generator.
+        which is why this is a generator.  ``nbytes`` is the wire size
+        when the caller already knows it (a forwarded message is the
+        size it arrived with); otherwise it is derived from ``data``.
         """
-        nbytes = payload_nbytes(data)
+        if nbytes is None:
+            nbytes = payload_nbytes(data)
         yield self.sim.timeout(
             self.timings.call_overhead + self.nic.config.overhead_send
         )
@@ -190,7 +195,7 @@ class MpiEndpoint:
         self.rdv_sends += 1
         rdv_id = next(_msg_ids)
         req_ev = self.sim.event()
-        self._rdv_out[rdv_id] = (data, req_ev)
+        self._rdv_out[rdv_id] = (data, nbytes, req_ev)
         self.nic.send(Packet(
             src=self.rank,
             dst=dst,
@@ -201,10 +206,11 @@ class MpiEndpoint:
         return Request(self.sim, event=req_ev, kind="isend-rdv")
 
     def send(
-        self, data: Any, dst: int, tag: int, context: Tuple
+        self, data: Any, dst: int, tag: int, context: Tuple, *,
+        nbytes: Optional[int] = None,
     ) -> Generator[Any, Any, None]:
         """Blocking send (complete when the payload left this rank)."""
-        req = yield from self.isend(data, dst, tag, context)
+        req = yield from self.isend(data, dst, tag, context, nbytes=nbytes)
         yield from req.wait()
 
     def irecv(self, src: int, tag: int, context: Tuple) -> Request:

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from operator import attrgetter, index
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -202,8 +203,9 @@ class _OriginPeer:
         self.broken = False
         #: Records handed to an in-flight complete() (moved out of
         #: ``outstanding``); a path failure must fail these too or the
-        #: waiting complete() would hang.
-        self.completing: List[OpRecord] = []
+        #: waiting complete() would hang.  The completion lets go of
+        #: them when its wait returns (:meth:`RmaEngine._release`).
+        self.completing: Sequence[OpRecord] = ()
 
     def alloc_seq(self) -> int:
         self.last_seq += 1
@@ -649,6 +651,12 @@ class RmaEngine(FailureSide, TargetSide):
                     "type"
                 )
             acc = (target_dtype.elem_np, acc_op, scale)
+        if not (type(target_disp) is int and type(origin_offset) is int
+                and type(origin_count) is int and type(target_count) is int):
+            self._check_integers(
+                kind, tmem, target_disp=target_disp,
+                origin_offset=origin_offset, origin_count=origin_count,
+                target_count=target_count)
         if origin_count < 0 or target_count < 0:
             name, count = (("origin_count", origin_count) if origin_count < 0
                            else ("target_count", target_count))
@@ -677,6 +685,20 @@ class RmaEngine(FailureSide, TargetSide):
             check_notify_attr(attrs, kind, nbytes, self.rank)
         return op
 
+    def _check_integers(self, kind: str, tmem: TargetMem, **named) -> None:
+        """Reject a displacement, offset or count that is not an integer
+        (numpy integers count) by name, at the call — it would otherwise
+        surface as a slicing ``TypeError`` wherever the op is applied,
+        which for a train element is inside another rank's call."""
+        for name, value in named.items():
+            try:
+                index(value)
+            except TypeError:
+                raise RmaError(
+                    f"{name} must be an integer, got {value!r} ({kind} from "
+                    f"rank {self.rank} to target_mem on rank {tmem.rank})"
+                ) from None
+
     # RMW (paper §V: conditional and unconditional read-modify-write)
     def issue_rmw(
         self,
@@ -701,6 +723,8 @@ class RmaEngine(FailureSide, TargetSide):
                 "its old value to the origin)",
                 op="rmw", src=self.rank, target=tmem.rank, attrs=attrs,
             )
+        if type(target_disp) is not int:
+            self._check_integers("rmw", tmem, target_disp=target_disp)
         elem_size = np.dtype(np_elem).itemsize
         tmem.check_access(target_disp, 0, elem_size)
         return self._issue(_Op("rmw", tmem.rank, attrs, elem_size, tmem,
@@ -912,11 +936,13 @@ class RmaEngine(FailureSide, TargetSide):
         """Wait for remote completion of all prior ops to ``dst``.
         Returns the list of :class:`RmaError` failures (empty normally)."""
         yield self.sim.timeout(self.timings.call_overhead)
-        events = self._completion_events(dst)
+        held: List[tuple] = []
+        events = self._completion_events(dst, held)
         if len(events) == 1:
             yield events[0]
         elif events:
             yield AllOf(self.sim, events)
+        self._release(held)
         self.materialize_inbound()
         self.stats["completes"] += 1
         return _collect_errors(events)
@@ -926,10 +952,12 @@ class RmaEngine(FailureSide, TargetSide):
         (``MPI_ALL_RANKS``).  Returns the list of failures."""
         yield self.sim.timeout(self.timings.call_overhead)
         events = []
+        held: List[tuple] = []
         for dst in sorted(self._origin_peers):
-            events.extend(self._completion_events(dst))
+            events.extend(self._completion_events(dst, held))
         if events:
             yield AllOf(self.sim, events)
+        self._release(held)
         # Completion is an observation point for this rank's own memory
         # (the caller will read local buffers next): apply any arrived
         # inbound train elements — notably self-directed puts, which on
@@ -938,11 +966,16 @@ class RmaEngine(FailureSide, TargetSide):
         self.stats["completes"] += 1
         return _collect_errors(events)
 
-    def _completion_events(self, dst: int) -> List[Event]:
+    def _completion_events(self, dst: int, held: List[tuple]) -> List[Event]:
+        """The events that remote-complete everything outstanding to
+        ``dst``.  The records move to ``peer.completing``, where a path
+        failure still finds them while the caller waits, and
+        ``(peer, records)`` joins ``held`` for :meth:`_release`."""
         peer = self._origin_peers.get(dst)
         if peer is None or not peer.outstanding:
             return []
         events: List[Event] = []
+        held.append((peer, peer.outstanding))
         if peer.broken:
             # No flush round trip on a broken path: every record resolves
             # to an error immediately (ops with per-op events were already
@@ -987,6 +1020,15 @@ class RmaEngine(FailureSide, TargetSide):
             events.append(ev)
         peer.completing, peer.outstanding = peer.outstanding, []
         return events
+
+    @staticmethod
+    def _release(held: List[tuple]) -> None:
+        """A completion's wait is over: let go of the records it retired.
+        By identity — a later completion waiting on the same peer has
+        put its own list there and keeps it."""
+        for peer, records in held:
+            if peer.completing is records:
+                peer.completing = ()
 
     def order_one(self, dst: int) -> None:
         """Order subsequent ops to ``dst`` after all prior ones — a pure

@@ -78,7 +78,7 @@ class FailureSide:
         peer = self._origin_peers.get(dst)
         if peer is not None:
             peer.broken = True
-            for rec in peer.outstanding + peer.completing:
+            for rec in (*peer.outstanding, *peer.completing):
                 fail(rec.ev_remote, rec.kind, rec.attrs)
         for waiters, op in ((self._sw_ack_waiters, "ack"),
                             (self._flush_waiters, "complete")):
@@ -126,4 +126,4 @@ class FailureSide:
         peer = self._origin_peers.get(dst)
         if peer is not None and peer.broken:
             peer.outstanding = []
-            peer.completing = []
+            peer.completing = ()

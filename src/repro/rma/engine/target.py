@@ -12,7 +12,7 @@ and answers watermark flushes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,18 +58,24 @@ class _InboundOp:
 
 
 class _TargetPeer:
-    """Target-side per-origin state."""
+    """Target-side per-origin state.  An all-to-all makes O(P²) of
+    these, so the containers are allocated by the first op that needs
+    one — an out-of-order apply, a packet-borne op, a gated op, a
+    waiting flush; a pair that only ever carried train elements owns
+    the watermark and nothing else."""
 
     __slots__ = ("applied_upto", "applied_extra", "inbound", "gated",
                  "flush_waiters", "draining")
 
     def __init__(self) -> None:
         self.applied_upto = 0
-        self.applied_extra: set = set()
-        self.inbound: Dict[int, _InboundOp] = {}
-        self.gated: List[_InboundOp] = []
+        #: Sequence numbers applied ahead of the watermark.
+        self.applied_extra: Optional[set] = None
+        #: Packet-borne ops in flight, by sequence number.
+        self.inbound: Optional[Dict[int, _InboundOp]] = None
+        self.gated: Sequence[_InboundOp] = ()
         #: (watermark, flush_id, origin_rank) triples awaiting the watermark.
-        self.flush_waiters: List[Tuple[int, int, int]] = []
+        self.flush_waiters: Sequence[Tuple[int, int, int]] = ()
         #: Reentrancy guard for gate draining (applying a gated op can
         #: recursively mark further ops applied).
         self.draining = False
@@ -80,14 +86,30 @@ class _TargetPeer:
     def mark_applied(self, seq: int) -> None:
         """Roll the applied watermark over ``seq`` (ops may apply out of
         sequence order; the watermark is the contiguous prefix)."""
+        extra = self.applied_extra
         if seq == self.applied_upto + 1:
             self.applied_upto = seq
-            extra = self.applied_extra
-            while self.applied_upto + 1 in extra:
-                extra.discard(self.applied_upto + 1)
-                self.applied_upto += 1
+            if extra:
+                while self.applied_upto + 1 in extra:
+                    extra.discard(self.applied_upto + 1)
+                    self.applied_upto += 1
+        elif extra is None:
+            self.applied_extra = {seq}
         else:
-            self.applied_extra.add(seq)
+            extra.add(seq)
+
+    def admit(self, desc: Dict[str, Any]) -> _InboundOp:
+        """Record a packet-borne op on its first packet."""
+        if self.inbound is None:
+            self.inbound = {}
+        op = self.inbound[desc["seq"]] = _InboundOp(desc)
+        return op
+
+    def gate(self, op: _InboundOp) -> None:
+        """Hold ``op`` until the watermark covers its barrier."""
+        if not self.gated:
+            self.gated = []
+        self.gated.append(op)
 
 
 class TargetSide:
@@ -132,12 +154,12 @@ class TargetSide:
         desc = packet.payload["desc"]
         frag: Fragment = packet.payload["frag"]
         peer = self._target_peer(desc["src"])
-        op = peer.inbound.get(desc["seq"])
+        op = peer.inbound.get(desc["seq"]) if peer.inbound else None
         if op is None:
-            op = peer.inbound[desc["seq"]] = _InboundOp(desc)
+            op = peer.admit(desc)
             if not peer.barrier_ok(op.barrier):
                 self.stats["gated_frags"] += 1
-                peer.gated.append(op)
+                peer.gate(op)
             else:
                 op.gate_open = not desc["via_job"]
             self._notify_early(desc)
@@ -221,12 +243,12 @@ class TargetSide:
     def _on_request(self, packet: Packet) -> None:
         desc = packet.payload
         peer = self._target_peer(desc["src"])
-        op = peer.inbound[desc["seq"]] = _InboundOp(desc)
+        op = peer.admit(desc)
         self._notify_early(desc)
         if peer.barrier_ok(op.barrier):
             self._serve(peer, op)
         else:
-            peer.gated.append(op)
+            peer.gate(op)
 
     def _serve(self, peer: _TargetPeer, op: _InboundOp) -> None:
         """Execute a request-style op: inline when the NIC can (plain
@@ -304,7 +326,8 @@ class TargetSide:
     # ------------------------------------------------------------------
     def _op_applied(self, peer: _TargetPeer, op: _InboundOp) -> None:
         desc = op.desc
-        peer.inbound.pop(op.seq, None)
+        if peer.inbound:
+            peer.inbound.pop(op.seq, None)
         if desc.get("ack") == "sw":
             self.signal(desc["src"], "rma.ack", desc["op_key"])
         m = desc.get("notify")
@@ -337,6 +360,8 @@ class TargetSide:
         self._answer_flushes(peer)
 
     def _drain_gated(self, peer: _TargetPeer) -> None:
+        if not peer.gated:
+            return
         if peer.draining:
             return  # the outer drain loop will re-scan after each release
         peer.draining = True
@@ -368,6 +393,8 @@ class TargetSide:
             self._apply_frags(peer, op, buffered)
 
     def _answer_flushes(self, peer: _TargetPeer) -> None:
+        if not peer.flush_waiters:
+            return
         ready = [w for w in peer.flush_waiters if w[0] <= peer.applied_upto]
         if not ready:
             return
@@ -384,5 +411,7 @@ class TargetSide:
         peer = self._target_peer(src)
         if peer.applied_upto >= watermark:
             self.signal(src, "rma.flush_ack", flush_id)
-        else:
+        elif peer.flush_waiters:
             peer.flush_waiters.append((watermark, flush_id, src))
+        else:
+            peer.flush_waiters = [(watermark, flush_id, src)]

@@ -22,13 +22,15 @@ injection order behind traffic that books at injection itself.
 
 A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
 fully-described write (put/accumulate) with an *apply time* (its last
-fragment's arrival) and, if notified, who waits for it.  Application is
-**lazy**: the
+fragment's arrival) and, if notified, who waits for it.  Application
+happens at **materialization points** (DESIGN §12): the
 fabric materializes the arrived prefix of every train headed for a rank
 immediately before delivering any real packet to it, in global
 analytic-arrival order across origins
 (:meth:`~repro.network.fabric.Fabric.materialize_trains`), a notified
-element wakes the target at its apply time, and the
+element wakes the target at its apply time, a train that grows first
+sheds what has arrived at its target (so a train holds what is in
+simulated flight, however long the target goes unobserved), and the
 world drains all trains at end of run.  Because arrivals on an ordered
 path are clamped strictly monotonic, any real packet was sent *after*
 the train elements it follows and arrives after them — so handlers
@@ -261,10 +263,18 @@ class TrainRoute:
         apply time itself (not ``now + (t - now)``, which can fall one
         ulp short and find nothing due) that materializes the target's
         arrived trains, so a waiter parked on the board resumes at the
-        instant a packet's delivery would have woken it."""
+        instant a packet's delivery would have woken it.
+
+        A train that grows first sheds what has arrived: the target's
+        pending elements whose arrival has passed are applied before
+        this one is queued, so what a train holds is bounded by what is
+        in simulated flight, not by how long ago the target was last
+        observed."""
+        fabric = self.eng.nic.fabric
+        if train.dst in fabric._pending_trains:
+            fabric.materialize_trains(train.dst)
         train.append(elem)
         if elem.notification is not None:
-            fabric = self.eng.nic.fabric
             self.eng.sim.schedule_call_at(
                 elem.apply_time, fabric.materialize_trains, train.dst)
 

@@ -13,6 +13,10 @@ def run(program, n=2, **kw):
     return World(n_ranks=n, **kw).run(program)
 
 
+#: When ranks 0 and 63 leave a 64-rank ``expose_collective(64)`` (µs).
+EXPOSE_64_TIMES = (51.31969999999997, 84.37969999999997)
+
+
 class TestExpose:
     def test_expose_returns_descriptor(self):
         def program(ctx):
@@ -46,6 +50,34 @@ class TestExpose:
             yield from ctx.comm.barrier()
 
         assert run(program)[0] == [9, 8, 7, 6]
+
+    def test_collective_exposure_sizes_the_descriptor_list_once(
+            self, monkeypatch):
+        """A message's simulated size is its pickle size.  The allgather
+        behind ``expose_collective`` forwards the P-descriptor list down
+        a binomial tree; every hop used to pickle it again (P² − 1
+        descriptor pickles).  A forwarded message is the size it
+        arrived with: P − 1 single descriptors gathered, one list of P
+        sized at the root — and every rank still ends up with the
+        same descriptors at the same simulated time."""
+        from repro.rma.target_mem import TargetMem
+
+        P = 64
+        calls = []
+        getstate = TargetMem.__getstate__
+        monkeypatch.setattr(
+            TargetMem, "__getstate__",
+            lambda self: calls.append(self.rank) or getstate(self))
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            return [t.rank for t in tmems], ctx.sim.now
+
+        out = run(program, n=P)
+        assert P <= len(calls) <= 2 * P
+        assert all(ranks == list(range(P)) for ranks, _ in out)
+        # recorded from the parent commit (rank 0; last rank)
+        assert (out[0][1], out[-1][1]) == EXPOSE_64_TIMES
 
     def test_withdraw_blocks_future_access(self):
         def program(ctx):

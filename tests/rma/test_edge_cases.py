@@ -281,3 +281,99 @@ class TestNegativeCounts:
         for message in World(n_ranks=2).run(program):
             assert f"{which} must be >= 0" in message
             assert f"got {min(o_count, t_count)}" in message
+
+
+class TestNonIntegerArguments:
+    """A fractional displacement, offset or count used to be issued and
+    counted, and then died as a raw slicing/``np.empty`` ``TypeError``
+    wherever the bytes were touched — for a train element inside
+    *another* rank's call, naming neither the op nor its origin.  It is
+    a usage error of the op: reported by name at the call, before any
+    time passes and before anything is counted."""
+
+    TRANSFERS = ["put", "get", "accumulate", "get_accumulate"]
+    #: (argument, bad value) -> (origin_offset, origin_count, target_disp,
+    #: target_count) of the call
+    BAD = {
+        ("target_disp", 0.5): (0, 8, 0.5, 8),
+        ("origin_offset", 0.5): (0.5, 8, 0, 8),
+        ("origin_count", 1.5): (0, 1.5, 0, 8),
+        ("origin_count", 2.0): (0, 2.0, 0, 2),
+        ("target_count", 1.5): (0, 8, 0, 1.5),
+        ("target_count", 2.0): (0, 2, 0, 2.0),
+        ("target_disp", "8"): (0, 8, "8", 8),
+        ("origin_count", None): (0, None, 0, 8),
+    }
+
+    @staticmethod
+    def _untouched(ctx, call):
+        """Run ``call`` (which must raise) on rank 0 and return the
+        error text, asserting that nothing moved."""
+        eng = ctx.rma.engine
+        before = (ctx.sim.now, dict(eng.stats), ctx.nic.packets_sent)
+        with pytest.raises(RmaError) as err:
+            yield from call()
+        assert (ctx.sim.now, dict(eng.stats), ctx.nic.packets_sent) == before
+        return str(err.value)
+
+    @pytest.mark.parametrize("entry", TRANSFERS)
+    @pytest.mark.parametrize("which,bad", list(BAD), ids=repr)
+    def test_transfer_rejected_by_name_before_anything_moves(
+            self, entry, which, bad):
+        o_off, o_count, t_disp, t_count = self.BAD[which, bad]
+        dtype = BYTE if entry == "put" else FLOAT64   # accumulates need a type
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64)
+            message = None
+            if ctx.rank == 0:
+                message = yield from self._untouched(
+                    ctx, lambda: getattr(ctx.rma, entry)(
+                        buf, o_off, o_count, dtype, tmems[1], t_disp,
+                        t_count, dtype))
+            yield from ctx.comm.barrier()
+            return message
+
+        kind = {"accumulate": "acc", "get_accumulate": "getacc"}.get(
+            entry, entry)
+        message = World(n_ranks=2).run(program)[0]
+        assert message == (f"{which} must be an integer, got {bad!r} "
+                           f"({kind} from rank 0 to target_mem on rank 1)")
+
+    @pytest.mark.parametrize("entry,args", [
+        ("fetch_and_add", ("int64", 1)),
+        ("swap", ("int64", 1)),
+        ("compare_and_swap", ("int64", 0, 1)),
+    ])
+    def test_rmw_displacement_rejected_by_name(self, entry, args):
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            message = None
+            if ctx.rank == 0:
+                message = yield from self._untouched(
+                    ctx, lambda: getattr(ctx.rma, entry)(tmems[1], 0.5, *args))
+            yield from ctx.comm.barrier()
+            return message
+
+        assert World(n_ranks=2).run(program)[0] == (
+            "target_disp must be an integer, got 0.5 (rmw from rank 0 to "
+            "target_mem on rank 1)")
+
+    def test_numpy_integers_pass_as_before(self):
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64, fill=7)
+            if ctx.rank == 0:
+                yield from ctx.rma.put(
+                    buf, np.int64(8), np.int32(16), BYTE, tmems[1],
+                    np.uint8(24), np.int64(16), BYTE)
+                old = yield from ctx.rma.fetch_and_add(
+                    tmems[1], np.int64(0), "int64", 5)
+                assert old == 0
+            yield from ctx.rma.complete_collective(ctx.comm)
+            return bytes(ctx.mem.space.buffer(alloc))
+
+        window = World(n_ranks=2).run(program)[1]
+        assert window[24:40] == bytes([7]) * 16
+        assert window[:8] == (5).to_bytes(8, "little")

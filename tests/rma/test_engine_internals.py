@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import cray_xt5_cnl, nec_sx9
 from repro.network import infiniband_like, quadrics_like, seastar_portals
+from repro.datatypes import BYTE
 from repro.rma import RmaAttrs
 from repro.rma.engine.core import _OriginPeer
 from repro.rma.engine.target import _InboundOp, _TargetPeer
@@ -164,3 +165,79 @@ class TestOrderBookkeeping:
         peer.alloc_seq()
         eng.order_all()
         assert peer.order_barrier == 3
+
+
+class TestPerPairState:
+    """Per-pair state is allocated on first use and a completion lets go
+    of the records it retired: what an all-to-all leaves behind per
+    (origin, target) pair is two watermark objects, nothing more."""
+
+    def test_census_after_a_pure_train_alltoall(self):
+        from tests.rma.test_train_fanin import _alltoall, _train_ops
+
+        world, _ = _alltoall()
+        engines = [c.rma.engine for c in world.contexts.values()]
+        assert _train_ops(world) == sum(e.stats["puts"] for e in engines) > 0
+        for eng in engines:
+            assert len(eng._target_peers) == len(eng._origin_peers) == 23
+            for peer in eng._target_peers.values():
+                owned = [getattr(peer, slot) for slot in _TargetPeer.__slots__]
+                assert not any(isinstance(v, (set, dict, list)) for v in owned)
+                assert peer.applied_upto == 2
+            for peer in eng._origin_peers.values():
+                assert peer.completing == () and peer.outstanding == []
+        assert world.fabric._path_cfg == {}
+
+    def test_path_failure_while_complete_all_waits(self):
+        """Both halves of ``completing``'s lifetime.  While a
+        ``complete_all`` waits, the records it took are still reachable
+        from the peer, so a path failure resolves every one of them to
+        its ``RmaError`` (and the stranded flush with them) instead of
+        leaving the completion parked; once the wait returns, the peer
+        holds none of them."""
+        from repro.network.transport import TransportFailure
+        from repro.rma.target_mem import RmaError
+
+        world = World(n_ranks=3, network=seastar_portals())
+        seen = {}
+
+        def break_path(eng):
+            seen["held"] = list(eng._origin_peers[1].completing)
+            seen["untouched"] = list(eng._origin_peers[2].completing)
+            eng._on_path_failure(1, TransportFailure(
+                src=0, dst=1, attempts=3, sim_time=eng.sim.now,
+                reason="retry-budget-exhausted", packet_kind="rma.frag",
+                packet_id=1))
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(256)
+            src = ctx.mem.space.alloc(64, fill=5)
+            yield from ctx.comm.barrier()
+            if ctx.rank == 0:
+                eng = ctx.rma.engine
+                for dst in (2, 1):
+                    for k, remote in enumerate((False, True, True)):
+                        yield from ctx.rma.put(
+                            src, 0, 64, BYTE, tmems[dst], 64 * k, 64, BYTE,
+                            blocking=False, remote_completion=remote)
+                # inside complete_all's wait: after its call overhead,
+                # before the last hardware ack and the flush answers
+                ctx.sim.schedule_call(eng.timings.call_overhead + 0.05,
+                                      break_path, eng)
+                errors = yield from eng.complete_all()
+                seen["errors"] = errors
+                seen["after"] = [eng._origin_peers[d].completing
+                                 for d in (1, 2)]
+            yield from ctx.compute(50.0)
+
+        world.run(program)
+        assert [r.remote_mode for r in seen["held"]] == ["flush", "hw", "hw"]
+        assert len(seen["untouched"]) == 3
+        errors = seen["errors"]
+        # the two per-op acks still in flight and the flush; rank 2's
+        # records complete normally
+        assert len(errors) == 3
+        assert all(isinstance(e, RmaError) and e.target == 1
+                   and e.kind == "retry_exhausted" for e in errors)
+        assert sorted(e.op for e in errors) == ["complete", "put", "put"]
+        assert seen["after"] == [(), ()]
