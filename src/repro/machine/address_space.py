@@ -16,6 +16,7 @@ staleness is made observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Optional
 
 import numpy as np
@@ -81,6 +82,13 @@ class AddressSpace:
 
     def alloc(self, nbytes: int, fill: int = 0) -> Allocation:
         """Allocate ``nbytes``; returns a handle."""
+        if type(nbytes) is not int:
+            try:
+                nbytes = index(nbytes)      # numpy integers pass
+            except TypeError:
+                raise MemoryError_(
+                    f"rank {self.rank}: allocation size must be an integer, "
+                    f"got {nbytes!r}") from None
         if nbytes < 0:
             raise MemoryError_(f"negative allocation size: {nbytes}")
         if nbytes >= 2 ** self.pointer_bits:

@@ -33,7 +33,7 @@ push order.
 The only decision left is whether the world needs what the lean form
 does not build — trace records, the fault injector's verdict, transport
 sequence numbers (see :meth:`CollectiveNexus.closed_gate`; the RMA
-engine asks the same gate for its own header-only messages).  The first
+engine asks the same gate for its own one-call messages).  The first
 rank to enter a collective instance decides for all of them, so a
 ``kill_rank`` between two entries cannot split one instance across the
 two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
@@ -143,9 +143,10 @@ class CollectiveNexus:
     """
 
     #: Class-wide toggle (tests pin it off to diff against the real
-    #: path): the reference switch for every header-only message that
-    #: can travel without a packet — barrier rounds here, flush
-    #: round-trips, software acks and lock hand-offs in the RMA engine.
+    #: path): the reference switch for every message that can travel
+    #: without a packet — barrier rounds here, flush round-trips,
+    #: software acks, lock hand-offs, get / rmw / rmi requests and their
+    #: replies in the RMA engine.
     enabled = True
 
     def __init__(self, world: "World") -> None:
@@ -160,9 +161,9 @@ class CollectiveNexus:
         self._counters: Dict[tuple, object] = {}
 
     def closed_gate(self, nic: "Nic") -> Optional[str]:
-        """Why a header-only message leaving ``nic`` must be a real
-        packet, or ``None``: the lean form (``Nic.post``) builds no
-        object for a tracer, an injector or a transport to look at.
+        """Why a one-call message leaving ``nic`` must be a real packet,
+        or ``None``: the lean form (``Nic.post``) builds no object for a
+        tracer, an injector or a transport to look at.
 
         ``traced`` and ``transport`` are fixed when the world is built;
         ``faulty`` flips once, at the first ``kill_rank``.
@@ -179,7 +180,7 @@ class CollectiveNexus:
         return None
 
     def route(self, nic: "Nic", metric: str, kind: str) -> Optional[str]:
-        """Decide the form of one header-only message (or one barrier
+        """Decide the form of one engine message (or one barrier
         instance) leaving ``nic`` and count the decision as
         ``metric{kind=, path=live}`` or ``{…, path=packet, reason=}``.
         Returns :meth:`closed_gate`'s verdict: ``None`` means live."""

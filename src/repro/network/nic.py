@@ -8,10 +8,11 @@ slot at once and one callback at the end of it hands the packet to the
 fabric.  ``Packet.ev_injected`` triggers then — that is the *local
 completion* point of a transfer (the origin buffer is free).
 
-A header-only control message whose effect at the destination is one
-call needs none of that: :meth:`Nic.post` reserves the same slot and
-pushes the same two heap entries — injection, arrival — with no
-``Packet``, event or payload behind them (see :meth:`Nic.post`).
+A message whose effect at the destination is one call — a control
+message, a request, a reply — needs none of that: :meth:`Nic.post`
+reserves the same slot and pushes the same two heap entries —
+injection, arrival — with no ``Packet``, event or payload dict behind
+them (see :meth:`Nic.post`).
 
 On the receive side, packets are dispatched to handlers registered by
 kind.  Handlers model NIC hardware (RDMA deposit, tag-match DMA): they
@@ -206,41 +207,50 @@ class Nic:
         if transport is not None and packet.flow_seq is not None:
             transport.packet_injected(packet)
 
-    def post(self, dst: int, fn: Callable[..., None], *args) -> None:
-        """Send a header-only control message whose whole effect at
-        ``dst`` is ``fn(*args)``: the lean form of :meth:`send`.
+    def post(self, dst: int, fn: Callable[..., None], args: tuple,
+             data_bytes: int = 0) -> None:
+        """Send a message whose whole effect at ``dst`` is ``fn(*args)``
+        — a control message, a request or a reply carrying
+        ``data_bytes`` of payload: the lean form of :meth:`send`.
 
-        Same reservation, and the same two heap entries pushed at the
-        same instants in the same order as :meth:`send` →
-        :meth:`_injected` → ``Fabric.transmit`` → ``Fabric._deliver``
-        push for a payload-free packet — so every timestamp, counter and
+        Same reservation (``HEADER_SIZE + data_bytes`` on the wire), and
+        the same two heap entries pushed at the same instants in the
+        same order as :meth:`send` → :meth:`_injected` →
+        ``Fabric.transmit`` → ``Fabric._deliver`` push for a packet of
+        that size — so every timestamp, counter, link reservation and
         RNG draw is the per-packet one, and equal-time ties resolve as
         they do per packet.  What is gone is the ``Packet``, its event,
         its payload dict and the kind dispatch.  It synthesizes no trace
         record and knows neither the fault injector nor the transport:
         callers use it only where ``CollectiveNexus.closed_gate`` is
         open."""
-        t = self.reserve(self.header_ser)
-        self.sim.schedule_call(t - self.sim.now, self.launch, dst, fn, args)
+        wire = HEADER_SIZE + data_bytes
+        t = self.reserve(self.config.serialization_time(wire) if data_bytes
+                         else self.header_ser)
+        self.sim.schedule_call(t - self.sim.now, self.launch, dst, fn, args,
+                               wire)
 
-    def launch(self, dst: int, fn: Callable[..., None], args: tuple) -> None:
-        """Serialization of a posted message ends: what :meth:`_injected`
-        and ``Fabric.transmit`` do for a packet, then one callback at the
-        arrival instant (:meth:`land`, on ``dst``'s NIC)."""
+    def launch(self, dst: int, fn: Callable[..., None], args: tuple,
+               wire: int = HEADER_SIZE) -> None:
+        """Serialization of a posted message of ``wire`` bytes ends: what
+        :meth:`_injected` and ``Fabric.transmit`` do for a packet, then
+        one callback at the arrival instant (:meth:`land`, on ``dst``'s
+        NIC)."""
         self.packets_sent += 1
-        self.bytes_sent += HEADER_SIZE
+        self.bytes_sent += wire
         fabric = self.fabric
         dead = fabric._dead
         if dead and (self.rank in dead or dst in dead):
             fabric.dead_dropped += 1
             return
-        arrival = fabric.arrival(self.rank, dst, HEADER_SIZE)
+        arrival = fabric.arrival(self.rank, dst, wire)
         if arrival is not None:
             sim = self.sim
             sim.schedule_call(arrival - sim.now, fabric.nics[dst].land,
-                              self.rank, fn, args)
+                              self.rank, fn, args, wire)
 
-    def land(self, src: int, fn: Callable[..., None], args: tuple) -> None:
+    def land(self, src: int, fn: Callable[..., None], args: tuple,
+             wire: int) -> None:
         """The flight of a posted message from ``src`` ends here: what
         ``Fabric._deliver`` and :meth:`_on_deliver` do for a packet,
         then the message's effect."""
@@ -254,7 +264,7 @@ class Nic:
             # before this message apply first
             fabric.materialize_trains(self.rank)
         fabric.packets_delivered += 1
-        fabric.bytes_delivered += HEADER_SIZE
+        fabric.bytes_delivered += wire
         self.packets_received += 1
         fn(*args)
 

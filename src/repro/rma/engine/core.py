@@ -44,6 +44,8 @@ Transfers fragment at the fabric MTU; fragments of concurrent
 from __future__ import annotations
 
 import itertools
+import numbers
+import warnings
 from dataclasses import dataclass
 from operator import attrgetter, index
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -87,11 +89,13 @@ _TALLY = {"put": ("puts",), "acc": ("accumulates",), "get": ("gets",),
           "rmi": ("rmis",)}
 
 
-#: The header-only control messages, by packet kind: (``control.route``
-#: kind, the message's one body — looked up on the *destination* engine
-#: and called as ``body(src, *fields)`` —, the payload keys its fields
-#: travel under when the message is a packet).  :meth:`RmaEngine.signal`
-#: is the one place that chooses between the two forms.
+#: The messages whose whole effect at the destination is one call, by
+#: packet kind: (``control.route`` kind, the message's one body — looked
+#: up on the *destination* engine and called as ``body(src, *fields)``
+#: —, the payload keys its fields travel under when the message is a
+#: packet; ``None``: the one field, a request's descriptor, *is* the
+#: payload).  :meth:`RmaEngine.signal` is the one place that chooses
+#: between the two forms.
 _SIGNALS = {
     "rma.flush_req": ("flush", attrgetter("_flush_req"),
                       ("watermark", "flush_id")),
@@ -100,6 +104,12 @@ _SIGNALS = {
     "rma.lock_req": ("lock", attrgetter("serializer.lock_req"), ()),
     "rma.lock_grant": ("lock", attrgetter("serializer.lock_grant"), ()),
     "rma.unlock": ("lock", attrgetter("serializer.unlock"), ()),
+    "rma.get_req": ("request", attrgetter("_request"), None),
+    "rma.rmw_req": ("request", attrgetter("_request"), None),
+    "rma.rmi_req": ("request", attrgetter("_request"), None),
+    "rma.get_reply": ("reply", attrgetter("_get_reply"),
+                      ("op_key", "wire_off", "data", "total")),
+    "rma.reply": ("reply", attrgetter("_reply"), ("op_key", "value")),
 }
 
 
@@ -162,6 +172,27 @@ class _Op:
         self.wire = None
         self.via_queue = False
         self.via_lock = False
+
+
+def _exact_as(value, dt: np.dtype) -> bool:
+    """Whether ``value`` is a scalar that converts to ``dt`` losing
+    nothing (a NaN to a float or complex type counts as exact)."""
+    if dt.kind in "iu" and isinstance(value, numbers.Integral):
+        info = np.iinfo(dt)
+        return info.min <= int(value) <= info.max
+    if not isinstance(value, (numbers.Number, np.bool_)):
+        return False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # complex -> real, overflow
+        try:
+            back = dt.type(value).item()
+        except (TypeError, ValueError, OverflowError):
+            return False
+    if isinstance(value, np.generic):
+        value = value.item()
+    # Python compares int, float and complex exactly
+    return back == value or (dt.kind in "fc" and back != back
+                             and value != value)
 
 
 def _collect_errors(events: List[Event]) -> List[RmaError]:
@@ -311,8 +342,8 @@ class PacketRoute:
             else:
                 desc["call"] = op.call
             desc.update(total_bytes=op.nbytes, via_job=op.via_queue)
-            eng.send_control(dst, f"rma.{kind}_req", desc,
-                             data_bytes=0 if kind == "get" else op.nbytes)
+            eng.signal(dst, f"rma.{kind}_req", desc,
+                       data_bytes=0 if kind == "get" else op.nbytes)
 
         if op.is_write:
             one = len(packets) == 1
@@ -447,10 +478,6 @@ class RmaEngine(FailureSide, TargetSide):
         self.serializer: Serializer = make_serializer(serializer_kind, self)
 
         nic.register_handler("rma.frag", self._on_frag)
-        for kind in ("rma.get_req", "rma.rmw_req", "rma.rmi_req"):
-            nic.register_handler(kind, self._on_request)
-        nic.register_handler("rma.get_reply", self._on_get_reply)
-        nic.register_handler("rma.reply", self._on_reply)
         for message in _SIGNALS:
             nic.register_handler(message, self._on_signal)
 
@@ -699,6 +726,31 @@ class RmaEngine(FailureSide, TargetSide):
                     f"rank {self.rank} to target_mem on rank {tmem.rank})"
                 ) from None
 
+    def _check_rmw_values(self, tmem: TargetMem, np_elem, op: str,
+                          named) -> int:
+        """Reject an rmw element type that is not numeric, or an operand
+        / compare value that does not convert to it exactly, by name, at
+        the call — each used to surface on the target, inside another
+        rank's NIC, as a raw numpy error or a silently wrong word.
+        Returns the element size."""
+        where = (f"(rmw from rank {self.rank} to target_mem on rank "
+                 f"{tmem.rank})")
+        try:
+            dt = np.dtype(np_elem)
+        except (TypeError, ValueError):
+            dt = None
+        if dt is None or dt.kind not in "biufc":
+            raise RmaError(
+                f"{op} element type must be a numeric NumPy type (bool, "
+                f"integer, unsigned, float or complex), got {np_elem!r} "
+                f"{where}")
+        for name, value in named:
+            if not _exact_as(value, dt):
+                raise RmaError(
+                    f"{op} {name} must be a scalar exactly representable "
+                    f"as {dt.name}, got {value!r} {where}")
+        return dt.itemsize
+
     # RMW (paper §V: conditional and unconditional read-modify-write)
     def issue_rmw(
         self,
@@ -725,7 +777,9 @@ class RmaEngine(FailureSide, TargetSide):
             )
         if type(target_disp) is not int:
             self._check_integers("rmw", tmem, target_disp=target_disp)
-        elem_size = np.dtype(np_elem).itemsize
+        elem_size = self._check_rmw_values(
+            tmem, np_elem, op, (("operand", operand), ("compare", compare))
+            if op == "cas" else (("operand", operand),))
         tmem.check_access(target_disp, 0, elem_size)
         return self._issue(_Op("rmw", tmem.rank, attrs, elem_size, tmem,
                                target_disp,
@@ -906,12 +960,14 @@ class RmaEngine(FailureSide, TargetSide):
         self.nic.send(pkt)
         return pkt
 
-    def signal(self, dst: int, message: str, *fields) -> None:
-        """Send the header-only control ``message`` (a key of
-        ``_SIGNALS``) to ``dst``'s engine — THE decision point of the
-        live control plane.  Where the barrier walk's gate is open the
-        message is a :meth:`Nic.post <repro.network.nic.Nic.post>`: two
-        heap callbacks, the second calling the message's body on the
+    def signal(self, dst: int, message: str, *fields,
+               data_bytes: int = 0) -> None:
+        """Send ``message`` (a key of ``_SIGNALS``: a control message, a
+        request or a reply carrying ``data_bytes`` of payload) to
+        ``dst``'s engine — THE decision point of the live control plane.
+        Where the barrier walk's gate is open the message is a
+        :meth:`Nic.post <repro.network.nic.Nic.post>`: two heap
+        callbacks, the second calling the message's body on the
         destination engine.  Otherwise it is a packet of that kind,
         whose handler (:meth:`_on_signal`) calls the same body.  Counted
         as ``control.route{kind=, path=live|packet, reason=}``."""
@@ -919,15 +975,20 @@ class RmaEngine(FailureSide, TargetSide):
         world = self.world
         if world.nexus.route(self.nic, "control.route", kind) is None:
             self.nic.post(dst, body(world.contexts[dst].rma.engine),
-                          self.rank, *fields)
+                          (self.rank, *fields), data_bytes)
         else:
-            self.send_control(dst, message, dict(zip(keys, fields)))
+            self.send_control(dst, message, fields[0] if keys is None
+                              else dict(zip(keys, fields)), data_bytes)
 
     def _on_signal(self, packet: Packet) -> None:
-        """Packet form of a control message: unpack it into its body."""
+        """Packet form of a ``_SIGNALS`` message: unpack it into its
+        body."""
         _kind, body, keys = _SIGNALS[packet.kind]
         payload = packet.payload
-        body(self)(packet.src, *[payload[key] for key in keys])
+        if keys is None:
+            body(self)(packet.src, payload)
+        else:
+            body(self)(packet.src, *[payload[key] for key in keys])
 
     # ------------------------------------------------------------------
     # Completion and ordering (MPI_RMA_complete / MPI_RMA_order)
@@ -1044,7 +1105,7 @@ class RmaEngine(FailureSide, TargetSide):
         self.stats["orders"] += 1
 
     # ------------------------------------------------------------------
-    # Origin-side protocol packet handlers
+    # Origin-side message bodies (both forms: posted or packet)
     # ------------------------------------------------------------------
     def _ack(self, src: int, op_key) -> None:
         """``ack`` from ``src``: it applied our sw-acked op ``op_key``."""
@@ -1068,28 +1129,38 @@ class RmaEngine(FailureSide, TargetSide):
         if pair is not None and not pair[1].triggered:
             pair[1].succeed(self.sim.now)
 
-    def _on_get_reply(self, packet: Packet) -> None:
-        p = packet.payload
-        pend = self._pending_gets.get(p["op_key"])
+    def _get_reply(self, src: int, op_key, wire_off: int, chunk,
+                   total: int) -> None:
+        """``get_reply`` from ``src``: ``chunk`` of the ``total`` bytes
+        our get (or get-accumulate) ``op_key`` fetched.  The last one
+        starts the unpack — the receive overhead and the copy, one timer
+        — from the urgent queue (:meth:`_unpack`): that is where in the
+        event order a process spawned here would push its first timeout,
+        so equal-time heap entries pop in the same order either way."""
+        pend = self._pending_gets.get(op_key)
         if pend is None:
-            if p["op_key"] in self._failed_ops:
+            if op_key in self._failed_ops:
                 # The op was failed by a path failure; a straggler reply
                 # (e.g. delivered after a rank restart) is not an error.
                 return
-            raise RmaError(f"rank {self.rank}: stray get reply {p['op_key']}")
-        chunk = p["data"]
-        pend.buffer[p["wire_off"] : p["wire_off"] + len(chunk)] = chunk
+            raise RmaError(f"rank {self.rank}: stray get reply {op_key}")
+        pend.buffer[wire_off : wire_off + len(chunk)] = chunk
         pend.received += len(chunk)
-        if pend.received >= p["total"]:
-            del self._pending_gets[p["op_key"]]
-            self.sim.spawn(self._finish_get(pend, p["op_key"]),
-                           name=f"getfin-{self.rank}")
+        if pend.received >= total:
+            del self._pending_gets[op_key]
+            self.sim.schedule_urgent_call(self._unpack, pend, op_key)
 
-    def _finish_get(self, pend: _PendingGet, op_key):
-        yield self.sim.timeout(
+    def _unpack(self, pend: _PendingGet, op_key) -> None:
+        """The receive overhead and the copy into the origin buffer
+        start: :meth:`_got` when they are paid."""
+        self.sim.schedule_call(
             self.network.overhead_recv
-            + pend.buffer.size * self.timings.mem_copy_per_byte
-        )
+            + pend.buffer.size * self.timings.mem_copy_per_byte,
+            self._got, pend, op_key)
+
+    def _got(self, pend: _PendingGet, op_key) -> None:
+        """The fetched bytes are unpacked into the origin buffer: the get
+        is complete."""
         self._land(pend.buffer, pend.origin, pend.swap)
         if self.tracer.enabled:
             if pend.buffer.size <= 16:
@@ -1103,14 +1174,15 @@ class RmaEngine(FailureSide, TargetSide):
                                rank=self.rank, op=op_key)
         pend.ev_done.succeed()
 
-    def _on_reply(self, packet: Packet) -> None:
-        op_key = packet.payload["op_key"]
+    def _reply(self, src: int, op_key, value) -> None:
+        """``reply`` from ``src``: our rmw / rmi ``op_key`` returned
+        ``value``."""
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, "rma", "complete",
-                               rank=self.rank, src=packet.src, op=op_key)
+                               rank=self.rank, src=src, op=op_key)
         entry = self._pending_replies.pop(op_key, None)
         if entry is not None and not entry[2].triggered:
-            entry[2].succeed(packet.payload["value"])
+            entry[2].succeed(value)
 
 
 def build_rma(world: "World") -> None:

@@ -23,7 +23,7 @@ from repro.rma.target_mem import RmaError
 
 __all__ = ["TargetSide"]
 
-#: Inbound kinds that arrive as one request packet (and answer with a
+#: Inbound kinds that arrive as one request message (and answer with a
 #: reply); the rest arrive as ``rma.frag`` payload fragments.
 _REQUESTS = ("get", "rmw", "rmi")
 
@@ -240,9 +240,11 @@ class TargetSide:
     # ------------------------------------------------------------------
     # Request-style ops: get / rmw / rmi
     # ------------------------------------------------------------------
-    def _on_request(self, packet: Packet) -> None:
-        desc = packet.payload
-        peer = self._target_peer(desc["src"])
+    def _request(self, src: int, desc: Dict[str, Any]) -> None:
+        """``get_req`` / ``rmw_req`` / ``rmi_req`` from ``src``: serve
+        the op described by ``desc`` now, or hold it until the applied
+        watermark covers its barrier."""
+        peer = self._target_peer(src)
         op = peer.admit(desc)
         self._notify_early(desc)
         if peer.barrier_ok(op.barrier):
@@ -301,16 +303,20 @@ class TargetSide:
             value = fn(*args)
             nbytes = payload_nbytes(value)
         self._op_applied(peer, op)
-        self.send_control(desc["src"], "rma.reply",
-                          {"op_key": desc["op_key"], "value": value},
-                          data_bytes=nbytes)
+        self.signal(desc["src"], "rma.reply", desc["op_key"], value,
+                    data_bytes=nbytes)
 
     def _send_get_reply(self, src: int, op_key, data: np.ndarray) -> None:
-        """Fragment a get reply to MTU and inject it (as a burst when
-        the reverse path allows)."""
+        """Send the fetched bytes back: one message when they fit the
+        MTU, else MTU-sized packets (a burst where the reverse path
+        allows one)."""
         mtu = self.network.mtu
         total = data.size
-        chunks = [data[off:off + mtu] for off in range(0, max(total, 1), mtu)]
+        if total <= mtu:
+            self.signal(src, "rma.get_reply", op_key, 0, data, total,
+                        data_bytes=total)
+            return
+        chunks = [data[off:off + mtu] for off in range(0, total, mtu)]
         self.nic.send_burst([
             Packet(
                 src=self.rank, dst=src, kind="rma.get_reply",

@@ -18,7 +18,12 @@ closed-form and one callback per fragment (:meth:`TrainRoute.inject`)
 calls :meth:`Fabric.arrival <repro.network.fabric.Fabric.arrival>` —
 the one arrival function, link reservations and FIFO clamp included —
 which is what a routed path needs, and what keeps the per-pair clamp in
-injection order behind traffic that books at injection itself.
+injection order behind traffic that books at injection itself.  A
+remote-complete element booked so adds one callback per fragment at its
+arrival (:meth:`TrainRoute._acked`), where a packet's delivery would
+send the hardware ack, and sends it through the fabric's one copy of
+that ack (:meth:`Fabric.hardware_ack
+<repro.network.fabric.Fabric.hardware_ack>`).
 
 A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
 fully-described write (put/accumulate) with an *apply time* (its last
@@ -28,12 +33,13 @@ fabric materializes the arrived prefix of every train headed for a rank
 immediately before delivering any real packet to it, in global
 analytic-arrival order across origins
 (:meth:`~repro.network.fabric.Fabric.materialize_trains`), a notified
-element wakes the target at its apply time, a train that grows first
-sheds what has arrived at its target (so a train holds what is in
-simulated flight, however long the target goes unobserved), and the
-world drains all trains at end of run.  Because arrivals on an ordered
-path are clamped strictly monotonic, any real packet was sent *after*
-the train elements it follows and arrives after them — so handlers
+element wakes the target at its apply time, the ack callbacks of a
+late-booked remote-complete element are deliveries too, a train that
+grows first sheds what has arrived at its target (so a train holds
+what is in simulated flight, however long the target goes unobserved),
+and the world drains all trains at end of run.  Because arrivals on an
+ordered path are clamped strictly monotonic, any real packet was sent
+*after* the train elements it follows and arrives after them — so handlers
 (flush requests, later gets, atomics) always observe exactly the
 target-memory and watermark state the per-packet path would have
 produced at the same simulated time.
@@ -50,12 +56,20 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.network.packet import ACK_SIZE, HEADER_SIZE
 from repro.rma.layout import Fragment, apply_write, fragment_layout
-from repro.sim.events import DeferredEvent
+from repro.sim.events import AllOf, DeferredEvent, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rma.engine.core import RmaEngine
 
 __all__ = ["TrainElement", "OpTrain", "TrainRoute"]
+
+
+def _ack_lands(ack: Event) -> None:
+    """A train fragment's hardware ack is back at the origin: what
+    ``Fabric._ack_arrive`` does for a packet's."""
+    if not ack.triggered:
+        ack.succeed(ack.sim.now)
+
 
 #: Conformance mutations under which the train route may stay active:
 #: its own planted bug, plus ``shm_skip_fence`` — that one only alters
@@ -101,7 +115,8 @@ class TrainElement:
         #: Analytic arrival of the last fragment — the instant the op
         #: counts as applied (matching `_deliver_burst`'s replay point).
         #: None until the last fragment is injected when the element
-        #: books its arrivals late (:meth:`TrainRoute.inject`).
+        #: books its arrivals late (:meth:`TrainRoute.inject`); for a
+        #: remote-complete one then, the instant its ack callback runs.
         self.apply_time = apply_time
         #: (np_elem, op, scale) for accumulates, None for puts.
         self.acc = acc
@@ -195,7 +210,9 @@ class TrainRoute:
     as float arithmetic identical to what the event-loop path would
     perform and records it on the destination's :class:`OpTrain`.
     Booked at issue it costs zero kernel events until observed; booked
-    at injection (:meth:`books_late`), one per fragment.
+    at injection (:meth:`books_late`), one per fragment — three when
+    the element is remote-complete: injection, arrival, ack, as a
+    packet costs.
     """
 
     name = "train"
@@ -242,13 +259,8 @@ class TrainRoute:
         path = fabric.config_for(eng.rank, op.dst)
         if not path.ordered:
             return "unordered"      # arrival clamping assumes FIFO order
-        if op.attrs.remote_completion:
-            if not path.remote_completion_events:
-                return "sw-ack"     # the target engine must ack per op
-            if self.books_late(path, eng.sim.now):
-                # no arrival at issue to build ev_remote from, and on a
-                # routed path the hardware ack reserves links at arrival
-                return "late-ack"
+        if op.attrs.remote_completion and not path.remote_completion_events:
+            return "sw-ack"         # the target engine must ack per op
         peer = eng._origin_peers.get(op.dst)
         if peer is not None and (peer.last_atomic_seq
                                  or peer.last_deferred_seq):
@@ -257,13 +269,16 @@ class TrainRoute:
             return "deferred-window"
         return None
 
-    def _arrives(self, train: OpTrain, elem: TrainElement) -> None:
+    def _arrives(self, train: OpTrain, elem: TrainElement,
+                 wake: bool = True) -> None:
         """``elem``'s apply time is known: it joins its train.  A
         notified element also pushes its wake — one heap entry at the
         apply time itself (not ``now + (t - now)``, which can fall one
         ulp short and find nothing due) that materializes the target's
         arrived trains, so a waiter parked on the board resumes at the
-        instant a packet's delivery would have woken it.
+        instant a packet's delivery would have woken it.  An acked
+        element needs none (``wake=False``): its last fragment's
+        :meth:`_acked`, already on the heap for that instant, is one.
 
         A train that grows first sheds what has arrived: the target's
         pending elements whose arrival has passed are applied before
@@ -274,18 +289,24 @@ class TrainRoute:
         if train.dst in fabric._pending_trains:
             fabric.materialize_trains(train.dst)
         train.append(elem)
-        if elem.notification is not None:
+        if wake and elem.notification is not None:
             self.eng.sim.schedule_call_at(
                 elem.apply_time, fabric.materialize_trains, train.dst)
 
     def inject(self, train: OpTrain, elem: TrainElement, wire_bytes: int,
-               last: bool) -> None:
+               last: bool, ack: Optional[Event]) -> None:
         """Serialization of one fragment of a late-booked element ends:
         what ``Nic._injected`` → ``Fabric.transmit`` do for a packet.  A
         dead endpoint drops it; otherwise :meth:`Fabric.arrival
         <repro.network.fabric.Fabric.arrival>` books its flight — link
-        reservations and FIFO clamp — at this instant.  The last
-        fragment's arrival is the element's apply time."""
+        reservations and FIFO clamp — at this instant, and the fragment
+        of a remote-complete element (``ack``: the event its hardware
+        ack succeeds) pushes :meth:`_acked` with the delay ``transmit``
+        pushes ``_deliver`` with.  The last fragment's arrival is the
+        element's apply time; an acked element's is the instant its
+        :meth:`_acked` runs, ``now + (arrival - now)`` — one ulp before
+        ``arrival`` at times, when the callback would find its element
+        not yet due and ack a write that had not applied."""
         fabric = self.eng.nic.fabric
         dead = fabric._dead
         if dead and (train.src in dead or train.dst in dead):
@@ -297,9 +318,33 @@ class TrainRoute:
         if arrival is None:
             return
         elem.booked += 1
+        if ack is not None:
+            sim = self.eng.sim
+            now = sim.now
+            sim.schedule_call(arrival - now, self._acked, train.dst, ack)
+            arrival = now + (arrival - now)
         if last and elem.booked == elem.nfrags:
             elem.apply_time = arrival
-            self._arrives(train, elem)
+            self._arrives(train, elem, ack is None)
+
+    def _acked(self, dst: int, ack: Event) -> None:
+        """A fragment of a remote-complete element booked at injection
+        lands at ``dst``: what ``Fabric._deliver`` does for a packet
+        that wants an ack.  The target's arrived elements apply first —
+        at the last fragment the element itself, as the packet's handler
+        would apply it — then the fragment's hardware ack leaves
+        (:meth:`Fabric.hardware_ack
+        <repro.network.fabric.Fabric.hardware_ack>`).  A dead endpoint
+        drops it uncounted: ``inject`` or ``kill_rank`` has already
+        counted every fragment of an element that never applies."""
+        src = self.eng.rank
+        fabric = self.eng.nic.fabric
+        dead = fabric._dead
+        if dead and (src in dead or dst in dead):
+            return
+        if dst in fabric._pending_trains:
+            fabric.materialize_trains(dst)
+        fabric.hardware_ack(src, dst, _ack_lands, ack)
 
     def books_late(self, path, now: float) -> bool:
         """Whether an element issued ``now`` learns its arrivals at the
@@ -432,7 +477,13 @@ class TrainRoute:
             inject_end if inject_value is None else inject_value,
         )
         ev_remote = None
-        if mode == "hw":  # never late: declines() names ``late-ack``
+        acks = None
+        if mode == "hw" and late:
+            # learnt like the arrivals: each fragment's _acked sends its
+            # ack, which succeeds one event — as per packet
+            acks = [sim.event() for _ in sizes]
+            ev_remote = acks[0] if nfrags == 1 else AllOf(sim, acks)
+        elif mode == "hw":
             rev = fabric.config_for(dst, eng.rank)
             ack_flight = rev.latency + ACK_SIZE * rev.byte_time
             if nfrags == 1:
@@ -460,7 +511,8 @@ class TrainRoute:
             last = nfrags - 1
             for i, t in enumerate(inject_value or (inject_end,)):
                 sim.schedule_call(t - now, self.inject, train, element,
-                                  HEADER_SIZE + sizes[i], i == last)
+                                  HEADER_SIZE + sizes[i], i == last,
+                                  None if acks is None else acks[i])
         else:
             fabric._last_delivery[key] = arrival
             self._arrives(train, element)

@@ -11,7 +11,9 @@ the batch path must be caught.
 PR 19 widened the question to every fabric of the registry and to the
 notify clause (120 programs): on the flat fabrics the wider sweep found
 an element booked at issue clamping a reply injected before it, kept
-below as a six-op program.
+below as a six-op program.  A second differential holds every fast
+path on against the op-train and the live control plane both off, so
+posted requests and replies and late-acked writes are asked too.
 """
 
 import pytest
@@ -70,6 +72,23 @@ def test_train_on_off_differential_on_every_fabric(fabric, notify):
         assert off.stats["train_ops"] == 0
         engaged += on.stats["train_ops"]
     assert (engaged == 0) == (fabric in TRAINLESS), engaged
+
+
+@pytest.mark.parametrize("notify", [False, True], ids=["plain", "notify"])
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_all_on_off_differential_on_every_fabric(fabric, notify):
+    """60 programs per fabric: every fast path on — the op-train
+    (late-acked remote-complete writes included) and the live control
+    plane (posted requests and replies included) — against both off."""
+    for seed in range(60):
+        program = generate_program(seed, notify=notify)
+        on = run_program(program, fabric, seed, trace=False)
+        with fast_paths(train=False, nexus=False):
+            off = run_program(program, fabric, seed, trace=False)
+        assert (_observables(on), on.notify_counts) == \
+            (_observables(off), off.notify_counts), (
+                f"program seed {seed} on {fabric}: the fast paths changed "
+                f"simulated results")
 
 
 def test_booked_at_issue_never_clamps_a_reply_injected_before_it(

@@ -34,6 +34,23 @@ class TestAlloc:
         with pytest.raises(MemoryError_):
             space.alloc(-1)
 
+    @pytest.mark.parametrize("nbytes", [2.5, 8.0, "8", None, [8]],
+                             ids=repr)
+    def test_non_integer_size_rejected_by_name(self, space, nbytes):
+        """Used to die as numpy's raw ``TypeError`` from ``np.full``
+        (or a ``str < int`` comparison), naming neither the rank nor
+        the call."""
+        with pytest.raises(MemoryError_) as err:
+            space.alloc(nbytes)
+        assert str(err.value) == (f"rank 3: allocation size must be an "
+                                  f"integer, got {nbytes!r}")
+        assert space.bytes_allocated == 0
+
+    def test_numpy_integer_size_passes(self, space):
+        a = space.alloc(np.int64(24))
+        assert a.size == 24 and type(a.size) is int
+        assert space.buffer(a).size == 24
+
     def test_distinct_ids(self, space):
         assert space.alloc(1).alloc_id != space.alloc(1).alloc_id
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datatypes import BYTE, FLOAT64
-from repro.network import NetworkConfig, generic_rdma
+from repro.network import NetworkConfig, generic_rdma, seastar_portals
 from repro.rma import RmaAttrs, RmaError
 from repro.runtime import World
 
@@ -377,3 +377,82 @@ class TestNonIntegerArguments:
         window = World(n_ranks=2).run(program)[1]
         assert window[24:40] == bytes([7]) * 16
         assert window[:8] == (5).to_bytes(8, "little")
+
+
+class TestRmwArguments:
+    """An rmw's element type, operand and compare value were never
+    checked although ``rmw_apply`` took them as "validated at issue":
+    a list operand wrote two words where one was approved (or died in
+    the target's serializer past the window's end), a string, ``None``
+    or out-of-range operand raised a raw numpy error inside the
+    *target's* NIC, ``1.5`` silently added 1, ``"U8"`` silently
+    returned ``''``.  Each is a usage error of the call: reported by
+    name before any time passes and before anything is counted."""
+
+    OP = {"swap": "swap", "fetch_and_add": "fetch_add",
+          "compare_and_swap": "cas"}
+    #: (entry, disp, np_elem, value arguments, argument named, bad value)
+    VALUES = [
+        ("swap", 0, "int64", ([7, 9],), "operand", [7, 9]),
+        ("swap", 56, "int64", ([7, 9],), "operand", [7, 9]),
+        ("fetch_and_add", 0, "int64", ("abc",), "operand", "abc"),
+        ("fetch_and_add", 0, "int64", (None,), "operand", None),
+        ("fetch_and_add", 0, "int64", (1.5,), "operand", 1.5),
+        ("fetch_and_add", 0, "int8", (1000,), "operand", 1000),
+        ("compare_and_swap", 0, "int64", ("x", 1), "compare", "x"),
+        ("compare_and_swap", 0, "int64", (0, 2.5), "operand", 2.5),
+    ]
+
+    @staticmethod
+    def _rejected(entry, disp, np_elem, values):
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            message = None
+            if ctx.rank == 0:
+                message = yield from TestNonIntegerArguments._untouched(
+                    ctx, lambda: getattr(ctx.rma, entry)(
+                        tmems[1], disp, np_elem, *values))
+            yield from ctx.comm.barrier()
+            return message
+
+        world = World(n_ranks=2, network=seastar_portals())
+        return world.run(program)[0]
+
+    @pytest.mark.parametrize("entry,disp,np_elem,values,name,bad", VALUES,
+                             ids=repr)
+    def test_bad_value_rejected_by_name(self, entry, disp, np_elem, values,
+                                        name, bad):
+        assert self._rejected(entry, disp, np_elem, values) == (
+            f"{self.OP[entry]} {name} must be a scalar exactly "
+            f"representable as {np_elem}, got {bad!r} (rmw from rank 0 to "
+            f"target_mem on rank 1)")
+
+    @pytest.mark.parametrize("np_elem", ["int33", "V8", "O", "U8"])
+    def test_non_numeric_element_type_rejected_by_name(self, np_elem):
+        assert self._rejected("fetch_and_add", 0, np_elem, (1,)) == (
+            f"fetch_add element type must be a numeric NumPy type (bool, "
+            f"integer, unsigned, float or complex), got {np_elem!r} (rmw "
+            f"from rank 0 to target_mem on rank 1)")
+
+    def test_exact_values_pass(self):
+        """An exact float for an integer word, a NaN compare for a float
+        word, numpy scalars and a bool word still go through."""
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            out = None
+            if ctx.rank == 0:
+                out = [(yield from ctx.rma.fetch_and_add(
+                           tmems[1], 0, "int64", 2.0)),
+                       (yield from ctx.rma.fetch_and_add(
+                           tmems[1], 0, np.int32, np.uint8(3))),
+                       (yield from ctx.rma.compare_and_swap(
+                           tmems[1], 8, "float64", float("nan"), 1.5)),
+                       (yield from ctx.rma.swap(tmems[1], 16, "bool", True))]
+            yield from ctx.rma.complete_collective(ctx.comm)
+            return out, bytes(ctx.mem.space.buffer(alloc))
+
+        (out, _), (_, window) = World(
+            n_ranks=2, network=seastar_portals()).run(program)
+        assert out == [0, 2, 0.0, False]
+        assert window[:4] == (5).to_bytes(4, "little")
+        assert window[16] == 1

@@ -4,11 +4,12 @@ the all-off per-packet run — simulated times, returns, final window
 memory, every engine statistic except the train's own two counters, the
 notification boards (deliveries and latencies), and the NIC, fabric and
 per-link counters.  The ``nexus`` axis covers the barrier walk *and* the
-engine's header-only messages (flush round-trips, software acks, lock
-hand-offs), so the scenarios below include each; the ``train`` axis
-covers both ways an element is timed (at issue; at the injection
-instant, on routed paths and behind queued traffic) and notified
-writes."""
+engine's one-call messages (flush round-trips, software acks, lock
+hand-offs, get / rmw / rmi requests and their replies), so the
+scenarios below include each; the ``train`` axis covers both ways an
+element is timed (at issue; at the injection instant, on routed paths
+and behind queued traffic), remote-complete elements that ack
+themselves, and notified writes."""
 
 import dataclasses
 import hashlib
@@ -19,15 +20,18 @@ import pytest
 
 from repro.bench.workloads import fig2_attribute_cost, rank_fill
 from repro.datatypes import BYTE, INT64
+from repro.ga import ShardedStore
 from repro.machine import generic_cluster
 from repro.mpi.constants import ERRORS_RETURN
-from repro.network.config import seastar_portals
+from repro.network.config import quadrics_like, seastar_portals
+from repro.network.fabric import Fabric
 from repro.network.nic import Nic
-from repro.notify import DisseminationBarrier, NotifyQueue
+from repro.notify import DisseminationBarrier, McsLock, NotifyQueue
+from repro.pgas import Team
 from repro.rma.engine import RmaEngine
 from repro.runtime import World
 from repro.sim.core import SimulationError
-from repro.topo import torus_network
+from repro.topo import fattree_network, torus_network
 from tests.conftest import fast_paths
 from tests.rma.test_route_telemetry import control_routes
 
@@ -280,6 +284,139 @@ def _hierarchical():
     return world, world.run(program)
 
 
+def _store():
+    """``ShardedStore`` on a fat-tree, two ranks per node, open loop:
+    gets (a request and a reply each, or a load off the node's shared
+    window), remote-complete puts (late-acked train elements on the
+    routed path, or packets) and atomic adds, to keys on and off the
+    node; then every rank reads its slice back."""
+    world = World(machine=generic_cluster(n_nodes=4, ranks_per_node=2),
+                  network=fattree_network())
+
+    def program(ctx):
+        team = Team.world(ctx)
+        store = yield from ShardedStore.create(team, 32)
+        yield from ctx.comm.barrier()
+        done = []
+        for i in range(15):
+            key = (ctx.rank * 5 + i * 7) % 32
+            yield ctx.sim.timeout(0.7 * ((ctx.rank + i) % 3))
+            if i % 3 == 0:
+                req = yield from store.get_nb(key)
+            elif key % 4 == 3:      # counters only ever receive adds
+                req = yield from store.add_nb(key, 1)
+            else:
+                req = yield from store.put_nb(key, ctx.rank * 100 + i)
+            req.event.add_callback(
+                lambda _ev, i=i: done.append((i, ctx.sim.now)))
+        yield from store.sync()
+        finals = []
+        for key in range(ctx.rank, 32, ctx.size):
+            finals.append((yield from store.get(key)))
+        return sorted(done), finals, ctx.sim.now
+
+    return world, world.run(program)
+
+
+def _mcs_lock():
+    """Six ranks contend for an ``McsLock``: every acquire is a swap and
+    every release a compare-and-swap on rank 0 — requests answered with
+    replies — between notified hand-off puts."""
+    world = World(n_ranks=6, network=seastar_portals())
+
+    def program(ctx):
+        lock = yield from McsLock.create(ctx)
+        held = []
+        for i in range(3):
+            yield ctx.sim.timeout(0.4 * ((ctx.rank + i) % 3))
+            yield from lock.acquire()
+            held.append(ctx.sim.now)
+            yield ctx.sim.timeout(0.5)
+            yield from lock.release()
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return held, ctx.sim.now
+
+    return world, world.run(program)
+
+
+def _rmi():
+    """Remote method invocations around a ring: argument payloads in the
+    requests, list-valued results in the replies."""
+    world = World(n_ranks=4, network=seastar_portals())
+    for rank, ctx in world.contexts.items():
+        ctx.rma.register_rmi(
+            "scale", lambda xs, k, r=rank: [x * k + r for x in xs])
+
+    def program(ctx):
+        yield from ctx.comm.barrier()
+        out = []
+        for i in range(3):
+            peer = (ctx.rank + 1 + i) % ctx.size
+            got = yield from ctx.rma.invoke(peer, "scale",
+                                            list(range(i + 2)), ctx.rank + 1)
+            out.append((got, ctx.sim.now))
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return out
+
+    return world, world.run(program)
+
+
+BIG_GET = 3 * 4096 + 100    # a four-packet reply
+
+
+def _big_get(torus):
+    """A get whose reply spans four MTUs — still a burst of packets, or
+    one packet per fragment on the torus — beside a one-MTU get, after
+    a put to the same target."""
+    def run():
+        world = (_torus_world() if torus
+                 else World(n_ranks=8, network=seastar_portals()))
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(BIG_GET + 512)
+            ctx.mem.space.buffer(alloc)[:] = rank_fill(ctx.rank)
+            src = ctx.mem.space.alloc(512, fill=rank_fill(ctx.rank + 8))
+            got = ctx.mem.space.alloc(BIG_GET + 64)
+            peer = ctx.rank ^ 5
+            yield from ctx.comm.barrier()
+            yield from ctx.rma.put(src, 0, 512, BYTE, tmems[peer], BIG_GET,
+                                   512, BYTE)
+            yield from ctx.rma.get(got, 0, BIG_GET, BYTE, tmems[peer], 0,
+                                   BIG_GET, BYTE, blocking=True)
+            fetched = ctx.sim.now
+            yield from ctx.rma.get(got, BIG_GET, 64, BYTE, tmems[ctx.rank ^ 3],
+                                   BIG_GET, 64, BYTE, blocking=True)
+            yield from ctx.rma.complete_collective(ctx.comm)
+            return fetched, ctx.sim.now, hashlib.sha256(
+                bytes(ctx.mem.space.buffer(got))).hexdigest()
+
+        return world, world.run(program)
+    return run
+
+
+def _gated_get():
+    """An ``ordering`` get behind an atomic accumulate on the unordered
+    fabric: the request waits in ``peer.gated`` until the serializer job
+    applied the accumulate, then reads what it wrote."""
+    world = World(n_ranks=4, network=quadrics_like(), seed=3)
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(2048)
+        src = ctx.mem.space.alloc(2048, fill=rank_fill(ctx.rank))
+        got = ctx.mem.space.alloc(64)
+        peer = (ctx.rank + 1) % ctx.size
+        yield from ctx.comm.barrier()
+        yield from ctx.rma.accumulate(src, 0, 256, INT64, tmems[peer], 0,
+                                      256, INT64, atomicity=True)
+        yield from ctx.rma.get(got, 0, 64, BYTE, tmems[peer], 0, 64, BYTE,
+                               ordering=True, blocking=True)
+        fetched = ctx.sim.now
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return fetched, bytes(ctx.mem.space.buffer(got))
+
+    return world, world.run(program)
+
+
 WORKLOADS = {"fig2-none": _fig2("none"),
              # software acks (`rma.ack`) from the serializer thread
              "fig2-atomicity": _fig2("atomicity+thread"),
@@ -290,9 +427,11 @@ WORKLOADS = {"fig2-none": _fig2("none"),
              "notified-halo": _notified_halo, "notify-queue": _notify_queue,
              "dissemination": _dissemination,
              "torus-notified": _torus_halo(notified=True),
-             "torus-big": _torus_big}
+             "torus-big": _torus_big, "store": _store, "mcs-lock": _mcs_lock,
+             "rmi": _rmi, "big-get": _big_get(torus=False),
+             "big-get-torus": _big_get(torus=True), "gated-get": _gated_get}
 #: Scenarios in which no op can ride the train, whatever the switch.
-TRAINLESS = ("fig2-atomicity", "fig2-lock")
+TRAINLESS = ("fig2-atomicity", "fig2-lock", "rmi", "gated-get")
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -694,3 +833,187 @@ def test_train_writes_build_no_fragment_packet(name, monkeypatch):
             world.fabric.packets_delivered, world.fabric.bytes_delivered,
             None if world.topo is None else world.topo.hops_traversed)
     assert counted[True] == counted[False]
+
+
+# ----------------------------------------------------------------------
+# Requests, replies and late-acked train elements
+# ----------------------------------------------------------------------
+#: What travels as a posted message or a train element on a quiet world.
+LEAN = ("rma.get_req", "rma.rmw_req", "rma.rmi_req", "rma.get_reply",
+        "rma.reply", "rma.frag:hw")
+
+
+def _sent_kinds(monkeypatch):
+    """Record the kind of every packet handed to ``Nic.send`` (an
+    ``rma.frag`` with its remote-completion mode)."""
+    sent = []
+    send = Nic.send
+
+    def spy(self, packet):
+        kind = packet.kind
+        if kind == "rma.frag":
+            kind += ":" + packet.payload["desc"]["ack"]
+        sent.append(kind)
+        return send(self, packet)
+
+    monkeypatch.setattr(Nic, "send", spy)
+    return sent
+
+
+def test_quiet_store_builds_no_request_reply_or_acked_write_packet(
+        monkeypatch):
+    """The counting guard: on a quiet fat-tree no get request, no reply
+    and no remote-complete fragment reaches ``Nic.send`` — they are
+    posted messages and late-acked train elements — yet every NIC,
+    fabric and per-link counter reads what the all-off run reads."""
+    sent = _sent_kinds(monkeypatch)
+    live, live_results = _store()
+    live_sent, sent[:] = list(sent), []
+    with fast_paths(train=False, nexus=False):
+        packet, packet_results = _store()
+
+    assert [k for k in live_sent if k in LEAN] == []
+    by_packet = {k: sent.count(k) for k in LEAN if k in sent}
+    assert set(by_packet) == {"rma.get_req", "rma.get_reply", "rma.frag:hw"}
+    routes = control_routes(live)
+    assert routes[("request", "live", None)] == by_packet["rma.get_req"]
+    assert routes[("reply", "live", None)] == by_packet["rma.get_reply"]
+    assert (sum(c.rma.stats["train_ops"] for c in live.contexts.values())
+            == by_packet["rma.frag:hw"])
+    assert _observe(live, live_results) == _observe(packet, packet_results)
+    assert _traffic(live)[:-1] == _traffic(packet)[:-1]
+
+
+def test_the_gated_get_waits_in_the_gate(monkeypatch):
+    """The ``gated-get`` scenario does what it says: every rank's get
+    request is held in ``peer.gated`` behind the accumulate."""
+    from repro.rma.engine.target import _TargetPeer
+
+    gated = []
+    gate = _TargetPeer.gate
+
+    def spy(self, op):
+        gated.append(op.desc["kind"])
+        gate(self, op)
+
+    monkeypatch.setattr(_TargetPeer, "gate", spy)
+    world, _ = _gated_get()
+    assert gated.count("get") == world.n_ranks
+    assert control_routes(world)[("request", "live", None)] == world.n_ranks
+
+
+def test_kill_rank_drops_requests_replies_and_late_acks_like_packets():
+    """2x2x2 torus: every rank sends each of its three neighbours a
+    remote-complete put (a late-acked train element), a get and a
+    fetch-add, and notes what completes when without waiting on any of
+    it.  Rank 0 dies at twelve instants spread over the exchange —
+    requests and replies serializing, in flight or served, elements in
+    flight, applied or acked: what completed, the end time, the
+    survivors' memory and ``dead_dropped`` match the all-off run."""
+    def run(at=None):
+        world = _torus_world()
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(4 * 1024)
+            ctx.mem.space.buffer(alloc)[3 * 1024:] = rank_fill(ctx.rank)
+            src = ctx.mem.space.alloc(1024, fill=rank_fill(ctx.rank + 8))
+            got = ctx.mem.space.alloc(3 * 256)
+            yield from ctx.comm.barrier()
+            start, log = ctx.sim.now, []
+            for slot, bit in enumerate((1, 2, 4)):
+                peer = ctx.rank ^ bit
+                issued = [
+                    ("put", (yield from ctx.rma.put(
+                        src, 0, 1024, BYTE, tmems[peer], slot * 1024, 1024,
+                        BYTE, remote_completion=True))),
+                    ("get", (yield from ctx.rma.get(
+                        got, slot * 256, 256, BYTE, tmems[peer], 3 * 1024,
+                        256, BYTE))),
+                    ("fetch_add", (yield from ctx.rma.fetch_and_add(
+                        tmems[peer], 3 * 1024 + 512, "int64", 1,
+                        blocking=False)))]
+                for what, req in issued:
+                    req.event.add_callback(
+                        lambda ev, key=(what, peer): log.append(
+                            (key, ctx.sim.now, repr(ev.value))))
+            yield ctx.sim.timeout(40.0)
+            return start, sorted(log), bytes(ctx.mem.space.buffer(got))
+
+        if at is not None:
+            world.sim.schedule_call(at, world._kill_rank, 0)
+        return world, world.run(program)
+
+    _, results = run()
+    start, log, _ = results[0]
+    assert len(log) == 9        # rank 0's own ops, all complete
+    end = max(t for _, t, _ in log)
+    engaged = 0
+    for i in range(12):
+        at = start + (end - start) * (i + 0.5) / 12
+        seen = {}
+        for on in (True, False):
+            with fast_paths(train=on, nexus=on):
+                world, results = run(at)
+            observed = _observe(world, results)
+            memory = {r: m for r, m in observed[2].items() if r != 0}
+            seen[on] = (results, observed[1], memory,
+                        world.fabric.dead_dropped)
+            assert results[0] is None
+            if on:
+                # (ops issued after the kill find the world faulty)
+                engaged += sum(c.rma.stats["train_ops"]
+                               for c in world.contexts.values())
+        assert seen[True] == seen[False], at
+        assert seen[True][3] > 0
+    assert engaged > 0
+
+
+def test_a_late_acked_element_applies_before_its_ack_leaves(monkeypatch):
+    """On a one-hop torus whose link latency and per-byte time make the
+    fragment's flight ``(now + 0.3) + 2.2`` from an injection at
+    0.3000003 us, the callback pushed with the delay ``arrival - now``
+    runs at ``now + (arrival - now)``: one ulp before ``arrival``, the
+    clock of the wake test above.  That instant is the element's apply
+    time, so the callback finds its element due: the hardware ack
+    leaves at the per-packet instant with the payload already in the
+    window, never before it."""
+    acks, window = [], []
+    hardware_ack = Fabric.hardware_ack
+
+    def spy(self, origin, target, fn, *args):
+        acks.append((self.sim.now, bytes(window[0][:8])))
+        hardware_ack(self, origin, target, fn, *args)
+
+    monkeypatch.setattr(Fabric, "hardware_ack", spy)
+
+    def run():
+        machine = generic_cluster(n_nodes=2)
+        machine = dataclasses.replace(machine, timings=dataclasses.replace(
+            machine.timings, call_overhead=3e-7))
+        world = World(machine=machine, network=dataclasses.replace(
+            torus_network((2, 1, 1), link_latency=2.2,
+                          link_byte_time=0.0075), overhead_send=0.0))
+        alloc = world.memories[1].space.alloc(64)
+        tmem = world.contexts[1].rma.expose(alloc)
+        window[:] = [world.memories[1].space.buffer(alloc)]
+
+        def program(ctx):
+            src = ctx.mem.space.alloc(8, fill=9)
+            yield from ctx.rma.put(src, 0, 8, BYTE, tmem, 0, 8, BYTE,
+                                   remote_completion=True, blocking=True)
+            return ctx.sim.now
+
+        return world, world.run(program, ranks=[0])
+
+    seen = {}
+    for train in (True, False):
+        del acks[:]
+        with fast_paths(train=train):
+            world, (done,) = run()
+        assert world.contexts[0].rma.stats["train_ops"] == train
+        (sent, deposited), = acks
+        assert deposited == bytes([9]) * 8
+        seen[train] = (sent, done, world.fabric._last_delivery[(0, 1)])
+    assert seen[True] == seen[False]
+    sent, _, arrival = seen[True]
+    assert sent < arrival

@@ -88,7 +88,9 @@ def _mutated(world):
 #: Gates deleted in PR 19 (a train element may tell who waits, and may
 #: learn its arrival at the injection instant): the worlds that tripped
 #: them now ride the train.
-OPENED = ("notify", "topology")
+#: ``late-ack`` went since: a late-booked remote-complete element
+#: sends its own hardware ack from a callback at its arrival.
+OPENED = ("notify", "topology", "late-ack")
 
 #: gate -> (world builder, program, ops the scenario sends by packet for
 #: another reason: {reason: count})
@@ -112,8 +114,8 @@ GATES = {
     "mutation": (lambda: _mutated(_flat()), one_put(), {}),
     "reply": (_flat, one_put(before=_atomic_get, notify=5),
               {"deferred-window": 1}),
-    # no arrival at issue to build the remote-completion event from: the
-    # path is routed, or a get reply is still queued on the origin's NIC
+    # the arrival is learnt at injection — the path is routed, or a get
+    # reply is still queued on the origin's NIC — and so is the ack
     "late-ack": (_torus, one_put(remote_completion=True), {}),
     "late-ack/queued": (_flat,
                         one_put(before=_let_the_reply_queue, peer=_big_get,
@@ -127,11 +129,14 @@ def test_closed_train_gate_is_named(gate):
     build, program, others = GATES[gate]
     world = build()
     world.run(program)
-    if gate in OPENED:
-        assert routes(world) == {("train", "window-not-shared"): 1}
-        return
     expected = {("packet", r): n for r, n in others.items()}
     reason = gate.split("/")[0]
+    if reason in OPENED:
+        expected["train", "window-not-shared"] = 1
+        assert routes(world) == expected
+        # a remote-complete element is acked by the target's NIC
+        assert world.fabric.acks_generated == (reason == "late-ack")
+        return
     expected["packet", reason] = expected.get(("packet", reason), 0) + 1
     assert routes(world, "packet") == expected
     assert routes(world, "train") == {}
@@ -346,3 +351,43 @@ def test_lock_hand_offs_are_counted():
     # per origin: lock_req, lock_grant, unlock; and the op's software ack
     assert control_routes(world) == {("lock", "live", None): 6,
                                      ("ack", "live", None): 2}
+
+
+def _requests(ctx):
+    """Per rank, to the next one: a get, a fetch-and-add and a remote
+    method invocation — three requests, three replies."""
+    alloc, tmems = yield from ctx.rma.expose_collective(64)
+    got = ctx.mem.space.alloc(64)
+    yield from ctx.comm.barrier()
+    peer = (ctx.rank + 1) % ctx.size
+    yield from ctx.rma.get(got, 0, 64, BYTE, tmems[peer], 0, 64, BYTE,
+                           blocking=True)
+    yield from ctx.rma.fetch_and_add(tmems[peer], 0, "int64", 1)
+    yield from ctx.rma.invoke(peer, "echo", ctx.rank)
+    yield from ctx.comm.barrier()
+
+
+def test_requests_and_replies_are_counted_once_on_the_form_they_took():
+    n = 6 * 3
+
+    def run(**kw):
+        world = World(n_ranks=6, network=seastar_portals(), **kw)
+        for ctx in world.contexts.values():
+            ctx.rma.register_rmi("echo", lambda value: value)
+        world.run(_requests)
+        return {key: count for key, count in control_routes(world).items()
+                if key[0] in ("request", "reply")}
+
+    assert run() == {("request", "live", None): n,
+                     ("reply", "live", None): n}
+    assert run(trace=True) == {("request", "packet", "traced"): n,
+                               ("reply", "packet", "traced"): n}
+    # an armed plan installs the injector (faulty) and the transport
+    routes = run(fault_plan=FaultPlan().drop(1e-9))
+    assert {key[:2] for key in routes} == {("request", "packet"),
+                                           ("reply", "packet")}
+    assert {key[2] for key in routes} <= {"faulty", "transport"}
+    assert sum(routes.values()) == 2 * n
+    with fast_paths(nexus=False):
+        assert run() == {("request", "packet", "disabled"): n,
+                         ("reply", "packet", "disabled"): n}

@@ -5,31 +5,42 @@ all-to-all and 1-target incast on the flat Portals fabric, and
 8x8x8 torus, seeded random placement; (``--notify``) a ring halo
 synchronized by notified puts alone on 64 / 256 / 1 024 flat ranks;
 (``--stream``) one origin streaming 400 blocking 64 KiB puts onto an
-idle target, flat and on a 2x2x2 torus.  Every point runs twice: once
-plain for the wall, the full collections and the heap entries the
-kernel popped, then once under ``tracemalloc`` for *its own* peak (the
-process's RSS high-water would be the largest earlier point's) and the
-high-water of pending op-train elements.  Report only
+idle target, flat and on a 2x2x2 torus; (``--store``) a
+``ShardedStore`` on a fat-tree, two ranks per node, serving an open
+loop of Zipf-keyed 60/30/10 get/put/add requests on 16 / 64 / 256
+ranks.  Every point runs twice: once plain for the wall, the full
+collections and the heap entries the kernel popped, then once under
+``tracemalloc`` for *its own* peak (the process's RSS high-water would
+be the largest earlier point's), the high-water of pending op-train
+elements, and the messages built as ``Packet``s (``Nic.send``) against
+those posted without one (``Nic.post``).  Report only
 (``PYTHONPATH=src python tools/scale_probe.py [--torus | --notify |
---stream] [P ...]``) — the gates are counting tests:
+--stream | --store] [P ...]``) — the gates are counting tests:
 ``tests/network/test_train_registry.py`` on the fan-in structures,
-``tests/rma/test_train_fanin.py`` on what a train may hold."""
+``tests/rma/test_train_fanin.py`` on what a train may hold,
+``tests/rma/test_fast_path_lattice.py`` on what a quiet store builds."""
 
+import bisect
 import gc
+import random
 import sys
 import time
 import tracemalloc
 
 import repro.sim.core as kernel
 from repro.datatypes import BYTE
+from repro.ga import ShardedStore
 from repro.machine import generic_cluster
 from repro.network.config import seastar_portals
+from repro.network.nic import Nic
+from repro.pgas import Team
 from repro.rma.train import OpTrain
 from repro.runtime import World
-from repro.topo import torus_network
+from repro.topo import fattree_network, torus_network
 
 NBYTES, INCAST_PUTS, HALO_ITERS = 1024, 32, 4
 STREAM_BYTES, STREAM_PUTS = 65536, 400
+STORE_KEYS, STORE_REQUESTS, STORE_GAP_US = 512, 60, 4.0
 
 
 def program(ctx, incast):
@@ -91,11 +102,72 @@ def stream(ctx):
     yield from ctx.rma.complete_collective(ctx.comm)
 
 
+def store_schedule(n_ranks):
+    """Per rank, ``(due_us, class, key)`` of an open loop: exponential
+    gaps, 60/30/10 get/put/add, Zipf(1.2) keys — adds only to every
+    eighth key, puts to the others."""
+    weights = [1.0 / (k + 1) ** 1.2 for k in range(STORE_KEYS)]
+    keys = {"get": list(range(STORE_KEYS)),
+            "put": [k for k in range(STORE_KEYS) if k % 8 != 7],
+            "add": [k for k in range(STORE_KEYS) if k % 8 == 7]}
+    cdfs = {}
+    for cls, ks in keys.items():
+        total, cdf = 0.0, []
+        for k in ks:
+            total += weights[k]
+            cdf.append(total)
+        cdfs[cls] = cdf
+    schedule = []
+    for rank in range(n_ranks):
+        rng, due, reqs = random.Random(rank), 0.0, []
+        for _ in range(STORE_REQUESTS):
+            due += rng.expovariate(1.0 / STORE_GAP_US)
+            draw = rng.random()
+            cls = "get" if draw < 0.6 else "put" if draw < 0.9 else "add"
+            cdf = cdfs[cls]
+            reqs.append((due, cls, keys[cls][bisect.bisect_left(
+                cdf, rng.random() * cdf[-1])]))
+        schedule.append(reqs)
+    return schedule
+
+
+def store(ctx, schedule):
+    team = Team.world(ctx)
+    kv = yield from ShardedStore.create(team, STORE_KEYS)
+    yield from ctx.comm.barrier()
+    t0 = ctx.sim.now
+    for i, (due, cls, key) in enumerate(schedule[ctx.rank]):
+        if ctx.sim.now < t0 + due:
+            yield ctx.sim.timeout(t0 + due - ctx.sim.now)
+        if cls == "get":
+            yield from kv.get_nb(key)
+        elif cls == "put":
+            yield from kv.put_nb(key, ctx.rank * 1_000_000 + i)
+        else:
+            yield from kv.add_nb(key, 1)
+    yield from kv.sync()
+
+
+def store_world(n_ranks):
+    nodes = n_ranks // 2
+    return World(machine=generic_cluster(n_nodes=nodes, ranks_per_node=2),
+                 network=fattree_network(hosts_per_leaf=8,
+                                         n_leaf=max(2, -(-nodes // 8))))
+
+
+def store_ops(world):
+    return world.n_ranks * STORE_REQUESTS
+
+
 def memory_pass(world, rank_program, *args):
-    """Run under ``tracemalloc`` with a counter on the op-train's queue:
-    (peak MiB allocated by the run, most elements pending at once)."""
+    """Run under ``tracemalloc`` with a counter on the op-train's queue
+    and on the two ways a message leaves a NIC: (peak MiB allocated by
+    the run, most elements pending at once, ``Packet``s built, messages
+    posted without one)."""
     pending = [0, 0]                    # now, high-water
+    sent = [0, 0]                       # Nic.send, Nic.post
     append, pop_head = OpTrain.append, OpTrain.pop_head
+    send, post = Nic.send, Nic.post
 
     def counting_append(train, elem):
         pending[0] += 1
@@ -106,7 +178,16 @@ def memory_pass(world, rank_program, *args):
         pending[0] -= 1
         return pop_head(train)
 
+    def counting_send(nic, packet):
+        sent[0] += 1
+        return send(nic, packet)
+
+    def counting_post(nic, *a, **kw):
+        sent[1] += 1
+        post(nic, *a, **kw)
+
     OpTrain.append, OpTrain.pop_head = counting_append, counting_pop
+    Nic.send, Nic.post = counting_send, counting_post
     tracemalloc.start()
     try:
         world.run(rank_program, *args)
@@ -114,10 +195,15 @@ def memory_pass(world, rank_program, *args):
     finally:
         tracemalloc.stop()
         OpTrain.append, OpTrain.pop_head = append, pop_head
-    return peak / 2**20, pending[1]
+        Nic.send, Nic.post = send, post
+    return peak / 2**20, pending[1], sent[0], sent[1]
 
 
-def point(label, make_world, rank_program, *args):
+def puts(world):
+    return sum(ctx.rma.stats["puts"] for ctx in world.contexts.values())
+
+
+def point(label, make_world, rank_program, *args, ops=puts):
     world = make_world()
     gc.collect()
     full = gc.get_stats()[2]["collections"]
@@ -135,16 +221,18 @@ def point(label, make_world, rank_program, *args):
     finally:
         kernel._heappop = heappop
     wall = time.perf_counter() - t0
-    ops = sum(ctx.rma.stats["puts"] for ctx in world.contexts.values())
+    ops = ops(world)
     gen2 = gc.get_stats()[2]["collections"] - full
     n_ranks = world.n_ranks
     del world
     gc.collect()
-    peak, pending = memory_pass(make_world(), rank_program, *args)
+    peak, pending, built, posted = memory_pass(make_world(), rank_program,
+                                               *args)
     print(f"{label:11s} P={n_ranks:4d} "
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
           f"gen2_gc={gen2} heap_pops={popped[0]} "
-          f"run_peak={peak:6.1f}MiB pending_high_water={pending}")
+          f"run_peak={peak:6.1f}MiB pending_high_water={pending} "
+          f"packets_built={built} lean_messages={posted}")
     return 1e6 * wall / ops
 
 
@@ -171,6 +259,15 @@ if __name__ == "__main__":
                   notified_ring)
             for ranks in sizes]
         print(f"  us/op(P={sizes[-1]}) / us/op(P={sizes[0]}) = "
+              f"{per_op[-1] / per_op[0]:.2f}")
+        sys.exit(0)
+    if "--store" in sys.argv[1:]:
+        sizes = ([int(a) for a in sys.argv[1:] if a != "--store"]
+                 or [16, 64, 256])
+        per_op = [point("store", lambda: store_world(ranks), store,
+                        store_schedule(ranks), ops=store_ops)
+                  for ranks in sizes]
+        print(f"  us/request(P={sizes[-1]}) / us/request(P={sizes[0]}) = "
               f"{per_op[-1] / per_op[0]:.2f}")
         sys.exit(0)
     if "--stream" in sys.argv[1:]:
