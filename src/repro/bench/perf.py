@@ -365,7 +365,6 @@ def _metadata() -> Dict[str, Any]:
     so a benchmark artifact is self-describing about which optimizations
     were active when it was produced."""
     from repro.mpi.nexus import CollectiveNexus
-    from repro.network.nic import Nic
     from repro.rma.engine import RmaEngine
 
     try:
@@ -375,7 +374,6 @@ def _metadata() -> Dict[str, Any]:
         numpy_version = None
     return {
         "train_enabled": RmaEngine.train_enabled,
-        "burst_enabled": Nic.burst_enabled,
         "nexus_enabled": CollectiveNexus.enabled,
         "shared_default": RmaEngine.shared_default,
         "numpy": numpy_version,
@@ -461,8 +459,7 @@ def main(argv: Optional[list] = None) -> int:
         meta = _metadata()
         print(f"[perf] comparing simulated time against {args.compare} "
               f"(tolerance {args.tolerance:g}; train="
-              f"{'on' if meta['train_enabled'] else 'off'} burst="
-              f"{'on' if meta['burst_enabled'] else 'off'} nexus="
+              f"{'on' if meta['train_enabled'] else 'off'} nexus="
               f"{'on' if meta['nexus_enabled'] else 'off'} shm="
               f"{'on' if meta['shared_default'] else 'off'}) ...", flush=True)
         walls: Dict[str, tuple] = {}

@@ -146,7 +146,7 @@ class CollectiveNexus:
     #: path): the reference switch for every message that can travel
     #: without a packet — barrier rounds here, flush round-trips,
     #: software acks, lock hand-offs, get / rmw / rmi requests and their
-    #: replies in the RMA engine.
+    #: replies, and the payloads of writes in the RMA engine.
     enabled = True
 
     def __init__(self, world: "World") -> None:
@@ -162,8 +162,9 @@ class CollectiveNexus:
 
     def closed_gate(self, nic: "Nic") -> Optional[str]:
         """Why a one-call message leaving ``nic`` must be a real packet,
-        or ``None``: the lean form (``Nic.post``) builds no object for a
-        tracer, an injector or a transport to look at.
+        or ``None``: the lean form (``Nic.post``, ``Nic.post_frags``)
+        builds no object for a tracer, an injector or a transport to
+        look at.
 
         ``traced`` and ``transport`` are fixed when the world is built;
         ``faulty`` flips once, at the first ``kill_rank``.

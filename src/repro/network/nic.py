@@ -9,10 +9,12 @@ fabric.  ``Packet.ev_injected`` triggers then — that is the *local
 completion* point of a transfer (the origin buffer is free).
 
 A message whose effect at the destination is one call — a control
-message, a request, a reply — needs none of that: :meth:`Nic.post`
-reserves the same slot and pushes the same two heap entries —
-injection, arrival — with no ``Packet``, event or payload dict behind
-them (see :meth:`Nic.post`).
+message, a request, a reply, a write — needs none of that:
+:meth:`Nic.post` reserves the same slot and pushes the same two heap
+entries — injection, arrival — with no ``Packet`` or payload dict behind
+them.  A message longer than one MTU is one post per fragment, or, on a
+flat ordered path, :meth:`Nic.post_frags`: two heap entries for all its
+fragments.
 
 On the receive side, packets are dispatched to handlers registered by
 kind.  Handlers model NIC hardware (RDMA deposit, tag-match DMA): they
@@ -27,12 +29,13 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.network.config import NetworkConfig
 from repro.network.fabric import Fabric
-from repro.network.packet import HEADER_SIZE, Packet
+from repro.network.packet import ACK_SIZE, HEADER_SIZE, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
     from repro.network.transport import ReliableTransport
     from repro.sim.core import Simulator
+    from repro.sim.events import Event
 
 __all__ = ["Nic", "UnknownPacketKind"]
 
@@ -62,12 +65,6 @@ class UnknownPacketKind(RuntimeError):
 
 class Nic:
     """One rank's NIC: injection queue + receive dispatch."""
-
-    #: Whether :meth:`send_burst` batches a train of fragments into one
-    #: callback.  The determinism regression tests flip this off to prove
-    #: batched and per-packet injection produce identical simulated
-    #: timestamps.
-    burst_enabled: bool = True
 
     def __init__(self, sim: "Simulator", rank: int, fabric: Fabric) -> None:
         self.sim = sim
@@ -105,8 +102,8 @@ class Nic:
         """Arm the reliable transport (sequence numbers, acks,
         retransmission, dedup, checksums) on this NIC.  Done once per
         NIC by the :class:`~repro.runtime.World` when it is built with
-        an active fault plan; with the transport armed :meth:`send_burst`
-        sends packet by packet."""
+        an active fault plan; with the transport armed every message
+        is a packet."""
         if self.transport is not None:
             raise ValueError(f"rank {self.rank}: reliability already enabled")
         from repro.network.transport import ReliableTransport
@@ -119,9 +116,10 @@ class Nic:
         :meth:`reserve` starts no packet inside the window.  A packet
         already being serialized when it opens finishes; one whose turn
         falls inside it starts at ``until``.  Only a fault plan stalls a
-        NIC and an active plan arms the transport, under which bursts,
-        op-trains and barrier walks stand down — so :meth:`reserve` is
-        the only writer of the reservation that ever meets a window."""
+        NIC and an active plan arms the transport, under which lean
+        messages, op-trains and barrier walks stand down — so
+        :meth:`reserve` is the only writer of the reservation that ever
+        meets a window."""
         self._stalls.append((start, until))
         self._stalls.sort()
 
@@ -141,9 +139,10 @@ class Nic:
         handed to this NIC; returns the time the claim ends.  This is
         the injection queue: FIFO, deterministic service time, so the
         backlog is the single number ``_reserved_until``.  Every caller
-        (:meth:`send`, :meth:`reinject`, :meth:`post`, the barrier walk)
-        books the arrival from a callback at the returned instant, so
-        the claim also moves ``_unbooked_until``."""
+        (:meth:`send`, :meth:`reinject`, :meth:`post`,
+        :meth:`post_frags`, the barrier walk) books the arrival from a
+        callback at the returned instant or later, so the claim also
+        moves ``_unbooked_until``."""
         start = self._reserved_until
         now = self.sim.now
         if start < now:
@@ -208,10 +207,12 @@ class Nic:
             transport.packet_injected(packet)
 
     def post(self, dst: int, fn: Callable[..., None], args: tuple,
-             data_bytes: int = 0) -> None:
+             data_bytes: int = 0, injected: "Event | None" = None) -> None:
         """Send a message whose whole effect at ``dst`` is ``fn(*args)``
-        — a control message, a request or a reply carrying
-        ``data_bytes`` of payload: the lean form of :meth:`send`.
+        — a control message, a request, a reply or a write fragment
+        carrying ``data_bytes`` of payload: the lean form of
+        :meth:`send`.  ``injected``, when given, succeeds with the
+        injection instant, as a packet's ``ev_injected`` does.
 
         Same reservation (``HEADER_SIZE + data_bytes`` on the wire), and
         the same two heap entries pushed at the same instants in the
@@ -219,25 +220,27 @@ class Nic:
         ``Fabric.transmit`` → ``Fabric._deliver`` push for a packet of
         that size — so every timestamp, counter, link reservation and
         RNG draw is the per-packet one, and equal-time ties resolve as
-        they do per packet.  What is gone is the ``Packet``, its event,
-        its payload dict and the kind dispatch.  It synthesizes no trace
-        record and knows neither the fault injector nor the transport:
-        callers use it only where ``CollectiveNexus.closed_gate`` is
-        open."""
+        they do per packet.  What is gone is the ``Packet``, its payload
+        dict and the kind dispatch.  It synthesizes no trace record and
+        knows neither the fault injector nor the transport: callers use
+        it only where ``CollectiveNexus.closed_gate`` is open."""
         wire = HEADER_SIZE + data_bytes
         t = self.reserve(self.config.serialization_time(wire) if data_bytes
                          else self.header_ser)
         self.sim.schedule_call(t - self.sim.now, self.launch, dst, fn, args,
-                               wire)
+                               wire, injected, t)
 
     def launch(self, dst: int, fn: Callable[..., None], args: tuple,
-               wire: int = HEADER_SIZE) -> None:
-        """Serialization of a posted message of ``wire`` bytes ends: what
-        :meth:`_injected` and ``Fabric.transmit`` do for a packet, then
-        one callback at the arrival instant (:meth:`land`, on ``dst``'s
-        NIC)."""
+               wire: int = HEADER_SIZE, injected: "Event | None" = None,
+               t: float = 0.0) -> None:
+        """Serialization of a posted message of ``wire`` bytes ends (at
+        ``t``): what :meth:`_injected` and ``Fabric.transmit`` do for a
+        packet, then one callback at the arrival instant (:meth:`land`,
+        on ``dst``'s NIC)."""
         self.packets_sent += 1
         self.bytes_sent += wire
+        if injected is not None:
+            injected.succeed(t)
         fabric = self.fabric
         dead = fabric._dead
         if dead and (self.rank in dead or dst in dead):
@@ -268,69 +271,79 @@ class Nic:
         self.packets_received += 1
         fn(*args)
 
-    def send_burst(self, packets: "list[Packet]") -> "list[Packet]":
-        """Queue a train of same-destination packets for injection.
+    def flat_ordered(self, dst: int) -> bool:
+        """Whether the path to ``dst`` takes :meth:`post_frags`: a flat
+        fabric (no link to reserve in injection order across NICs) and
+        an ordered path (no jitter to draw per fragment)."""
+        return (self.fabric.topology is None
+                and self.fabric.config_for(self.rank, dst).ordered)
 
-        On a flat, ordered, untraced path without the transport the
-        train shares one callback: injection times are the running sum
-        of per-packet serialization behind the standing reservation —
-        what :meth:`reserve` would return packet by packet — and the
-        callback at the last one succeeds each ``ev_injected`` with its
-        time and hands the train to
-        :meth:`~repro.network.fabric.Fabric.transmit_burst`.  Simulated
-        timestamps of every defined observable match per-packet
-        :meth:`send`, which every other train takes; only the event
-        count changes.
-        """
-        if len(packets) < 2:
-            for packet in packets:
-                self.send(packet)
-            return packets
-        dst = packets[0].dst
-        path_cfg = self.fabric.config_for(self.rank, dst)
-        if (
-            not self.burst_enabled
-            or self.transport is not None
-            or self.fabric.topology is not None
-            or not path_cfg.ordered
-            or self.fabric.tracer.enabled
-            or any(p.dst != dst for p in packets)
-        ):
-            for packet in packets:
-                self.send(packet)
-            return packets
-        cfg = self.config
-        ack_capable = path_cfg.remote_completion_events
-        # Chain off the standing reservation, as reserve does.
-        t = max(self.sim.now, self._reserved_until)
-        inject_times = []
-        for packet in packets:
-            if packet.src != self.rank:
-                raise ValueError(
-                    f"packet src {packet.src} does not match NIC rank {self.rank}"
-                )
-            if packet.ev_injected is None:
-                packet.ev_injected = self.sim.event()
-            if (
-                packet.want_ack
-                and ack_capable
-                and packet.ev_remote_complete is None
-            ):
-                packet.ev_remote_complete = self.sim.event()
-            t += cfg.serialization_time(packet.wire_bytes)
-            inject_times.append(t)
-        self._reserved_until = self._unbooked_until = t
-        self.sim.schedule_call(
-            t - self.sim.now, self._finish_burst, packets, inject_times
-        )
-        return packets
+    def post_frags(self, dst: int, fn: Callable[..., None], args: tuple,
+                   sizes, injected: "Event | None" = None,
+                   acks: "Event | None" = None) -> None:
+        """Send a message cut into fragments of ``sizes`` payload bytes
+        over a flat ordered path (:meth:`flat_ordered`): the lean form
+        of sending them packet by packet, in two heap entries — the last
+        injection, the last arrival — instead of a pair per fragment.
 
-    def _finish_burst(self, packets, inject_times) -> None:
-        for packet, t in zip(packets, inject_times):
-            self.packets_sent += 1
-            self.bytes_sent += packet.wire_bytes
-            packet.ev_injected.succeed(t)
-        self.fabric.transmit_burst(packets, inject_times)
+        Injections are the reservation's running sum, one :meth:`reserve`
+        per fragment; arrivals are ``Fabric.arrival`` at each injection
+        instant.  ``fn(*args)`` runs once, at the last arrival: earlier
+        fragments only deposit bytes no one may read before the message
+        completes, which it cannot do before its last fragment lands.
+        ``injected`` succeeds at the last injection with the list of
+        injection instants (the value of an ``AllOf`` over the packets'
+        ``ev_injected``); ``acks`` with the list of the fragments'
+        hardware-ack instants, from one heap entry at the last.  A dead
+        endpoint drops the whole message at its last injection, and only
+        there."""
+        wires = [HEADER_SIZE + size for size in sizes]
+        ser = self.config.serialization_time
+        times = [self.reserve(ser(wire)) for wire in wires]
+        self.sim.schedule_call(times[-1] - self.sim.now, self._frags_launch,
+                               dst, fn, args, wires, times, injected, acks)
+
+    def _frags_launch(self, dst, fn, args, wires, times, injected,
+                      acks) -> None:
+        """The last fragment of a :meth:`post_frags` message is
+        serialized: every fragment leaves for the fabric."""
+        n = len(wires)
+        self.packets_sent += n
+        self.bytes_sent += sum(wires)
+        if injected is not None:
+            injected.succeed(times)
+        fabric = self.fabric
+        dead = fabric._dead
+        src = self.rank
+        if dead and (src in dead or dst in dead):
+            fabric.dead_dropped += n
+            return
+        arrival = fabric.arrival
+        arrivals = [arrival(src, dst, wire, t)
+                    for wire, t in zip(wires, times)]
+        sim = self.sim
+        sim.schedule_call(arrivals[-1] - sim.now, fabric.nics[dst]._frags_land,
+                          src, fn, args, wires, arrivals, acks)
+
+    def _frags_land(self, src, fn, args, wires, arrivals, acks) -> None:
+        """The last fragment of a :meth:`post_frags` message from ``src``
+        lands here: every fragment is delivered, then the message's
+        effect, then the hardware acks leave."""
+        fabric = self.fabric
+        if fabric._pending_trains:
+            fabric.materialize_trains(self.rank)
+        n = len(wires)
+        fabric.packets_delivered += n
+        fabric.bytes_delivered += sum(wires)
+        self.packets_received += n
+        fn(*args)
+        if acks is not None:
+            fabric.acks_generated += n
+            rev = fabric.config_for(self.rank, src)
+            flight = rev.latency + ACK_SIZE * rev.byte_time
+            self.sim.schedule_bulk_succeed(
+                arrivals[-1] + flight - self.sim.now, [acks],
+                [[arrival + flight for arrival in arrivals]])
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:

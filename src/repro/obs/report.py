@@ -594,8 +594,7 @@ def main(argv: Optional[list] = None) -> int:
               f"{orig['ops']} -> {opt['ops']} engine ops, "
               f"{opt['train_ops']} op-train ops "
               f"({opt['train_bytes']} B batched), "
-              f"sim {orig['sim_us']:.2f} -> {opt['sim_us']:.2f} us, "
-              f"wall speedup {bench['wall_speedup']:.2f}x")
+              f"sim {orig['sim_us']:.2f} -> {opt['sim_us']:.2f} us")
         for failure in doc["failures"]:
             print(f"FAILURE {failure}")
         if args.json_out:

@@ -66,7 +66,7 @@ from repro.rma.engine.board import NotifyBoard, check_notify_attr
 from repro.rma.engine.failure import FailureSide
 from repro.rma.engine.shared import SharedRoute
 from repro.rma.engine.target import TargetSide, _TargetPeer
-from repro.rma.layout import fragment_layout
+from repro.rma.layout import dense_sizes, fragment_layout
 from repro.rma.serializer import Serializer, make_serializer
 from repro.rma.target_mem import RmaError, TargetMem
 from repro.rma.train import TrainRoute
@@ -260,9 +260,11 @@ class _PendingGet:
 
 
 class PacketRoute:
-    """Last route of the table: the op travels as real packets.  It
-    never declines, and it is the one place an op gets its sequence
-    number, ordering barrier and wire descriptor."""
+    """Last route of the table: the op travels through the NIC, as
+    packets or — where ``CollectiveNexus.closed_gate`` is open — as lean
+    messages (``control.route{kind=request|write}``).  It never
+    declines, and it is the one place an op gets its sequence number,
+    ordering barrier and wire descriptor."""
 
     name = "packet"
     remote = True
@@ -313,11 +315,11 @@ class PacketRoute:
         if op.has_payload:
             mode = "none" if not op.is_write else eng._pick_remote_mode(
                 op.attrs, tmem, barrier, op.via_queue, op.via_lock, peer)
-            want_ack = mode == "hw"
-            frags = fragment_layout(op.dtype, op.count, op.wire,
-                                    eng.network.mtu)
+            lean = eng.world.nexus.route(eng.nic, "control.route",
+                                         "write") is None
+            frags, sizes = self._cut(op, swap, lean)
             desc.update(
-                nfrags=len(frags), ack=mode, swap=swap,
+                nfrags=len(sizes), ack=mode, swap=swap,
                 total_bytes=op.nbytes, acc=op.acc, dtype=op.dtype,
                 count=op.count,
                 # Applied whole, as one serializer job: atomic-queue
@@ -326,16 +328,8 @@ class PacketRoute:
                 # process lock).
                 via_job=op.via_queue or kind == "getacc",
             )
-            packets = [
-                Packet(
-                    src=eng.rank, dst=dst, kind="rma.frag",
-                    payload={"desc": desc, "frag": frag},
-                    data_bytes=len(frag.data),
-                    want_ack=want_ack,
-                )
-                for frag in frags
-            ]
-            eng.nic.send_burst(packets)
+            ev_local, acked = (self._post if lean else self._send)(
+                op, desc, frags, sizes, mode == "hw")
         else:
             if kind == "get":
                 desc.update(count=op.count, dtype=op.dtype)
@@ -346,13 +340,8 @@ class PacketRoute:
                        data_bytes=0 if kind == "get" else op.nbytes)
 
         if op.is_write:
-            one = len(packets) == 1
-            ev_local = (packets[0].ev_injected if one else
-                        AllOf(sim, [pkt.ev_injected for pkt in packets]))
             if mode == "hw":
-                done: Optional[Event] = (
-                    packets[0].ev_remote_complete if one else
-                    AllOf(sim, [pkt.ev_remote_complete for pkt in packets]))
+                done: Optional[Event] = acked
             elif mode == "sw":
                 done = sim.event()
                 eng._sw_ack_waiters[op_key] = (dst, done)
@@ -386,6 +375,78 @@ class PacketRoute:
                               dst=dst, seq=seq, bytes=op.nbytes, **extra,
                               op=op_key)
         return result
+
+    def _cut(self, op: _Op, swap: bool, lean: bool):
+        """``(frags, sizes)``: the payload's fragments and their data
+        bytes.  ``frags`` is None for a dense write — a contiguous
+        same-endian put — travelling lean where its fragments apply
+        together: as one fragment, on a flat ordered path, or into a
+        serializer job.  Its wire lands in one deposit, so it is never
+        cut into :class:`~repro.rma.layout.Fragment` objects."""
+        mtu = self.eng.network.mtu
+        if lean and op.kind == "put" and not swap and op.dtype.is_contiguous:
+            sizes = dense_sizes(op.dtype, op.count, mtu)
+            if (len(sizes) == 1 or op.via_queue
+                    or self.eng.nic.flat_ordered(op.dst)):
+                return None, sizes
+        frags = fragment_layout(op.dtype, op.count, op.wire, mtu)
+        return frags, [len(frag.data) for frag in frags]
+
+    def _send(self, op: _Op, desc, frags, sizes, want_ack: bool):
+        """The packet form of a payload: one ``rma.frag`` packet per
+        fragment, each handed to ``Nic.send``.  Returns the events of
+        local completion and of the hardware acks (None unless
+        ``want_ack``)."""
+        eng = self.eng
+        nic = eng.nic
+        packets = [
+            nic.send(Packet(src=eng.rank, dst=op.dst, kind="rma.frag",
+                            payload={"desc": desc, "frag": frag},
+                            data_bytes=size, want_ack=want_ack))
+            for frag, size in zip(frags, sizes)
+        ]
+        if len(packets) == 1:
+            return packets[0].ev_injected, packets[0].ev_remote_complete
+        sim = eng.sim
+        return (AllOf(sim, [pkt.ev_injected for pkt in packets]),
+                AllOf(sim, [pkt.ev_remote_complete for pkt in packets])
+                if want_ack else None)
+
+    def _post(self, op: _Op, desc, frags, sizes, want_ack: bool):
+        """The lean form of a payload: no packet, into the target's one
+        write body (``TargetSide._write``), shaped as the packets it
+        replaces — one fragment is a ``Nic.post``, several on a flat
+        ordered path one ``Nic.post_frags``, several elsewhere one post
+        per fragment.  Returns what :meth:`_send` returns; a
+        get-accumulate's local completion is None (nothing waits on
+        it)."""
+        eng = self.eng
+        sim = eng.sim
+        nic = eng.nic
+        dst = op.dst
+        body = eng.world.contexts[dst].rma.engine._write
+        args = (eng.rank, desc)
+        wire = op.wire
+        local = op.is_write
+        n = len(sizes)
+        if n == 1 or nic.flat_ordered(dst):
+            ev = sim.event() if local else None
+            ack = sim.event() if want_ack else None
+            part = n if frags is None else frags
+            if n == 1:
+                nic.post(dst, body, (*args, part, wire, ack), sizes[0], ev)
+            else:
+                nic.post_frags(dst, body, (*args, part, wire), sizes, ev,
+                               ack)
+            return ev, ack
+        evs = [sim.event() for _ in sizes] if local else None
+        acks = [sim.event() for _ in sizes] if want_ack else None
+        for i, size in enumerate(sizes):
+            nic.post(dst, body,
+                     (*args, 1 if frags is None else (frags[i],), wire,
+                      acks and acks[i]),
+                     size, evs and evs[i])
+        return (evs and AllOf(sim, evs)), (acks and AllOf(sim, acks))
 
     def _release_lock_after(self, dst: int, done: Event):
         if not done.triggered:
@@ -677,6 +738,14 @@ class RmaEngine(FailureSide, TargetSide):
                     "accumulate requires a datatype with a uniform element "
                     "type"
                 )
+            if origin_dtype.elem_np != target_dtype.elem_np:
+                # MPI: both sides of an accumulate share one predefined
+                # element type; anything else adds raw bit patterns
+                raise RmaError(
+                    f"accumulate origin element type {origin_dtype.elem_np} "
+                    f"does not match target element type "
+                    f"{target_dtype.elem_np} ({kind} from rank {self.rank} "
+                    f"to target_mem on rank {tmem.rank})")
             acc = (target_dtype.elem_np, acc_op, scale)
         if not (type(target_disp) is int and type(origin_offset) is int
                 and type(origin_count) is int and type(target_count) is int):
@@ -827,15 +896,23 @@ class RmaEngine(FailureSide, TargetSide):
                         self._tally(op, 0)
                     return self._finished(op)
                 if op.has_payload:
-                    # Eager/rendezvous split: single-fragment transfers
-                    # are copied at issue (buffer free at local
-                    # completion); larger contiguous ones ride as a
-                    # zero-copy view, pinned until remote delivery — the
-                    # same contract real RDMA rendezvous protocols impose.
+                    # Eager/rendezvous split, one rule: a payload is
+                    # copied at issue unless its request cannot complete
+                    # before it is applied — a write larger than one MTU
+                    # that is atomic or remote-complete, or any
+                    # get-accumulate (it completes with its reply).  Only
+                    # those ride as a zero-copy view, pinned until
+                    # application — the contract real RDMA rendezvous
+                    # protocols impose.  Every other request may complete
+                    # at injection, and the caller may then reuse the
+                    # buffer while fragments are still in flight.
+                    attrs = op.attrs
+                    pinned = op.nbytes > self.network.mtu and (
+                        attrs is None or attrs.atomicity
+                        or attrs.remote_completion)
                     alloc, offset, count, dtype = op.origin
                     op.wire = pack(self.mem.space.buffer(alloc), offset,
-                                   dtype, count,
-                                   copy=op.nbytes <= self.network.mtu)
+                                   dtype, count, copy=not pinned)
                 self._route_atomic(op)
             why = route.declines(op)
             if why is None:

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mpi.endpoint import payload_nbytes
+from repro.network.fabric import ack_lands
 from repro.network.packet import Packet
 from repro.rma.layout import Fragment, apply_write, read_layout, rmw_apply
 from repro.rma.target_mem import RmaError
@@ -42,6 +43,7 @@ class _InboundOp:
         "applied_frags",
         "gate_open",
         "staged",
+        "wire",
     )
 
     def __init__(self, desc: Dict[str, Any]) -> None:
@@ -55,6 +57,8 @@ class _InboundOp:
         self.applied_frags = 0
         self.gate_open = False
         self.staged = False  # atomic op already handed to the serializer
+        #: The whole payload of a dense write (``frags`` stays empty).
+        self.wire = None
 
 
 class _TargetPeer:
@@ -151,9 +155,25 @@ class TargetSide:
     # Payload-carrying ops: put / accumulate / get-accumulate fragments
     # ------------------------------------------------------------------
     def _on_frag(self, packet: Packet) -> None:
-        desc = packet.payload["desc"]
-        frag: Fragment = packet.payload["frag"]
-        peer = self._target_peer(desc["src"])
+        """Packet form of a write: one fragment arrives."""
+        payload = packet.payload
+        self._write(packet.src, payload["desc"], (payload["frag"],), None)
+
+    def _write(self, src: int, desc: Dict[str, Any], frags, wire,
+               ack=None) -> None:
+        """A write (put / accumulate / get-accumulate) from ``src``
+        arrives, in part or whole — THE target body of both its forms: a
+        packet per fragment (:meth:`_on_frag`), or a lean message
+        (``PacketRoute._post``).  ``frags`` is what arrived: a sequence
+        of :class:`Fragment`, or — a dense write, never cut — how many
+        of its fragments, its payload being ``wire`` whole.  The first
+        arrival admits the op, gated or not; a serializer-staged op is
+        handed to its job once complete, an open one applies what
+        arrived, a gated one buffers it.  ``ack``: the hardware ack a
+        posted fragment sends back once it ran (a packet's is the
+        fabric's, :meth:`Fabric._deliver
+        <repro.network.fabric.Fabric._deliver>`)."""
+        peer = self._target_peer(src)
         op = peer.inbound.get(desc["seq"]) if peer.inbound else None
         if op is None:
             op = peer.admit(desc)
@@ -163,22 +183,32 @@ class TargetSide:
             else:
                 op.gate_open = not desc["via_job"]
             self._notify_early(desc)
-        op.arrived += 1
+        if type(frags) is int:
+            op.arrived += frags
+            op.wire = wire
+        else:
+            op.arrived += len(frags)
         if desc["via_job"]:
-            op.frags.append(frag)
+            if op.wire is None:
+                op.frags.extend(frags)
             if op.arrived == op.nfrags and peer.barrier_ok(op.barrier):
                 self._stage_atomic(peer, op)
         elif op.gate_open:
-            self._apply_frags(peer, op, (frag,))
-        else:
-            op.frags.append(frag)
+            self._apply_frags(peer, op, frags)
+        elif op.wire is None:
+            op.frags.extend(frags)
+        if ack is not None:
+            self.nic.fabric.hardware_ack(src, self.rank, ack_lands, ack)
 
     def _apply_frags(self, peer: _TargetPeer, op: _InboundOp, frags) -> None:
-        """Apply fragments of an ungated non-atomic write as they come."""
+        """Apply what arrived of an ungated non-atomic write (``frags``
+        as in :meth:`_write`)."""
         desc = op.desc
+        dense = type(frags) is int
         apply_write(self.mem, self._resolve(desc["mem_id"]),
-                    desc["base_disp"], frags, desc["swap"], desc["acc"])
-        op.applied_frags += len(frags)
+                    desc["base_disp"], None if dense else frags,
+                    desc["swap"], desc["acc"], op.wire)
+        op.applied_frags += frags if dense else len(frags)
         if op.applied_frags < op.nfrags:
             return
         if self.mem.coherent:
@@ -222,8 +252,9 @@ class TargetSide:
             if fetch:
                 old = read_layout(self.mem, alloc, desc["base_disp"],
                                   desc["dtype"], desc["count"])
-            apply_write(self.mem, alloc, desc["base_disp"], op.frags,
-                        desc["swap"], desc["acc"])
+            apply_write(self.mem, alloc, desc["base_disp"],
+                        None if op.wire is not None else op.frags,
+                        desc["swap"], desc["acc"], op.wire)
             if not self.mem.coherent:
                 # (a get-accumulate has never charged the fence wait;
                 # its timestamps are pinned as they are)
@@ -308,24 +339,33 @@ class TargetSide:
 
     def _send_get_reply(self, src: int, op_key, data: np.ndarray) -> None:
         """Send the fetched bytes back: one message when they fit the
-        MTU, else MTU-sized packets (a burst where the reverse path
-        allows one)."""
+        MTU; else MTU fragments — packets, or one lean message into
+        :meth:`_get_reply` shaped as a write's payload
+        (``PacketRoute._post``), counted ``control.route{kind=reply}``."""
         mtu = self.network.mtu
         total = data.size
         if total <= mtu:
             self.signal(src, "rma.get_reply", op_key, 0, data, total,
                         data_bytes=total)
             return
-        chunks = [data[off:off + mtu] for off in range(0, total, mtu)]
-        self.nic.send_burst([
-            Packet(
-                src=self.rank, dst=src, kind="rma.get_reply",
-                payload={"op_key": op_key, "wire_off": i * mtu,
-                         "data": chunk, "total": total},
-                data_bytes=len(chunk),
-            )
-            for i, chunk in enumerate(chunks)
-        ])
+        offsets = range(0, total, mtu)
+        nic = self.nic
+        lean = self.world.nexus.route(nic, "control.route", "reply") is None
+        body = self.world.contexts[src].rma.engine._get_reply
+        if lean and nic.flat_ordered(src):
+            nic.post_frags(src, body, (self.rank, op_key, 0, data, total),
+                           [min(mtu, total - off) for off in offsets])
+            return
+        for off in offsets:
+            chunk = data[off:off + mtu]
+            if lean:
+                nic.post(src, body, (self.rank, op_key, off, chunk, total),
+                         len(chunk))
+            else:
+                self.send_control(src, "rma.get_reply",
+                                  {"op_key": op_key, "wire_off": off,
+                                   "data": chunk, "total": total},
+                                  data_bytes=len(chunk))
 
     # ------------------------------------------------------------------
     # Applied-watermark bookkeeping
@@ -391,12 +431,15 @@ class TargetSide:
         elif op.desc["via_job"]:
             if op.arrived == op.nfrags:
                 self._stage_atomic(peer, op)
-            # else: staged when the last fragment arrives (_on_frag
+            # else: staged when the last fragment arrives (_write
             # re-checks the barrier, which is now satisfied)
         else:
             op.gate_open = True
-            buffered, op.frags = op.frags, []
-            self._apply_frags(peer, op, buffered)
+            if op.wire is not None:
+                self._apply_frags(peer, op, op.arrived)
+            else:
+                buffered, op.frags = op.frags, []
+                self._apply_frags(peer, op, buffered)
 
     def _answer_flushes(self, peer: _TargetPeer) -> None:
         if not peer.flush_waiters:

@@ -13,6 +13,7 @@ assembles the full dense buffer and unpacks it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.datatypes.base import Datatype, Segment
 from repro.machine.node import RankMemory
 from repro.machine.address_space import Allocation
 
-__all__ = ["Fragment", "fragment_layout", "apply_put_fragment",
+__all__ = ["Fragment", "fragment_layout", "dense_sizes", "apply_put_fragment",
            "apply_accumulate", "apply_write", "rmw_apply", "read_layout"]
 
 
@@ -84,6 +85,18 @@ def fragment_layout(
         pos += size
     assert pos == wire.size, "fragmentation lost bytes"
     return out
+
+
+@lru_cache(maxsize=256)
+def dense_sizes(dtype: Datatype, count: int, mtu: int) -> Tuple[int, ...]:
+    """Data bytes of each fragment :func:`fragment_layout` would cut a
+    contiguous transfer into — without cutting it.  Where a dense write's
+    fragments apply together, fragmentation is pure timing: its wire
+    lands in one deposit (:func:`apply_write` with ``frags=None``)."""
+    elem = dtype.segments[0].elem_size
+    full = mtu - (mtu % elem) if elem > 1 else mtu
+    nfull, rem = divmod(count * dtype.size, full)
+    return (full,) * nfull + ((rem,) if rem else ())
 
 
 def _swapped(data: np.ndarray, elem: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Analytic op-trains: closed-form delivery of attribute-uniform runs.
 
-PR 1 proved that the flight of an uncontended burst on a flat, ordered,
+The flight of an uncontended run of fragments on a flat, ordered,
 fault-free path is closed-form: injection times are a running sum of
 serialization charges, arrivals are ``inject + latency`` clamped
 monotonic per (src, dst) pair.  The *op-train* route lifts that
@@ -54,21 +54,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.network.fabric import ack_lands
 from repro.network.packet import ACK_SIZE, HEADER_SIZE
-from repro.rma.layout import Fragment, apply_write, fragment_layout
+from repro.rma.layout import (Fragment, apply_write, dense_sizes,
+                               fragment_layout)
 from repro.sim.events import AllOf, DeferredEvent, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rma.engine.core import RmaEngine
 
 __all__ = ["TrainElement", "OpTrain", "TrainRoute"]
-
-
-def _ack_lands(ack: Event) -> None:
-    """A train fragment's hardware ack is back at the origin: what
-    ``Fabric._ack_arrive`` does for a packet's."""
-    if not ack.triggered:
-        ack.succeed(ack.sim.now)
 
 
 #: Conformance mutations under which the train route may stay active:
@@ -113,7 +108,8 @@ class TrainElement:
         self.wire = wire
         self.nfrags = nfrags
         #: Analytic arrival of the last fragment — the instant the op
-        #: counts as applied (matching `_deliver_burst`'s replay point).
+        #: counts as applied (where ``Nic.post_frags`` delivers a lean
+        #: message).
         #: None until the last fragment is injected when the element
         #: books its arrivals late (:meth:`TrainRoute.inject`); for a
         #: remote-complete one then, the instant its ack callback runs.
@@ -189,7 +185,7 @@ class OpTrain:
         fabric.bytes_delivered += elem.total_wire
         # A train riding a same-node path carries the same packets the
         # per-packet path would have: keep the intra-node stat honest —
-        # one count per fragment, exactly like Fabric.transmit[_burst].
+        # one count per fragment, exactly like Fabric.arrival.
         if (fabric.intra_config is not None
                 and fabric.config_for(self.src, self.dst)
                 is fabric.intra_config):
@@ -224,11 +220,9 @@ class TrainRoute:
         # already mis-timed by the ``train_mistime`` mutation.
         self._trains: Dict[int, OpTrain] = {}
         self._mistimed: set = set()
-        # fig2/halo issue thousands of identically-shaped ops, so both
-        # the fragment-size split (keyed by (dtype, count)) and the
+        # fig2/halo issue thousands of identically-shaped ops, so the
         # per-fragment serialization charges (keyed by the sizes tuple)
         # are computed once.
-        self._sizes_cache: Dict[tuple, tuple] = {}
         self._ser_cache: Dict[tuple, Any] = {}
 
     def declines(self, op) -> Optional[str]:
@@ -344,7 +338,7 @@ class TrainRoute:
             return
         if dst in fabric._pending_trains:
             fabric.materialize_trains(dst)
-        fabric.hardware_ack(src, dst, _ack_lands, ack)
+        fabric.hardware_ack(src, dst, ack_lands, ack)
 
     def books_late(self, path, now: float) -> bool:
         """Whether an element issued ``now`` learns its arrivals at the
@@ -378,10 +372,11 @@ class TrainRoute:
         mode = "hw" if op.attrs.remote_completion else "flush"
         cfg = eng.network
         mtu = cfg.mtu
-        if nbytes > mtu:
-            # Rendezvous transfers ride as zero-copy views pinned until
-            # delivery; the train applies them after the caller may have
-            # reused the buffer, so snapshot the payload at issue.
+        if nbytes > mtu and op.attrs.remote_completion:
+            # A remote-complete payload rides as a zero-copy view, pinned
+            # until its application (RmaEngine._issue); an element
+            # applies at a materialization point, possibly after its ack
+            # let the caller reuse the buffer, so snapshot it at issue.
             wire = wire.copy()
         peer = eng._origin_peer(dst)
         seq = peer.alloc_seq()
@@ -393,14 +388,7 @@ class TrainRoute:
             # arithmetic and application is a single NIC deposit of the
             # whole wire, so no Fragment objects are ever built.
             frags = None
-            skey = (dtype, op.count)
-            sizes = self._sizes_cache.get(skey)
-            if sizes is None:
-                elem = dtype.segments[0].elem_size
-                full = mtu - (mtu % elem) if elem > 1 else mtu
-                nfull, rem = divmod(nbytes, full)
-                sizes = (full,) * nfull + ((rem,) if rem else ())
-                self._sizes_cache[skey] = sizes
+            sizes = dense_sizes(dtype, op.count, mtu)
         else:
             frags = fragment_layout(dtype, op.count, wire, mtu)
             sizes = tuple(len(f.data) for f in frags)
@@ -437,8 +425,9 @@ class TrainRoute:
             if arrival <= prev:
                 arrival = prev + 1e-9
         else:
-            # A plain running sum: it IS the send_burst / transmit_burst
-            # float sequence, so it is trivially bit-exact.
+            # A plain running sum: it IS the float sequence of
+            # Nic.post_frags's reservations and arrivals, so it is
+            # trivially bit-exact.
             latency = path.latency
             t = start
             a = fabric._last_delivery.get(key, -1.0)

@@ -149,9 +149,9 @@ class Simulator:
         """Succeed ``events[i]`` with ``values[i]`` after ``delay``, as a
         single heap entry.
 
-        The batched generalization of the analytic burst-ack trick: N
-        completion events whose (time, value) pairs are already known
-        cost one event-loop interaction instead of N.  Events that
+        N completion events whose (time, value) pairs are already known
+        (the hardware acks of a ``Nic.post_frags`` message) cost one
+        event-loop interaction instead of N.  Events that
         trigger earlier by other means are skipped, so heap order and
         every observable timestamp stay exactly as if each event had its
         own timer at ``delay``.

@@ -8,7 +8,7 @@ Two properties are load-bearing:
 2. *Fast-path preservation*: an empty (or absent) fault plan changes
    nothing.  The injector and the reliable transport stay unarmed and
    every simulated timestamp matches the fault-free build exactly, with
-   the analytic burst path both on and off.
+   messages in their lean form and as packets.
 """
 
 import pytest
@@ -65,10 +65,10 @@ class TestReproducibility:
 
 
 class TestFastPathPreserved:
-    @pytest.mark.parametrize("burst", [True, False],
-                             ids=["burst-on", "burst-off"])
-    def test_empty_plan_is_timestamp_identical_to_no_plan(self, burst):
-        with fast_paths(burst=burst):
+    @pytest.mark.parametrize("nexus", [True, False],
+                             ids=["lean", "packets"])
+    def test_empty_plan_is_timestamp_identical_to_no_plan(self, nexus):
+        with fast_paths(nexus=nexus):
             _, t_none = run(None)
             _, t_empty = run(FaultPlan.empty())
         assert t_empty == t_none

@@ -347,17 +347,33 @@ def test_closed_gate_is_named(build, reason):
 
 
 def test_burst_off_gate_is_named():
-    """There is no such gate any more: ``Nic.burst_enabled`` only
-    batches ``send_burst``, so with it off the barrier still walks live
-    and leaves the times and state of the burst-on run."""
-    def program(ctx):
-        yield from ctx.comm.barrier()
-        return ctx.sim.now
+    """There is no such gate: the form a write takes is not the
+    barrier's.  Each rank enters the barrier right behind a 16 KiB
+    atomic put whose four fragments are one lean message on the NIC the
+    walk uses (``Nic.post_frags``); the walk chains off that
+    reservation, stays live, and times everything as the all-packet
+    run."""
+    def run():
+        world = _flat(4)()
+        tmems = [world.contexts[r].rma.expose(
+            world.memories[r].space.alloc(16384)) for r in range(4)]
+
+        def program(ctx):
+            src = ctx.mem.space.alloc(16384, fill=ctx.rank + 1)
+            yield from ctx.rma.put(src, 0, 16384, BYTE,
+                                   tmems[(ctx.rank + 1) % ctx.size], 0,
+                                   16384, BYTE, atomicity=True,
+                                   blocking=False)
+            yield from ctx.comm.barrier()
+            return ctx.sim.now
+
+        return world, world.run(program)
 
     seen = {}
-    for burst in (True, False):
-        with fast_paths(burst=burst):
-            world = _flat(4)()
-            seen[burst] = (world.run(program), _state(world))
-        assert _routes(world) == {("live", None): 1}
+    for nexus in (True, False):
+        with fast_paths(nexus=nexus):
+            world, exits = run()
+            seen[nexus] = (exits, _state(world))
+        assert _routes(world) == ({("live", None): 1} if nexus
+                                  else {("packet", "disabled"): 1})
     assert seen[False] == seen[True]

@@ -66,7 +66,7 @@ class TestIntraNodePath:
 
     def test_intra_count_invariant_across_modes(self):
         """One same-node transfer is counted once whether it rides the
-        per-packet path, a NIC burst, or an analytic op-train."""
+        per-packet path, a lean message, or an analytic op-train."""
         from repro.machine import MachineConfig
 
         def traffic(ctx):
@@ -79,16 +79,16 @@ class TestIntraNodePath:
                 yield from ctx.rma.complete(1)
             yield from ctx.comm.barrier()
 
-        def count(train, burst):
-            with fast_paths(train=train, burst=burst):
+        def count(train, nexus):
+            with fast_paths(train=train, nexus=nexus):
                 w = World(machine=MachineConfig(n_nodes=2, ranks_per_node=2))
                 w.run(traffic)
             return w.fabric.intra_node_packets
 
-        with_train = count(train=True, burst=True)
-        with_burst = count(train=False, burst=True)
-        per_packet = count(train=False, burst=False)
-        assert with_train == with_burst == per_packet
+        with_train = count(train=True, nexus=True)
+        lean = count(train=False, nexus=True)
+        per_packet = count(train=False, nexus=False)
+        assert with_train == lean == per_packet
         assert per_packet > 0
 
     def test_injector_dropped_intra_packet_not_counted(self):

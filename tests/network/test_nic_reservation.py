@@ -22,7 +22,6 @@ from repro.runtime import World
 from repro.sim import RngRegistry, Simulator
 from repro.sim.resources import Store
 from repro.topo import Crossbar
-from tests.conftest import fast_paths
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -63,8 +62,8 @@ def make_schedule(rng, stalls):
     """``(instants, windows)``: ``instants`` is a sorted list of
     ``(time, action, sizes)`` with 5-60 sends in all — same-instant
     bursts, gaps longer than any backlog, mixed sizes; ``action`` is
-    ``"send"`` or ``"foreign"`` (a burst/train/barrier writing the
-    reservation itself, which only ever happened at an idle instant).
+    ``"send"`` or ``"foreign"`` (an op-train writing the reservation
+    itself, which only ever happened at an idle instant).
     ``windows`` are 0-2 stall windows, some opening exactly at a send
     instant, some overlapping."""
     n_sends = rng.randint(5, 60)
@@ -121,11 +120,11 @@ def run_both(instants, windows, cfg):
     def foreign(sizes):
         if ref.pending:
             # the deleted nic-busy / _pending gates: not idle, so the
-            # burst/train stood down and sent packet by packet
+            # train stood down and sent packet by packet
             send(sizes)
             return
-        # TrainRoute.issue / Nic.send_burst: a running sum off the
-        # standing reservation, written back without an event
+        # TrainRoute.issue: a running sum off the standing
+        # reservation, written back without an event
         wrote.append(sim.now)
         for target in (ref, nic):
             t = max(sim.now, target._reserved_until)
@@ -234,35 +233,42 @@ class TestStallRule:
 
 # -- the routed tie rule --------------------------------------------------
 
-def _shared_link(burst):
-    """Ranks 0 and 1 send to rank 2 over a crossbar, so every packet
-    crosses the switch -> host-2 link.  Rank 0 hands its NIC two small
-    packets at t=0 (1 us each: the second is injected at t=2); rank 1
-    hands over a large one at t=0.5 (1.5 us: injected at t=2 too).  All
-    times are dyadic, so the two injections are bit-identical instants."""
+def _shared_link(form):
+    """Ranks 0 and 1 send to rank 2 over a crossbar, so every message
+    crosses the switch -> host-2 link — as packets, or posted
+    (``form="post"``: ``Nic.post``, the lean form).  Rank 0 hands its
+    NIC two small messages at t=0 (1 us each: the second is injected at
+    t=2); rank 1 hands over a large one at t=0.5 (1.5 us: injected at
+    t=2 too).  All times are dyadic, so the two injections are
+    bit-identical instants."""
     bt = 1.0 / 1024
-    with fast_paths(burst=burst):
-        world = World(n_ranks=3, network=NetworkConfig(
-            gap=1.0, byte_time=bt,
-            topology=Crossbar(3, link_latency=0.5, link_byte_time=bt)))
-        sim, nics = world.sim, world.nics
-        arrivals = []
-        nics[2].register_handler(
-            "test", lambda p: arrivals.append((p.src, p.data_bytes, sim.now)))
+    world = World(n_ranks=3, network=NetworkConfig(
+        gap=1.0, byte_time=bt,
+        topology=Crossbar(3, link_latency=0.5, link_byte_time=bt)))
+    sim, nics = world.sim, world.nics
+    arrivals = []
 
-        def send(src, data_bytes):
+    def landed(src, data_bytes):
+        arrivals.append((src, data_bytes, sim.now))
+
+    nics[2].register_handler("test", lambda p: landed(p.src, p.data_bytes))
+
+    def send(src, data_bytes):
+        if form == "post":
+            nics[src].post(2, landed, (src, data_bytes), data_bytes)
+        else:
             nics[src].send(Packet(src=src, dst=2, kind="test",
                                   data_bytes=data_bytes))
 
-        sim.schedule_call(0.0, send, 0, 0)
-        sim.schedule_call(0.0, send, 0, 0)
-        sim.schedule_call(0.5, send, 1, 1536 - 32)
-        sim.run()
+    sim.schedule_call(0.0, send, 0, 0)
+    sim.schedule_call(0.0, send, 0, 0)
+    sim.schedule_call(0.5, send, 1, 1536 - 32)
+    sim.run()
     return arrivals
 
 
-@pytest.mark.parametrize("burst", [True, False], ids=["burst-on", "burst-off"])
-def test_simultaneous_injections_reserve_a_shared_link_in_send_order(burst):
+@pytest.mark.parametrize("form", ["packet", "post"])
+def test_simultaneous_injections_reserve_a_shared_link_in_send_order(form):
     """Both NICs inject at t=2.0; the shared link goes to the packet
     that was handed to its NIC first (rank 0's second, at t=0), so the
     large packet handed over at t=0.5 does not hold the small one up.
@@ -270,7 +276,7 @@ def test_simultaneous_injections_reserve_a_shared_link_in_send_order(burst):
     t=1, after rank 1's at t=0.5, and reserved the link the other way
     round: the small packet arrived at 6.03125.)"""
     small = 32 / 1024  # link serialization of a header-only packet
-    assert _shared_link(burst) == [
+    assert _shared_link(form) == [
         (0, 0, 1.0 + 2 * (small + 0.5)),   # 2.0625
         (0, 0, 2.0 + 2 * (small + 0.5)),   # 3.0625
         (1, 1504, 2.0 + 2 * (1.5 + 0.5)),  # 6.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datatypes import BYTE, FLOAT64
+from repro.datatypes import BYTE, FLOAT32, FLOAT64, INT32, INT64
+from repro.datatypes.derived import struct_type
 from repro.network import NetworkConfig, generic_rdma, seastar_portals
 from repro.rma import RmaAttrs, RmaError
 from repro.runtime import World
@@ -456,3 +457,60 @@ class TestRmwArguments:
         assert out == [0, 2, 0.0, False]
         assert window[:4] == (5).to_bytes(4, "little")
         assert window[16] == 1
+
+
+class TestAccumulateElementTypes:
+    """MPI requires both sides of an accumulate to share one predefined
+    element type.  A mismatch used to add the origin's raw bit patterns
+    to the target's words (1.5 as float64 into an int64 word left
+    4609434218613702656, the bits of 1.5), atomic or not.  It is a usage
+    error of the call: reported by name before any time passes and
+    before anything is counted."""
+
+    MIXED = struct_type([1, 1], [0, 8], [INT64, FLOAT64])
+    #: (origin type, origin count, target type, target count)
+    CASES = [(FLOAT64, 1, INT64, 1), (BYTE, 8, INT64, 1),
+             (FLOAT64, 1, INT32, 2), (INT32, 2, FLOAT32, 2),
+             (MIXED, 1, INT64, 2)]
+
+    @pytest.mark.parametrize("entry", ["accumulate", "get_accumulate"])
+    @pytest.mark.parametrize("case", CASES,
+                             ids=lambda c: f"{c[0].elem_np}-{c[2].elem_np}")
+    def test_mismatch_rejected_by_name_before_anything_moves(self, entry,
+                                                             case):
+        o_type, o_count, t_type, t_count = case
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64)
+            message = None
+            if ctx.rank == 0:
+                message = yield from TestNonIntegerArguments._untouched(
+                    ctx, lambda: getattr(ctx.rma, entry)(
+                        buf, 0, o_count, o_type, tmems[1], 0, t_count,
+                        t_type, atomicity=True)
+                    if entry == "accumulate" else ctx.rma.get_accumulate(
+                        buf, 0, o_count, o_type, tmems[1], 0, t_count,
+                        t_type))
+            yield from ctx.comm.barrier()
+            return message
+
+        kind = "acc" if entry == "accumulate" else "getacc"
+        assert World(n_ranks=2).run(program)[0] == (
+            f"accumulate origin element type {o_type.elem_np} does not "
+            f"match target element type {t_type.elem_np} ({kind} from rank "
+            f"0 to target_mem on rank 1)")
+
+    def test_matching_types_still_add(self):
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(8)
+            src = ctx.mem.space.alloc(8)
+            ctx.mem.space.view(src, "float64")[0] = 1.5
+            if ctx.rank == 0:
+                yield from ctx.rma.accumulate(src, 0, 1, FLOAT64, tmems[1], 0,
+                                              1, FLOAT64, blocking=True,
+                                              remote_completion=True)
+            yield from ctx.rma.complete_collective(ctx.comm)
+            return float(ctx.mem.space.view(alloc, "float64")[0])
+
+        assert World(n_ranks=2).run(program) == [0.0, 1.5]

@@ -1,15 +1,17 @@
-"""The fast-path lattice: every combination of the three class switches
-(op-train, NIC burst, live control plane) must be indistinguishable from
-the all-off per-packet run — simulated times, returns, final window
-memory, every engine statistic except the train's own two counters, the
+"""The fast-path lattice: every combination of the two class switches
+(op-train, live control plane) must be indistinguishable from the
+all-off per-packet run — simulated times, returns, final window memory,
+every engine statistic except the train's own two counters, the
 notification boards (deliveries and latencies), and the NIC, fabric and
-per-link counters.  The ``nexus`` axis covers the barrier walk *and* the
-engine's one-call messages (flush round-trips, software acks, lock
-hand-offs, get / rmw / rmi requests and their replies), so the
-scenarios below include each; the ``train`` axis covers both ways an
-element is timed (at issue; at the injection instant, on routed paths
-and behind queued traffic), remote-complete elements that ack
-themselves, and notified writes."""
+per-link counters.  The ``nexus`` axis covers the barrier walk *and*
+every message the engine can send without a packet (flush round-trips,
+software acks, lock hand-offs, get / rmw / rmi requests and their
+replies, the payloads of writes that decline the train — one fragment,
+several on a flat ordered path, several elsewhere), so the scenarios
+below include each; the ``train`` axis covers both ways an element is
+timed (at issue; at the injection instant, on routed paths and behind
+queued traffic), remote-complete elements that ack themselves, and
+notified writes."""
 
 import dataclasses
 import hashlib
@@ -21,7 +23,7 @@ import pytest
 from repro.bench.workloads import fig2_attribute_cost, rank_fill
 from repro.datatypes import BYTE, INT64
 from repro.ga import ShardedStore
-from repro.machine import generic_cluster
+from repro.machine import generic_cluster, nec_sx9
 from repro.mpi.constants import ERRORS_RETURN
 from repro.network.config import quadrics_like, seastar_portals
 from repro.network.fabric import Fabric
@@ -35,7 +37,7 @@ from repro.topo import fattree_network, torus_network
 from tests.conftest import fast_paths
 from tests.rma.test_route_telemetry import control_routes
 
-COMBOS = list(itertools.product((False, True), repeat=3))
+COMBOS = list(itertools.product((False, True), repeat=2))
 BIG = 33 * 4096 + 100  # 34 fragments at the 4 KiB MTU
 
 
@@ -365,9 +367,9 @@ BIG_GET = 3 * 4096 + 100    # a four-packet reply
 
 
 def _big_get(torus):
-    """A get whose reply spans four MTUs — still a burst of packets, or
-    one packet per fragment on the torus — beside a one-MTU get, after
-    a put to the same target."""
+    """A get whose reply spans four MTUs — one lean message of four
+    fragments, or one post per fragment on the torus — beside a one-MTU
+    get, after a put to the same target."""
     def run():
         world = (_torus_world() if torus
                  else World(n_ranks=8, network=seastar_portals()))
@@ -417,6 +419,152 @@ def _gated_get():
     return world, world.run(program)
 
 
+def _atomic_big():
+    """Seven origins put 64 KiB onto one region of rank 0 under
+    ``atomicity``, with the communication-thread serializer and with the
+    process lock: sixteen-fragment lean messages into a serializer job,
+    and into a lock-held deposit.  The thread world's observation rides
+    in the results of the lock world's."""
+    sink = []
+    elapsed = fig2_attribute_cost("atomicity+thread", 65536,
+                                  puts_per_origin=3, world_out=sink)
+    thread = (_observe(sink[0], elapsed), _traffic(sink[0]))
+    sink = []
+    elapsed = fig2_attribute_cost("atomicity+lock", 65536,
+                                  puts_per_origin=3, world_out=sink)
+    return sink[0], (thread, elapsed)
+
+
+def _atomic_torus():
+    """2x2x2 torus: every rank sends a four-fragment atomic accumulate
+    (fragments, posted one by one into a serializer job) and a
+    four-fragment atomic put (dense, posted one by one) to the same
+    peer, then reads the accumulated words back."""
+    world = _torus_world()
+    count = (3 * 4096 + 64) // 8
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(2 * count * 8)
+        src = ctx.mem.space.alloc(count * 8, fill=rank_fill(ctx.rank))
+        got = ctx.mem.space.alloc(64)
+        peer = ctx.rank ^ 5
+        yield from ctx.comm.barrier()
+        yield from ctx.rma.accumulate(src, 0, count, INT64, tmems[peer], 0,
+                                      count, INT64, op="sum",
+                                      atomicity=True, blocking=True)
+        yield from ctx.rma.put(src, 0, count * 8, BYTE, tmems[peer],
+                               count * 8, count * 8, BYTE, atomicity=True)
+        yield from ctx.rma.get(got, 0, 64, BYTE, tmems[peer], count * 8 - 64,
+                               64, BYTE, blocking=True)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return ctx.sim.now, bytes(ctx.mem.space.buffer(got))
+
+    return world, world.run(program)
+
+
+def _unordered_big():
+    """quadrics: a 16 KiB put, then a 16 KiB ``ordering`` put to the same
+    peer.  The second one's fragments overtake the first's and are
+    buffered behind its barrier, gated and released fragment by
+    fragment, posted or packets; a buffered put on the same fabric
+    waits for an atomic one ahead of it."""
+    world = World(n_ranks=4, network=quadrics_like(), seed=5)
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(3 * 16384)
+        src = ctx.mem.space.alloc(16384, fill=rank_fill(ctx.rank))
+        peer = (ctx.rank + 1) % ctx.size
+        yield from ctx.comm.barrier()
+        for _ in range(2):
+            yield from ctx.rma.put(src, 0, 16384, BYTE, tmems[peer], 0,
+                                   16384, BYTE)
+            yield from ctx.rma.put(src, 0, 16384, BYTE, tmems[peer], 16384,
+                                   16384, BYTE, ordering=True)
+        yield from ctx.rma.put(src, 0, 16384, BYTE, tmems[peer], 2 * 16384,
+                               16384, BYTE, atomicity=True)
+        yield from ctx.rma.put(src, 0, 4096, BYTE, tmems[peer], 2 * 16384,
+                               4096, BYTE, ordering=True)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return ctx.sim.now
+
+    world_results = world, world.run(program)
+    assert sum(c.rma.stats["gated_frags"] for c in world.contexts.values())
+    return world_results
+
+
+def _noncoherent():
+    """NEC SX-9, two ranks per node: non-coherent targets invalidate
+    their caches before a write counts as applied — a 16 KiB put (four
+    fragments, flat), a software-acked remote-complete one and an
+    accumulate, to peers on and off the node."""
+    world = World(machine=nec_sx9(n_nodes=2, ranks_per_node=2))
+
+    def program(ctx):
+        alloc, tmems = yield from ctx.rma.expose_collective(3 * 16384)
+        src = ctx.mem.space.alloc(16384, fill=rank_fill(ctx.rank))
+        yield from ctx.comm.barrier()
+        for peer in (ctx.rank ^ 1, ctx.rank ^ 2):
+            yield from ctx.rma.put(src, 0, 16384, BYTE, tmems[peer], 0,
+                                   16384, BYTE)
+            yield from ctx.rma.put(src, 0, 16384, BYTE, tmems[peer], 16384,
+                                   16384, BYTE, remote_completion=True,
+                                   blocking=True)
+            yield from ctx.rma.accumulate(src, 0, 64, INT64, tmems[peer],
+                                          2 * 16384, 64, INT64)
+        yield from ctx.rma.complete_collective(ctx.comm)
+        return ctx.sim.now
+
+    return world, world.run(program)
+
+
+#: Fabrics of the buffer-reuse scenario, and the world each builds.
+REUSE = {"reuse-after-put": lambda trace: World(
+             n_ranks=2, network=seastar_portals(), trace=trace),
+         "reuse-after-put-unordered": lambda trace: World(
+             n_ranks=2, network=quadrics_like(), seed=3, trace=trace),
+         "reuse-after-put-torus": lambda trace: World(
+             machine=generic_cluster(n_nodes=8).with_placement("random", 11),
+             network=torus_network((2, 2, 2)), trace=trace)}
+
+
+def _reuse_after_put(fabric, trace=False):
+    """Rank 0 writes four fragments at a time to rank 1 — blocking and
+    non-blocking puts and accumulates — and overwrites its buffer the
+    moment each request completes, while the fragments may still be in
+    flight.  Whatever the route and the form, the target holds the
+    bytes the buffer held at each call and nothing written after."""
+    def run():
+        world = REUSE[fabric](trace)
+        nbytes = 4 * 4096
+        tmem = world.contexts[1].rma.expose(
+            world.memories[1].space.alloc(4 * nbytes))
+
+        def program(ctx):
+            src = ctx.mem.space.alloc(nbytes)
+            buf = ctx.mem.space.buffer(src)
+            for slot in range(4):
+                buf[:] = 7
+                if slot < 2:
+                    req = yield from ctx.rma.put(
+                        src, 0, nbytes, BYTE, tmem, slot * nbytes, nbytes,
+                        BYTE, blocking=slot == 0)
+                else:
+                    req = yield from ctx.rma.accumulate(
+                        src, 0, nbytes // 8, INT64, tmem, slot * nbytes,
+                        nbytes // 8, INT64, blocking=slot == 2)
+                yield from req.wait()
+                buf[:] = 99
+            yield from ctx.rma.complete(1)
+            return ctx.sim.now
+
+        results = world.run(program, ranks=[0])
+        window = world.memories[1].space.buffer(
+            world.contexts[1].rma.engine._exposures[tmem.mem_id])
+        assert set(window.tolist()) == {7}, fabric
+        return world, results
+    return run
+
+
 WORKLOADS = {"fig2-none": _fig2("none"),
              # software acks (`rma.ack`) from the serializer thread
              "fig2-atomicity": _fig2("atomicity+thread"),
@@ -429,33 +577,46 @@ WORKLOADS = {"fig2-none": _fig2("none"),
              "torus-notified": _torus_halo(notified=True),
              "torus-big": _torus_big, "store": _store, "mcs-lock": _mcs_lock,
              "rmi": _rmi, "big-get": _big_get(torus=False),
-             "big-get-torus": _big_get(torus=True), "gated-get": _gated_get}
+             "big-get-torus": _big_get(torus=True), "gated-get": _gated_get,
+             "atomic-big": _atomic_big, "atomic-torus": _atomic_torus,
+             "unordered-big": _unordered_big, "noncoherent": _noncoherent,
+             **{name: _reuse_after_put(name) for name in REUSE}}
 #: Scenarios in which no op can ride the train, whatever the switch.
-TRAINLESS = ("fig2-atomicity", "fig2-lock", "rmi", "gated-get")
+TRAINLESS = ("fig2-atomicity", "fig2-lock", "rmi", "gated-get",
+             "atomic-big", "atomic-torus", "unordered-big", "noncoherent",
+             "reuse-after-put-unordered")
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_combination_equals_all_off(name):
     run = WORKLOADS[name]
     seen = {}
-    for train, burst, nexus in COMBOS:
-        with fast_paths(train=train, burst=burst, nexus=nexus):
+    for train, nexus in COMBOS:
+        with fast_paths(train=train, nexus=nexus):
             world, results = run()
-        seen[train, burst, nexus] = (_observe(world, results),
-                                     _traffic(world))
+        seen[train, nexus] = (_observe(world, results), _traffic(world))
         trains = sum(c.rma.stats["train_ops"]
                      for c in world.contexts.values())
         if name not in TRAINLESS:
             # the switches are independent: the train needs only its own
-            assert (trains > 0) == train, (train, burst, nexus)
+            assert (trains > 0) == train, (train, nexus)
         if name == "mixed" and train:
             assert all(c.rma.stats["train_bytes"] == BIG + 512
                        for c in world.contexts.values())
-    reference, ref_traffic = seen[False, False, False]
+    reference, ref_traffic = seen[False, False]
     for combo, (observed, traffic) in seen.items():
         assert observed == reference, combo
         assert traffic[:-1] == ref_traffic[:-1], combo
-        assert traffic[-1] == seen[combo[0], False, False][1][-1], combo
+        assert traffic[-1] == seen[combo[0], False][1][-1], combo
+
+
+@pytest.mark.parametrize("fabric", sorted(REUSE))
+def test_a_buffer_reused_after_its_request_completes_never_lands(fabric):
+    """The traced half of the ``reuse-after-put*`` scenarios (the lattice
+    runs them untraced on every combination): tracing changes the
+    form of every message, not what lands."""
+    world, _ = _reuse_after_put(fabric, trace=True)()
+    assert not any(c.rma.stats["train_ops"] for c in world.contexts.values())
 
 
 def _nexus_on_off(run):
@@ -505,9 +666,12 @@ def test_a_flush_that_must_wait_answers_at_the_per_packet_instant(
     live, packet = _nexus_on_off(run)
     assert waited == [True, True]
     assert live.contexts[1].rma.stats["gated_frags"] == 1
+    # (the ordered put declines the train behind the atomic one)
     assert control_routes(live) == {("flush", "live", None): 2,
+                                    ("write", "live", None): 2,
                                     ("ack", "live", None): 1}
     assert control_routes(packet) == {("flush", "packet", "disabled"): 2,
+                                      ("write", "packet", "disabled"): 2,
                                       ("ack", "packet", "disabled"): 1}
 
 
@@ -552,9 +716,9 @@ def test_kill_rank_drops_live_flushes_in_flight_like_packets():
 
 
 def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
-    """The counting guard: with the gate open no flush or software ack
-    reaches ``Nic.send``, yet every traffic counter reads what the
-    per-packet run reads."""
+    """The counting guard: with the gate open no flush, no software ack
+    and no atomic write reaches ``Nic.send``, yet every traffic counter
+    reads what the per-packet run reads."""
     sent = []
     send = Nic.send
 
@@ -587,7 +751,8 @@ def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
 
     def control(kinds):
         return sorted(k for k in kinds
-                      if k.startswith("rma.flush_") or k == "rma.ack")
+                      if k.startswith("rma.flush_") or k == "rma.ack"
+                      or k == "rma.frag")
 
     with fast_paths(nexus=True):
         live, live_results = run()
@@ -597,8 +762,9 @@ def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
     n = 24 * 23
     assert control(live_sent) == []
     assert control(sent) == sorted(["rma.flush_req", "rma.flush_ack",
-                                    "rma.ack"] * n)
+                                    "rma.frag", "rma.ack"] * n)
     assert control_routes(live) == {("flush", "live", None): 2 * n,
+                                    ("write", "live", None): n,
                                     ("ack", "live", None): n}
     assert _observe(live, live_results) == _observe(packet, packet_results)
     assert _traffic(live) == _traffic(packet)
@@ -787,8 +953,9 @@ def test_kill_rank_between_the_fragments_of_a_late_element():
 @pytest.mark.parametrize("name", ["notified-ring", "torus-halo"])
 def test_train_writes_build_no_fragment_packet(name, monkeypatch):
     """The counting guard: notified writes and writes over a routed
-    fabric reach no ``Nic.send`` as ``rma.frag``, yet every traffic
-    counter reads what the per-packet run reads."""
+    fabric reach no ``Nic.send`` as ``rma.frag`` — on the op-train, or
+    with it off as lean messages — yet every traffic counter reads what
+    the all-packet run reads."""
     sent = []
     send = Nic.send
 
@@ -820,19 +987,20 @@ def test_train_writes_build_no_fragment_packet(name, monkeypatch):
 
     run = ring if name == "notified-ring" else WORKLOADS["torus-halo"]
     counted = {}
-    for train in (True, False):
+    for train, nexus in ((True, True), (False, True), (False, False)):
         del sent[:]
-        with fast_paths(train=train):
+        with fast_paths(train=train, nexus=nexus):
             world, results = run()
         puts = sum(c.rma.stats["puts"] for c in world.contexts.values())
-        assert sent.count("rma.frag") == (0 if train else puts)
-        counted[train] = (
+        assert sent.count("rma.frag") == (0 if nexus else puts)
+        counted[train, nexus] = (
             results,
             sum(nic.packets_sent for nic in world.nics.values()),
             sum(nic.bytes_sent for nic in world.nics.values()),
             world.fabric.packets_delivered, world.fabric.bytes_delivered,
             None if world.topo is None else world.topo.hops_traversed)
-    assert counted[True] == counted[False]
+    assert (counted[True, True] == counted[False, True]
+            == counted[False, False])
 
 
 # ----------------------------------------------------------------------
@@ -1017,3 +1185,188 @@ def test_a_late_acked_element_applies_before_its_ack_leaves(monkeypatch):
     assert seen[True] == seen[False]
     sent, _, arrival = seen[True]
     assert sent < arrival
+
+
+# ----------------------------------------------------------------------
+# Writes that decline the train: lean messages
+# ----------------------------------------------------------------------
+FIG2_MODES = ("none", "ordering", "remote_complete", "atomicity+thread",
+              "atomicity+lock")
+QUIET = {**{f"fig2-{mode}-{size}": _fig2(mode, size)
+            for mode in FIG2_MODES for size in (1024, 16384)},
+         "store": _store, "mcs-lock": _mcs_lock}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET))
+def test_quiet_writes_build_no_fragment_packet(name, monkeypatch):
+    """The counting guard: on a quiet world no ``rma.frag`` packet is
+    even constructed (``Packet.__init__`` is counted, so nothing that
+    builds packets outside ``Nic.send`` escapes), no contiguous put is
+    cut into ``Fragment`` objects — only the store's accumulates are —
+    and every NIC, fabric and per-link counter reads what the run with
+    the live control plane off reads."""
+    from repro.network.packet import Packet
+    from repro.rma.layout import Fragment
+
+    built, cut = [], []
+    for cls, log in ((Packet, built), (Fragment, cut)):
+        def counting(self, *args, init=cls.__init__, log=log, **kwargs):
+            init(self, *args, **kwargs)
+            log.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    live, live_results = QUIET[name]()
+    assert [p.kind for p in built if p.kind.startswith("rma.")] == []
+    accumulated = sum(c.rma.stats["accumulates"]
+                      for c in live.contexts.values())
+    assert len(cut) == (accumulated if name == "store" else 0)
+    del built[:]
+    with fast_paths(nexus=False):
+        packet, packet_results = QUIET[name]()
+    # one count per write that declined the train, on its form
+    writes = control_routes(live).get(("write", "live", None), 0)
+    assert control_routes(packet).get(("write", "packet", "disabled"),
+                                      0) == writes
+    assert [p.kind for p in built].count("rma.frag") >= writes
+    assert writes or "atomicity" not in name
+    assert _observe(live, live_results) == _observe(packet, packet_results)
+    assert _traffic(live) == _traffic(packet)
+
+
+def _burst_reference(monkeypatch):
+    """Make the packet form of a multi-fragment write on a flat ordered
+    path what it was before that write went lean: its packets batched
+    into one callback at the last injection, one at the last arrival
+    and one for the hardware acks, a dead endpoint counted at the last
+    injection only.  ``Nic.post_frags`` copies that shape, so this is
+    its reference wherever a rank dies with such a write in flight —
+    one packet per fragment is counted at delivery too."""
+    from repro.network.packet import ACK_SIZE, Packet
+    from repro.rma.engine.core import PacketRoute
+    from repro.sim.events import AllOf
+
+    send = PacketRoute._send
+
+    def batched(self, op, desc, frags, sizes, want_ack):
+        eng = self.eng
+        nic, sim, src, dst = eng.nic, eng.sim, eng.rank, op.dst
+        fabric = nic.fabric
+        if len(frags) < 2 or not nic.flat_ordered(dst):
+            return send(self, op, desc, frags, sizes, want_ack)
+        packets = [Packet(src=src, dst=dst, kind="rma.frag",
+                          payload={"desc": desc, "frag": frag},
+                          data_bytes=size, want_ack=want_ack)
+                   for frag, size in zip(frags, sizes)]
+        times = []
+        for pkt in packets:
+            pkt.ev_injected = sim.event()
+            if want_ack:
+                pkt.ev_remote_complete = sim.event()
+            times.append(nic.reserve(
+                nic.config.serialization_time(pkt.wire_bytes)))
+
+        def injected():
+            for pkt, t in zip(packets, times):
+                nic.packets_sent += 1
+                nic.bytes_sent += pkt.wire_bytes
+                pkt.ev_injected.succeed(t)
+            if fabric._dead and (src in fabric._dead or dst in fabric._dead):
+                fabric.dead_dropped += len(packets)
+                return
+            arrivals = [fabric.arrival(src, dst, pkt.wire_bytes, t)
+                        for pkt, t in zip(packets, times)]
+            sim.schedule_call(arrivals[-1] - sim.now, delivered, arrivals)
+
+        def delivered(arrivals):
+            if fabric._pending_trains:
+                fabric.materialize_trains(dst)
+            for pkt in packets:
+                fabric.packets_delivered += 1
+                fabric.bytes_delivered += pkt.wire_bytes
+                fabric.nics[dst]._on_deliver(pkt)
+            if want_ack:
+                fabric.acks_generated += len(packets)
+                rev = fabric.config_for(dst, src)
+                flight = rev.latency + ACK_SIZE * rev.byte_time
+                sim.schedule_bulk_succeed(
+                    arrivals[-1] + flight - sim.now,
+                    [pkt.ev_remote_complete for pkt in packets],
+                    [arrival + flight for arrival in arrivals])
+
+        sim.schedule_call(times[-1] - sim.now, injected)
+        return (AllOf(sim, [pkt.ev_injected for pkt in packets]),
+                AllOf(sim, [pkt.ev_remote_complete for pkt in packets])
+                if want_ack else None)
+
+    monkeypatch.setattr(PacketRoute, "_send", batched)
+
+
+@pytest.mark.parametrize("serializer", ["thread", "lock"])
+@pytest.mark.parametrize("torus", [False, True], ids=["flat", "torus"])
+def test_kill_rank_drops_lean_writes_like_packets(torus, serializer,
+                                                  monkeypatch):
+    """Every rank sends its ring neighbour two non-blocking 12 KiB
+    atomic puts — three-fragment lean messages into the serializer job
+    or under the process lock: on the flat fabric two heap entries each
+    (``Nic.post_frags``), on the 2x2x2 torus one post per fragment.
+    Rank 0 dies at twelve instants spread over the exchange — fragments
+    queued, in flight, landed, applied, acked: what completed when, the
+    end time, the survivors' memory and ``dead_dropped`` match the
+    packet form each lean shape replaces (per packet on the torus; on
+    the flat path the batched reference, :func:`_burst_reference`)."""
+    nbytes = 3 * 4096
+
+    def run(at=None):
+        if torus:
+            machine = generic_cluster(n_nodes=8).with_placement("random", 11)
+            world = World(machine=machine, network=torus_network((2, 2, 2)),
+                          serializer=serializer)
+        else:
+            world = World(n_ranks=4, network=seastar_portals(),
+                          serializer=serializer)
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(2 * nbytes)
+            src = ctx.mem.space.alloc(nbytes, fill=rank_fill(ctx.rank))
+            peer = (ctx.rank + 1) % ctx.size
+            yield from ctx.comm.barrier()
+            start, log = ctx.sim.now, []
+            for slot in range(2):
+                req = yield from ctx.rma.put(
+                    src, 0, nbytes, BYTE, tmems[peer], slot * nbytes, nbytes,
+                    BYTE, atomicity=True, blocking=False)
+                req.event.add_callback(lambda ev, slot=slot: log.append(
+                    (slot, ctx.sim.now, repr(ev.value))))
+            yield ctx.sim.timeout(80.0)
+            return start, sorted(log)
+
+        if at is not None:
+            world.sim.schedule_call(at, world._kill_rank, 0)
+        try:
+            results = world.run(program)
+        except SimulationError as exc:      # a lock the victim held
+            results = str(exc)
+        return world, results
+
+    _, results = run()
+    start = results[0][0]
+    end = max(t for _, t, _ in results[0][1])
+    engaged = 0
+    for i in range(12):
+        at = start + (end - start) * (i + 0.5) / 12
+        seen = {}
+        for nexus in (True, False):
+            with fast_paths(nexus=nexus), monkeypatch.context() as patch:
+                if not nexus:
+                    _burst_reference(patch)
+                world, results = run(at)
+            observed = _observe(world, results)
+            memory = {r: m for r, m in observed[2].items() if r != 0}
+            seen[nexus] = (results, world.sim.now, memory,
+                           world.fabric.dead_dropped)
+            if nexus:
+                engaged += control_routes(world).get(
+                    ("write", "live", None), 0)
+        assert seen[True] == seen[False], at
+        assert seen[True][3] > 0
+    assert engaged > 0

@@ -1,11 +1,12 @@
 """Determinism regression tests for the performance fast paths.
 
-The optimized kernel/data-plane paths (urgent deque, analytic burst
-flight, memoized layouts, zero-copy pack) must not change a single
-simulated timestamp.  These tests pin that:
+The optimized kernel/data-plane paths (urgent deque, lean messages,
+memoized layouts, zero-copy pack) must not change a single simulated
+timestamp.  These tests pin that:
 
 - same seed, same run → byte-identical trace streams and final times;
-- burst injection on vs off → identical simulated results;
+- a write's payload as a lean message vs as packets → identical
+  simulated results;
 - the ``segments_for`` fast path → identical layouts to the naive
   per-instance expansion;
 - zero-copy pack → identical bytes, genuinely aliasing the source.
@@ -24,7 +25,8 @@ from repro.datatypes.base import Segment, coalesce
 from repro.datatypes.derived import contiguous, vector
 from repro.datatypes.pack import pack, unpack_swapped
 from repro.network.config import infiniband_like, shared_memory_like
-from repro.network.fabric import Fabric
+from repro.network.nic import Nic
+from repro.network.packet import Packet
 from repro.runtime import World
 from tests.conftest import fast_paths
 
@@ -70,6 +72,11 @@ class TestSameSeedIdentical:
 
 
 class TestBurstTimestampParity:
+    """The successor of the NIC burst: a payload of several fragments on
+    a flat ordered path is one ``Nic.post_frags`` message — two heap
+    entries, as the burst had — and it times everything as the packets
+    it replaces do (``fast_paths(nexus=False)`` sends those)."""
+
     WORKLOADS = [
         lambda: fig2_attribute_cost("none", 65536, puts_per_origin=10),
         lambda: fig2_attribute_cost("ordering", 16384, puts_per_origin=10),
@@ -90,31 +97,49 @@ class TestBurstTimestampParity:
     @pytest.mark.parametrize("idx", range(len(WORKLOADS)))
     def test_burst_on_off_identical(self, idx):
         wl = self.WORKLOADS[idx]
-        with fast_paths(burst=False):
+        with fast_paths(train=False, nexus=False):
             reference = wl()
+        # (with the train off every write takes the lean form)
+        with fast_paths(train=False):
+            assert wl() == reference
         assert wl() == reference
 
     def test_burst_path_actually_engages(self, monkeypatch):
         hits = []
-        original = Fabric.transmit_burst
+        original = Nic.post_frags
 
-        def counting(self, packets, inject_times):
-            hits.append(len(packets))
-            return original(self, packets, inject_times)
+        def counting(self, dst, fn, args, sizes, *rest):
+            hits.append(len(sizes))
+            return original(self, dst, fn, args, sizes, *rest)
 
-        monkeypatch.setattr(Fabric, "transmit_burst", counting)
-        # The op-train fast path supersedes burst transmission entirely
-        # (no packets at all); pin it off to observe the burst layer.
+        monkeypatch.setattr(Nic, "post_frags", counting)
+        built = []
+        init = Packet.__init__
+
+        def building(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.kind)
+
+        monkeypatch.setattr(Packet, "__init__", building)
+        # The op-train supersedes the lean message for these puts; pin
+        # it off to observe the lean form.
         with fast_paths(train=False):
             fig2_attribute_cost("remote_complete", 65536, puts_per_origin=10)
-        assert hits and all(n >= 2 for n in hits)
+        assert hits == [16] * 70
+        assert "rma.frag" not in built
 
     def test_per_packet_fallback_when_tracing(self, monkeypatch):
         called = []
-        monkeypatch.setattr(
-            Fabric, "transmit_burst",
-            lambda self, packets, ts: called.append(True),
-        )
+        monkeypatch.setattr(Nic, "post_frags",
+                            lambda self, *args: called.append(True))
+        sent = []
+        send = Nic.send
+
+        def sending(self, packet):
+            sent.append(packet.kind)
+            return send(self, packet)
+
+        monkeypatch.setattr(Nic, "send", sending)
         world = World(n_ranks=2, trace=True)
 
         def program(ctx):
@@ -130,6 +155,7 @@ class TestBurstTimestampParity:
 
         world.run(program)
         assert not called
+        assert sent.count("rma.frag") == 16
 
 
 class TestObservabilityOffPinnedToBaseline:
@@ -137,9 +163,10 @@ class TestObservabilityOffPinnedToBaseline:
     the values recorded in ``BENCH_PR1.json`` before the observability
     layer existed — the pay-for-what-you-use guarantee.
 
-    Pinned with the burst path both on and off, and with an (inert)
-    empty fault plan, so none of the instrumented layers may shift a
-    single simulated event when tracing is disabled.
+    Pinned with every fast path on, with writes in their lean form (the
+    op-train off) and as packets (all off), and with an (inert) empty
+    fault plan, so none of the instrumented layers may shift a single
+    simulated event when tracing is disabled.
     """
 
     @classmethod
@@ -157,12 +184,13 @@ class TestObservabilityOffPinnedToBaseline:
                    ("ordering", 16384), ("remote_complete", 1024),
                    ("remote_complete", 16384)]
 
-    @pytest.mark.parametrize("burst", [True, False],
-                             ids=["burst-on", "burst-off"])
+    @pytest.mark.parametrize("switches", [{}, {"train": False},
+                                          {"train": False, "nexus": False}],
+                             ids=["all-on", "train-off", "all-off"])
     @pytest.mark.parametrize("mode,size", FIG2_POINTS)
-    def test_fig2_sim_us_bit_identical(self, mode, size, burst):
+    def test_fig2_sim_us_bit_identical(self, mode, size, switches):
         expected = self._baseline()["fig2"]["points"][f"{mode}/{size}"]["sim_us"]
-        with fast_paths(burst=burst):
+        with fast_paths(**switches):
             assert fig2_attribute_cost(mode, size,
                                        puts_per_origin=50) == expected
 

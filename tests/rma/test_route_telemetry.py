@@ -150,19 +150,20 @@ def _window_bytes(world):
 
 def test_disabled_switches_are_named():
     """``disabled`` names the route's own switch and nothing else: the
-    NIC's burst switch no longer closes the train."""
+    live control plane's switch, which picks the form of a write that
+    takes the packet route, does not close the train."""
     with fast_paths(train=False):
         world = _flat()
         world.run(one_put())
     assert routes(world) == {("packet", "disabled"): 1}
 
     seen = {}
-    for burst in (True, False):
-        with fast_paths(burst=burst):
+    for nexus in (True, False):
+        with fast_paths(nexus=nexus):
             world = _flat()
             world.run(one_put())
         assert routes(world) == {("train", "window-not-shared"): 1}
-        seen[burst] = (world.sim.now, _window_bytes(world))
+        seen[nexus] = (world.sim.now, _window_bytes(world))
     assert seen[False] == seen[True]
 
 
@@ -279,7 +280,9 @@ def test_seed0_shape_on_small_analogues():
 
 def control_routes(world):
     """``{(kind, path, reason): messages}`` of ``control.route``: every
-    header-only control message, counted at ``RmaEngine.signal``."""
+    message that may travel without a packet, counted where its form is
+    decided (``RmaEngine.signal``, ``PacketRoute.issue`` for a write's
+    payload)."""
     return {
         (c["labels"]["kind"], c["labels"]["path"], c["labels"].get("reason")):
         c["value"]
@@ -304,16 +307,20 @@ def _alltoall(ctx):
 
 
 def test_control_messages_are_counted_once_on_the_form_they_took():
-    n = 6 * 5   # ordered pairs: one flush round trip and one ack each
+    n = 6 * 5   # ordered pairs: a flush round trip, an atomic write and
+    #             its ack each
 
     world = World(n_ranks=6, network=seastar_portals())
     world.run(_alltoall)
     assert control_routes(world) == {("flush", "live", None): 2 * n,
+                                     ("write", "live", None): n,
                                      ("ack", "live", None): n}
 
     world = World(n_ranks=6, network=seastar_portals(), trace=True)
     world.run(_alltoall)
+    # (tracing also stands the train down: the plain puts are packets)
     assert control_routes(world) == {("flush", "packet", "traced"): 2 * n,
+                                     ("write", "packet", "traced"): 2 * n,
                                      ("ack", "packet", "traced"): n}
 
     # an armed plan installs the injector (faulty) and the transport
@@ -322,14 +329,16 @@ def test_control_messages_are_counted_once_on_the_form_they_took():
     world.run(_alltoall)
     routes = control_routes(world)
     assert {key[:2] for key in routes} == {("flush", "packet"),
+                                           ("write", "packet"),
                                            ("ack", "packet")}
     assert {key[2] for key in routes} <= {"faulty", "transport"}
-    assert sum(routes.values()) == 3 * n
+    assert sum(routes.values()) == 5 * n
 
     with fast_paths(nexus=False):
         world = World(n_ranks=6, network=seastar_portals())
         world.run(_alltoall)
     assert control_routes(world) == {("flush", "packet", "disabled"): 2 * n,
+                                     ("write", "packet", "disabled"): n,
                                      ("ack", "packet", "disabled"): n}
 
 
@@ -348,8 +357,10 @@ def test_lock_hand_offs_are_counted():
     world = World(machine=cray_xt5_catamount(3), network=seastar_portals(),
                   serializer="lock")
     world.run(program)
-    # per origin: lock_req, lock_grant, unlock; and the op's software ack
+    # per origin: lock_req, lock_grant, unlock; the write and its
+    # software ack
     assert control_routes(world) == {("lock", "live", None): 6,
+                                     ("write", "live", None): 2,
                                      ("ack", "live", None): 2}
 
 

@@ -217,12 +217,14 @@ class TestNexusParity:
         assert fast_paths(nexus=True)(run)() == fast_paths(nexus=False)(run)()
 
     def test_nexus_declines_when_burst_disabled(self):
-        # The live barrier stands in for Nic.send's idle-injector path;
-        # with the burst layer off sends queue behind the injector
-        # process, so the gate closes and times still match.
+        # With the train off every halo put is a lean 1-fragment write
+        # beside the live barriers and flushes; with the nexus off too,
+        # all of them are packets — times match all four ways.
         def run():
             return halo_exchange_time("strawman", n_ranks=4,
                                       halo_bytes=2048, iterations=4)
-        with fast_paths(burst=False, nexus=True):
-            no_burst = run()
-        assert no_burst == fast_paths(nexus=False)(run)()
+        with fast_paths(train=False, nexus=True):
+            lean = run()
+        with fast_paths(train=False, nexus=False):
+            assert lean == run()
+        assert lean == fast_paths(nexus=False)(run)() == run()

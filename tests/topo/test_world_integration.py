@@ -101,10 +101,35 @@ class TestDeterminismAndMetrics:
         assert "topo.link.busy_us" in gauges
         assert "fabric.unroutable_dropped" in gauges
 
-    def test_burst_delivery_disabled_on_routed_fabric(self):
-        out = []
-        hotspot_incast(2, network=slow_torus(),
-                       machine=generic_cluster(n_nodes=3), world_out=out)
-        # Burst coalescing would bypass per-link accounting; the NIC
-        # must fall back to per-packet transmit when a topology is set.
-        assert out[0].topo.packets_routed > 0
+    def test_burst_delivery_disabled_on_routed_fabric(self, monkeypatch):
+        """A write of several fragments that declines the train is one
+        post per fragment on a routed fabric — each reserves its links
+        at its own injection — never the flat message of two heap
+        entries (``Nic.post_frags``), which would bypass per-link
+        accounting."""
+        from repro.datatypes import BYTE
+        from repro.network.nic import Nic
+
+        flat = []
+        monkeypatch.setattr(Nic, "post_frags",
+                            lambda self, *args: flat.append(args))
+        world = World(machine=generic_cluster(n_nodes=3),
+                      network=slow_torus())
+        nbytes = 3 * world.nics[0].config.mtu
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(nbytes)
+            yield from ctx.comm.barrier()
+            if ctx.rank:
+                src = ctx.mem.space.alloc(nbytes, fill=ctx.rank)
+                yield from ctx.rma.put(src, 0, nbytes, BYTE, tmems[0], 0,
+                                       nbytes, BYTE, atomicity=True,
+                                       blocking=True)
+            yield from ctx.comm.barrier()
+
+        world.run(program)
+        assert not flat
+        topo = world.topo
+        assert topo.packets_routed > 0
+        assert (sum(st.packets for st in topo.link_stats.values())
+                == topo.hops_traversed)

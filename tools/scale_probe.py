@@ -8,17 +8,20 @@ synchronized by notified puts alone on 64 / 256 / 1 024 flat ranks;
 idle target, flat and on a 2x2x2 torus; (``--store``) a
 ``ShardedStore`` on a fat-tree, two ranks per node, serving an open
 loop of Zipf-keyed 60/30/10 get/put/add requests on 16 / 64 / 256
-ranks.  Every point runs twice: once plain for the wall, the full
-collections and the heap entries the kernel popped, then once under
-``tracemalloc`` for *its own* peak (the process's RSS high-water would
-be the largest earlier point's), the high-water of pending op-train
-elements, and the messages built as ``Packet``s (``Nic.send``) against
-those posted without one (``Nic.post``).  Report only
+ranks; (``--atomic``) P - 1 origins each issuing 100 blocking 1 / 16 /
+64 KiB atomic puts to rank 0, under the communication-thread and the
+process-lock serializer, on 8 ranks by default.  Every point runs twice:
+once plain for the wall, the full collections and the heap entries the
+kernel popped, then once under ``tracemalloc`` for *its own* peak (the
+process's RSS high-water would be the largest earlier point's), the
+high-water of pending op-train elements, the ``Packet`` and
+``Fragment`` objects constructed, and the messages posted without a
+packet (``Nic.post``, ``Nic.post_frags``).  Report only
 (``PYTHONPATH=src python tools/scale_probe.py [--torus | --notify |
---stream | --store] [P ...]``) — the gates are counting tests:
-``tests/network/test_train_registry.py`` on the fan-in structures,
-``tests/rma/test_train_fanin.py`` on what a train may hold,
-``tests/rma/test_fast_path_lattice.py`` on what a quiet store builds."""
+--stream | --store | --atomic] [P ...]``) — the gates are counting
+tests: ``tests/network/test_train_registry.py`` on the fan-in
+structures, ``tests/rma/test_train_fanin.py`` on what a train may hold,
+``tests/rma/test_fast_path_lattice.py`` on what a quiet world builds."""
 
 import bisect
 import gc
@@ -33,7 +36,9 @@ from repro.ga import ShardedStore
 from repro.machine import generic_cluster
 from repro.network.config import seastar_portals
 from repro.network.nic import Nic
+from repro.network.packet import Packet
 from repro.pgas import Team
+from repro.rma.layout import Fragment
 from repro.rma.train import OpTrain
 from repro.runtime import World
 from repro.topo import fattree_network, torus_network
@@ -41,6 +46,7 @@ from repro.topo import fattree_network, torus_network
 NBYTES, INCAST_PUTS, HALO_ITERS = 1024, 32, 4
 STREAM_BYTES, STREAM_PUTS = 65536, 400
 STORE_KEYS, STORE_REQUESTS, STORE_GAP_US = 512, 60, 4.0
+ATOMIC_PUTS = 100
 
 
 def program(ctx, incast):
@@ -102,6 +108,17 @@ def stream(ctx):
     yield from ctx.rma.complete_collective(ctx.comm)
 
 
+def atomic(ctx, nbytes):
+    alloc, tmems = yield from ctx.rma.expose_collective(nbytes)
+    yield from ctx.comm.barrier()
+    if ctx.rank:
+        src = ctx.mem.space.alloc(nbytes, fill=1 + ctx.rank % 250)
+        for _ in range(ATOMIC_PUTS):
+            yield from ctx.rma.put(src, 0, nbytes, BYTE, tmems[0], 0, nbytes,
+                                   BYTE, atomicity=True, blocking=True)
+    yield from ctx.rma.complete_collective(ctx.comm)
+
+
 def store_schedule(n_ranks):
     """Per rank, ``(due_us, class, key)`` of an open loop: exponential
     gaps, 60/30/10 get/put/add, Zipf(1.2) keys — adds only to every
@@ -160,14 +177,19 @@ def store_ops(world):
 
 
 def memory_pass(world, rank_program, *args):
-    """Run under ``tracemalloc`` with a counter on the op-train's queue
-    and on the two ways a message leaves a NIC: (peak MiB allocated by
-    the run, most elements pending at once, ``Packet``s built, messages
-    posted without one)."""
+    """Run under ``tracemalloc`` with a counter on the op-train's queue,
+    on the objects a message may be built of and on the messages built
+    of none: (peak MiB allocated by the run, most elements pending at
+    once, ``Packet``s constructed, ``Fragment``s constructed, messages
+    posted without a packet)."""
     pending = [0, 0]                    # now, high-water
-    sent = [0, 0]                       # Nic.send, Nic.post
-    append, pop_head = OpTrain.append, OpTrain.pop_head
-    send, post = Nic.send, Nic.post
+    built = [0, 0, 0]                   # Packet, Fragment, posted
+    saved = [(OpTrain, "append"), (OpTrain, "pop_head"),
+             (Packet, "__init__"), (Fragment, "__init__"),
+             (Nic, "post"), (Nic, "post_frags")]
+    saved = [(cls, name, getattr(cls, name)) for cls, name in saved]
+    append, pop_head, packet, fragment, post, post_frags = (
+        fn for _cls, _name, fn in saved)
 
     def counting_append(train, elem):
         pending[0] += 1
@@ -178,25 +200,25 @@ def memory_pass(world, rank_program, *args):
         pending[0] -= 1
         return pop_head(train)
 
-    def counting_send(nic, packet):
-        sent[0] += 1
-        return send(nic, packet)
-
-    def counting_post(nic, *a, **kw):
-        sent[1] += 1
-        post(nic, *a, **kw)
+    def counting(fn, i):
+        def count(*a, **kw):
+            built[i] += 1
+            return fn(*a, **kw)
+        return count
 
     OpTrain.append, OpTrain.pop_head = counting_append, counting_pop
-    Nic.send, Nic.post = counting_send, counting_post
+    Packet.__init__ = counting(packet, 0)
+    Fragment.__init__ = counting(fragment, 1)
+    Nic.post, Nic.post_frags = counting(post, 2), counting(post_frags, 2)
     tracemalloc.start()
     try:
         world.run(rank_program, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        OpTrain.append, OpTrain.pop_head = append, pop_head
-        Nic.send, Nic.post = send, post
-    return peak / 2**20, pending[1], sent[0], sent[1]
+        for cls, name, fn in saved:
+            setattr(cls, name, fn)
+    return (peak / 2**20, pending[1], *built)
 
 
 def puts(world):
@@ -226,13 +248,14 @@ def point(label, make_world, rank_program, *args, ops=puts):
     n_ranks = world.n_ranks
     del world
     gc.collect()
-    peak, pending, built, posted = memory_pass(make_world(), rank_program,
-                                               *args)
+    peak, pending, packets, fragments, posted = memory_pass(
+        make_world(), rank_program, *args)
     print(f"{label:11s} P={n_ranks:4d} "
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
           f"gen2_gc={gen2} heap_pops={popped[0]} "
           f"run_peak={peak:6.1f}MiB pending_high_water={pending} "
-          f"packets_built={built} lean_messages={posted}")
+          f"packets_built={packets} fragments_built={fragments} "
+          f"lean_messages={posted}")
     return 1e6 * wall / ops
 
 
@@ -269,6 +292,17 @@ if __name__ == "__main__":
                   for ranks in sizes]
         print(f"  us/request(P={sizes[-1]}) / us/request(P={sizes[0]}) = "
               f"{per_op[-1] / per_op[0]:.2f}")
+        sys.exit(0)
+    if "--atomic" in sys.argv[1:]:
+        sizes = [int(a) for a in sys.argv[1:] if a != "--atomic"] or [8]
+        for ranks in sizes:
+            for nbytes in (1024, 16384, 65536):
+                for serializer in ("thread", "lock"):
+                    point(f"{serializer}{nbytes // 1024}K",
+                          lambda: World(n_ranks=ranks,
+                                        network=seastar_portals(),
+                                        serializer=serializer),
+                          atomic, nbytes)
         sys.exit(0)
     if "--stream" in sys.argv[1:]:
         point("stream", lambda: World(n_ranks=2, network=seastar_portals()),
