@@ -15,6 +15,7 @@ ablation compares against.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
@@ -43,10 +44,22 @@ class Group:
         return self._ranks
 
     def world_rank(self, local_rank: int) -> int:
-        """Translate a group-local rank to a world rank."""
-        if local_rank < 0 or local_rank >= self.size:
-            raise ValueError(f"local rank {local_rank} out of range")
-        return self._ranks[local_rank]
+        """Translate a group-local rank to a world rank.  Anything
+        ``operator.index`` accepts is a rank (numpy integers are);
+        anything else, or one out of range, is a ``ValueError`` naming
+        the value and the group size."""
+        ranks = self._ranks
+        if type(local_rank) is not int:
+            try:
+                local_rank = index(local_rank)
+            except TypeError:
+                raise ValueError(
+                    f"rank must be an integer, got {local_rank!r} (group of "
+                    f"{len(ranks)})") from None
+        if not 0 <= local_rank < len(ranks):
+            raise ValueError(
+                f"rank {local_rank} out of range for a group of {len(ranks)}")
+        return ranks[local_rank]
 
     def local_rank(self, world_rank: int) -> Optional[int]:
         """Translate a world rank to this group, or ``None`` if absent."""

@@ -25,6 +25,7 @@ Attributes resolve per call → per communicator default → ``none()``;
 
 from __future__ import annotations
 
+from operator import index
 from typing import Any, Dict, Optional, Tuple
 
 from repro.datatypes.base import Datatype
@@ -106,13 +107,36 @@ class RmaInterface:
                 self._resolved[key] = resolved
         return resolved
 
+    def _world_rank(self, comm: Optional[Comm], target_rank, call: str) -> int:
+        """``target_rank``'s world rank in ``comm`` — or, for a value
+        that is no rank of it, an :class:`RmaError` naming the call,
+        raised before any simulated time passes."""
+        comm = comm if comm is not None else self.comm_world
+        try:
+            return comm.group.world_rank(target_rank)
+        except ValueError as exc:
+            raise RmaError(
+                f"target_rank is not a rank of the communicator: {exc} "
+                f"({call} from rank {self.engine.rank})",
+                op=call, src=self.engine.rank) from None
+
+    def _target_or_all(self, comm: Optional[Comm], target_rank,
+                       call: str) -> Optional[int]:
+        """As :meth:`_world_rank`, but ``ALL_RANKS`` is None."""
+        try:
+            if index(target_rank) == ALL_RANKS:
+                return None
+        except TypeError:
+            pass
+        return self._world_rank(comm, target_rank, call)
+
     def _check_target_rank(
-        self, tmem: TargetMem, target_rank: Optional[int], comm: Optional[Comm]
+        self, tmem: TargetMem, target_rank: Optional[int],
+        comm: Optional[Comm], call: str
     ) -> None:
         if target_rank is None:
             return
-        comm = comm if comm is not None else self.comm_world
-        world = comm.group.world_rank(target_rank)
+        world = self._world_rank(comm, target_rank, call)
         if world != tmem.rank:
             raise RmaError(
                 f"target_rank {target_rank} (world {world}) does not own "
@@ -177,7 +201,7 @@ class RmaInterface:
         request (§IV req. 4).
         """
         a = self._resolve_attrs(comm, attrs, attr_kwargs)
-        self._check_target_rank(target_mem, target_rank, comm)
+        self._check_target_rank(target_mem, target_rank, comm, "put")
         rec = yield from self.engine.issue_put(
             origin_alloc, origin_offset, origin_count, origin_datatype,
             target_mem, target_disp, target_count, target_datatype, a,
@@ -205,7 +229,7 @@ class RmaInterface:
         ``prod``, ``min``, ``max``, ``replace`` or ARMCI-style
         ``daxpy`` with ``scale``)."""
         a = self._resolve_attrs(comm, attrs, attr_kwargs)
-        self._check_target_rank(target_mem, target_rank, comm)
+        self._check_target_rank(target_mem, target_rank, comm, "accumulate")
         rec = yield from self.engine.issue_accumulate(
             origin_alloc, origin_offset, origin_count, origin_datatype,
             target_mem, target_disp, target_count, target_datatype, a,
@@ -243,7 +267,7 @@ class RmaInterface:
         """``MPI_RMA_get``: the request completes once the data sits in
         the origin buffer (gets are inherently remotely complete)."""
         a = self._resolve_attrs(comm, attrs, attr_kwargs)
-        self._check_target_rank(target_mem, target_rank, comm)
+        self._check_target_rank(target_mem, target_rank, comm, "get")
         ev = yield from self.engine.issue_get(
             origin_alloc, origin_offset, origin_count, origin_datatype,
             target_mem, target_disp, target_count, target_datatype, a,
@@ -333,7 +357,8 @@ class RmaInterface:
         origin buffer — the sectioned generalization of §V's RMW
         discussion (standardized later as ``MPI_Get_accumulate``).
         ``op="replace"`` is a section swap."""
-        self._check_target_rank(target_mem, target_rank, comm)
+        self._check_target_rank(target_mem, target_rank, comm,
+                                "get_accumulate")
         ev = yield from self.engine.issue_get_accumulate(
             origin_alloc, origin_offset, origin_count, origin_datatype,
             target_mem, target_disp, target_count, target_datatype,
@@ -412,10 +437,12 @@ class RmaInterface:
         attrs: Optional[RmaAttrs] = None,
         **attr_kwargs: bool,
     ):
-        """Invoke a registered remote method; returns its result."""
+        """Invoke a registered remote method; returns its result.  A
+        name the target never registered fails like a delivery failure:
+        raised under ``ERRORS_RAISE``, returned as the
+        :class:`~repro.rma.target_mem.RmaError` under ``ERRORS_RETURN``."""
         a = self._resolve_attrs(comm, attrs, attr_kwargs)
-        comm_r = comm if comm is not None else self.comm_world
-        dst = comm_r.group.world_rank(target_rank)
+        dst = self._world_rank(comm, target_rank, "invoke")
         ev = yield from self.engine.issue_rmi(dst, name, args, a)
         result = yield from Request(self.engine.sim, event=ev, kind="rmi").wait()
         return result
@@ -435,13 +462,11 @@ class RmaInterface:
         :class:`~repro.rma.target_mem.RmaError`; ``ERRORS_RETURN``
         returns the list of errors (empty on success).
         """
-        comm = comm if comm is not None else self.comm_world
-        if target_rank == ALL_RANKS:
+        dst = self._target_or_all(comm, target_rank, "complete")
+        if dst is None:
             errs = yield from self.engine.complete_all()
         else:
-            errs = yield from self.engine.complete_one(
-                comm.group.world_rank(target_rank)
-            )
+            errs = yield from self.engine.complete_one(dst)
         return self._handle_completion_errors(errs)
 
     def complete_collective(self, comm: Optional[Comm] = None):
@@ -478,12 +503,12 @@ class RmaInterface:
         """``MPI_RMA_order``: order later accesses to ``target_rank``
         after all earlier ones (shmem_fence-style; weaker and cheaper
         than completion — no network traffic)."""
-        comm = comm if comm is not None else self.comm_world
+        dst = self._target_or_all(comm, target_rank, "order")
         yield self.engine.sim.timeout(self.engine.timings.call_overhead)
-        if target_rank == ALL_RANKS:
+        if dst is None:
             self.engine.order_all()
         else:
-            self.engine.order_one(comm.group.world_rank(target_rank))
+            self.engine.order_one(dst)
 
     def order_collective(self, comm: Optional[Comm] = None):
         """``MPI_RMA_order_collective``."""

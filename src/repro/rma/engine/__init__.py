@@ -3,9 +3,9 @@
 =========  ==========================================================
 module     holds
 =========  ==========================================================
-core       origin peers, the one issue pipeline (``_issue``) over the
-           route table shared → train → packet, the packet route,
-           completion / ordering, origin-side packet handlers
+core       the per-peer tables, the one issue pipeline (``_issue``)
+           over the route table shared → train → packet, the packet
+           route, completion / ordering, origin-side message bodies
 shared     the shared-window route (co-located load/store)
 target     inbound ops, ordering gates, applied watermark, flushes
 board      the notification board (``engine.board``)

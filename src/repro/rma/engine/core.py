@@ -46,10 +46,8 @@ from __future__ import annotations
 import itertools
 import numbers
 import warnings
-from dataclasses import dataclass
 from operator import attrgetter, index
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,11 +63,11 @@ from repro.rma.attributes import RmaAttrs
 from repro.rma.engine.board import NotifyBoard, check_notify_attr
 from repro.rma.engine.failure import FailureSide
 from repro.rma.engine.shared import SharedRoute
-from repro.rma.engine.target import TargetSide, _TargetPeer
+from repro.rma.engine.target import TargetSide
 from repro.rma.layout import dense_sizes, fragment_layout
 from repro.rma.serializer import Serializer, make_serializer
 from repro.rma.target_mem import RmaError, TargetMem
-from repro.rma.train import TrainRoute
+from repro.rma.train import OpRecord, TrainRoute
 from repro.sim.events import AllOf, DeferredEvent, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,21 +111,21 @@ _SIGNALS = {
 }
 
 
-@dataclass(slots=True)
-class OpRecord:
-    """Origin-side record of one outstanding write-style operation."""
+class _FlushedRun:
+    """Consecutive writes to one target that only a watermark flush
+    completes, issued with the same ``kind`` and ``attrs``: all the
+    origin keeps of them (``RmaEngine._retain``).  ``upto`` is the
+    sequence number of the last — the watermark a flush must cover;
+    ``count`` is how many errors a broken path owes them."""
 
-    op_key: Tuple[int, int]
-    dst: int
-    seq: int
-    kind: str
-    remote_mode: str  # "hw" | "sw" | "flush"
-    ev_local: Event
-    ev_remote: Optional[Event]
-    nbytes: int
-    #: Attributes the op was issued with (carried into RmaError on a
-    #: delivery failure).
-    attrs: Optional[RmaAttrs] = None
+    __slots__ = ("kind", "attrs", "count", "upto")
+
+    def __init__(self, kind: str, attrs: Optional[RmaAttrs],
+                 upto: int) -> None:
+        self.kind = kind
+        self.attrs = attrs
+        self.count = 1
+        self.upto = upto
 
 
 class _Op:
@@ -208,41 +206,6 @@ def _collect_errors(events: List[Event]) -> List[RmaError]:
     return errs
 
 
-class _OriginPeer:
-    """Origin-side per-target state."""
-
-    __slots__ = ("last_seq", "order_barrier", "outstanding",
-                 "last_atomic_seq", "last_deferred_seq", "broken",
-                 "completing")
-
-    def __init__(self) -> None:
-        self.last_seq = 0
-        self.order_barrier = 0
-        self.outstanding: List[OpRecord] = []
-        #: Sequence number of the most recent atomic op issued to this
-        #: target (atomic application is deferred, which matters for
-        #: deciding whether delivery == application downstream).
-        self.last_atomic_seq = 0
-        #: Most recent op whose *application* happens after delivery
-        #: without being atomic (serializer-routed rmw, RMI handlers,
-        #: atomic-queue gets).  The op-train route reasons
-        #: "delivery order == application order" and must stand down
-        #: while any such op is in the sequence window.
-        self.last_deferred_seq = 0
-        #: Set on a transport path failure; every later op to this
-        #: target fails fast at issue.
-        self.broken = False
-        #: Records handed to an in-flight complete() (moved out of
-        #: ``outstanding``); a path failure must fail these too or the
-        #: waiting complete() would hang.  The completion lets go of
-        #: them when its wait returns (:meth:`RmaEngine._release`).
-        self.completing: Sequence[OpRecord] = ()
-
-    def alloc_seq(self) -> int:
-        self.last_seq += 1
-        return self.last_seq
-
-
 class _PendingGet:
     """Origin-side reassembly state for a get / get-accumulate reply."""
 
@@ -268,6 +231,7 @@ class PacketRoute:
 
     name = "packet"
     remote = True
+    waits = True
 
     def __init__(self, engine: "RmaEngine") -> None:
         self.eng = engine
@@ -282,21 +246,20 @@ class PacketRoute:
         kind = op.kind
         if op.via_lock:
             yield from eng.serializer.origin_acquire(dst)
-        peer = eng._origin_peer(dst)
-        seq = peer.alloc_seq()
-        barrier = seq - 1 if op.ordering else peer.order_barrier
+        seq = eng._next_seq(dst)
+        barrier = seq - 1 if op.ordering else eng._order_barrier.get(dst, 0)
         if "drop_order_barrier" in eng.conformance_mutations:
             barrier = 0  # the planted ordering bug
         if op.has_payload:
             # Atomic application is deferred to the serializer job (or
             # bracketed by the process lock).
             if op.via_queue or op.via_lock:
-                peer.last_atomic_seq = seq
+                eng._last_atomic_seq[dst] = seq
         elif op.via_queue or kind == "rmi":
             # Served by a queued job (or an RMI handler process) after
             # delivery: later train ops cannot assume delivery order
             # equals application order.
-            peer.last_deferred_seq = seq
+            eng._last_deferred_seq[dst] = seq
         op_key = (eng.rank, next(eng._op_counter))
         desc = {"op_key": op_key, "src": eng.rank, "seq": seq,
                 "barrier": barrier, "kind": kind}
@@ -314,7 +277,7 @@ class PacketRoute:
 
         if op.has_payload:
             mode = "none" if not op.is_write else eng._pick_remote_mode(
-                op.attrs, tmem, barrier, op.via_queue, op.via_lock, peer)
+                op.attrs, tmem, barrier, op.via_queue, op.via_lock)
             lean = eng.world.nexus.route(eng.nic, "control.route",
                                          "write") is None
             frags, sizes = self._cut(op, swap, lean)
@@ -347,7 +310,8 @@ class PacketRoute:
                 eng._sw_ack_waiters[op_key] = (dst, done)
             else:
                 done = None
-            result = eng._retain(peer, op, op_key, seq, mode, ev_local, done)
+            result = OpRecord(kind, op.attrs, ev_local, done)
+            eng._retain(dst, result, seq)
             if eng.tracer.enabled and op.nbytes <= 16:
                 # consistency-litmus support: small writes are recorded
                 # with their value so checkers can rebuild reads-from
@@ -494,8 +458,47 @@ class RmaEngine(FailureSide, TargetSide):
 
         self._exposures: Dict[int, Allocation] = {}
         self._next_mem_id = 1
-        self._origin_peers: Dict[int, _OriginPeer] = {}
-        self._target_peers: Dict[int, _TargetPeer] = {}
+        # Per-peer state, one table per field, keyed by the peer's rank
+        # (DESIGN §12, "Per-pair state").  A peer never talked to has no
+        # entry, the integer tables hold nothing the cyclic collector
+        # walks, and each container below exists only while it holds
+        # something.  Origin side, per target:
+        self._last_seq: Dict[int, int] = {}
+        #: The standing ``rma_order`` barrier.
+        self._order_barrier: Dict[int, int] = {}
+        #: Most recent atomic op (its application is deferred to the
+        #: serializer job or bracketed by the process lock).
+        self._last_atomic_seq: Dict[int, int] = {}
+        #: Most recent op whose *application* happens after delivery
+        #: without being atomic (serializer-routed rmw, RMI handlers,
+        #: atomic-queue gets).  The op-train route reasons "delivery
+        #: order == application order" and stands down for a target in
+        #: either of these two tables.
+        self._last_deferred_seq: Dict[int, int] = {}
+        #: Outstanding writes in issue order: the record of each
+        #: acknowledged one, and runs (:class:`_FlushedRun`) of those
+        #: only a flush completes.
+        self._held: Dict[int, list] = {}
+        #: Records handed to an in-flight completion, which lets go of
+        #: them when its wait returns (:meth:`_release`); a path failure
+        #: must fail these too or the waiting completion would hang.
+        self._completing: Dict[int, list] = {}
+        #: Targets whose path failed: every later op fails fast at issue.
+        self._broken: set = set()
+        # Target side, per origin:
+        self._applied_upto: Dict[int, int] = {}
+        #: Sequence numbers applied ahead of the watermark.
+        self._applied_extra: Dict[int, set] = {}
+        #: Packet-borne ops in flight, by ``(origin, seq)``.
+        self._inbound: Dict[Tuple[int, int], Any] = {}
+        #: Inbound ops waiting for the watermark to cover their barrier.
+        self._gated: Dict[int, list] = {}
+        #: ``(watermark, flush_id)`` of flush requests waiting for the
+        #: watermark.
+        self._flush_requests: Dict[int, list] = {}
+        #: Origins whose gate is being drained (applying a gated op can
+        #: recursively mark further ops applied).
+        self._draining: set = set()
         # Waiter maps carry the destination rank so a path failure can
         # sweep exactly the waiters stranded on the broken path.
         self._sw_ack_waiters: Dict[Tuple[int, int], Tuple[int, Event]] = {}
@@ -627,11 +630,11 @@ class RmaEngine(FailureSide, TargetSide):
             raise RmaError(f"RMI handler {name!r} already registered")
         self._rmi_handlers[name] = fn
 
-    def _origin_peer(self, dst: int) -> _OriginPeer:
-        peer = self._origin_peers.get(dst)
-        if peer is None:
-            peer = self._origin_peers[dst] = _OriginPeer()
-        return peer
+    def _next_seq(self, dst: int) -> int:
+        """Allocate the next sequence number toward ``dst``."""
+        seq = self._last_seq.get(dst, 0) + 1
+        self._last_seq[dst] = seq
+        return seq
 
     # ------------------------------------------------------------------
     # The five operations: argument checks, then the one pipeline
@@ -921,7 +924,9 @@ class RmaEngine(FailureSide, TargetSide):
                     counter = self._route_counter(route.name, reason)
                 counter.inc()
                 self._tally(op, op.nbytes)
-                return (yield from route.issue(op))
+                if route.waits:
+                    return (yield from route.issue(op))
+                return route.issue(op)
             reason = why
 
     def _route_atomic(self, op: _Op) -> None:
@@ -945,8 +950,7 @@ class RmaEngine(FailureSide, TargetSide):
 
     def _pick_remote_mode(self, attrs: RmaAttrs, tmem: TargetMem,
                           barrier: int, atomic_via_serializer: bool,
-                          lock_serialized: bool,
-                          peer: _OriginPeer) -> str:
+                          lock_serialized: bool) -> str:
         if lock_serialized or atomic_via_serializer:
             # Atomic semantics are only established at application time,
             # so atomic ops always track an application ack: the lock
@@ -965,7 +969,8 @@ class RmaEngine(FailureSide, TargetSide):
             path = self.nic.fabric.config_for(self.rank, tmem.rank)
             barrier_instant = barrier == 0 or (
                 path.ordered
-                and not (0 < peer.last_atomic_seq <= barrier)
+                and not (0 < self._last_atomic_seq.get(tmem.rank, 0)
+                         <= barrier)
             )
             hw_ok = (
                 tmem.coherent
@@ -997,25 +1002,36 @@ class RmaEngine(FailureSide, TargetSide):
         elif op.kind == "get":
             stats["bytes_got"] += nbytes
 
-    def _retain(self, peer: _OriginPeer, op: _Op, op_key, seq: int,
-                mode: str, ev_local: Event,
-                ev_remote: Optional[Event]) -> OpRecord:
-        """Record an issued write as outstanding toward its target (the
-        next completion call waits for, or flushes, it)."""
-        rec = OpRecord(op_key, op.dst, seq, op.kind, mode, ev_local,
-                       ev_remote, op.nbytes, op.attrs)
-        peer.outstanding.append(rec)
-        return rec
+    def _retain(self, dst: int, rec: OpRecord, seq: int) -> None:
+        """Record an issued write as outstanding toward ``dst``: the
+        next completion call waits for it, or flushes it.  A write with
+        a per-op completion event is held as its record; one that only a
+        flush completes leaves its sequence number — the watermark that
+        flush must cover — and one more count on the run of same-kind,
+        same-attribute flushed writes it extends (failure attribution
+        reports one error per write, in issue order)."""
+        held = self._held.get(dst)
+        if held is None:
+            held = self._held[dst] = []
+        if rec.ev_remote is not None:
+            held.append(rec)
+            return
+        run = held[-1] if held else None
+        if (type(run) is _FlushedRun and run.kind == rec.kind
+                and (run.attrs is rec.attrs or run.attrs == rec.attrs)):
+            run.count += 1
+            run.upto = seq
+        else:
+            held.append(_FlushedRun(rec.kind, rec.attrs, seq))
 
-    def _finished(self, op: _Op, nbytes: int = 0, value=None):
+    def _finished(self, op: _Op, value=None):
         """What ``issue_*`` returns for an op that is already over (a
         zero-byte transfer, a shared-window access, a fail-fast): the
         completion event, wrapped in an :class:`OpRecord` for writes."""
         ev = Event(self.sim).succeed(value)
         if not op.is_write:
             return ev
-        return OpRecord((self.rank, 0), op.dst, 0, op.kind, "hw", ev, ev,
-                        nbytes, op.attrs)
+        return OpRecord(op.kind, op.attrs, ev, ev)
 
     def _land(self, data: np.ndarray, origin: tuple, swap: bool) -> None:
         """Unpack fetched wire bytes into the origin buffer."""
@@ -1087,11 +1103,12 @@ class RmaEngine(FailureSide, TargetSide):
 
     def complete_all(self):
         """Remote-complete every target with outstanding traffic
-        (``MPI_ALL_RANKS``).  Returns the list of failures."""
+        (``MPI_ALL_RANKS``), in ascending rank order.  Returns the list
+        of failures."""
         yield self.sim.timeout(self.timings.call_overhead)
         events = []
         held: List[tuple] = []
-        for dst in sorted(self._origin_peers):
+        for dst in sorted(self._held):
             events.extend(self._completion_events(dst, held))
         if events:
             yield AllOf(self.sim, events)
@@ -1106,79 +1123,84 @@ class RmaEngine(FailureSide, TargetSide):
 
     def _completion_events(self, dst: int, held: List[tuple]) -> List[Event]:
         """The events that remote-complete everything outstanding to
-        ``dst``.  The records move to ``peer.completing``, where a path
-        failure still finds them while the caller waits, and
-        ``(peer, records)`` joins ``held`` for :meth:`_release`."""
-        peer = self._origin_peers.get(dst)
-        if peer is None or not peer.outstanding:
+        ``dst``: each acknowledged write's own, then one flush up to the
+        last flushed write.  The acknowledged records move to
+        ``_completing``, where a path failure still finds them while the
+        caller waits, and ``(dst, records)`` joins ``held`` for
+        :meth:`_release`."""
+        outstanding = self._held.pop(dst, None)
+        if outstanding is None:
             return []
         events: List[Event] = []
-        held.append((peer, peer.outstanding))
-        if peer.broken:
-            # No flush round trip on a broken path: every record resolves
+        acked = []
+        if dst in self._broken:
+            # No flush round trip on a broken path: every write resolves
             # to an error immediately (ops with per-op events were already
-            # failed by _on_path_failure; flush-mode ones get one here).
-            for rec in peer.outstanding:
-                ev = rec.ev_remote
-                if ev is None:
-                    ev = Event(self.sim).succeed(
-                        self._error(dst, rec.kind, rec.attrs))
+            # failed by _on_path_failure; flushed ones get one each here).
+            for item in outstanding:
+                if type(item) is _FlushedRun:
+                    for _ in range(item.count):
+                        events.append(Event(self.sim).succeed(
+                            self._error(dst, item.kind, item.attrs)))
+                else:
+                    events.append(item.ev_remote)
+                    acked.append(item)
+        else:
+            flush_watermark = 0
+            deferred: List[DeferredEvent] = []
+            for item in outstanding:
+                if type(item) is _FlushedRun:
+                    flush_watermark = item.upto
+                    continue
+                ev = item.ev_remote
                 events.append(ev)
-            peer.completing, peer.outstanding = peer.outstanding, []
-            return events
-        flush_watermark = 0
-        deferred: List[DeferredEvent] = []
-        for rec in peer.outstanding:
-            ev = rec.ev_remote
-            if ev is not None:
-                events.append(ev)
+                acked.append(item)
                 if (type(ev) is DeferredEvent and not ev._armed
                         and not ev.triggered):
                     deferred.append(ev)
-            else:
-                flush_watermark = max(flush_watermark, rec.seq)
-        if deferred:
-            # Retire the whole group of analytic hw-ack events with one
-            # heap entry at the latest due time.  Each event still
-            # auto-fires at its own due when polled (DeferredEvent), so
-            # no observable timestamp moves — only the timer count does.
-            due = max(ev.due for ev in deferred)
-            for ev in deferred:
-                ev.mark_armed()
-            self.sim.schedule_bulk_succeed_at(
-                due, deferred,
-                [ev._deferred_value for ev in deferred],
-            )
-        if flush_watermark:
-            flush_id = self._next_flush_id
-            self._next_flush_id += 1
-            ev = self.sim.event()
-            self._flush_waiters[flush_id] = (dst, ev)
-            self.signal(dst, "rma.flush_req", flush_watermark, flush_id)
-            events.append(ev)
-        peer.completing, peer.outstanding = peer.outstanding, []
+            if deferred:
+                # Retire the whole group of analytic hw-ack events with
+                # one heap entry at the latest due time.  Each event still
+                # auto-fires at its own due when polled (DeferredEvent),
+                # so no observable timestamp moves — only the timer count
+                # does.
+                due = max(ev.due for ev in deferred)
+                for ev in deferred:
+                    ev.mark_armed()
+                self.sim.schedule_bulk_succeed_at(
+                    due, deferred,
+                    [ev._deferred_value for ev in deferred],
+                )
+            if flush_watermark:
+                flush_id = self._next_flush_id
+                self._next_flush_id += 1
+                ev = self.sim.event()
+                self._flush_waiters[flush_id] = (dst, ev)
+                self.signal(dst, "rma.flush_req", flush_watermark, flush_id)
+                events.append(ev)
+        if acked:
+            self._completing[dst] = acked
+            held.append((dst, acked))
         return events
 
-    @staticmethod
-    def _release(held: List[tuple]) -> None:
+    def _release(self, held: List[tuple]) -> None:
         """A completion's wait is over: let go of the records it retired.
         By identity — a later completion waiting on the same peer has
         put its own list there and keeps it."""
-        for peer, records in held:
-            if peer.completing is records:
-                peer.completing = ()
+        completing = self._completing
+        for dst, records in held:
+            if completing.get(dst) is records:
+                del completing[dst]
 
     def order_one(self, dst: int) -> None:
         """Order subsequent ops to ``dst`` after all prior ones — a pure
         origin-side barrier annotation, no network traffic (the paper's
         "weaker form of synchronization")."""
-        peer = self._origin_peer(dst)
-        peer.order_barrier = peer.last_seq
+        self._order_barrier[dst] = self._last_seq.get(dst, 0)
         self.stats["orders"] += 1
 
     def order_all(self) -> None:
-        for peer in self._origin_peers.values():
-            peer.order_barrier = peer.last_seq
+        self._order_barrier.update(self._last_seq)
         self.stats["orders"] += 1
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from typing import Optional
 
 from repro.rma.attributes import RmaAttrs
 from repro.rma.target_mem import RmaError
+from repro.rma.train import OpRecord
 
 __all__ = ["FailureSide"]
 
@@ -18,8 +19,7 @@ class FailureSide:
 
     def _path_broken(self, dst: int) -> bool:
         """Whether ops to ``dst`` are doomed (fail fast at issue)."""
-        peer = self._origin_peers.get(dst)
-        if peer is not None and peer.broken:
+        if dst in self._broken:
             return True
         transport = self.nic.transport
         if transport is not None and transport.is_broken(dst):
@@ -54,11 +54,10 @@ class FailureSide:
         means the next completion call must surface this failure
         (otherwise survivors would enter a doomed closing barrier
         believing the epoch was clean)."""
-        done = self._finished(op, 0, self._error(op.dst, op.kind, op.attrs))
+        done = self._finished(op, self._error(op.dst, op.kind, op.attrs))
         if op.is_write:
-            peer = self._origin_peer(op.dst)
-            peer.broken = True
-            peer.outstanding.append(done)
+            self._broken.add(op.dst)
+            self._retain(op.dst, done, 0)
             self._tally(op, 0)
         return done
 
@@ -75,10 +74,9 @@ class FailureSide:
             if ev is not None and not ev.triggered:
                 ev.succeed(self._error(dst, op, attrs, failure))
 
-        peer = self._origin_peers.get(dst)
-        if peer is not None:
-            peer.broken = True
-            for rec in (*peer.outstanding, *peer.completing):
+        self._broken.add(dst)
+        for rec in (*self._held.get(dst, ()), *self._completing.get(dst, ())):
+            if type(rec) is OpRecord:
                 fail(rec.ev_remote, rec.kind, rec.attrs)
         for waiters, op in ((self._sw_ack_waiters, "ack"),
                             (self._flush_waiters, "complete")):
@@ -99,17 +97,27 @@ class FailureSide:
                                rank=self.rank, dst=dst,
                                reason=failure.reason)
 
+    def _peer_tables(self):
+        """The engine's tables keyed by peer rank (``RmaEngine.__init__``)."""
+        return (self._last_seq, self._order_barrier, self._last_atomic_seq,
+                self._last_deferred_seq, self._held, self._completing,
+                self._applied_upto, self._applied_extra, self._gated,
+                self._flush_requests, self._path_failures)
+
     def reset_path(self, other: int) -> None:
         """Forget all per-path state shared with ``other`` (restart)."""
-        self._origin_peers.pop(other, None)
-        self._target_peers.pop(other, None)
-        self._path_failures.pop(other, None)
+        for table in self._peer_tables():
+            table.pop(other, None)
+        self._broken.discard(other)
+        for key in [key for key in self._inbound if key[0] == other]:
+            del self._inbound[key]
 
     def reset_all_paths(self) -> None:
         """Forget every per-path state (this rank restarted)."""
-        self._origin_peers.clear()
-        self._target_peers.clear()
-        self._path_failures.clear()
+        for table in self._peer_tables():
+            table.clear()
+        self._broken.clear()
+        self._inbound.clear()
         self.board.reset()
 
     def acknowledge_path_failure(self, dst: int) -> None:
@@ -123,7 +131,6 @@ class FailureSide:
         completion describes only post-recovery traffic.  The path
         itself stays broken: new ops to ``dst`` keep failing fast.
         """
-        peer = self._origin_peers.get(dst)
-        if peer is not None and peer.broken:
-            peer.outstanding = []
-            peer.completing = ()
+        if dst in self._broken:
+            self._held.pop(dst, None)
+            self._completing.pop(dst, None)

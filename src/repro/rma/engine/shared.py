@@ -3,8 +3,8 @@ direct load/store through the node's cache model — no NIC, no
 transport, no serializer (DESIGN §14).
 
 A shared op applies at one simulated instant and owns no sequence
-number: it is never appended to ``peer.outstanding``, completion calls
-have nothing to wait for and flush watermarks are untouched.
+number: the origin holds nothing of it, completion calls have nothing to
+wait for and flush watermarks are untouched.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class SharedRoute:
 
     name = "shared"
     remote = False
+    waits = True
 
     def __init__(self, engine: "RmaEngine") -> None:
         self.eng = engine
@@ -56,9 +57,9 @@ class SharedRoute:
         node_of = eng.machine.node_of_rank
         if node_of(eng.rank) != node_of(op.dst):
             return "off-node"
-        peer = eng._origin_peers.get(op.dst)
-        if (peer is not None and peer.last_seq > 0
-                and (op.ordering or peer.order_barrier) and self._fenced()):
+        if (op.dst in eng._last_seq
+                and (op.ordering or eng._order_barrier.get(op.dst))
+                and self._fenced()):
             # the ordering attribute (or a standing ``rma_order``
             # barrier) covers earlier *sequenced* remote ops; a shared
             # op owns no sequence number, so the remote path's barrier
@@ -149,4 +150,4 @@ class SharedRoute:
             # learns of it now.
             tgt.board.deliver(eng.rank, tmem.mem_id, op.notify,
                               issued=issued)
-        return eng._finished(op, op.nbytes, value)
+        return eng._finished(op, value)

@@ -1,18 +1,19 @@
 """Target side of the RMA engine: inbound operations, ordering gates,
 the applied watermark and flush answering.
 
-Every inbound op is an :class:`_InboundOp` keyed by its per-origin
-sequence number.  An op whose *barrier* (the highest sequence number
-that must be applied before it) is not yet covered by the peer's
-applied watermark waits in ``peer.gated``; :meth:`TargetSide._applied`
-— the tail every applied write passes through, packet or train element —
-rolls the watermark, delivers the op's notification, drains the gate
-and answers watermark flushes.
+Every inbound op that came as messages is an :class:`_InboundOp` keyed
+by its origin and per-origin sequence number.  An op whose *barrier*
+(the highest sequence number that must be applied before it) is not yet
+covered by the origin's applied watermark waits in ``_gated``;
+:meth:`TargetSide._applied` — the tail every applied write passes
+through, packet or train element — rolls the watermark, delivers the
+op's notification, drains the gate and answers watermark flushes.  The
+per-origin tables live on the engine (``RmaEngine.__init__``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -61,69 +62,36 @@ class _InboundOp:
         self.wire = None
 
 
-class _TargetPeer:
-    """Target-side per-origin state.  An all-to-all makes O(P²) of
-    these, so the containers are allocated by the first op that needs
-    one — an out-of-order apply, a packet-borne op, a gated op, a
-    waiting flush; a pair that only ever carried train elements owns
-    the watermark and nothing else."""
-
-    __slots__ = ("applied_upto", "applied_extra", "inbound", "gated",
-                 "flush_waiters", "draining")
-
-    def __init__(self) -> None:
-        self.applied_upto = 0
-        #: Sequence numbers applied ahead of the watermark.
-        self.applied_extra: Optional[set] = None
-        #: Packet-borne ops in flight, by sequence number.
-        self.inbound: Optional[Dict[int, _InboundOp]] = None
-        self.gated: Sequence[_InboundOp] = ()
-        #: (watermark, flush_id, origin_rank) triples awaiting the watermark.
-        self.flush_waiters: Sequence[Tuple[int, int, int]] = ()
-        #: Reentrancy guard for gate draining (applying a gated op can
-        #: recursively mark further ops applied).
-        self.draining = False
-
-    def barrier_ok(self, barrier: int) -> bool:
-        return self.applied_upto >= barrier
-
-    def mark_applied(self, seq: int) -> None:
-        """Roll the applied watermark over ``seq`` (ops may apply out of
-        sequence order; the watermark is the contiguous prefix)."""
-        extra = self.applied_extra
-        if seq == self.applied_upto + 1:
-            self.applied_upto = seq
-            if extra:
-                while self.applied_upto + 1 in extra:
-                    extra.discard(self.applied_upto + 1)
-                    self.applied_upto += 1
-        elif extra is None:
-            self.applied_extra = {seq}
-        else:
-            extra.add(seq)
-
-    def admit(self, desc: Dict[str, Any]) -> _InboundOp:
-        """Record a packet-borne op on its first packet."""
-        if self.inbound is None:
-            self.inbound = {}
-        op = self.inbound[desc["seq"]] = _InboundOp(desc)
-        return op
-
-    def gate(self, op: _InboundOp) -> None:
-        """Hold ``op`` until the watermark covers its barrier."""
-        if not self.gated:
-            self.gated = []
-        self.gated.append(op)
-
-
 class TargetSide:
     """The target half of :class:`~repro.rma.engine.core.RmaEngine`."""
 
-    def _target_peer(self, src: int) -> _TargetPeer:
-        peer = self._target_peers.get(src)
-        if peer is None:
-            peer = self._target_peers[src] = _TargetPeer()
-        return peer
+    def _barrier_ok(self, src: int, barrier: int) -> bool:
+        return self._applied_upto.get(src, 0) >= barrier
+
+    def _mark_applied(self, src: int, seq: int) -> None:
+        """Roll ``src``'s applied watermark over ``seq`` (ops may apply
+        out of sequence order; the watermark is the contiguous
+        prefix)."""
+        extra = self._applied_extra.get(src)
+        if seq == self._applied_upto.get(src, 0) + 1:
+            if extra:
+                while seq + 1 in extra:
+                    seq += 1
+                    extra.discard(seq)
+                if not extra:
+                    del self._applied_extra[src]
+            self._applied_upto[src] = seq
+        else:
+            self._applied_extra.setdefault(src, set()).add(seq)
+
+    def _admit(self, src: int, desc: Dict[str, Any]) -> _InboundOp:
+        """Record an op that came as messages, on its first one."""
+        op = self._inbound[src, desc["seq"]] = _InboundOp(desc)
+        return op
+
+    def _gate(self, src: int, op: _InboundOp) -> None:
+        """Hold ``op`` until the watermark covers its barrier."""
+        self._gated.setdefault(src, []).append(op)
 
     def materialize_inbound(self) -> None:
         """Apply analytically-arrived train elements destined to this
@@ -173,13 +141,13 @@ class TargetSide:
         posted fragment sends back once it ran (a packet's is the
         fabric's, :meth:`Fabric._deliver
         <repro.network.fabric.Fabric._deliver>`)."""
-        peer = self._target_peer(src)
-        op = peer.inbound.get(desc["seq"]) if peer.inbound else None
+        inbound = self._inbound
+        op = inbound.get((src, desc["seq"])) if inbound else None
         if op is None:
-            op = peer.admit(desc)
-            if not peer.barrier_ok(op.barrier):
+            op = self._admit(src, desc)
+            if not self._barrier_ok(src, op.barrier):
                 self.stats["gated_frags"] += 1
-                peer.gate(op)
+                self._gate(src, op)
             else:
                 op.gate_open = not desc["via_job"]
             self._notify_early(desc)
@@ -191,16 +159,16 @@ class TargetSide:
         if desc["via_job"]:
             if op.wire is None:
                 op.frags.extend(frags)
-            if op.arrived == op.nfrags and peer.barrier_ok(op.barrier):
-                self._stage_atomic(peer, op)
+            if op.arrived == op.nfrags and self._barrier_ok(src, op.barrier):
+                self._stage_atomic(op)
         elif op.gate_open:
-            self._apply_frags(peer, op, frags)
+            self._apply_frags(op, frags)
         elif op.wire is None:
             op.frags.extend(frags)
         if ack is not None:
             self.nic.fabric.hardware_ack(src, self.rank, ack_lands, ack)
 
-    def _apply_frags(self, peer: _TargetPeer, op: _InboundOp, frags) -> None:
+    def _apply_frags(self, op: _InboundOp, frags) -> None:
         """Apply what arrived of an ungated non-atomic write (``frags``
         as in :meth:`_write`)."""
         desc = op.desc
@@ -212,15 +180,15 @@ class TargetSide:
         if op.applied_frags < op.nfrags:
             return
         if self.mem.coherent:
-            self._op_applied(peer, op)
+            self._op_applied(op)
         else:
             # Non-coherent target: the target must be involved to make
             # the deposit visible (invalidate stale scalar-cache lines)
             # before the op may count as applied (paper §III-B2).
-            self.sim.spawn(self._invalidate_then_apply(peer, op),
+            self.sim.spawn(self._invalidate_then_apply(op),
                            name=f"inval-{self.rank}")
 
-    def _invalidate_then_apply(self, peer: _TargetPeer, op: _InboundOp):
+    def _invalidate_then_apply(self, op: _InboundOp):
         desc = op.desc
         yield self.sim.timeout(
             self.timings.am_handler + self.timings.cache_fence
@@ -229,9 +197,9 @@ class TargetSide:
             self._resolve(desc["mem_id"]), desc["base_disp"],
             desc["total_bytes"]
         )
-        self._op_applied(peer, op)
+        self._op_applied(op)
 
-    def _stage_atomic(self, peer: _TargetPeer, op: _InboundOp) -> None:
+    def _stage_atomic(self, op: _InboundOp) -> None:
         """Hand a fully-arrived atomic write (or any get-accumulate: the
         old contents must be read before a single fragment applies) to
         the serializer as one job."""
@@ -262,7 +230,7 @@ class TargetSide:
                     yield self.sim.timeout(self.timings.cache_fence)
                 self.mem.cache.invalidate_range(alloc, desc["base_disp"],
                                                 nbytes)
-            self._op_applied(peer, op)
+            self._op_applied(op)
             if fetch:
                 self._send_get_reply(desc["src"], desc["op_key"], old)
 
@@ -275,15 +243,14 @@ class TargetSide:
         """``get_req`` / ``rmw_req`` / ``rmi_req`` from ``src``: serve
         the op described by ``desc`` now, or hold it until the applied
         watermark covers its barrier."""
-        peer = self._target_peer(src)
-        op = peer.admit(desc)
+        op = self._admit(src, desc)
         self._notify_early(desc)
-        if peer.barrier_ok(op.barrier):
-            self._serve(peer, op)
+        if self._barrier_ok(src, op.barrier):
+            self._serve(op)
         else:
-            peer.gate(op)
+            self._gate(src, op)
 
-    def _serve(self, peer: _TargetPeer, op: _InboundOp) -> None:
+    def _serve(self, op: _InboundOp) -> None:
         """Execute a request-style op: inline when the NIC can (plain
         get, hardware or lock-held rmw), else as a deferred job — on the
         serializer queue for atomic gets and serializer-routed rmws, and
@@ -291,7 +258,7 @@ class TargetSide:
         desc = op.desc
         kind = desc["kind"]
         if kind != "rmi" and not desc["via_job"]:
-            self._execute(peer, op)
+            self._execute(op)
             return
         if kind == "get":
             delay = desc["total_bytes"] * self.timings.mem_copy_per_byte
@@ -301,7 +268,7 @@ class TargetSide:
 
         def job():
             yield self.sim.timeout(delay)
-            self._execute(peer, op)
+            self._execute(op)
 
         if kind == "rmi" and not (self.machine.threads_allowed
                                   and self.serializer.kind == "thread"):
@@ -309,7 +276,7 @@ class TargetSide:
         else:
             self.serializer.submit_job(job)
 
-    def _execute(self, peer: _TargetPeer, op: _InboundOp) -> None:
+    def _execute(self, op: _InboundOp) -> None:
         self.materialize_inbound()
         desc = op.desc
         kind = desc["kind"]
@@ -317,7 +284,7 @@ class TargetSide:
             data = read_layout(self.mem, self._resolve(desc["mem_id"]),
                                desc["base_disp"], desc["dtype"],
                                desc["count"])
-            self._op_applied(peer, op)
+            self._op_applied(op)
             self._send_get_reply(desc["src"], desc["op_key"], data)
             return
         if kind == "rmw":
@@ -328,12 +295,18 @@ class TargetSide:
             name, args = desc["call"]
             fn = self._rmi_handlers.get(name)
             if fn is None:
-                raise RmaError(
-                    f"rank {self.rank}: no RMI handler named {name!r}"
-                )
-            value = fn(*args)
-            nbytes = payload_nbytes(value)
-        self._op_applied(peer, op)
+                # The origin's mistake, answered rather than raised: this
+                # rank keeps serving, and the origin's request raises the
+                # error or returns it, as its error handler says.  A
+                # status, not a payload: the reply carries no data bytes.
+                value = RmaError(
+                    f"rank {self.rank}: no RMI handler named {name!r}",
+                    op="rmi", src=desc["src"], target=self.rank)
+                nbytes = 0
+            else:
+                value = fn(*args)
+                nbytes = payload_nbytes(value)
+        self._op_applied(op)
         self.signal(desc["src"], "rma.reply", desc["op_key"], value,
                     data_bytes=nbytes)
 
@@ -370,20 +343,20 @@ class TargetSide:
     # ------------------------------------------------------------------
     # Applied-watermark bookkeeping
     # ------------------------------------------------------------------
-    def _op_applied(self, peer: _TargetPeer, op: _InboundOp) -> None:
+    def _op_applied(self, op: _InboundOp) -> None:
         desc = op.desc
-        if peer.inbound:
-            peer.inbound.pop(op.seq, None)
+        src = op.src
+        self._inbound.pop((src, op.seq), None)
         if desc.get("ack") == "sw":
-            self.signal(desc["src"], "rma.ack", desc["op_key"])
+            self.signal(src, "rma.ack", desc["op_key"])
         m = desc.get("notify")
-        self._applied(peer, desc["src"], op.seq, desc.get("mem_id"),
+        self._applied(src, op.seq, desc.get("mem_id"),
                       None if m is None
                       else (m, desc["op_key"], desc["notify_ts"]),
                       desc["kind"], desc.get("op_key"))
 
-    def _applied(self, peer: _TargetPeer, src: int, seq: int, mem_id,
-                 notify, kind=None, op_key=None) -> None:
+    def _applied(self, src: int, seq: int, mem_id, notify, kind=None,
+                 op_key=None) -> None:
         """The one tail of target-side application — watermark roll →
         notification → gated drain → flush answers — reached by both
         appliers: :meth:`_op_applied` for an op that came as packets,
@@ -391,7 +364,7 @@ class TargetSide:
         train element.  ``notify`` is the op's ``(match, op_key,
         issued)`` or None; ``kind`` and ``op_key`` label the trace
         record (train elements only form untraced)."""
-        peer.mark_applied(seq)
+        self._mark_applied(src, seq)
         if notify is not None:
             # THE delivery point: the payload is applied (watermark just
             # advanced), so the notification may now surface.  Idempotent
@@ -402,65 +375,66 @@ class TargetSide:
             self.tracer.record(self.sim.now, "rma", "applied",
                                rank=self.rank, src=src, seq=seq,
                                kind_=kind, op=op_key)
-        self._drain_gated(peer)
-        self._answer_flushes(peer)
+        if src in self._gated:
+            self._drain_gated(src)
+        if src in self._flush_requests:
+            self._answer_flushes(src)
 
-    def _drain_gated(self, peer: _TargetPeer) -> None:
-        if not peer.gated:
-            return
-        if peer.draining:
+    def _drain_gated(self, src: int) -> None:
+        if src in self._draining:
             return  # the outer drain loop will re-scan after each release
-        peer.draining = True
+        self._draining.add(src)
         try:
-            progress = True
-            while progress:
-                progress = False
-                peer.gated.sort(key=lambda o: o.seq)
-                for i, op in enumerate(peer.gated):
-                    if peer.barrier_ok(op.barrier):
-                        peer.gated.pop(i)
-                        self._release_gated_op(peer, op)
-                        progress = True
+            while gated := self._gated.get(src):
+                gated.sort(key=lambda o: o.seq)
+                for i, op in enumerate(gated):
+                    if self._barrier_ok(src, op.barrier):
+                        del gated[i]
+                        if not gated:
+                            del self._gated[src]
+                        self._release_gated_op(op)
                         break
+                else:
+                    break
         finally:
-            peer.draining = False
+            self._draining.discard(src)
 
-    def _release_gated_op(self, peer: _TargetPeer, op: _InboundOp) -> None:
+    def _release_gated_op(self, op: _InboundOp) -> None:
         if op.desc["kind"] in _REQUESTS:
-            self._serve(peer, op)
+            self._serve(op)
         elif op.desc["via_job"]:
             if op.arrived == op.nfrags:
-                self._stage_atomic(peer, op)
+                self._stage_atomic(op)
             # else: staged when the last fragment arrives (_write
             # re-checks the barrier, which is now satisfied)
         else:
             op.gate_open = True
             if op.wire is not None:
-                self._apply_frags(peer, op, op.arrived)
+                self._apply_frags(op, op.arrived)
             else:
                 buffered, op.frags = op.frags, []
-                self._apply_frags(peer, op, buffered)
+                self._apply_frags(op, buffered)
 
-    def _answer_flushes(self, peer: _TargetPeer) -> None:
-        if not peer.flush_waiters:
-            return
-        ready = [w for w in peer.flush_waiters if w[0] <= peer.applied_upto]
+    def _answer_flushes(self, src: int) -> None:
+        upto = self._applied_upto.get(src, 0)
+        waiting = self._flush_requests[src]
+        ready = [w for w in waiting if w[0] <= upto]
         if not ready:
             return
-        peer.flush_waiters = [
-            w for w in peer.flush_waiters if w[0] > peer.applied_upto
-        ]
-        for _watermark, flush_id, src in ready:
+        rest = [w for w in waiting if w[0] > upto]
+        if rest:
+            self._flush_requests[src] = rest
+        else:
+            del self._flush_requests[src]
+        for _watermark, flush_id in ready:
             self.signal(src, "rma.flush_ack", flush_id)
 
     def _flush_req(self, src: int, watermark: int, flush_id: int) -> None:
         """``flush_req`` from ``src``: answer once everything it sent up
         to ``watermark`` has applied — now, or from
         :meth:`_answer_flushes` when the watermark gets there."""
-        peer = self._target_peer(src)
-        if peer.applied_upto >= watermark:
+        if self._applied_upto.get(src, 0) >= watermark:
             self.signal(src, "rma.flush_ack", flush_id)
-        elif peer.flush_waiters:
-            peer.flush_waiters.append((watermark, flush_id, src))
         else:
-            peer.flush_waiters = [(watermark, flush_id, src)]
+            self._flush_requests.setdefault(src, []).append(
+                (watermark, flush_id))

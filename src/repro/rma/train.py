@@ -25,9 +25,10 @@ send the hardware ack, and sends it through the fabric's one copy of
 that ack (:meth:`Fabric.hardware_ack
 <repro.network.fabric.Fabric.hardware_ack>`).
 
-A train is a per-(src, dst) sequence of :class:`TrainElement`, each a
-fully-described write (put/accumulate) with an *apply time* (its last
-fragment's arrival) and, if notified, who waits for it.  Application
+A train is a per-(src, dst) sequence of write records (:class:`OpRecord`),
+each a fully-described write (put/accumulate) with an *apply time* (its
+last fragment's arrival) and, if notified, who waits for it; it exists
+only while it holds one.  Application
 happens at **materialization points** (DESIGN §12): the
 fabric materializes the arrived prefix of every train headed for a rank
 immediately before delivering any real packet to it, in global
@@ -56,6 +57,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.network.fabric import ack_lands
 from repro.network.packet import ACK_SIZE, HEADER_SIZE
+from repro.rma.attributes import RmaAttrs
 from repro.rma.layout import (Fragment, apply_write, dense_sizes,
                                fragment_layout)
 from repro.sim.events import AllOf, DeferredEvent, Event
@@ -63,7 +65,7 @@ from repro.sim.events import AllOf, DeferredEvent, Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rma.engine.core import RmaEngine
 
-__all__ = ["TrainElement", "OpTrain", "TrainRoute"]
+__all__ = ["OpRecord", "OpTrain", "TrainRoute"]
 
 
 #: Conformance mutations under which the train route may stay active:
@@ -75,27 +77,38 @@ __all__ = ["TrainElement", "OpTrain", "TrainRoute"]
 _TRAIN_MUTATIONS = frozenset({"train_mistime", "shm_skip_fence"})
 
 
-class TrainElement:
-    """One analytically-timed write riding a train."""
+class OpRecord:
+    """One issued write (put / accumulate): the one record of it, filled
+    by whichever route takes it, and what ``issue_put`` /
+    ``issue_accumulate`` return.
 
-    __slots__ = ("seq", "mem_id", "base_disp", "swap", "frags", "wire",
-                 "nfrags", "apply_time", "acc", "total_wire",
-                 "notification", "booked")
+    Every route sets ``kind``, ``attrs`` and the two completion events:
+    ``ev_local`` (the origin buffer is free again) and ``ev_remote``
+    (the write is remotely complete — None for a write that only a
+    watermark flush completes).  The origin keeps a record after issue
+    only while a completion call must wait on its ``ev_remote`` (an
+    acknowledged write); a flushed write leaves a watermark and a run
+    count instead (``RmaEngine._retain``).
 
-    def __init__(
-        self,
-        seq: int,
-        mem_id: int,
-        base_disp: int,
-        swap: bool,
-        frags: Optional[List[Fragment]],
-        wire: Any,
-        nfrags: int,
-        apply_time: Optional[float],
-        acc: Optional[tuple],
-        total_wire: int,
-        notification: Optional[tuple],
-    ) -> None:
+    On the op-train the record *is* the train element: the other slots
+    describe the write as the target applies it, and :meth:`OpTrain.apply`
+    lets go of its payload (``wire``, ``frags``) once it has."""
+
+    __slots__ = ("kind", "attrs", "ev_local", "ev_remote", "seq", "mem_id",
+                 "base_disp", "swap", "frags", "wire", "nfrags",
+                 "apply_time", "acc", "notification", "booked")
+
+    def __init__(self, kind: str, attrs: Optional[RmaAttrs], ev_local: Event,
+                 ev_remote: Optional[Event], seq: int = 0, mem_id: int = 0,
+                 base_disp: int = 0, swap: bool = False,
+                 frags: Optional[List[Fragment]] = None, wire: Any = None,
+                 nfrags: int = 0, apply_time: Optional[float] = None,
+                 acc: Optional[tuple] = None,
+                 notification: Optional[tuple] = None) -> None:
+        self.kind = kind
+        self.attrs = attrs
+        self.ev_local = ev_local
+        self.ev_remote = ev_remote
         self.seq = seq
         self.mem_id = mem_id
         self.base_disp = base_disp
@@ -116,7 +129,6 @@ class TrainElement:
         self.apply_time = apply_time
         #: (np_elem, op, scale) for accumulates, None for puts.
         self.acc = acc
-        self.total_wire = total_wire
         #: ``(match, op_key, issued)`` of a notified write, else None.
         self.notification = notification
         #: Fragments of a late-booked element put in flight so far.
@@ -125,21 +137,24 @@ class TrainElement:
 
 class OpTrain:
     """The pending analytic ops from one origin to one target, in issue
-    (= arrival) order.  One per (src, dst) for the whole run; the
-    fabric's arrival heap holds it exactly while it has elements."""
+    (= arrival) order.  It exists exactly while it has elements: the
+    first one creates it (``TrainRoute._arrives``) and arms it on the
+    fabric's arrival heap, taking the last one off drops it from its
+    origin's table."""
 
-    __slots__ = ("src", "dst", "_elements", "_head", "_target")
+    __slots__ = ("src", "dst", "_elements", "_head", "_target", "_trains")
 
-    def __init__(self, src: int, dst: int, target: "RmaEngine") -> None:
+    def __init__(self, src: int, dst: int, target: "RmaEngine",
+                 trains: Dict[int, "OpTrain"]) -> None:
         self.src = src
         self.dst = dst
-        #: Elements from index ``_head`` on are pending; the list is
-        #: cleared when the last one is taken, so "empty" means drained.
-        self._elements: List[TrainElement] = []
+        #: Elements from index ``_head`` on are pending.
+        self._elements: List[OpRecord] = []
         self._head = 0
         self._target = target  # the target rank's engine
+        self._trains = trains  # the origin's trains, by destination
 
-    def append(self, elem: TrainElement) -> None:
+    def append(self, elem: OpRecord) -> None:
         """Queue ``elem``; appending to an empty train arms it on the
         fabric's arrival heap."""
         if not self._elements:
@@ -152,48 +167,50 @@ class OpTrain:
         the number of fragments dropped (they count as in-flight
         packets for the fabric's ``dead_dropped`` stat)."""
         dropped = sum(e.nfrags for e in self._elements[self._head:])
-        self._elements.clear()
-        self._head = 0
+        del self._trains[self.dst]
         return dropped
 
     def pop_head(self):
         """Take the earliest pending element off the train.  Returns it
-        with the arrival of the next one (``None`` when none is left),
-        so the fabric can re-key the train on its heap *before*
-        :meth:`apply` runs target-side hooks that may re-enter it."""
+        with the arrival of the next one (``None`` when none is left,
+        and the train is gone), so the fabric can re-key the train on
+        its heap *before* :meth:`apply` runs target-side hooks that may
+        re-enter it."""
         elements = self._elements
         elem = elements[self._head]
         self._head += 1
         if self._head < len(elements):
             return elem, elements[self._head].apply_time
-        elements.clear()
-        self._head = 0
+        del self._trains[self.dst]
         return elem, None
 
-    def apply(self, elem: TrainElement) -> None:
+    def apply(self, elem: OpRecord) -> None:
         """Replay the exact target-side effects of per-packet delivery:
         fragment application, delivery stats, then the tail every
         applied write shares (:meth:`TargetSide._applied
         <repro.rma.engine.target.TargetSide._applied>`: watermark roll,
         notification, gate draining, flush answering).  Train ops never
         register an inbound op and never sw-ack, so the rest of
-        `_op_applied` is moot."""
+        `_op_applied` is moot.  The payload is let go of: a record the
+        origin still holds for its completion keeps only what that
+        reads."""
         eng = self._target
         fabric = eng.nic.fabric
-        tpeer = eng._target_peer(self.src)
-        fabric.packets_delivered += elem.nfrags
-        fabric.bytes_delivered += elem.total_wire
+        wire = elem.wire
+        nfrags = elem.nfrags
+        fabric.packets_delivered += nfrags
+        fabric.bytes_delivered += wire.nbytes + HEADER_SIZE * nfrags
         # A train riding a same-node path carries the same packets the
         # per-packet path would have: keep the intra-node stat honest —
         # one count per fragment, exactly like Fabric.arrival.
         if (fabric.intra_config is not None
                 and fabric.config_for(self.src, self.dst)
                 is fabric.intra_config):
-            fabric.intra_node_packets += elem.nfrags
+            fabric.intra_node_packets += nfrags
         apply_write(eng.mem, eng._resolve(elem.mem_id), elem.base_disp,
-                    elem.frags, elem.swap, elem.acc, elem.wire)
-        eng._applied(tpeer, self.src, elem.seq, elem.mem_id,
-                     elem.notification)
+                    elem.frags, elem.swap, elem.acc, wire)
+        elem.wire = elem.frags = None
+        eng._applied(self.src, elem.seq, elem.mem_id, elem.notification)
 
 
 class TrainRoute:
@@ -202,9 +219,10 @@ class TrainRoute:
 
     When no gate of :meth:`declines` closes, the op's entire lifetime —
     injection, serialization, arrival, application, hardware ack — is
-    a pure function of NIC/fabric state, so :meth:`issue` computes it
-    as float arithmetic identical to what the event-loop path would
-    perform and records it on the destination's :class:`OpTrain`.
+    a pure function of NIC/fabric state, so :meth:`issue` — a plain
+    call, where the other routes' are generators — computes it as float
+    arithmetic identical to what the event-loop path would perform and
+    records it on the destination's :class:`OpTrain`.
     Booked at issue it costs zero kernel events until observed; booked
     at injection (:meth:`books_late`), one per fragment — three when
     the element is remote-complete: injection, arrival, ack, as a
@@ -213,11 +231,13 @@ class TrainRoute:
 
     name = "train"
     remote = True
+    waits = False
 
     def __init__(self, engine: "RmaEngine") -> None:
         self.eng = engine
-        # This origin's train per destination, and the destinations
-        # already mis-timed by the ``train_mistime`` mutation.
+        # This origin's pending trains by destination (a drained one
+        # leaves: OpTrain.pop_head), and the destinations already
+        # mis-timed by the ``train_mistime`` mutation.
         self._trains: Dict[int, OpTrain] = {}
         self._mistimed: set = set()
         # fig2/halo issue thousands of identically-shaped ops, so the
@@ -255,17 +275,15 @@ class TrainRoute:
             return "unordered"      # arrival clamping assumes FIFO order
         if op.attrs.remote_completion and not path.remote_completion_events:
             return "sw-ack"         # the target engine must ack per op
-        peer = eng._origin_peers.get(op.dst)
-        if peer is not None and (peer.last_atomic_seq
-                                 or peer.last_deferred_seq):
+        if op.dst in eng._last_atomic_seq or op.dst in eng._last_deferred_seq:
             # an earlier op's application is deferred past its delivery,
             # so "delivery order == application order" does not hold
             return "deferred-window"
         return None
 
-    def _arrives(self, train: OpTrain, elem: TrainElement,
-                 wake: bool = True) -> None:
-        """``elem``'s apply time is known: it joins its train.  A
+    def _arrives(self, dst: int, elem: OpRecord, wake: bool = True) -> None:
+        """``elem``'s apply time is known: it joins the train to ``dst``
+        (a new one if none is pending).  A
         notified element also pushes its wake — one heap entry at the
         apply time itself (not ``now + (t - now)``, which can fall one
         ulp short and find nothing due) that materializes the target's
@@ -279,15 +297,21 @@ class TrainRoute:
         this one is queued, so what a train holds is bounded by what is
         in simulated flight, not by how long ago the target was last
         observed."""
-        fabric = self.eng.nic.fabric
-        if train.dst in fabric._pending_trains:
-            fabric.materialize_trains(train.dst)
+        eng = self.eng
+        fabric = eng.nic.fabric
+        if dst in fabric._pending_trains:
+            fabric.materialize_trains(dst)
+        trains = self._trains
+        train = trains.get(dst)
+        if train is None:
+            train = trains[dst] = OpTrain(
+                eng.rank, dst, eng.world.contexts[dst].rma.engine, trains)
         train.append(elem)
         if wake and elem.notification is not None:
-            self.eng.sim.schedule_call_at(
-                elem.apply_time, fabric.materialize_trains, train.dst)
+            eng.sim.schedule_call_at(
+                elem.apply_time, fabric.materialize_trains, dst)
 
-    def inject(self, train: OpTrain, elem: TrainElement, wire_bytes: int,
+    def inject(self, dst: int, elem: OpRecord, wire_bytes: int,
                last: bool, ack: Optional[Event]) -> None:
         """Serialization of one fragment of a late-booked element ends:
         what ``Nic._injected`` → ``Fabric.transmit`` do for a packet.  A
@@ -301,25 +325,26 @@ class TrainRoute:
         :meth:`_acked` runs, ``now + (arrival - now)`` — one ulp before
         ``arrival`` at times, when the callback would find its element
         not yet due and ack a write that had not applied."""
+        src = self.eng.rank
         fabric = self.eng.nic.fabric
         dead = fabric._dead
-        if dead and (train.src in dead or train.dst in dead):
+        if dead and (src in dead or dst in dead):
             # with it die the fragments already in flight: the element
             # never joins its train
             fabric.dead_dropped += 1 + (elem.booked if last else 0)
             return
-        arrival = fabric.arrival(train.src, train.dst, wire_bytes)
+        arrival = fabric.arrival(src, dst, wire_bytes)
         if arrival is None:
             return
         elem.booked += 1
         if ack is not None:
             sim = self.eng.sim
             now = sim.now
-            sim.schedule_call(arrival - now, self._acked, train.dst, ack)
+            sim.schedule_call(arrival - now, self._acked, dst, ack)
             arrival = now + (arrival - now)
         if last and elem.booked == elem.nfrags:
             elem.apply_time = arrival
-            self._arrives(train, elem, ack is None)
+            self._arrives(dst, elem, ack is None)
 
     def _acked(self, dst: int, ack: Event) -> None:
         """A fragment of a remote-complete element booked at injection
@@ -357,7 +382,7 @@ class TrainRoute:
                  and path is not fabric.intra_config)
                 or now <= nic._unbooked_until)
 
-    def issue(self, op):
+    def issue(self, op) -> OpRecord:
         eng = self.eng
         sim = eng.sim
         nic = eng.nic
@@ -368,18 +393,18 @@ class TrainRoute:
         wire = op.wire
         path = fabric.config_for(eng.rank, dst)
         # With a clean window on an ordered path to a coherent target,
-        # _pick_remote_mode would choose exactly this.
-        mode = "hw" if op.attrs.remote_completion else "flush"
+        # _pick_remote_mode would choose exactly this: hardware acks for
+        # a remote-complete write, else the flush.
+        hw = op.attrs.remote_completion
         cfg = eng.network
         mtu = cfg.mtu
-        if nbytes > mtu and op.attrs.remote_completion:
+        if nbytes > mtu and hw:
             # A remote-complete payload rides as a zero-copy view, pinned
             # until its application (RmaEngine._issue); an element
             # applies at a materialization point, possibly after its ack
             # let the caller reuse the buffer, so snapshot it at issue.
             wire = wire.copy()
-        peer = eng._origin_peer(dst)
-        seq = peer.alloc_seq()
+        seq = eng._next_seq(dst)
         op_key = (eng.rank, next(eng._op_counter))
         swap = eng.mem.space.endianness != tmem.endianness
         dtype = op.dtype
@@ -402,7 +427,7 @@ class TrainRoute:
         now = sim.now
         start = now if now > nic._reserved_until else nic._reserved_until
         late = self.books_late(path, now)
-        key = (eng.rank, dst)
+        clamp = fabric._last_delivery[eng.rank]
         inject_value = None
         arrivals = None
         arrival = None
@@ -421,7 +446,7 @@ class TrainRoute:
             # Scalar algebra: exactly Nic.reserve + transmit.
             inject_end = start + ser[0]
             arrival = inject_end + path.latency
-            prev = fabric._last_delivery.get(key, -1.0)
+            prev = clamp.get(dst, -1.0)
             if arrival <= prev:
                 arrival = prev + 1e-9
         else:
@@ -430,7 +455,7 @@ class TrainRoute:
             # trivially bit-exact.
             latency = path.latency
             t = start
-            a = fabric._last_delivery.get(key, -1.0)
+            a = clamp.get(dst, -1.0)
             inject_value = []
             arrivals = []
             for s in ser:
@@ -467,12 +492,12 @@ class TrainRoute:
         )
         ev_remote = None
         acks = None
-        if mode == "hw" and late:
+        if hw and late:
             # learnt like the arrivals: each fragment's _acked sends its
             # ack, which succeeds one event — as per packet
             acks = [sim.event() for _ in sizes]
             ev_remote = acks[0] if nfrags == 1 else AllOf(sim, acks)
-        elif mode == "hw":
+        elif hw:
             rev = fabric.config_for(dst, eng.rank)
             ack_flight = rev.latency + ACK_SIZE * rev.byte_time
             if nfrags == 1:
@@ -483,13 +508,9 @@ class TrainRoute:
             fabric.acks_generated += nfrags
             ev_remote = DeferredEvent(sim, ack_due, ack_value)
 
-        train = self._trains.get(dst)
-        if train is None:
-            train = self._trains[dst] = OpTrain(
-                eng.rank, dst, eng.world.contexts[dst].rma.engine)
-        element = TrainElement(
-            seq, tmem.mem_id, op.disp, swap, frags, wire, nfrags, arrival,
-            op.acc, nbytes + HEADER_SIZE * nfrags,
+        element = OpRecord(
+            op.kind, op.attrs, ev_local, ev_remote, seq, tmem.mem_id,
+            op.disp, swap, frags, wire, nfrags, arrival, op.acc,
             None if op.notify is None else (op.notify, op_key, now),
         )
         if late:
@@ -499,13 +520,13 @@ class TrainRoute:
             nic._unbooked_until = inject_end
             last = nfrags - 1
             for i, t in enumerate(inject_value or (inject_end,)):
-                sim.schedule_call(t - now, self.inject, train, element,
+                sim.schedule_call(t - now, self.inject, dst, element,
                                   HEADER_SIZE + sizes[i], i == last,
                                   None if acks is None else acks[i])
         else:
-            fabric._last_delivery[key] = arrival
-            self._arrives(train, element)
+            clamp[dst] = arrival
+            self._arrives(dst, element)
         eng.stats["train_ops"] += 1
         eng.stats["train_bytes"] += nbytes
-        return eng._retain(peer, op, op_key, seq, mode, ev_local, ev_remote)
-        yield  # pragma: no cover - a route's issue is a generator
+        eng._retain(dst, element, seq)
+        return element

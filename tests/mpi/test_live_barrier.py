@@ -53,7 +53,8 @@ def _state(world):
          for link, st in topo.link_stats.items()},
         topo.packets_routed, topo.hops_traversed, topo.unroutable)
     return (ranks, fabric.packets_delivered, fabric.bytes_delivered,
-            fabric.dead_dropped, dict(fabric._last_delivery),
+            fabric.dead_dropped,
+            {src: dict(clamp) for src, clamp in fabric._last_delivery.items()},
             fabric.reorder_count, fabric.intra_node_packets,
             fabric.unroutable_dropped, fabric.acks_generated, links)
 

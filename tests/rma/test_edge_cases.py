@@ -514,3 +514,77 @@ class TestAccumulateElementTypes:
             return float(ctx.mem.space.view(alloc, "float64")[0])
 
         assert World(n_ranks=2).run(program) == [0.0, 1.5]
+
+
+class TestTargetRankArguments:
+    """A ``target_rank`` that is no rank of the communicator used to die
+    as a raw ``TypeError`` (``tuple indices must be integers``, ``'<'
+    not supported``) or a bare ``ValueError: local rank 5 out of
+    range`` naming no call — after ``order`` had charged its call
+    overhead.  It is a usage error of the call, reported by name before
+    any simulated time passes; numpy integers are ranks, and
+    ``ALL_RANKS`` keeps its meaning."""
+
+    CALLS = ["put", "get", "complete", "order", "invoke"]
+    #: ``target_rank=None`` is put's and get's default (no check asked
+    #: for), so None is bad only for the other three.
+    BAD = [(call, bad) for call in CALLS for bad in (1.0, "1", None, -2, 2)
+           if not (bad is None and call in ("put", "get"))]
+
+    @staticmethod
+    def _call(ctx, call, target_rank, tmems, buf):
+        if call in ("put", "get"):
+            return getattr(ctx.rma, call)(buf, 0, 8, BYTE, tmems[1], 0, 8,
+                                          BYTE, target_rank=target_rank)
+        if call == "invoke":
+            return ctx.rma.invoke(target_rank, "echo", 7)
+        return getattr(ctx.rma, call)(ctx.comm, target_rank)
+
+    def _run(self, call, target_rank):
+        world = World(n_ranks=2)
+        for ctx in world.contexts.values():
+            ctx.rma.register_rmi("echo", lambda x: x)
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64)
+            out = None
+            if ctx.rank == 0:
+                out = yield from TestNonIntegerArguments._untouched(
+                    ctx, lambda: self._call(ctx, call, target_rank, tmems,
+                                            buf))
+            yield from ctx.comm.barrier()
+            return out
+
+        return world.run(program)[0]
+
+    @pytest.mark.parametrize("call,bad", BAD, ids=repr)
+    def test_rejected_by_name_before_anything_moves(self, call, bad):
+        message = self._run(call, bad)
+        assert message.startswith("target_rank is not a rank")
+        assert f"({call} from rank 0)" in message
+        assert repr(bad) in message and "group of 2" in message
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integers_and_all_ranks_still_work(self, call):
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            buf = ctx.mem.space.alloc(64)
+            got = None
+            if ctx.rank == 0:
+                got = yield from self._call(ctx, call, np.int64(1), tmems,
+                                            buf)
+                if call in ("complete", "order"):
+                    yield from self._call(ctx, call, np.int64(-1), tmems,
+                                          buf)
+            yield from ctx.comm.barrier()
+            return got
+
+        world = World(n_ranks=2)
+        for ctx in world.contexts.values():
+            ctx.rma.register_rmi("echo", lambda x: x)
+        got = world.run(program)[0]
+        if call in ("put", "get"):
+            assert got.kind == call and got.state == "complete"
+        else:
+            assert got == {"invoke": 7, "complete": [], "order": None}[call]

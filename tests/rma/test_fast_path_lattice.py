@@ -66,7 +66,9 @@ def _traffic(world):
     counters = (fabric.packets_delivered, fabric.bytes_delivered,
                 fabric.acks_generated, fabric.reorder_count,
                 fabric.intra_node_packets, fabric.dead_dropped,
-                fabric.unroutable_dropped, dict(fabric._last_delivery))
+                fabric.unroutable_dropped,
+                {src: dict(clamp)
+                 for src, clamp in fabric._last_delivery.items()})
     links = None if world.topo is None else {
         link: (st.packets, st.bytes, st.busy_us, st.queue_us)
         for link, st in world.topo.link_stats.items()}
@@ -641,7 +643,7 @@ def test_a_flush_that_must_wait_answers_at_the_per_packet_instant(
 
     def spy(self, src, watermark, flush_id):
         flush_req(self, src, watermark, flush_id)
-        waited.append(bool(self._target_peer(src).flush_waiters))
+        waited.append(bool(self._flush_requests.get(src)))
 
     monkeypatch.setattr(RmaEngine, "_flush_req", spy)
 
@@ -859,7 +861,7 @@ def test_a_put_issued_at_a_queued_replys_injection_instant_books_late():
         with fast_paths(train=train):
             world, results = run()
         assert world.contexts[0].rma.stats["train_ops"] == train
-        assert world.fabric._last_delivery == {(1, 0): 3.25, (0, 1): 5.75}
+        assert world.fabric._last_delivery == {0: {1: 5.75}, 1: {0: 3.25}}
         seen[train] = results
     assert seen[True] == seen[False] and seen[True][0] == 3.5
 
@@ -1054,19 +1056,18 @@ def test_quiet_store_builds_no_request_reply_or_acked_write_packet(
 
 def test_the_gated_get_waits_in_the_gate(monkeypatch):
     """The ``gated-get`` scenario does what it says: every rank's get
-    request is held in ``peer.gated`` behind the accumulate."""
-    from repro.rma.engine.target import _TargetPeer
-
+    request is held in the gate (``_gated``) behind the accumulate."""
     gated = []
-    gate = _TargetPeer.gate
+    gate = RmaEngine._gate
 
-    def spy(self, op):
+    def spy(self, src, op):
         gated.append(op.desc["kind"])
-        gate(self, op)
+        gate(self, src, op)
 
-    monkeypatch.setattr(_TargetPeer, "gate", spy)
+    monkeypatch.setattr(RmaEngine, "_gate", spy)
     world, _ = _gated_get()
     assert gated.count("get") == world.n_ranks
+    assert not any(c.rma.engine._gated for c in world.contexts.values())
     assert control_routes(world)[("request", "live", None)] == world.n_ranks
 
 
@@ -1181,7 +1182,7 @@ def test_a_late_acked_element_applies_before_its_ack_leaves(monkeypatch):
         assert world.contexts[0].rma.stats["train_ops"] == train
         (sent, deposited), = acks
         assert deposited == bytes([9]) * 8
-        seen[train] = (sent, done, world.fabric._last_delivery[(0, 1)])
+        seen[train] = (sent, done, world.fabric._last_delivery[0][1])
     assert seen[True] == seen[False]
     sent, _, arrival = seen[True]
     assert sent < arrival

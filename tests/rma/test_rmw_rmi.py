@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.machine import cray_xt5_catamount
+from repro.machine import cray_xt5_catamount, generic_cluster
+from repro.mpi.constants import ERRORS_RAISE, ERRORS_RETURN
 from repro.network import infiniband_like, quadrics_like, seastar_portals
 from repro.rma import RmaError
 from repro.runtime import World
+from repro.topo import torus_network
 
 
 RMW_NETWORKS = {
@@ -202,6 +204,44 @@ class TestRmi:
 
         with pytest.raises(RmaError, match="no RMI handler"):
             World(n_ranks=2).run(program)
+
+    @pytest.mark.parametrize("torus", [False, True], ids=["flat", "torus"])
+    @pytest.mark.parametrize("handler", [ERRORS_RAISE, ERRORS_RETURN])
+    def test_unregistered_name_fails_the_request_not_the_target(
+            self, handler, torus):
+        """The target used to raise from its serializer worker and end
+        the whole run, where neither the origin nor ``ERRORS_RETURN``
+        could catch it.  It answers with the error instead: the origin's
+        request raises it or returns it, and the target keeps serving."""
+        world = (World(machine=generic_cluster(n_nodes=8),
+                       network=torus_network((2, 2, 2)),
+                       rma_errhandler=handler) if torus
+                 else World(n_ranks=2, rma_errhandler=handler))
+        for ctx in world.contexts.values():
+            ctx.rma.register_rmi("double", lambda x: 2 * x)
+
+        def program(ctx):
+            yield from ctx.comm.barrier()
+            out = None
+            if ctx.rank == 0:
+                try:
+                    got = yield from ctx.rma.invoke(1, "nope", 3)
+                except RmaError as err:
+                    got = ("raised", err)
+                served = yield from ctx.rma.invoke(1, "double", 21)
+                out = got, served
+            yield from ctx.comm.barrier()
+            return out
+
+        got, served = world.run(program)[0]
+        if handler == ERRORS_RAISE:
+            assert got[0] == "raised"
+            got = got[1]
+        assert isinstance(got, RmaError)
+        assert str(got) == "rank 1: no RMI handler named 'nope'"
+        assert (got.kind, got.op, got.src, got.target) \
+            == ("usage", "rmi", 0, 1)
+        assert served == 42
 
     def test_duplicate_rmi_registration_rejected(self):
         def program(ctx):

@@ -177,7 +177,7 @@ def _tie(early_put):
         yield ctx.sim.timeout(128.0 - ctx.sim.now)
         yield from ctx.rma.put(src, 0, 512, BYTE, tmems[0], 0, 512, BYTE)
         yield from ctx.compute(300.0)
-        return ctx.nic.fabric._last_delivery[ctx.rank, 0]
+        return ctx.nic.fabric._last_delivery[ctx.rank][0]
 
     _, first, second = world.run(program)
     assert first == second                       # the tie is real

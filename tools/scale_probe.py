@@ -11,12 +11,14 @@ loop of Zipf-keyed 60/30/10 get/put/add requests on 16 / 64 / 256
 ranks; (``--atomic``) P - 1 origins each issuing 100 blocking 1 / 16 /
 64 KiB atomic puts to rank 0, under the communication-thread and the
 process-lock serializer, on 8 ranks by default.  Every point runs twice:
-once plain for the wall, the full collections and the heap entries the
-kernel popped, then once under ``tracemalloc`` for *its own* peak (the
-process's RSS high-water would be the largest earlier point's), the
-high-water of pending op-train elements, the ``Packet`` and
-``Fragment`` objects constructed, and the messages posted without a
-packet (``Nic.post``, ``Nic.post_frags``).  Report only
+once plain for the wall, the cyclic collector's collections and seconds
+by generation (``gc.callbacks``) and the heap entries the kernel popped,
+then once under ``tracemalloc`` for *its own* peak (the process's RSS
+high-water would be the largest earlier point's), the high-water of
+pending op-train elements, the ``Packet`` and ``Fragment`` objects
+constructed, the messages posted without a packet (``Nic.post``,
+``Nic.post_frags``) and the objects the collector tracks when the last
+rank enters its last ``complete_all``.  Report only
 (``PYTHONPATH=src python tools/scale_probe.py [--torus | --notify |
 --stream | --store | --atomic] [P ...]``) — the gates are counting
 tests: ``tests/network/test_train_registry.py`` on the fan-in
@@ -38,6 +40,7 @@ from repro.network.config import seastar_portals
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.pgas import Team
+from repro.rma.engine import RmaEngine
 from repro.rma.layout import Fragment
 from repro.rma.train import OpTrain
 from repro.runtime import World
@@ -178,17 +181,21 @@ def store_ops(world):
 
 def memory_pass(world, rank_program, *args):
     """Run under ``tracemalloc`` with a counter on the op-train's queue,
-    on the objects a message may be built of and on the messages built
-    of none: (peak MiB allocated by the run, most elements pending at
-    once, ``Packet``s constructed, ``Fragment``s constructed, messages
-    posted without a packet)."""
+    on the objects a message may be built of, on the messages built of
+    none and on ``complete_all``: (peak MiB allocated by the run, most
+    elements pending at once, ``Packet``s constructed, ``Fragment``s
+    constructed, messages posted without a packet, objects tracked by
+    the collector when the last rank entered its last ``complete_all`` —
+    None if no round of them ever completed)."""
     pending = [0, 0]                    # now, high-water
     built = [0, 0, 0]                   # Packet, Fragment, posted
+    tracked = [0, None]                 # complete_all calls, census
+    peaks = [0]                         # traced peak before each census
     saved = [(OpTrain, "append"), (OpTrain, "pop_head"),
              (Packet, "__init__"), (Fragment, "__init__"),
-             (Nic, "post"), (Nic, "post_frags")]
+             (Nic, "post"), (Nic, "post_frags"), (RmaEngine, "complete_all")]
     saved = [(cls, name, getattr(cls, name)) for cls, name in saved]
-    append, pop_head, packet, fragment, post, post_frags = (
+    append, pop_head, packet, fragment, post, post_frags, complete_all = (
         fn for _cls, _name, fn in saved)
 
     def counting_append(train, elem):
@@ -206,19 +213,54 @@ def memory_pass(world, rank_program, *args):
             return fn(*a, **kw)
         return count
 
+    def census_complete_all(engine):
+        tracked[0] += 1
+        if tracked[0] % world.n_ranks == 0:     # the last rank of a round
+            # the census's own list is no allocation of the run's
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracked[1] = len(gc.get_objects())
+            tracemalloc.reset_peak()
+        return complete_all(engine)
+
     OpTrain.append, OpTrain.pop_head = counting_append, counting_pop
     Packet.__init__ = counting(packet, 0)
     Fragment.__init__ = counting(fragment, 1)
     Nic.post, Nic.post_frags = counting(post, 2), counting(post_frags, 2)
+    RmaEngine.complete_all = census_complete_all
     tracemalloc.start()
     try:
         world.run(rank_program, *args)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = max(*peaks, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
         for cls, name, fn in saved:
             setattr(cls, name, fn)
-    return (peak / 2**20, pending[1], *built)
+    return (peak / 2**20, pending[1], *built, tracked[1])
+
+
+class CollectorClock:
+    """Collections and seconds in the cyclic collector, by generation,
+    while installed (``gc.callbacks``)."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            gen = info["generation"]
+            self.collections[gen] += 1
+            self.seconds[gen] += time.perf_counter() - self._start
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
 
 
 def puts(world):
@@ -228,7 +270,6 @@ def puts(world):
 def point(label, make_world, rank_program, *args, ops=puts):
     world = make_world()
     gc.collect()
-    full = gc.get_stats()[2]["collections"]
     popped = [0]
     heappop = kernel._heappop
 
@@ -239,23 +280,26 @@ def point(label, make_world, rank_program, *args, ops=puts):
     kernel._heappop = counting_pop      # the run loops bind it per call
     t0 = time.perf_counter()
     try:
-        world.run(rank_program, *args)
+        with CollectorClock() as collector:
+            world.run(rank_program, *args)
     finally:
         kernel._heappop = heappop
     wall = time.perf_counter() - t0
     ops = ops(world)
-    gen2 = gc.get_stats()[2]["collections"] - full
     n_ranks = world.n_ranks
     del world
     gc.collect()
-    peak, pending, packets, fragments, posted = memory_pass(
+    peak, pending, packets, fragments, posted, tracked = memory_pass(
         make_world(), rank_program, *args)
     print(f"{label:11s} P={n_ranks:4d} "
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
-          f"gen2_gc={gen2} heap_pops={popped[0]} "
+          f"gc={'/'.join(map(str, collector.collections))} "
+          f"gc_s={'/'.join(f'{s:.3f}' for s in collector.seconds)} "
+          f"heap_pops={popped[0]} "
           f"run_peak={peak:6.1f}MiB pending_high_water={pending} "
           f"packets_built={packets} fragments_built={fragments} "
-          f"lean_messages={posted}")
+          f"lean_messages={posted} "
+          f"tracked_at_last_complete={'-' if tracked is None else tracked}")
     return 1e6 * wall / ops
 
 
