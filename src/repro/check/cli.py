@@ -24,7 +24,13 @@ from typing import Iterator, List, Optional, Tuple
 from repro.check.config import RunConfig
 from repro.check.generator import generate_program
 from repro.check.runner import FABRICS
-from repro.check.shrink import replay_artifact, save_artifact, shrink
+from repro.check.shrink import (
+    describe_artifact,
+    load_artifact,
+    replay_artifact,
+    save_artifact,
+    shrink,
+)
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["main"]
@@ -150,36 +156,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay:
-        import json as _json
-
-        with open(args.replay) as fh:
-            doc = _json.load(fh)
-        if doc.get("kind") == "durable_kv":
-            from repro.check.durability import replay_kv_artifact
-
-            violations = replay_kv_artifact(args.replay)
-            for v in violations:
-                print(f"  {v}")
-            if not violations:
-                print(f"replay of {args.replay}: no violation reproduced")
-                return 0
-            print(f"replay of {args.replay}: {len(violations)} "
-                  f"violation(s) reproduced")
-            return 1
+        try:
+            doc = load_artifact(args.replay)
+        except ValueError as exc:
+            parser.error(str(exc))  # exits 2
         if args.shared or args.chaos or args.mutate or args.ir_opt \
                 or args.ir_passes:
             print("note: --shared/--chaos/--mutate/--ir-opt are ignored "
                   "during replay; the artifact's recorded configuration "
                   "is restored instead")
-        restored = RunConfig.from_artifact(doc)
-        print(f"replaying {args.replay} [{restored.describe()}]")
-        report = replay_artifact(args.replay)
-        for v in report.violations:
+        print(f"replaying {args.replay} [{describe_artifact(doc)}]")
+        violations = replay_artifact(doc)
+        for v in violations:
             print(f"  {v}")
-        if report.ok:
+        if not violations:
             print(f"replay of {args.replay}: no violation reproduced")
             return 0
-        print(f"replay of {args.replay}: {len(report.violations)} "
+        print(f"replay of {args.replay}: {len(violations)} "
               f"violation(s) reproduced")
         return 1
 

@@ -9,14 +9,9 @@ through it, and the JSON artifact records exactly its ``to_dict()``
 under a single ``"config"`` key, so replay can never drift from the
 original run because a toggle was forgotten in one of the three places.
 
-Version history:
-
-- v1 artifacts (through PR 9) scattered the configuration over
-  top-level keys (``fabric``, ``seed``, ``chaos``, ``mutations``,
-  ``shared``) plus ad-hoc extras (``notify``);
-  :meth:`RunConfig.from_artifact` still reads them, so old reproducers
-  replay unchanged.
-- v2 is this dict, with ``ir_passes`` added.
+Version 2 is this dict.  Version 1 (configuration scattered over an
+artifact's top-level keys) is no longer read: such a file is refused
+and re-recorded from the seed and fabric it lists.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: Dict) -> "RunConfig":
         version = doc.get("version", CONFIG_VERSION)
-        if version not in (1, CONFIG_VERSION):
+        if version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {version!r}")
         return cls(
             fabric=doc["fabric"],
@@ -72,17 +67,6 @@ class RunConfig:
             notify=doc.get("notify", False),
             ir_passes=tuple(doc.get("ir_passes", ())),
         )
-
-    @classmethod
-    def from_artifact(cls, doc: Dict) -> "RunConfig":
-        """Read the configuration out of an artifact document, either
-        shape: the v2 single ``"config"`` dict, or the v1 scattered
-        top-level keys (with ``notify`` as an optional extra)."""
-        if "config" in doc:
-            return cls.from_dict(doc["config"])
-        return cls.from_dict({k: doc[k] for k in (
-            "fabric", "seed", "chaos", "mutations", "shared", "notify")
-            if k in doc})
 
     # -- presentation ----------------------------------------------------
     def describe(self) -> str:

@@ -20,25 +20,25 @@ in-flight at the kill) may or may not have applied — and flags any
 final outside that set.
 
 Violations ddmin-shrink to a 1-minimal op list
-(:func:`repro.check.shrink.ddmin_list`) and serialize to replayable
-JSON artifacts, exactly like the conformance fuzzer's.
+(:func:`repro.check.shrink.ddmin_list`) and serialize to the
+conformance fuzzer's artifact format with ``"kind": "durable_kv"``;
+:func:`repro.check.shrink.replay_artifact` replays either kind.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.check.shrink import ddmin_list, write_artifact
+
 __all__ = [
     "KvOp", "KvCase", "KvResult", "generate_case", "run_kv", "check_kv",
-    "shrink_kv", "save_kv_artifact", "load_kv_artifact",
-    "replay_kv_artifact", "sweep",
+    "shrink_kv", "save_kv_artifact", "kv_from_doc", "sweep",
 ]
 
-KV_ARTIFACT_VERSION = 1
 KV_ARTIFACT_KIND = "durable_kv"
 
 
@@ -293,8 +293,6 @@ def shrink_kv(case: KvCase, ops: Sequence[KvOp],
     """ddmin the op list to a 1-minimal still-violating reproducer.
 
     Returns ``(ops, violations, executions)``."""
-    from repro.check.shrink import ddmin_list
-
     def fails(candidate: List[KvOp]) -> Optional[List[str]]:
         try:
             violations = check_kv(run_kv(case, candidate, mutations))
@@ -309,36 +307,19 @@ def save_kv_artifact(path: str, case: KvCase, ops: Sequence[KvOp],
                      violations: Sequence[str],
                      mutations: Tuple[str, ...] = ()) -> None:
     """Write a self-contained replayable durability artifact."""
-    doc = {
-        "version": KV_ARTIFACT_VERSION,
+    write_artifact(path, {
         "kind": KV_ARTIFACT_KIND,
         "case": asdict(case),
         "mutations": list(mutations),
         "ops": [asdict(op) for op in ops],
         "violations": list(violations),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
-def load_kv_artifact(path: str) -> Tuple[KvCase, List[KvOp], Tuple[str, ...]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != KV_ARTIFACT_KIND:
-        raise ValueError(f"{path} is not a {KV_ARTIFACT_KIND} artifact")
-    if doc.get("version") != KV_ARTIFACT_VERSION:
-        raise ValueError(
-            f"unsupported kv artifact version {doc.get('version')!r}")
-    case = KvCase(**doc["case"])
-    ops = [KvOp(**d) for d in doc["ops"]]
-    return case, ops, tuple(doc.get("mutations", ()))
-
-
-def replay_kv_artifact(path: str) -> List[str]:
-    """Re-run a durability artifact; returns the fresh violations."""
-    case, ops, mutations = load_kv_artifact(path)
-    return check_kv(run_kv(case, ops, mutations))
+def kv_from_doc(doc: Dict) -> Tuple[KvCase, List[KvOp], Tuple[str, ...]]:
+    """The ``(case, ops, mutations)`` a durability artifact records."""
+    return (KvCase(**doc["case"]), [KvOp(**d) for d in doc["ops"]],
+            tuple(doc.get("mutations", ())))
 
 
 # ----------------------------------------------------------------------

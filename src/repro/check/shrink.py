@@ -12,10 +12,11 @@ unsound optimizing pass shrinks exactly like an engine bug.
 
 The shrunk reproducer is serialized as a self-contained JSON artifact:
 program + the config's single versioned dict + the violations
-observed.  :func:`replay_artifact` re-runs it from the file — the
-CLI's ``--replay`` path and the CI failure workflow both go through
-it.  Version-1 artifacts (through PR 9, configuration scattered over
-top-level keys) still load and replay byte-for-byte the same way.
+observed.  A durability reproducer (:mod:`repro.check.durability`) is
+the same format with ``"kind": "durable_kv"`` and a case plus ops in
+place of config plus program.  :func:`load_artifact` is the one loader
+and :func:`replay_artifact` re-runs either kind — the CLI's
+``--replay`` path and the CI failure workflow both go through them.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from repro.check.oracle import CheckReport
 from repro.check.program import RmaProgram
 
 __all__ = ["ShrinkResult", "ddmin_list", "shrink", "save_artifact",
-           "load_artifact", "replay_artifact"]
+           "write_artifact", "load_artifact", "describe_artifact",
+           "replay_artifact"]
 
-#: v2: the run configuration became one versioned ``"config"`` dict.
+#: v2: the run configuration became one versioned ``"config"`` dict;
+#: version 1 (configuration scattered over top-level keys) is refused.
 ARTIFACT_VERSION = 2
 
 
@@ -149,67 +152,92 @@ def shrink(
 # ----------------------------------------------------------------------
 # Replayable artifacts
 # ----------------------------------------------------------------------
-def save_artifact(
-    path: str,
-    program: RmaProgram,
-    report: CheckReport,
-    *,
-    config: Optional[RunConfig] = None,
-    chaos: float = 0.0,
-    mutations: Tuple[str, ...] = (),
-    shared: bool = False,
-    extra: Optional[Dict] = None,
-) -> None:
-    """Write a self-contained failing-program JSON artifact.
+def write_artifact(path: str, doc: Dict) -> None:
+    """Write ``doc`` as a reviewable JSON artifact of
+    :data:`ARTIFACT_VERSION`."""
+    with open(path, "w") as fh:
+        json.dump(dict(doc, version=ARTIFACT_VERSION), fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
 
-    The run configuration is recorded as one versioned dict under
-    ``"config"``.  Callers without a :class:`RunConfig` in hand may
-    still pass the legacy loose kwargs (fabric and seed come from the
-    report); an ``extra={"notify": True}`` toggle folds into it."""
-    extra = dict(extra) if extra else None
-    if config is None:
-        config = RunConfig(
-            fabric=report.fabric, seed=report.seed, chaos=chaos,
-            mutations=tuple(mutations), shared=shared,
-            notify=bool(extra and extra.pop("notify", False)))
-    doc = {
-        "version": ARTIFACT_VERSION,
+
+def save_artifact(path: str, program: RmaProgram, report: CheckReport, *,
+                  config: RunConfig) -> None:
+    """Write a self-contained failing-program JSON artifact: the
+    program, ``config`` as one versioned dict under ``"config"``, and
+    the violations ``report`` observed."""
+    write_artifact(path, {
         "config": config.to_dict(),
         "program": program.to_dict(),
         "violations": [
             {"check": v.check, "vid": v.vid, "message": v.message}
             for v in report.violations
         ],
-    }
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_artifact(path: str) -> Dict:
-    """Load and minimally validate an artifact file (v1 or v2).
+    """Load and validate an artifact file: a conformance program
+    (``"config"`` and ``"program"``) or, with ``"kind": "durable_kv"``, a
+    durability case (``"case"`` and ``"ops"``).
 
-    The returned document always carries a normalized ``"config"``
-    dict, synthesized from the top-level keys for v1 files."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    A file that does not parse, has another version or kind, or lacks
+    a key raises ``ValueError`` naming ``path`` and what is wrong."""
+    from repro.check.durability import KV_ARTIFACT_KIND, kv_from_doc
+
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read artifact: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: an artifact is a JSON object")
     version = doc.get("version")
-    if version not in (1, ARTIFACT_VERSION):
+    if version != ARTIFACT_VERSION:
         raise ValueError(
-            f"unsupported artifact version {version!r} in {path}")
-    config = RunConfig.from_artifact(doc)
-    doc["config"] = config.to_dict()
-    RmaProgram.from_dict(doc["program"]).validate()
+            f"{path}: artifact version {version!r} is not read (only "
+            f"version {ARTIFACT_VERSION}); re-record it from the seed and "
+            f"fabric it lists")
+    kind = doc.get("kind")
+    if kind not in (None, KV_ARTIFACT_KIND):
+        raise ValueError(
+            f"{path}: unknown artifact kind {kind!r} (a conformance "
+            f"artifact has none, a durability one {KV_ARTIFACT_KIND!r})")
+    try:
+        if kind == KV_ARTIFACT_KIND:
+            kv_from_doc(doc)
+        else:
+            RunConfig.from_dict(doc["config"])
+            RmaProgram.from_dict(doc["program"]).validate()
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: artifact has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed artifact: {exc}") from None
     return doc
 
 
-def replay_artifact(path: str) -> CheckReport:
-    """Re-execute an artifact's program on its recorded configuration
-    and re-check it; returns the fresh report.  Artifacts recorded
-    with ``ir_passes`` replay through the full three-arm differential
-    harness."""
-    doc = load_artifact(path)
+def describe_artifact(doc: Dict) -> str:
+    """The one-line banner the CLI prints before a replay."""
+    if doc.get("kind"):
+        case = doc["case"]
+        return (f"{doc['kind']} seed={case['seed']} rf={case['rf']} "
+                f"mutations={doc.get('mutations', [])}")
+    return RunConfig.from_dict(doc["config"]).describe()
+
+
+def replay_artifact(source) -> List:
+    """Re-execute an artifact — a path, or a document
+    :func:`load_artifact` returned — on its recorded configuration and
+    return the fresh violations (empty: none reproduced).
+
+    A conformance program is re-checked by the oracle (through the full
+    three-arm differential harness when recorded with ``ir_passes``);
+    a ``durable_kv`` case by the durability oracle."""
+    doc = load_artifact(source) if isinstance(source, str) else source
+    if doc.get("kind"):
+        from repro.check.durability import check_kv, kv_from_doc, run_kv
+
+        return check_kv(run_kv(*kv_from_doc(doc)))
     program = RmaProgram.from_dict(doc["program"])
-    return RunConfig.from_artifact(doc).check(program)
+    return RunConfig.from_dict(doc["config"]).check(program).violations

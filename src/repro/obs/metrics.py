@@ -1,8 +1,8 @@
 """Typed metrics: counters, gauges, and log2-bucket histograms.
 
-The :class:`MetricsRegistry` replaces the untyped ``tracer.counters``
-dict (kept as an aggregated compat view — see
-:attr:`repro.sim.trace.Tracer.counters`).  Every metric has a name and
+The :class:`MetricsRegistry` replaces the tracer's untyped counter
+dict (its aggregated shape lives on as
+:meth:`MetricsRegistry.counter_totals`).  Every metric has a name and
 an optional frozen label set (``rank=3``, ``dst=0``, ``flow="0->3"``),
 so the transport/fault bumps that used to collapse into one global
 integer can be attributed per rank or per path while the old aggregate
@@ -242,7 +242,8 @@ class MetricsRegistry:
     # -- views -----------------------------------------------------------
     def counter_totals(self) -> Dict[str, int]:
         """Counters aggregated over labels, keyed by bare name — the
-        compat shape of the old ``tracer.counters`` dict."""
+        shape of the ``"counters"`` keys in ``World.fault_stats`` and the
+        fig2 report rows."""
         totals: Dict[str, int] = {}
         for (name, _labels), metric in sorted(self._counters.items()):
             if metric.value:

@@ -168,7 +168,7 @@ def run_sweep_report(
             observe_spans(spans, registry, mode=mode, size=size)
             row = attribute_phases(spans)
             row["sim_us"] = sim_us
-            row["counters"] = dict(world.tracer.counters)
+            row["counters"] = world.metrics.counter_totals()
             points[key] = row
             worlds[key] = world
     return {
@@ -391,6 +391,81 @@ def format_resil_table(doc: Dict[str, Any]) -> str:
     return format_rows(rows, left_align=())
 
 
+def _ir_workload(n_ranks: int = 6, rounds: int = 3,
+                 puts_per_round: int = 16, put_bytes: int = 32):
+    """The pinned IR-optimization benchmark program: per epoch, every
+    rank streams a contiguous run of small same-value scratch puts at
+    its right neighbor — each demanding ``remote_completion`` — then
+    flushes twice (order, then complete); a final epoch peeks every
+    written span so the stores are observable.
+
+    The shape is chosen so each pipeline pass has measurable work: the
+    order flush is subsumed by the adjacent complete (coalescing), the
+    ``remote_completion`` on a non-blocking put is inert (relaxation —
+    and on the InfiniBand-like fabric, which has no hardware delivery
+    acks, it is exactly what keeps the run off the op-train), and the
+    relaxed run is a gapless same-value interval chain (aggregation
+    into one batched put that rides the train)."""
+    from repro.check.program import ProgOp, RmaProgram
+
+    ops = []
+    for epoch in range(rounds):
+        if epoch:
+            ops.append(ProgOp(rank=-1, kind="sync"))
+        for rank in range(n_ranks):
+            tgt = (rank + 1) % n_ranks
+            for k in range(puts_per_round):
+                ops.append(ProgOp(
+                    rank=rank, kind="noise", target=tgt,
+                    disp=512 + k * put_bytes, nbytes=put_bytes,
+                    value=1 + rank, attrs=("remote_completion",)))
+            ops.append(ProgOp(rank=rank, kind="order", target=tgt))
+            ops.append(ProgOp(rank=rank, kind="complete", target=tgt))
+    ops.append(ProgOp(rank=-1, kind="sync"))
+    for rank in range(n_ranks):
+        ops.append(ProgOp(
+            rank=rank, kind="peek", target=(rank + 1) % n_ranks,
+            disp=512, nbytes=puts_per_round * put_bytes,
+            attrs=("blocking",)))
+    program = RmaProgram(n_ranks=n_ranks, vars=(), ops=tuple(ops),
+                         label="ir-opt-bench")
+    program.validate()
+    return program
+
+
+def _ir_bench(n_ranks: int = 6, rounds: int = 3,
+              puts_per_round: int = 16) -> Dict[str, Any]:
+    """Simulated time and op-train absorption of the pinned IR program,
+    original vs pipeline-optimized, one untimed run each on the
+    InfiniBand-like fabric (no hardware delivery acks — the fabric the
+    relaxation pass targets)."""
+    from repro.check.runner import run_program
+    from repro.ir.passes import PIPELINE, optimize
+
+    program = _ir_workload(n_ranks=n_ranks, rounds=rounds,
+                           puts_per_round=puts_per_round)
+    optimized, _, pass_stats = optimize(program, PIPELINE)
+
+    def arm(p) -> Dict[str, Any]:
+        result = run_program(p, "infiniband", 0, trace=False)
+        return {
+            "sim_us": result.sim_time,
+            "ops": len(p.ops),
+            "train_ops": result.stats["train_ops"],
+            "train_bytes": result.stats["train_bytes"],
+        }
+
+    return {
+        "fabric": "infiniband",
+        "n_ranks": n_ranks,
+        "rounds": rounds,
+        "puts_per_round": puts_per_round,
+        "pass_stats": [s.to_dict() for s in pass_stats],
+        "original": arm(program),
+        "optimized": arm(optimized),
+    }
+
+
 def run_ir_report(
     seeds=range(25),
     fabrics=("ordered", "unordered", "torus"),
@@ -402,11 +477,9 @@ def run_ir_report(
     (:func:`repro.ir.verify.verify_program`) — the table is only
     printed for runs the oracle accepted, so the report doubles as a
     smoke check and exits non-zero on any verification failure.  The
-    pinned :func:`repro.bench.perf.bench_ir_opt` point is appended so
-    the op-train absorption the pipeline buys is measured, not
-    estimated.
+    pinned :func:`_ir_bench` point is appended so the op-train
+    absorption the pipeline buys is measured, not estimated.
     """
-    from repro.bench.perf import bench_ir_opt
     from repro.check.generator import generate_program
     from repro.ir.passes import PIPELINE
     from repro.ir.verify import verify_program
@@ -451,7 +524,7 @@ def run_ir_report(
         "sim_us_original": sim_orig,
         "sim_us_optimized": sim_opt,
         "per_pass": agg,
-        "bench": bench_ir_opt(),
+        "bench": _ir_bench(),
     }
 
 

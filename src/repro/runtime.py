@@ -353,7 +353,7 @@ class World:
             "injector": dict(self.injector.stats) if self.injector else {},
             "dead_dropped": self.fabric.dead_dropped,
             "transport": {},
-            "counters": dict(self.tracer.counters),
+            "counters": self.metrics.counter_totals(),
         }
         for rank, nic in self.nics.items():
             if nic.transport is not None:

@@ -68,12 +68,6 @@ class Tracer:
         ``enabled``), optionally labeled (e.g. ``rank=3``)."""
         self.metrics.counter(key, **labels).inc(n)
 
-    @property
-    def counters(self) -> Dict[str, int]:
-        """Counters aggregated over labels — the untyped-dict compat
-        view of :attr:`metrics` (a snapshot, not a live reference)."""
-        return self.metrics.counter_totals()
-
     def record(
         self,
         time: float,

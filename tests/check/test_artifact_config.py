@@ -1,24 +1,18 @@
 """RunConfig: the single versioned run-configuration dict (DESIGN
-§16.4), and the v1-artifact back-compat path — including a regression
-replay of a frozen PR 9-era artifact embedded below."""
+§16.4), and the refusal of a version-1 artifact (embedded below)."""
 
 import json
 
 import pytest
 
 from repro.check.config import CONFIG_VERSION, RunConfig
-from repro.check.shrink import (
-    ARTIFACT_VERSION,
-    load_artifact,
-    replay_artifact,
-)
+from repro.check.shrink import load_artifact
 
-#: A verbatim PR 9-era (version 1) artifact: configuration scattered
-#: over top-level keys, no "config" dict.  The program is the ordering
+#: A verbatim version-1 artifact: configuration scattered over
+#: top-level keys, no "config" dict.  The program is the ordering
 #: litmus — two back-to-back puts where only the `ordering` attribute
 #: sequences the second — failing under the drop_order_barrier engine
-#: mutation on an unordered fabric.  Frozen here so the back-compat
-#: path is pinned against real old bytes, not freshly-serialized ones.
+#: mutation on an unordered fabric.
 V1_ARTIFACT = {
     "chaos": 0.0,
     "fabric": "unordered",
@@ -68,17 +62,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="version"):
             RunConfig.from_dict({"version": 99, "fabric": "flat", "seed": 0})
 
-    def test_from_artifact_reads_v1_top_level_keys(self):
-        config = RunConfig.from_artifact(V1_ARTIFACT)
-        assert config == RunConfig(fabric="unordered", seed=0,
-                                   mutations=("drop_order_barrier",))
-
-    def test_from_artifact_prefers_v2_config_dict(self):
-        inner = RunConfig(fabric="torus", seed=5, ir_passes=("relax_attributes",))
-        doc = {"version": ARTIFACT_VERSION, "config": inner.to_dict(),
-               "fabric": "WRONG", "seed": -1}
-        assert RunConfig.from_artifact(doc) == inner
-
     def test_describe_mentions_every_toggle(self):
         banner = RunConfig(
             fabric="flat", seed=1, chaos=0.05, mutations=("m",),
@@ -96,25 +79,17 @@ class TestRunConfig:
 
 
 class TestV1ArtifactRegression:
-    """A PR 9-era artifact must load and replay to the recorded
-    violation, byte-for-byte the program it froze."""
-
-    @pytest.fixture()
-    def v1_path(self, tmp_path):
-        path = tmp_path / "pr9_artifact.json"
+    def test_refused_naming_its_version(self, tmp_path):
+        """No version-1 reader is left: the loader refuses the file by
+        path and version and says how to get a readable one."""
+        path = tmp_path / "v1_artifact.json"
         path.write_text(json.dumps(V1_ARTIFACT, indent=2, sort_keys=True))
-        return str(path)
-
-    def test_load_normalizes_config(self, v1_path):
-        doc = load_artifact(v1_path)
-        config = doc["config"]
-        assert config["version"] == CONFIG_VERSION
-        assert config["fabric"] == "unordered"
-        assert config["mutations"] == ["drop_order_barrier"]
-        assert config["ir_passes"] == []
-
-    def test_replay_reproduces_recorded_violation(self, v1_path):
-        report = replay_artifact(v1_path)
-        assert not report.ok
-        assert ([v.check for v in report.violations]
-                == [v["check"] for v in V1_ARTIFACT["violations"]])
+        with pytest.raises(ValueError) as exc:
+            load_artifact(str(path))
+        message = str(exc.value)
+        assert str(path) in message
+        assert "version 1" in message
+        assert "re-record it from the seed and fabric" in message
+        with pytest.raises(ValueError, match="version 1"):
+            RunConfig.from_dict({"version": 1, "fabric": "unordered",
+                                 "seed": 0})

@@ -33,6 +33,24 @@ def test_bad_specs_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("not json {", "cannot read artifact"),
+    (json.dumps({"version": 2, "config": {"fabric": "ordered", "seed": 0}}),
+     "no 'program' key"),
+    (json.dumps({"version": 2, "kind": "durable_kv"}), "no 'case' key"),
+], ids=["not-json", "no-program", "kv-no-case"])
+def test_replay_of_malformed_artifact_is_a_usage_error(tmp_path, capsys,
+                                                       text, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--replay", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert needle in err
+
+
 def test_mutated_run_writes_replayable_artifact(tmp_path, capsys):
     rc = main([
         "--seeds", "25", "--fabric", "unordered",

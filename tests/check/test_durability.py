@@ -16,12 +16,12 @@ from repro.check.durability import (
     KvOp,
     check_kv,
     generate_case,
-    load_kv_artifact,
-    replay_kv_artifact,
+    kv_from_doc,
     run_kv,
     save_kv_artifact,
     shrink_kv,
 )
+from repro.check.shrink import ARTIFACT_VERSION, load_artifact, replay_artifact
 
 
 class TestGenerateCase:
@@ -108,7 +108,7 @@ class TestArtifacts:
         path = str(tmp_path / "kv.json")
         save_kv_artifact(path, case, ops, ["key 1: boom"],
                          mutations=("skip_backup",))
-        got_case, got_ops, got_mut = load_kv_artifact(path)
+        got_case, got_ops, got_mut = kv_from_doc(load_artifact(path))
         assert got_case == case
         assert got_ops == ops
         assert got_mut == ("skip_backup",)
@@ -120,15 +120,15 @@ class TestArtifacts:
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["kind"] == "durable_kv"
-        assert doc["version"] == 1
+        assert doc["version"] == ARTIFACT_VERSION
         assert doc["case"]["seed"] == 5
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"kind": "rma_conformance",
-                                    "version": 1}))
+                                    "version": ARTIFACT_VERSION}))
         with pytest.raises(ValueError, match="durable_kv"):
-            load_kv_artifact(str(path))
+            load_artifact(str(path))
 
     def test_replay_reproduces_the_verdict(self, tmp_path):
         """The debuggability contract: an artifact saved from a
@@ -144,14 +144,14 @@ class TestArtifacts:
         path = str(tmp_path / "repro.json")
         save_kv_artifact(path, case, ops, violations,
                          mutations=("skip_backup",))
-        fresh = replay_kv_artifact(path)
+        fresh = replay_artifact(path)
         assert fresh == violations
 
     def test_clean_artifact_replays_clean(self, tmp_path):
         case, ops = generate_case(0, rf=2)
         path = str(tmp_path / "clean.json")
         save_kv_artifact(path, case, ops, [])
-        assert replay_kv_artifact(path) == []
+        assert replay_artifact(path) == []
 
 
 class TestOracleUnit:

@@ -11,7 +11,12 @@ instead of after apply) proves the oracle has teeth.
 
 import pytest
 
-from repro.check import check_program, generate_program, run_program
+from repro.check import (
+    RunConfig,
+    check_program,
+    generate_program,
+    run_program,
+)
 from repro.check.shrink import replay_artifact, save_artifact, shrink
 
 
@@ -108,7 +113,7 @@ class TestPower:
                    if op.kind == "put")
         path = str(tmp_path / "notify-fail.json")
         save_artifact(path, res.program, res.report,
-                      mutations=("notify_before_apply",),
-                      extra={"notify": True})
-        replayed = replay_artifact(path)
-        assert not replayed.ok
+                      config=RunConfig(fabric=fabric, seed=seed,
+                                       mutations=("notify_before_apply",),
+                                       notify=True))
+        assert replay_artifact(path)

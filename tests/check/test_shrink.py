@@ -11,6 +11,7 @@ from repro.check import (
     VarSpec,
     check_program,
     generate_program,
+    RunConfig,
     load_artifact,
     replay_artifact,
     run_program,
@@ -73,7 +74,8 @@ class TestArtifacts:
         res = shrink(program, "unordered", seed, mutations=MUTATION)
         path = tmp_path / "reproducer.json"
         save_artifact(str(path), res.program, res.report,
-                      mutations=MUTATION)
+                      config=RunConfig(fabric="unordered", seed=seed,
+                                       mutations=MUTATION))
 
         doc = load_artifact(str(path))
         assert doc["version"] == ARTIFACT_VERSION
@@ -88,13 +90,14 @@ class TestArtifacts:
                 == sorted(v.check for v in res.report.violations))
 
         # And the one-call replay path agrees.
-        assert not replay_artifact(str(path)).ok
+        assert replay_artifact(str(path))
 
     def test_load_artifact_rejects_bad_version(self, tmp_path):
         program = _litmus()
         report = check_program(run_program(program, "ordered", 0))
         path = tmp_path / "art.json"
-        save_artifact(str(path), program, report)
+        save_artifact(str(path), program, report,
+                      config=RunConfig(fabric="ordered", seed=0))
         doc = json.loads(path.read_text())
         doc["version"] = 999
         path.write_text(json.dumps(doc))

@@ -69,6 +69,6 @@ def test_shrinks_to_tiny_reproducer_with_replayable_artifact(catch, tmp_path):
     assert doc["config"]["fabric"] == FABRIC
 
     replayed = replay_artifact(str(path))
-    assert replayed.violations
-    assert ({v.check for v in replayed.violations}
+    assert replayed
+    assert ({v.check for v in replayed}
             & {v.check for v in result.report.violations})

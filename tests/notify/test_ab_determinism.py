@@ -4,20 +4,12 @@ The notification board adds state to the engine and keys to op
 descriptors — but only for ops that actually carry ``notify``.  These
 tests pin the off-path: notify-free programs produce bit-identical
 traces and simulated times whether or not the subsystem was ever
-exercised in the same process, and the PR-1 perf baseline still
-recomputes exactly, with the op-train fast path on and off.
+exercised in the same process.  (``BENCH_PR1.json``'s simulated times
+are pinned in ``tests/rma/test_perf_determinism.py``.)
 """
 
-import json
-import os
-
-from repro.bench import perf
 from repro.datatypes import BYTE
 from repro.runtime import World
-from tests.conftest import fast_paths
-
-BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                        "BENCH_PR1.json")
 
 
 def _trace_tuples(world):
@@ -93,17 +85,3 @@ class TestNotifyFreeBitIdentity:
             assert ctx.rma.engine.stats["notify_waits"] == 0
             assert ctx.rma.engine.board.delivered() == {}
 
-
-class TestPerfBaselineStillExact:
-    def _compare(self):
-        with open(BASELINE) as fh:
-            doc = json.load(fh)
-        return perf.compare_to_baseline(doc, tolerance=0.0)
-
-    def test_baseline_with_trains_on(self):
-        with fast_paths(train=True):
-            assert self._compare() == []
-
-    def test_baseline_with_trains_off(self):
-        with fast_paths(train=False):
-            assert self._compare() == []

@@ -9,8 +9,13 @@ timestamp.  These tests pin that:
   simulated results;
 - the ``segments_for`` fast path → identical layouts to the naive
   per-instance expansion;
-- zero-copy pack → identical bytes, genuinely aliasing the source.
+- zero-copy pack → identical bytes, genuinely aliasing the source;
+- ``BENCH_PR1.json``'s simulated times → recomputed exactly, in every
+  fast-path arm.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -158,58 +163,55 @@ class TestBurstTimestampParity:
         assert sent.count("rma.frag") == 16
 
 
+with open(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "BENCH_PR1.json")) as _fh:
+    RECORDED = json.load(_fh)["results"]
+
+
 class TestObservabilityOffPinnedToBaseline:
-    """With observability off, simulated timestamps are bit-identical to
-    the values recorded in ``BENCH_PR1.json`` before the observability
-    layer existed — the pay-for-what-you-use guarantee.
+    """The simulated-time pin: every Figure-2 point and the strawman
+    halo recorded in ``BENCH_PR1.json`` (before the observability layer
+    and every fast path existed) recompute bit for bit — the
+    pay-for-what-you-use guarantee.
 
     Pinned with every fast path on, with writes in their lean form (the
-    op-train off) and as packets (all off), and with an (inert) empty
-    fault plan, so none of the instrumented layers may shift a single
-    simulated event when tracing is disabled.
+    op-train off), as packets (all off), with every exposure a
+    shared-memory window (inert on the one-rank-per-node bench
+    machines), and with an (inert) empty fault plan, so none of the
+    instrumented layers may shift a single simulated event when tracing
+    is disabled.
     """
 
-    @classmethod
-    def _baseline(cls):
-        import json
-        import os
+    ARMS = {"all-on": {}, "train-off": {"train": False},
+            "all-off": {"train": False, "nexus": False},
+            "shared-windows": {"shared": True}}
 
-        path = os.path.join(os.path.dirname(__file__), "..", "..",
-                            "BENCH_PR1.json")
-        with open(path) as fh:
-            return json.load(fh)["results"]
-
-    # fig2 runs in BENCH_PR1.json used puts_per_origin=50.
-    FIG2_POINTS = [("none", 1024), ("none", 16384), ("none", 65536),
-                   ("ordering", 16384), ("remote_complete", 1024),
-                   ("remote_complete", 16384)]
-
-    @pytest.mark.parametrize("switches", [{}, {"train": False},
-                                          {"train": False, "nexus": False}],
-                             ids=["all-on", "train-off", "all-off"])
-    @pytest.mark.parametrize("mode,size", FIG2_POINTS)
-    def test_fig2_sim_us_bit_identical(self, mode, size, switches):
-        expected = self._baseline()["fig2"]["points"][f"{mode}/{size}"]["sim_us"]
-        with fast_paths(**switches):
-            assert fig2_attribute_cost(mode, size,
-                                       puts_per_origin=50) == expected
+    @pytest.mark.parametrize("arm", ARMS)
+    @pytest.mark.parametrize("point", sorted(RECORDED["fig2"]["points"]))
+    def test_fig2_sim_us_bit_identical(self, point, arm):
+        mode, size = point.split("/")
+        with fast_paths(**self.ARMS[arm]):
+            got = fig2_attribute_cost(
+                mode, int(size),
+                puts_per_origin=RECORDED["fig2"]["puts_per_origin"])
+        assert got == RECORDED["fig2"]["points"][point]["sim_us"]
 
     def test_fig2_sim_us_with_empty_fault_plan(self):
         from repro.faults import FaultPlan
 
-        expected = self._baseline()["fig2"]["points"]["none/16384"]["sim_us"]
         assert fig2_attribute_cost(
-            "none", 16384, puts_per_origin=50, fault_plan=FaultPlan()
-        ) == expected
+            "none", 16384, puts_per_origin=RECORDED["fig2"]["puts_per_origin"],
+            fault_plan=FaultPlan(),
+        ) == RECORDED["fig2"]["points"]["none/16384"]["sim_us"]
 
-    def test_halo_sim_us_bit_identical(self):
-        expected = self._baseline()["halo"]
-        got = halo_exchange_time(
-            "strawman", n_ranks=expected["n_ranks"],
-            halo_bytes=expected["halo_bytes"],
-            iterations=expected["iterations"],
-        )
-        assert got == expected["sim_us_per_iter"]
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_halo_sim_us_bit_identical(self, arm):
+        halo = RECORDED["halo"]
+        with fast_paths(**self.ARMS[arm]):
+            got = halo_exchange_time(
+                "strawman", n_ranks=halo["n_ranks"],
+                halo_bytes=halo["halo_bytes"], iterations=halo["iterations"])
+        assert got == halo["sim_us_per_iter"]
 
 
 class TestSegmentsForFastPath:

@@ -46,8 +46,8 @@ class TestTracer:
         tr = Tracer()
         tr.bump("xport.retransmit")
         tr.bump("xport.retransmit", 2, rank=3)
-        # the compat view aggregates over labels, keyed by bare name
-        assert tr.counters == {"xport.retransmit": 3}
+        # the totals aggregate over labels, keyed by bare name
+        assert tr.metrics.counter_totals() == {"xport.retransmit": 3}
         # the underlying registry keeps the labeled split
         assert tr.metrics.counter("xport.retransmit", rank=3).value == 2
 
@@ -60,7 +60,7 @@ class TestTracer:
         tr.metrics.histogram("h").observe(1.0)
         tr.clear()
         assert len(tr) == 0
-        assert tr.counters == {}
+        assert tr.metrics.counter_totals() == {}
         assert len(tr.metrics) == 0
 
     def test_disabled_tracer_record_is_never_called_by_call_sites(self,
