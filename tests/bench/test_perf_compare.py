@@ -1,69 +1,15 @@
-"""The ``--compare`` regression gate: simulated time must never drift.
+"""Simulated time must never drift from ``BENCH_PR1.json``.
 
 ``BENCH_PR1.json`` at the repo root records the flat-fabric simulated
-times from the PR-1 optimization pass.  Recomputing them must match to
-the bit on any machine — this is the executable form of the
-"topology=None keeps the flat path bit-identical" guarantee.
+times of the Figure-2 sweep and the strawman halo.  Recomputing the
+whole document with the default switches must match to the bit on any
+machine.  (The per-point, per-arm pin is
+``tests/rma/test_perf_determinism.py::TestObservabilityOffPinnedToBaseline``.)
 """
 
-import json
-import os
-
-import pytest
-
-from repro.bench import perf
-
-BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                        "BENCH_PR1.json")
-
-
-@pytest.fixture
-def baseline_doc():
-    with open(BASELINE) as fh:
-        return json.load(fh)
+from tests.conftest import bench_pr1_drift
 
 
 class TestCompareToBaseline:
-    def test_repo_baseline_matches_bit_for_bit(self, baseline_doc):
-        assert perf.compare_to_baseline(baseline_doc, tolerance=0.0) == []
-
-    def test_halo_drift_detected(self, baseline_doc):
-        baseline_doc["results"]["halo"]["sim_us_per_iter"] += 0.5
-        failures = perf.compare_to_baseline(baseline_doc)
-        assert len(failures) == 1
-        assert "halo.sim_us_per_iter" in failures[0]
-
-    def test_fig2_drift_detected(self, baseline_doc):
-        points = baseline_doc["results"]["fig2"]["points"]
-        key = sorted(points)[0]
-        points[key]["sim_us"] *= 1.01
-        failures = perf.compare_to_baseline(baseline_doc)
-        assert len(failures) == 1
-        assert f"fig2.{key}.sim_us" in failures[0]
-
-    def test_tolerance_forgives_small_drift(self, baseline_doc):
-        baseline_doc["results"]["halo"]["sim_us_per_iter"] *= 1.0001
-        assert perf.compare_to_baseline(baseline_doc, tolerance=1e-3) == []
-
-
-class TestCompareCli:
-    def test_clean_compare_exits_zero_and_writes_nothing(
-            self, tmp_path, monkeypatch, capsys):
-        baseline = os.path.abspath(BASELINE)
-        monkeypatch.chdir(tmp_path)
-        assert perf.main(["--compare", baseline]) == 0
-        assert os.listdir(tmp_path) == []  # gate mode never writes
-        assert "OK" in capsys.readouterr().out
-
-    def test_drifted_baseline_exits_nonzero(self, tmp_path, capsys):
-        with open(BASELINE) as fh:
-            doc = json.load(fh)
-        doc["results"]["halo"]["sim_us_per_iter"] += 1.0
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(doc))
-        assert perf.main(["--compare", str(tampered)]) == 1
-        assert "DRIFT" in capsys.readouterr().out
-
-    def test_unreadable_baseline_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            perf.main(["--compare", str(tmp_path / "missing.json")])
+    def test_repo_baseline_matches_bit_for_bit(self):
+        assert bench_pr1_drift() == []

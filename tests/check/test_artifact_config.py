@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.check.config import CONFIG_VERSION, RunConfig
-from repro.check.shrink import load_artifact
+from repro.check.program import RmaProgram
+from repro.check.shrink import load_artifact, replay_artifact, save_artifact
 
 #: A verbatim version-1 artifact: configuration scattered over
 #: top-level keys, no "config" dict.  The program is the ordering
@@ -78,18 +79,44 @@ class TestRunConfig:
         assert base.seed == 0  # frozen: with_ copies
 
 
-class TestV1ArtifactRegression:
-    def test_refused_naming_its_version(self, tmp_path):
-        """No version-1 reader is left: the loader refuses the file by
-        path and version and says how to get a readable one."""
-        path = tmp_path / "v1_artifact.json"
-        path.write_text(json.dumps(V1_ARTIFACT, indent=2, sort_keys=True))
-        with pytest.raises(ValueError) as exc:
-            load_artifact(str(path))
-        message = str(exc.value)
-        assert str(path) in message
-        assert "version 1" in message
-        assert "re-record it from the seed and fabric" in message
+    def test_from_artifact_reads_v1_top_level_keys(self):
+        """No version-1 reader is left: a v1 document's top-level keys
+        are not read into a config, the version is refused by name."""
+        with pytest.raises(ValueError, match="version 1"):
+            RunConfig.from_dict(V1_ARTIFACT)
         with pytest.raises(ValueError, match="version 1"):
             RunConfig.from_dict({"version": 1, "fabric": "unordered",
                                  "seed": 0})
+
+
+class TestV1ArtifactRegression:
+    """A version-1 artifact is refused by the one loader, and what the
+    refusal tells the user to do — re-record from the seed and fabric
+    the file lists — reproduces the violation it recorded."""
+
+    @pytest.fixture()
+    def v1_path(self, tmp_path):
+        path = tmp_path / "v1_artifact.json"
+        path.write_text(json.dumps(V1_ARTIFACT, indent=2, sort_keys=True))
+        return str(path)
+
+    def test_load_normalizes_config(self, v1_path):
+        with pytest.raises(ValueError) as exc:
+            load_artifact(v1_path)
+        message = str(exc.value)
+        assert v1_path in message
+        assert "version 1" in message
+        assert "re-record it from the seed and fabric" in message
+
+    def test_replay_reproduces_recorded_violation(self, v1_path, tmp_path):
+        with pytest.raises(ValueError, match="version 1"):
+            replay_artifact(v1_path)
+        config = RunConfig(fabric=V1_ARTIFACT["fabric"],
+                           seed=V1_ARTIFACT["seed"],
+                           mutations=tuple(V1_ARTIFACT["mutations"]))
+        program = RmaProgram.from_dict(V1_ARTIFACT["program"])
+        v2_path = str(tmp_path / "v2_artifact.json")
+        save_artifact(v2_path, program, config.check(program), config=config)
+        assert load_artifact(v2_path)["config"] == config.to_dict()
+        assert ([v.check for v in replay_artifact(v2_path)]
+                == [v["check"] for v in V1_ARTIFACT["violations"]])

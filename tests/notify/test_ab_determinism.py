@@ -4,12 +4,14 @@ The notification board adds state to the engine and keys to op
 descriptors — but only for ops that actually carry ``notify``.  These
 tests pin the off-path: notify-free programs produce bit-identical
 traces and simulated times whether or not the subsystem was ever
-exercised in the same process.  (``BENCH_PR1.json``'s simulated times
-are pinned in ``tests/rma/test_perf_determinism.py``.)
+exercised in the same process, and ``BENCH_PR1.json``'s simulated
+times still recompute exactly after a notify-using world, with the
+op-train fast path on and off.
 """
 
 from repro.datatypes import BYTE
 from repro.runtime import World
+from tests.conftest import bench_pr1_drift, fast_paths
 
 
 def _trace_tuples(world):
@@ -84,4 +86,16 @@ class TestNotifyFreeBitIdentity:
             assert ctx.rma.engine.stats["notifies"] == 0
             assert ctx.rma.engine.stats["notify_waits"] == 0
             assert ctx.rma.engine.board.delivered() == {}
+
+
+class TestPerfBaselineStillExact:
+    def test_baseline_with_trains_on(self):
+        _notify_using_run()
+        with fast_paths(train=True):
+            assert bench_pr1_drift() == []
+
+    def test_baseline_with_trains_off(self):
+        _notify_using_run()
+        with fast_paths(train=False):
+            assert bench_pr1_drift() == []
 

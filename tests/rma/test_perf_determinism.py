@@ -15,7 +15,6 @@ timestamp.  These tests pin that:
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.network.config import infiniband_like, shared_memory_like
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.runtime import World
-from tests.conftest import fast_paths
+from tests.conftest import BENCH_PR1, fast_paths
 
 
 def _trace_tuples(world):
@@ -163,8 +162,7 @@ class TestBurstTimestampParity:
         assert sent.count("rma.frag") == 16
 
 
-with open(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                       "BENCH_PR1.json")) as _fh:
+with open(BENCH_PR1) as _fh:
     RECORDED = json.load(_fh)["results"]
 
 
