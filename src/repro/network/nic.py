@@ -92,6 +92,10 @@ class Nic:
         fabric.nics[rank] = self
         #: Serialization time of a payload-free message.
         self.header_ser = self.config.serialization_time(HEADER_SIZE)
+        # The two heap callbacks of a posted message, bound once per NIC
+        # rather than once per message.
+        self._launch = self.launch
+        self._land = self.land
         # stats
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -227,7 +231,7 @@ class Nic:
         wire = HEADER_SIZE + data_bytes
         t = self.reserve(self.config.serialization_time(wire) if data_bytes
                          else self.header_ser)
-        self.sim.schedule_call(t - self.sim.now, self.launch, dst, fn, args,
+        self.sim.schedule_call(t - self.sim.now, self._launch, dst, fn, args,
                                wire, injected, t)
 
     def launch(self, dst: int, fn: Callable[..., None], args: tuple,
@@ -249,7 +253,7 @@ class Nic:
         arrival = fabric.arrival(self.rank, dst, wire)
         if arrival is not None:
             sim = self.sim
-            sim.schedule_call(arrival - sim.now, fabric.nics[dst].land,
+            sim.schedule_call(arrival - sim.now, fabric.nics[dst]._land,
                               self.rank, fn, args, wire)
 
     def land(self, src: int, fn: Callable[..., None], args: tuple,

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import warnings
-from operator import attrgetter, index
+from operator import index, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,26 +88,28 @@ _TALLY = {"put": ("puts",), "acc": ("accumulates",), "get": ("gets",),
 
 
 #: The messages whose whole effect at the destination is one call, by
-#: packet kind: (``control.route`` kind, the message's one body — looked
-#: up on the *destination* engine and called as ``body(src, *fields)``
-#: —, the payload keys its fields travel under when the message is a
-#: packet; ``None``: the one field, a request's descriptor, *is* the
-#: payload).  :meth:`RmaEngine.signal` is the one place that chooses
-#: between the two forms.
+#: packet kind: (``control.route`` kind, whether the body belongs to the
+#: destination's serializer rather than its engine, the body's name —
+#: a plain function looked up on the receiver's class per message and
+#: called as ``body(receiver, src, *fields)``, so no bound method is
+#: built and a class-level patch is seen —, the payload keys its fields
+#: travel under when the message is a packet; ``None``: the one field,
+#: a request's descriptor, *is* the payload).  :meth:`RmaEngine.signal`
+#: is the one place that chooses between the two forms.
 _SIGNALS = {
-    "rma.flush_req": ("flush", attrgetter("_flush_req"),
+    "rma.flush_req": ("flush", False, "_flush_req",
                       ("watermark", "flush_id")),
-    "rma.flush_ack": ("flush", attrgetter("_flush_ack"), ("flush_id",)),
-    "rma.ack": ("ack", attrgetter("_ack"), ("op_key",)),
-    "rma.lock_req": ("lock", attrgetter("serializer.lock_req"), ()),
-    "rma.lock_grant": ("lock", attrgetter("serializer.lock_grant"), ()),
-    "rma.unlock": ("lock", attrgetter("serializer.unlock"), ()),
-    "rma.get_req": ("request", attrgetter("_request"), None),
-    "rma.rmw_req": ("request", attrgetter("_request"), None),
-    "rma.rmi_req": ("request", attrgetter("_request"), None),
-    "rma.get_reply": ("reply", attrgetter("_get_reply"),
+    "rma.flush_ack": ("flush", False, "_flush_ack", ("flush_id",)),
+    "rma.ack": ("ack", False, "_ack", ("op_key",)),
+    "rma.lock_req": ("lock", True, "lock_req", ()),
+    "rma.lock_grant": ("lock", True, "lock_grant", ()),
+    "rma.unlock": ("lock", True, "unlock", ()),
+    "rma.get_req": ("request", False, "_request", None),
+    "rma.rmw_req": ("request", False, "_request", None),
+    "rma.rmi_req": ("request", False, "_request", None),
+    "rma.get_reply": ("reply", False, "_get_reply",
                       ("op_key", "wire_off", "data", "total")),
-    "rma.reply": ("reply", attrgetter("_reply"), ("op_key", "value")),
+    "rma.reply": ("reply", False, "_reply", ("op_key", "value")),
 }
 
 
@@ -193,17 +195,62 @@ def _exact_as(value, dt: np.dtype) -> bool:
                              and value != value)
 
 
-def _collect_errors(events: List[Event]) -> List[RmaError]:
-    """RmaError values carried by completion events (failure-aware
-    completion succeeds events *with* the error object as value)."""
-    errs: List[RmaError] = []
-    for ev in events:
-        value = ev.value
-        if isinstance(value, RmaError):
-            errs.append(value)
-        elif isinstance(value, list):
-            errs.extend(v for v in value if isinstance(v, RmaError))
-    return errs
+class _Completion:
+    """What one completion call (:meth:`RmaEngine._complete`) waits on
+    besides its acknowledged records: the one event the caller waits on,
+    triggered when the last of its ``left`` unanswered flushes is
+    answered — acknowledged (:meth:`RmaEngine._flush_ack`) or failed by
+    a path failure.  Flush ``first + i`` went to ``targets[i]``;
+    ``errors`` lists the ``(target, RmaError)`` of the failed ones (None
+    while there are none).  On a broken path, where no flush goes, the
+    event stands for the errors of the flushed writes and is triggered
+    at once."""
+
+    __slots__ = ("ev", "left", "first", "targets", "errors")
+
+    def __init__(self, sim: "Simulator", first: int) -> None:
+        self.ev = Event(sim)
+        self.left = 0
+        self.first = first
+        self.targets: List[int] = []
+        self.errors: Optional[List[tuple]] = None
+
+    def target(self, flush_id: int) -> int:
+        """The target flush ``flush_id`` went to."""
+        return self.targets[flush_id - self.first]
+
+    def answered(self, error: Optional[tuple] = None) -> None:
+        """One more flush is answered — failed with ``(target, error)``,
+        if given: the last triggers the event."""
+        if error is not None:
+            if self.errors is None:
+                self.errors = []
+            self.errors.append(error)
+        self.left -= 1
+        if not self.left:
+            self.ev.succeed()
+
+
+def _completion_errors(held: List[tuple],
+                       waiter: Optional[_Completion]) -> List[RmaError]:
+    """A completion's failures, by ascending target: each target's
+    records (and, on a broken path, flushed writes) in issue order, then
+    its failed flush.  A record's event carries its error as its value
+    (failure-aware completion succeeds events *with* the error object),
+    or in the list that is its value."""
+    found = []
+    for target, entries in held:
+        for item in entries:
+            value = item.ev_remote.value if type(item) is OpRecord else item
+            if isinstance(value, RmaError):
+                found.append((target, value))
+            elif isinstance(value, list):
+                found.extend((target, v) for v in value
+                             if isinstance(v, RmaError))
+    if waiter is not None and waiter.errors:
+        found += waiter.errors
+        found.sort(key=itemgetter(0))   # stable: records before the flush
+    return [error for _target, error in found]
 
 
 class _PendingGet:
@@ -481,7 +528,9 @@ class RmaEngine(FailureSide, TargetSide):
         self._held: Dict[int, list] = {}
         #: Records handed to an in-flight completion, which lets go of
         #: them when its wait returns (:meth:`_release`); a path failure
-        #: must fail these too or the waiting completion would hang.
+        #: must fail these too or the waiting completion would hang.  On
+        #: a broken path the errors of the flushed writes sit among them
+        #: in issue order.
         self._completing: Dict[int, list] = {}
         #: Targets whose path failed: every later op fails fast at issue.
         self._broken: set = set()
@@ -499,12 +548,15 @@ class RmaEngine(FailureSide, TargetSide):
         #: Origins whose gate is being drained (applying a gated op can
         #: recursively mark further ops applied).
         self._draining: set = set()
-        # Waiter maps carry the destination rank so a path failure can
-        # sweep exactly the waiters stranded on the broken path.
+        # Waiter maps carry the destination rank (a flush's waiter knows
+        # it, :meth:`_Completion.target`) so a path failure can sweep
+        # exactly the waiters stranded on the broken path.
         self._sw_ack_waiters: Dict[Tuple[int, int], Tuple[int, Event]] = {}
         self._pending_gets: Dict[Tuple[int, int], _PendingGet] = {}
         self._pending_replies: Dict[Tuple[int, int], Tuple[int, str, Event]] = {}
-        self._flush_waiters: Dict[int, Tuple[int, Event]] = {}
+        #: In-flight flushes, by flush id: the waiter of the completion
+        #: call that sent it.
+        self._flush_waiters: Dict[int, _Completion] = {}
         self._next_flush_id = 1
         # Per-engine op-key counter: keys are (rank, n), so a per-engine
         # count keeps them unique within a world while staying identical
@@ -1064,11 +1116,14 @@ class RmaEngine(FailureSide, TargetSide):
         destination engine.  Otherwise it is a packet of that kind,
         whose handler (:meth:`_on_signal`) calls the same body.  Counted
         as ``control.route{kind=, path=live|packet, reason=}``."""
-        kind, body, keys = _SIGNALS[message]
+        kind, on_serializer, name, keys = _SIGNALS[message]
         world = self.world
         if world.nexus.route(self.nic, "control.route", kind) is None:
-            self.nic.post(dst, body(world.contexts[dst].rma.engine),
-                          (self.rank, *fields), data_bytes)
+            receiver = world.contexts[dst].rma.engine
+            if on_serializer:
+                receiver = receiver.serializer
+            self.nic.post(dst, getattr(type(receiver), name),
+                          (receiver, self.rank, *fields), data_bytes)
         else:
             self.send_control(dst, message, fields[0] if keys is None
                               else dict(zip(keys, fields)), data_bytes)
@@ -1076,12 +1131,13 @@ class RmaEngine(FailureSide, TargetSide):
     def _on_signal(self, packet: Packet) -> None:
         """Packet form of a ``_SIGNALS`` message: unpack it into its
         body."""
-        _kind, body, keys = _SIGNALS[packet.kind]
+        _kind, on_serializer, name, keys = _SIGNALS[packet.kind]
+        body = getattr(self.serializer if on_serializer else self, name)
         payload = packet.payload
         if keys is None:
-            body(self)(packet.src, payload)
+            body(packet.src, payload)
         else:
-            body(self)(packet.src, *[payload[key] for key in keys])
+            body(packet.src, *[payload[key] for key in keys])
 
     # ------------------------------------------------------------------
     # Completion and ordering (MPI_RMA_complete / MPI_RMA_order)
@@ -1089,29 +1145,21 @@ class RmaEngine(FailureSide, TargetSide):
     def complete_one(self, dst: int):
         """Wait for remote completion of all prior ops to ``dst``.
         Returns the list of :class:`RmaError` failures (empty normally)."""
-        yield self.sim.timeout(self.timings.call_overhead)
-        held: List[tuple] = []
-        events = self._completion_events(dst, held)
-        if len(events) == 1:
-            yield events[0]
-        elif events:
-            yield AllOf(self.sim, events)
-        self._release(held)
-        self.materialize_inbound()
-        self.stats["completes"] += 1
-        return _collect_errors(events)
+        return self._complete(dst)
 
     def complete_all(self):
         """Remote-complete every target with outstanding traffic
         (``MPI_ALL_RANKS``), in ascending rank order.  Returns the list
         of failures."""
+        return self._complete(None)
+
+    def _complete(self, dst: Optional[int]):
+        """The one body of :meth:`complete_one` (``dst``) and
+        :meth:`complete_all` (``None``)."""
         yield self.sim.timeout(self.timings.call_overhead)
-        events = []
-        held: List[tuple] = []
-        for dst in sorted(self._held):
-            events.extend(self._completion_events(dst, held))
-        if events:
-            yield AllOf(self.sim, events)
+        held, waiter, wait = self._start_completion(dst)
+        if wait is not None:
+            yield wait
         self._release(held)
         # Completion is an observation point for this rank's own memory
         # (the caller will read local buffers next): apply any arrived
@@ -1119,69 +1167,95 @@ class RmaEngine(FailureSide, TargetSide):
         # an all-analytic run have no packet delivery to trigger them.
         self.materialize_inbound()
         self.stats["completes"] += 1
-        return _collect_errors(events)
+        return _completion_errors(held, waiter)
 
-    def _completion_events(self, dst: int, held: List[tuple]) -> List[Event]:
-        """The events that remote-complete everything outstanding to
-        ``dst``: each acknowledged write's own, then one flush up to the
-        last flushed write.  The acknowledged records move to
-        ``_completing``, where a path failure still finds them while the
-        caller waits, and ``(dst, records)`` joins ``held`` for
-        :meth:`_release`."""
-        outstanding = self._held.pop(dst, None)
-        if outstanding is None:
-            return []
-        events: List[Event] = []
-        acked = []
-        if dst in self._broken:
-            # No flush round trip on a broken path: every write resolves
-            # to an error immediately (ops with per-op events were already
-            # failed by _on_path_failure; flushed ones get one each here).
-            for item in outstanding:
-                if type(item) is _FlushedRun:
+    def _start_completion(self, dst: Optional[int]):
+        """Remote-complete everything outstanding to ``dst`` (``None``:
+        to every target with outstanding writes, ascending).  Per
+        target: each acknowledged write's own event, then one flush up
+        to the last flushed write; every flush of the call answers the
+        one :class:`_Completion` built here.  The acknowledged records
+        move to ``_completing``, where a path failure still finds them
+        while the caller waits, and ``(target, records)`` joins
+        ``held`` for :meth:`_release`.  Returns ``(held, waiter, the
+        event to wait on or None)``.
+
+        The caller resumes after the urgent-queue hops a wait on one
+        event per flush (and per flushed write on a broken path) takes:
+        an ``AllOf`` over the records' events and the waiter's, or, for
+        :meth:`complete_one` when that count is one, the lone event."""
+        held: List[tuple] = []
+        waiter: Optional[_Completion] = None
+        waits = 0
+        for target in sorted(self._held) if dst is None else (dst,):
+            outstanding = self._held.pop(target, None)
+            if outstanding is None:
+                continue
+            entries = []
+            if target in self._broken:
+                # No flush round trip on a broken path: every flushed
+                # write resolves to an error now, in issue order among
+                # the records (ops with per-op events were already failed
+                # by _on_path_failure).
+                for item in outstanding:
+                    if type(item) is not _FlushedRun:
+                        entries.append(item)
+                        continue
+                    if waiter is None:
+                        waiter = _Completion(self.sim, self._next_flush_id)
                     for _ in range(item.count):
-                        events.append(Event(self.sim).succeed(
-                            self._error(dst, item.kind, item.attrs)))
-                else:
-                    events.append(item.ev_remote)
-                    acked.append(item)
-        else:
-            flush_watermark = 0
-            deferred: List[DeferredEvent] = []
-            for item in outstanding:
-                if type(item) is _FlushedRun:
-                    flush_watermark = item.upto
-                    continue
-                ev = item.ev_remote
-                events.append(ev)
-                acked.append(item)
-                if (type(ev) is DeferredEvent and not ev._armed
-                        and not ev.triggered):
-                    deferred.append(ev)
-            if deferred:
-                # Retire the whole group of analytic hw-ack events with
-                # one heap entry at the latest due time.  Each event still
-                # auto-fires at its own due when polled (DeferredEvent),
-                # so no observable timestamp moves — only the timer count
-                # does.
-                due = max(ev.due for ev in deferred)
-                for ev in deferred:
-                    ev.mark_armed()
-                self.sim.schedule_bulk_succeed_at(
-                    due, deferred,
-                    [ev._deferred_value for ev in deferred],
-                )
-            if flush_watermark:
-                flush_id = self._next_flush_id
-                self._next_flush_id += 1
-                ev = self.sim.event()
-                self._flush_waiters[flush_id] = (dst, ev)
-                self.signal(dst, "rma.flush_req", flush_watermark, flush_id)
-                events.append(ev)
-        if acked:
-            self._completing[dst] = acked
-            held.append((dst, acked))
-        return events
+                        entries.append(
+                            self._error(target, item.kind, item.attrs))
+                waits += len(entries)
+            else:
+                flush_watermark = 0
+                deferred: List[DeferredEvent] = []
+                for item in outstanding:
+                    if type(item) is _FlushedRun:
+                        flush_watermark = item.upto
+                        continue
+                    entries.append(item)
+                    ev = item.ev_remote
+                    if (type(ev) is DeferredEvent and not ev._armed
+                            and not ev.triggered):
+                        deferred.append(ev)
+                if deferred:
+                    # Retire the whole group of analytic hw-ack events
+                    # with one heap entry at the latest due time.  Each
+                    # event still auto-fires at its own due when polled
+                    # (DeferredEvent), so no observable timestamp moves —
+                    # only the timer count does.
+                    due = max(ev.due for ev in deferred)
+                    for ev in deferred:
+                        ev.mark_armed()
+                    self.sim.schedule_bulk_succeed_at(
+                        due, deferred,
+                        [ev._deferred_value for ev in deferred],
+                    )
+                waits += len(entries)
+                if flush_watermark:
+                    flush_id = self._next_flush_id
+                    self._next_flush_id += 1
+                    if waiter is None:
+                        waiter = _Completion(self.sim, flush_id)
+                    self._flush_waiters[flush_id] = waiter
+                    waiter.targets.append(target)
+                    waiter.left += 1
+                    waits += 1
+                    self.signal(target, "rma.flush_req", flush_watermark,
+                                flush_id)
+            if entries:
+                self._completing[target] = entries
+                held.append((target, entries))
+        events = [rec.ev_remote for _target, entries in held
+                  for rec in entries if type(rec) is OpRecord]
+        if waiter is not None:
+            if not waiter.left:
+                waiter.ev.succeed()
+            events.append(waiter.ev)
+        if dst is not None and waits == 1:
+            return held, waiter, events[0]
+        return held, waiter, AllOf(self.sim, events) if events else None
 
     def _release(self, held: List[tuple]) -> None:
         """A completion's wait is over: let go of the records it retired.
@@ -1224,9 +1298,9 @@ class RmaEngine(FailureSide, TargetSide):
             # not attributed to any single span.
             self.tracer.record(self.sim.now, "rma", "flush_ack",
                                rank=self.rank, src=src, flush_id=flush_id)
-        pair = self._flush_waiters.pop(flush_id, None)
-        if pair is not None and not pair[1].triggered:
-            pair[1].succeed(self.sim.now)
+        waiter = self._flush_waiters.pop(flush_id, None)
+        if waiter is not None:      # a duplicated or stale ack counts once
+            waiter.answered()
 
     def _get_reply(self, src: int, op_key, wire_off: int, chunk,
                    total: int) -> None:

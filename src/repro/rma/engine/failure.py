@@ -78,10 +78,14 @@ class FailureSide:
         for rec in (*self._held.get(dst, ()), *self._completing.get(dst, ())):
             if type(rec) is OpRecord:
                 fail(rec.ev_remote, rec.kind, rec.attrs)
-        for waiters, op in ((self._sw_ack_waiters, "ack"),
-                            (self._flush_waiters, "complete")):
-            for key in [k for k, (d, _ev) in waiters.items() if d == dst]:
-                fail(waiters.pop(key)[1], op)
+        for key in [k for k, (d, _ev) in self._sw_ack_waiters.items()
+                    if d == dst]:
+            fail(self._sw_ack_waiters.pop(key)[1], "ack")
+        flushes = self._flush_waiters
+        for flush_id in [k for k, waiter in flushes.items()
+                         if waiter.target(k) == dst]:
+            flushes.pop(flush_id).answered(
+                (dst, self._error(dst, "complete", None, failure)))
         for key in [k for k, (d, _kind, _ev) in self._pending_replies.items()
                     if d == dst]:
             _d, kind, ev = self._pending_replies.pop(key)

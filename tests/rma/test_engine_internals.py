@@ -13,6 +13,7 @@ from repro.rma.engine.target import _InboundOp
 from repro.rma.target_mem import TargetMem
 from repro.rma.train import OpRecord
 from repro.runtime import World
+from repro.sim.events import Event
 
 
 def engine_on(network, machine=None):
@@ -318,8 +319,10 @@ class TestPerPairState:
         def break_path(eng):
             seen["held"] = list(eng._completing[1])
             seen["untouched"] = list(eng._completing[2])
-            seen["flushes"] = sorted(dst for dst, _ev
-                                     in eng._flush_waiters.values())
+            seen["flushes"] = sorted(waiter.target(flush_id) for
+                                     flush_id, waiter
+                                     in eng._flush_waiters.items())
+            seen["waiters"] = {id(w) for w in eng._flush_waiters.values()}
             eng._on_path_failure(1, TransportFailure(
                 src=0, dst=1, attempts=3, sim_time=eng.sim.now,
                 reason="retry-budget-exhausted", packet_kind="rma.frag",
@@ -353,6 +356,7 @@ class TestPerPairState:
             == [("put", True)] * 2
         assert len(seen["untouched"]) == 2
         assert seen["flushes"] == [1, 2]
+        assert len(seen["waiters"]) == 1       # both answer one waiter
         errors = seen["errors"]
         # the two per-op acks still in flight and the flush; rank 2's
         # records complete normally
@@ -361,3 +365,126 @@ class TestPerPairState:
                    and e.kind == "retry_exhausted" for e in errors)
         assert sorted(e.op for e in errors) == ["complete", "put", "put"]
         assert seen["after"] == ({}, {})
+
+    def test_breaking_two_targets_mid_wait_keeps_the_error_order(self):
+        """Two paths fail while a ``complete_all`` waits, the higher
+        target first.  The errors come back by ascending target, each
+        target's acknowledged writes in issue order before its flush —
+        the order a wait on one event per flush reported."""
+        from repro.network.transport import TransportFailure
+
+        world = World(n_ranks=4, network=seastar_portals())
+        seen = {}
+
+        def break_path(eng, dst):
+            eng._on_path_failure(dst, TransportFailure(
+                src=0, dst=dst, attempts=3, sim_time=eng.sim.now,
+                reason="retry-budget-exhausted", packet_kind="rma.frag",
+                packet_id=dst))
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(256)
+            src = ctx.mem.space.alloc(64, fill=5)
+            yield from ctx.comm.barrier()
+            if ctx.rank == 0:
+                eng = ctx.rma.engine
+                for k, remote in enumerate((False, True, True)):
+                    for dst in (2, 3, 1):
+                        yield from ctx.rma.put(
+                            src, 0, 64, BYTE, tmems[dst], 64 * k, 64, BYTE,
+                            blocking=False, remote_completion=remote)
+                # the last round's hardware acks and every flush are in
+                # flight
+                at = eng.timings.call_overhead + 0.05
+                ctx.sim.schedule_call(at, break_path, eng, 3)
+                ctx.sim.schedule_call(at + 0.01, break_path, eng, 1)
+                seen["errors"] = yield from eng.complete_all()
+                seen["after"] = (dict(eng._completing), dict(eng._held),
+                                 dict(eng._flush_waiters))
+            yield from ctx.compute(50.0)
+
+        world.run(program)
+        assert [(e.op, e.target, e.kind) for e in seen["errors"]] == [
+            ("put", 1, "retry_exhausted"), ("complete", 1, "retry_exhausted"),
+            ("put", 3, "retry_exhausted"), ("complete", 3, "retry_exhausted")]
+        assert seen["after"] == ({}, {}, {})
+
+    def test_a_duplicated_flush_ack_counts_once(self, monkeypatch):
+        """The first target's flush ack is delivered twice, as a chaos
+        ``duplicate`` would: the call's waiter counts it once and
+        triggers only when the other target has answered too — once."""
+        from repro.rma.engine import core
+
+        acks, answers = [], []
+        flush_ack, answered = RmaEngine._flush_ack, core._Completion.answered
+
+        def twice(eng, src, flush_id):
+            waiter = eng._flush_waiters.get(flush_id)
+            for _ in range(1 if acks else 2):
+                flush_ack(eng, src, flush_id)
+                acks.append((src, waiter.left, waiter.ev.triggered))
+
+        def counted(waiter, *error):
+            answers.append(waiter)
+            answered(waiter, *error)
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(256)
+            src = ctx.mem.space.alloc(64, fill=5)
+            yield from ctx.comm.barrier()
+            if ctx.rank == 0:
+                for dst in (1, 2):
+                    yield from ctx.rma.put(src, 0, 64, BYTE, tmems[dst], 0,
+                                           64, BYTE, blocking=False)
+                return (yield from ctx.rma.engine.complete_all())
+            yield from ctx.compute(50.0)
+
+        monkeypatch.setattr(RmaEngine, "_flush_ack", twice)
+        monkeypatch.setattr(core._Completion, "answered", counted)
+        results = World(n_ranks=3, network=seastar_portals()).run(program)
+        assert results[0] == []
+        (first, *_), (second, *_) = acks[0], acks[2]
+        assert {first, second} == {1, 2}
+        assert acks == [(first, 1, False), (first, 1, False),
+                        (second, 0, True)]
+        assert len(answers) == 2 and answers[0] is answers[1]
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_waiting_complete_all_holds_nothing_per_target(self, n):
+        """While one rank's ``complete_all`` waits on flushes to its
+        ``n - 1`` targets, the events it holds — the children of what its
+        process waits on and those behind its flush map — are one, and
+        the map's ``n - 1`` entries are untracked flush ids to one
+        waiter: nothing the collector walks grows with the target
+        count."""
+        world = World(n_ranks=n, network=seastar_portals())
+        seen = {}
+
+        def probe(eng):
+            waited = world._rank_procs[0]._waiting_on
+            flushes = eng._flush_waiters
+            seen["in_flight"] = len(flushes)
+            events = {id(ev) for ev in getattr(waited, "events", [waited])}
+            events |= {id(x) for waiter in flushes.values()
+                       for x in gc.get_referents(waiter)
+                       if isinstance(x, Event)}
+            seen["events"] = len(events)
+            seen["tracked"] = len({id(o) for item in flushes.items()
+                                   for o in item if gc.is_tracked(o)})
+
+        def program(ctx):
+            alloc, tmems = yield from ctx.rma.expose_collective(64)
+            src = ctx.mem.space.alloc(64, fill=5)
+            yield from ctx.comm.barrier()
+            if ctx.rank == 0:
+                eng = ctx.rma.engine
+                for dst in range(1, ctx.size):
+                    yield from ctx.rma.put(src, 0, 64, BYTE, tmems[dst], 0,
+                                           64, BYTE, blocking=False)
+                ctx.sim.schedule_call(eng.timings.call_overhead + 0.05,
+                                      probe, eng)
+                assert (yield from eng.complete_all()) == []
+            yield from ctx.comm.barrier()
+
+        world.run(program)
+        assert seen == {"in_flight": n - 1, "events": 1, "tracked": 1}

@@ -17,8 +17,9 @@ then once under ``tracemalloc`` for *its own* peak (the process's RSS
 high-water would be the largest earlier point's), the high-water of
 pending op-train elements, the ``Packet`` and ``Fragment`` objects
 constructed, the messages posted without a packet (``Nic.post``,
-``Nic.post_frags``) and the objects the collector tracks when the last
-rank enters its last ``complete_all``.  Report only
+``Nic.post_frags``), the objects the collector tracks when the last
+rank enters its last ``complete_all`` and the flushes in flight then
+(requests signalled minus acks handled).  Report only
 (``PYTHONPATH=src python tools/scale_probe.py [--torus | --notify |
 --stream | --store | --atomic] [P ...]``) — the gates are counting
 tests: ``tests/network/test_train_registry.py`` on the fan-in
@@ -182,21 +183,24 @@ def store_ops(world):
 def memory_pass(world, rank_program, *args):
     """Run under ``tracemalloc`` with a counter on the op-train's queue,
     on the objects a message may be built of, on the messages built of
-    none and on ``complete_all``: (peak MiB allocated by the run, most
-    elements pending at once, ``Packet``s constructed, ``Fragment``s
-    constructed, messages posted without a packet, objects tracked by
-    the collector when the last rank entered its last ``complete_all`` —
-    None if no round of them ever completed)."""
+    none, on flush requests and answers and on ``complete_all``: (peak
+    MiB allocated by the run, most elements pending at once, ``Packet``s
+    constructed, ``Fragment``s constructed, messages posted without a
+    packet, objects tracked by the collector when the last rank entered
+    its last ``complete_all`` and flushes in flight then — both None if
+    no round of them ever completed)."""
     pending = [0, 0]                    # now, high-water
     built = [0, 0, 0]                   # Packet, Fragment, posted
-    tracked = [0, None]                 # complete_all calls, census
+    tracked = [0, None, None]           # complete_all calls, census, flushes
+    flushes = [0, 0]                    # requests signalled, acks handled
     peaks = [0]                         # traced peak before each census
     saved = [(OpTrain, "append"), (OpTrain, "pop_head"),
              (Packet, "__init__"), (Fragment, "__init__"),
-             (Nic, "post"), (Nic, "post_frags"), (RmaEngine, "complete_all")]
+             (Nic, "post"), (Nic, "post_frags"), (RmaEngine, "complete_all"),
+             (RmaEngine, "signal"), (RmaEngine, "_flush_ack")]
     saved = [(cls, name, getattr(cls, name)) for cls, name in saved]
-    append, pop_head, packet, fragment, post, post_frags, complete_all = (
-        fn for _cls, _name, fn in saved)
+    (append, pop_head, packet, fragment, post, post_frags, complete_all,
+     signal, flush_ack) = (fn for _cls, _name, fn in saved)
 
     def counting_append(train, elem):
         pending[0] += 1
@@ -219,14 +223,24 @@ def memory_pass(world, rank_program, *args):
             # the census's own list is no allocation of the run's
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracked[1] = len(gc.get_objects())
+            tracked[2] = flushes[0] - flushes[1]
             tracemalloc.reset_peak()
         return complete_all(engine)
+
+    def counting_signal(engine, dst, message, *fields, **kw):
+        flushes[0] += message == "rma.flush_req"
+        return signal(engine, dst, message, *fields, **kw)
+
+    def counting_flush_ack(engine, src, flush_id):
+        flushes[1] += 1
+        return flush_ack(engine, src, flush_id)
 
     OpTrain.append, OpTrain.pop_head = counting_append, counting_pop
     Packet.__init__ = counting(packet, 0)
     Fragment.__init__ = counting(fragment, 1)
     Nic.post, Nic.post_frags = counting(post, 2), counting(post_frags, 2)
     RmaEngine.complete_all = census_complete_all
+    RmaEngine.signal, RmaEngine._flush_ack = counting_signal, counting_flush_ack
     tracemalloc.start()
     try:
         world.run(rank_program, *args)
@@ -235,7 +249,7 @@ def memory_pass(world, rank_program, *args):
         tracemalloc.stop()
         for cls, name, fn in saved:
             setattr(cls, name, fn)
-    return (peak / 2**20, pending[1], *built, tracked[1])
+    return (peak / 2**20, pending[1], *built, *tracked[1:])
 
 
 class CollectorClock:
@@ -289,8 +303,8 @@ def point(label, make_world, rank_program, *args, ops=puts):
     n_ranks = world.n_ranks
     del world
     gc.collect()
-    peak, pending, packets, fragments, posted, tracked = memory_pass(
-        make_world(), rank_program, *args)
+    peak, pending, packets, fragments, posted, tracked, flushes = (
+        memory_pass(make_world(), rank_program, *args))
     print(f"{label:11s} P={n_ranks:4d} "
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
           f"gc={'/'.join(map(str, collector.collections))} "
@@ -299,7 +313,8 @@ def point(label, make_world, rank_program, *args, ops=puts):
           f"run_peak={peak:6.1f}MiB pending_high_water={pending} "
           f"packets_built={packets} fragments_built={fragments} "
           f"lean_messages={posted} "
-          f"tracked_at_last_complete={'-' if tracked is None else tracked}")
+          f"tracked_at_last_complete={'-' if tracked is None else tracked} "
+          f"flushes_in_flight={'-' if flushes is None else flushes}")
     return 1e6 * wall / ops
 
 
