@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.consistency.history import History, MemOp
+from repro.consistency.reach import Reachability
 
 __all__ = [
     "Violation",
@@ -103,29 +102,26 @@ def check_read_your_writes(history: History) -> List[Violation]:
 # ----------------------------------------------------------------------
 # Causal consistency (Hutto & Ahamad)
 # ----------------------------------------------------------------------
-def _causal_graph(history: History) -> Tuple[nx.DiGraph, Dict[int, MemOp]]:
-    """Program-order + reads-from edges, transitively closed."""
-    g = nx.DiGraph()
-    by_id = {op.op_id: op for op in history.ops}
-    g.add_nodes_from(by_id)
+def _causal_graph(history: History) -> Dict[int, List[int]]:
+    """Program-order + reads-from edges, ``{op_id: [successor op_ids]}``."""
+    succ: Dict[int, List[int]] = {op.op_id: [] for op in history.ops}
     for proc in history.processes():
         ops = history.by_process(proc)
         for a, b in zip(ops, ops[1:]):
-            g.add_edge(a.op_id, b.op_id)
+            succ[a.op_id].append(b.op_id)
     for op in history.ops:
         if op.kind == "read":
             w = history.writer_of(op)
             if w is not None:
-                g.add_edge(w.op_id, op.op_id)
-    return g, by_id
+                succ[w.op_id].append(op.op_id)
+    return succ
 
 
 def check_causal(history: History) -> List[Violation]:
     """No read may return a write that is causally overwritten: if
     ``w -> w' -> r`` causally, with ``w``/``w'`` to the read's location,
     then ``r`` must not return ``w``."""
-    g, by_id = _causal_graph(history)
-    closure = nx.transitive_closure(g)
+    reach = Reachability(_causal_graph(history))
     violations = []
     for op in history.ops:
         if op.kind != "read":
@@ -136,7 +132,7 @@ def check_causal(history: History) -> List[Violation]:
             # causally precedes everything, so any write to this
             # location that causally precedes the read overwrites it.
             for other in history.writes_to(op.location):
-                if closure.has_edge(other.op_id, op.op_id):
+                if op.op_id in reach.descendants(other.op_id):
                     violations.append(
                         Violation(
                             "causal",
@@ -152,8 +148,8 @@ def check_causal(history: History) -> List[Violation]:
             if other.op_id == w.op_id:
                 continue
             if (
-                closure.has_edge(w.op_id, other.op_id)
-                and closure.has_edge(other.op_id, op.op_id)
+                other.op_id in reach.descendants(w.op_id)
+                and op.op_id in reach.descendants(other.op_id)
             ):
                 violations.append(
                     Violation(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Hashable, List, Set, Tuple
 
-import networkx as nx
+from repro.consistency.reach import Reachability
 
 __all__ = ["LocationPomset"]
 
@@ -28,11 +28,13 @@ class LocationPomset:
     def __init__(self, location: Hashable = None, initial: Any = 0) -> None:
         self.location = location
         self.initial = initial
-        self._g = nx.DiGraph()
+        # write id -> the writes ordered right after it; 0 is the
+        # initial write.
+        self._succ: Dict[int, List[int]] = {0: []}
+        self._reach = Reachability(self._succ)
         self._ids = itertools.count(1)
         self._last_by_proc: Dict[int, int] = {}
         self._values: Dict[int, Any] = {0: initial}
-        self._g.add_node(0)  # the initial write
         self._sync_edges: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -42,12 +44,13 @@ class LocationPomset:
         the write id."""
         wid = next(self._ids)
         self._values[wid] = value
-        self._g.add_node(wid)
-        self._g.add_edge(0, wid)
+        self._succ[wid] = []
+        self._succ[0].append(wid)
         prev = self._last_by_proc.get(process)
         if prev is not None:
-            self._g.add_edge(prev, wid)
+            self._succ[prev].append(wid)
         self._last_by_proc[process] = wid
+        self._reach = Reachability(self._succ)
         return wid
 
     def synchronize(self, before_process: int, after_process: int) -> None:
@@ -72,16 +75,14 @@ class LocationPomset:
         # A write w is ruled out if some w' in the pomset satisfies
         # w < w' and w' <= some known op (the reader provably saw w
         # superseded).
-        all_writes = set(self._g.nodes)
+        all_writes = set(self._succ)
         dominated: Set[int] = set()
-        reach: Dict[int, Set[int]] = {
-            n: nx.descendants(self._g, n) for n in all_writes
-        }
+        reach = self._reach.descendants
         for w in all_writes:
-            for w2 in reach[w]:
+            for w2 in reach(w):
                 # w < w2; is w2 <= something known?
                 if any(
-                    w2 == k or k in reach[w2] for k in known
+                    w2 == k or k in reach(w2) for k in known
                 ):
                     dominated.add(w)
                     break

@@ -189,7 +189,7 @@ class FaultInjector:
                     "is flat (no topology in the network config)"
                 )
             for spec in self.plan.link_downs:
-                if (spec.u, spec.v) not in topo.topology.graph.edges:
+                if spec.v not in topo.topology.succ.get(spec.u, ()):
                     raise ValueError(
                         f"link-down names unknown link {spec.u!r} -> {spec.v!r}"
                     )

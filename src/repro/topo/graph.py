@@ -19,11 +19,12 @@ as routed graphs:
   non-blocking switch (NEC SX IXS personality); contention exists only
   on the host ingress/egress links.
 
-Graphs are built on :mod:`networkx`.  Routing for the healthy fabric is
-computed by closed-form per-topology algorithms (cheap, deterministic);
-when links are dead the topology falls back to a BFS shortest path on
-the surviving graph (:meth:`Topology.route` with ``avoid``), raising
-:class:`NoRoute` when the fabric is partitioned.
+A graph is two insertion-ordered adjacency dicts, ``succ`` and ``pred``.
+Routing for the healthy fabric is computed by closed-form per-topology
+algorithms (cheap, deterministic); when links are dead the topology
+falls back to a bidirectional BFS shortest path on the surviving graph
+(:meth:`Topology.route` with ``avoid``), raising :class:`NoRoute` when
+the fabric is partitioned.
 
 Every link is *directed* (a full-duplex cable is two directed links)
 and carries its own latency and per-byte serialization time, defaulted
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 __all__ = ["NoRoute", "Topology", "Torus3D", "FatTree", "Crossbar",
            "link_label"]
@@ -98,13 +97,17 @@ class Topology:
         self.link_latency = float(link_latency)
         self.link_byte_time = float(link_byte_time)
         self.adaptive = bool(adaptive)
-        self.graph = nx.DiGraph()
+        #: node -> {head: (latency, byte_time)}, in ``add_link`` order.
+        self.succ: Dict[Any, Dict[Any, Tuple[float, float]]] = {}
+        #: node -> {tail: None}, in ``add_link`` order.
+        self.pred: Dict[Any, Dict[Any, None]] = {}
         self.hosts: List[Any] = []
 
     # -- construction ----------------------------------------------------
     def add_host(self, node: Any) -> None:
         """Register ``node`` as a host port (rank-attachable)."""
-        self.graph.add_node(node)
+        self.succ.setdefault(node, {})
+        self.pred.setdefault(node, {})
         self.hosts.append(node)
 
     def add_link(self, u: Any, v: Any, latency: Optional[float] = None,
@@ -112,8 +115,9 @@ class Topology:
         """Add the full-duplex cable ``u <-> v`` (two directed links)."""
         lat = self.link_latency if latency is None else float(latency)
         bt = self.link_byte_time if byte_time is None else float(byte_time)
-        self.graph.add_edge(u, v, latency=lat, byte_time=bt)
-        self.graph.add_edge(v, u, latency=lat, byte_time=bt)
+        for tail, head in ((u, v), (v, u)):
+            self.succ.setdefault(tail, {})[head] = (lat, bt)
+            self.pred.setdefault(head, {})[tail] = None
 
     # -- queries ---------------------------------------------------------
     @property
@@ -123,12 +127,12 @@ class Topology:
 
     def links(self) -> List[Link]:
         """Every directed link, deterministically ordered."""
-        return sorted(self.graph.edges)
+        return sorted((u, v) for u, heads in self.succ.items()
+                      for v in heads)
 
     def link_params(self, u: Any, v: Any) -> Tuple[float, float]:
         """``(latency, byte_time)`` of the directed link ``u -> v``."""
-        data = self.graph.edges[u, v]
-        return data["latency"], data["byte_time"]
+        return self.succ[u][v]
 
     def max_hops(self) -> int:
         """Upper bound on healthy-route length (RTO sizing)."""
@@ -155,18 +159,67 @@ class Topology:
         raise NotImplementedError
 
     def _detour(self, src: Any, dst: Any, avoid) -> List[Link]:
-        """Shortest path avoiding dead links (deterministic BFS order)."""
-        view = nx.restricted_view(self.graph, [], list(avoid))
-        try:
-            nodes = nx.shortest_path(view, src, dst)
-        except nx.NetworkXNoPath:
-            raise NoRoute(src, dst) from None
-        return list(zip(nodes, nodes[1:]))
+        """Shortest path avoiding dead links: a bidirectional BFS.
+
+        Of several equal-length paths the search order picks one, and
+        that order is part of the simulated result (a different detour
+        moves every later arrival): expand the forward fringe when it is
+        no larger than the reverse one, visit neighbours in ``add_link``
+        order, skip dead links, and stop at the first node both searches
+        have reached, tested right after it is recorded.  The path is
+        the forward parent chain to that node, then the reverse one.
+        """
+        fwd: Dict[Any, Any] = {src: None}  # node -> its parent from src
+        rev: Dict[Any, Any] = {dst: None}  # node -> its parent from dst
+        fwd_fringe, rev_fringe = [src], [dst]
+        while fwd_fringe and rev_fringe:
+            if len(fwd_fringe) <= len(rev_fringe):
+                meet, fwd_fringe = _bfs_level(fwd_fringe, self.succ, fwd,
+                                              rev, avoid, False)
+            else:
+                meet, rev_fringe = _bfs_level(rev_fringe, self.pred, rev,
+                                              fwd, avoid, True)
+            if meet is not None:
+                nodes = _chain(fwd, meet)[::-1] + _chain(rev, rev[meet])
+                return list(zip(nodes, nodes[1:]))
+        raise NoRoute(src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} {self.name} hosts={self.n_hosts} "
-                f"links={self.graph.number_of_edges()}"
+                f"links={sum(map(len, self.succ.values()))}"
                 f"{' adaptive' if self.adaptive else ''}>")
+
+
+def _bfs_level(level: List[Any], adj: Dict[Any, Dict[Any, Any]],
+               seen: Dict[Any, Any], other: Dict[Any, Any], avoid,
+               reverse: bool) -> Tuple[Any, List[Any]]:
+    """Expand one BFS level over ``adj``, recording parents in ``seen``.
+
+    Returns ``(meet, fringe)``: ``meet`` is the first node found that
+    the other search has reached (``None`` if none), ``fringe`` the next
+    level.  ``reverse`` says ``adj`` is the predecessor map, so the link
+    from ``v`` to its neighbour ``w`` is ``(w, v)``.
+    """
+    fringe: List[Any] = []
+    for v in level:
+        for w in adj[v]:
+            if ((w, v) if reverse else (v, w)) in avoid:
+                continue
+            if w not in seen:
+                seen[w] = v
+                fringe.append(w)
+            if w in other:
+                return w, fringe
+    return None, fringe
+
+
+def _chain(parent: Dict[Any, Any], node: Any) -> List[Any]:
+    """``node``, its parent, its parent's parent, ... up to the root."""
+    nodes = []
+    while node is not None:
+        nodes.append(node)
+        node = parent[node]
+    return nodes
 
 
 class Torus3D(Topology):
@@ -298,7 +351,6 @@ class Crossbar(Topology):
                          link_latency=link_latency,
                          link_byte_time=link_byte_time, adaptive=False)
         self.switch = ("xbar", 0)
-        self.graph.add_node(self.switch)
         for i in range(n_hosts):
             host = ("h", i)
             self.add_host(host)

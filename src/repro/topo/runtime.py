@@ -110,8 +110,9 @@ class TopoRuntime:
                  tracer: "Tracer | None" = None) -> None:
         self.topology = topology
         self._host_of: Dict[int, Any] = dict(rank_to_host)
+        hosts = set(topology.hosts)
         for rank, host in self._host_of.items():
-            if host not in topology.graph:
+            if host not in hosts:
                 raise ValueError(
                     f"rank {rank} placed on unknown host {host!r}")
         # Per-directed-link contention + accounting state.

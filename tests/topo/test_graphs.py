@@ -1,5 +1,7 @@
 """Topology graph construction and routing algorithms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.topo import (
     Crossbar,
     FatTree,
     NoRoute,
+    TopoRuntime,
     Torus3D,
     link_label,
 )
@@ -24,8 +27,8 @@ class TestTorus3D:
     def test_every_node_has_six_neighbours_in_big_torus(self):
         t = Torus3D((4, 4, 4))
         for host in t.hosts:
-            assert t.graph.out_degree(host) == 6
-            assert t.graph.in_degree(host) == 6
+            assert len(t.succ[host]) == 6
+            assert len(t.pred[host]) == 6
 
     def test_dimension_order_route_corrects_x_then_y_then_z(self):
         t = Torus3D((4, 4, 4))
@@ -91,8 +94,8 @@ class TestFatTree:
     def test_structure(self):
         t = FatTree(hosts_per_leaf=4, n_leaf=4, n_spine=2)
         assert t.n_hosts == 16
-        assert ("leaf", 0) in t.graph
-        assert ("spine", 1) in t.graph
+        assert ("leaf", 0) in t.succ
+        assert ("spine", 1) in t.succ
 
     def test_same_leaf_route_turns_at_leaf(self):
         t = FatTree(hosts_per_leaf=4, n_leaf=4, n_spine=2)
@@ -151,8 +154,67 @@ class TestLinkParams:
         links = t.links()
         assert links == sorted(links)
         for u, v in links:
-            assert (v, u) in t.graph.edges
+            assert u in t.succ[v]
 
     def test_link_label(self):
         assert link_label((("h", 3), ("leaf", 0))) == "h3->leaf0"
         assert link_label(((0, 1, 2), (0, 1, 3))) == "(0,1,2)->(0,1,3)"
+
+
+def detour_digest(topo, seed, n_sets=20, n_hosts=24):
+    """SHA-256 over ``route(s, d, avoid=dead)`` (``None`` for
+    :class:`NoRoute`) for every ordered pair of up to ``n_hosts`` seeded
+    hosts, under ``n_sets`` seeded dead sets of four links plus the
+    reverse of two of them."""
+    rng = np.random.default_rng(seed)
+    links = topo.links()
+    hosts = topo.hosts
+    if len(hosts) > n_hosts:
+        hosts = [hosts[i] for i in
+                 sorted(rng.choice(len(hosts), n_hosts, replace=False))]
+    h = hashlib.sha256()
+    for _ in range(n_sets):
+        picks = rng.choice(len(links), size=4, replace=False)
+        dead = frozenset([links[i] for i in picks]
+                         + [links[i][::-1] for i in picks[:2]])
+        for s in hosts:
+            for d in hosts:
+                try:
+                    path = topo.route(s, d, avoid=dead)
+                except NoRoute:
+                    path = None
+                h.update(repr(path).encode())
+    return h.hexdigest()
+
+
+class TestExactDetours:
+    """Which of several equal-length detours a dead link forces is part
+    of every link-fault run's simulated time.  The literals were
+    recorded with the bidirectional BFS routed fabrics have always used;
+    a plain forward BFS picks other detours and fails both tori."""
+
+    @pytest.mark.parametrize("topo, digest", [
+        (Torus3D((4, 4, 4)),
+         "66fa16b4af2e15d9c1a61fab1adfbf78380b0bebdeb24a37972dc0e8733bb682"),
+        (Torus3D((3, 2, 5)),
+         "0f0dc4691d75fe4390618b8cf62de1495f898dcb8d78e24059b245f3c00e8efa"),
+        (FatTree(4, 4, 2),
+         "758c2ea1c925eba8cb8848d9d2ed00a494beae11d7244cfe4232cebb2ecb14b8"),
+    ], ids=["torus-4x4x4", "torus-3x2x5", "fattree-4x4x2"])
+    def test_detours_pinned(self, topo, digest):
+        assert detour_digest(topo, seed=0) == digest
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("topo, switch", [
+        (FatTree(), ("leaf", 0)),
+        (FatTree(), ("spine", 1)),
+        (Crossbar(4), ("xbar", 0)),
+    ])
+    def test_rank_on_a_switch_is_rejected(self, topo, switch):
+        with pytest.raises(ValueError, match="rank 1 placed on unknown host"):
+            TopoRuntime(topo, {0: topo.hosts[0], 1: switch})
+
+    def test_rank_on_a_missing_node_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown host"):
+            TopoRuntime(Torus3D((2, 2, 2)), {0: (5, 5, 5)})
