@@ -214,6 +214,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ops_counter = metrics.counter("check.ops")
     violations_counter = metrics.counter("check.violations")
     skipped_counter = metrics.counter("check.sequential_skipped")
+    train_counter = metrics.counter("check.train_ops")
+    shm_counter = metrics.counter("check.shm_ops")
 
     started = time.monotonic()
     failures = 0
@@ -234,6 +236,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             programs.inc()
             ops_counter.inc(len(program.ops))
             skipped_counter.inc(len(report.skipped))
+            train_counter.inc(report.stats.get("train_ops", 0))
+            shm_counter.inc(report.stats.get("shm_ops", 0))
             for note in report.skipped:
                 if not args.quiet:
                     print(f"seed {seed} [{fabric}]: skipped {note}")
@@ -274,7 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{totals.get('check.ops', 0)} ops, "
           f"{totals.get('check.violations', 0)} violation(s), "
           f"{totals.get('check.sequential_skipped', 0)} sequential "
-          f"check(s) skipped "
+          f"check(s) skipped; judged {totals.get('check.train_ops', 0)} "
+          f"op-train op(s), {totals.get('check.shm_ops', 0)} "
+          f"shared-window op(s) "
           f"[{time.monotonic() - started:.1f}s]")
     if artifacts:
         print("failing-program artifacts:")

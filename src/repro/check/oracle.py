@@ -86,6 +86,9 @@ class CheckReport:
     violations: List[CheckViolation] = field(default_factory=list)
     checks_run: List[str] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
+    #: The run's :attr:`RunResult.stats <repro.check.runner.RunResult.stats>`
+    #: (what rode which fast path under the oracle).
+    stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -162,7 +165,7 @@ def check_program(result: RunResult) -> CheckReport:
     """Verify one execution; returns a report of confirmed violations."""
     program = result.program
     report = CheckReport(program=program, fabric=result.fabric,
-                         seed=result.seed)
+                         seed=result.seed, stats=dict(result.stats))
     ref = reference_execute(program)
     seq = _Sequencer(program, path_ordered=result.path_ordered,
                      chaos=result.chaos > 0.0)

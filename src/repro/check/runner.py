@@ -95,9 +95,9 @@ def build_world(fabric: str, n_ranks: int, seed: int,
     """A world on the named fabric with ``n_ranks`` ranks.
 
     ``trace=False`` builds it untraced — the consistency oracle loses
-    its history, but the op-train fast path (which self-disables under
-    tracing) becomes reachable, so differential train-on/off runs can
-    fuzz the batch timing against the per-op path.
+    its history, and the run is cheaper.  The fast paths (op-train,
+    live barrier, lean messages) run either way: traced, they leave the
+    records their packets would have, so the oracle judges them.
 
     ``colocate=True`` packs the ranks two per node instead of one, so
     partner ranks ``(0,1), (2,3), ...`` share a cache-coherent node and
@@ -151,9 +151,9 @@ def run_program(
     ``mutations`` names test-only engine misbehaviours (see
     ``RmaEngine.conformance_mutations``) used to prove the oracle can
     catch real semantic bugs.  ``trace=False`` runs untraced (empty
-    history) so the op-train fast path may engage; the differential
-    oracle then compares final state, returns and simulated time
-    against a train-disabled run of the same program.
+    history); the differential train-on/off runs compare final state,
+    returns and simulated time against a train-disabled run of the same
+    program that way.
 
     ``shared=True`` turns on the shared-memory window flavor for every
     exposure (per-engine ``shared_default``) on a co-located machine

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consistency.history import History, MemOp
 from repro.consistency.reach import Reachability
@@ -174,7 +174,10 @@ def check_sequential(
     preceding write (or the initial value ``None``-style: here, a read
     with no matching write must come before any write to its location).
 
-    Backtracking search — exponential in the worst case, so histories
+    Backtracking search that remembers the states it has seen fail (a
+    state is each process's position and each location's last write),
+    so no dead end is explored twice.  Still exponential in the worst
+    case — the states are exponentially many — so histories
     larger than ``max_ops`` return an explicit (falsy, empty-iterable)
     :class:`Skipped` marker instead of running: the caller learns the
     history was *not verified* rather than mistaking the cap for a
@@ -196,11 +199,18 @@ def check_sequential(
             w = history.writer_of(op)
             rf[op.op_id] = w.op_id if w is not None else None
 
-    state_last: Dict[Hashable, Optional[int]] = {}
+    # a state's verdict depends on nothing else: one that failed once
+    # fails again
+    failed: Set[tuple] = set()
 
     def backtrack(positions: Dict[int, int], last_write: Dict) -> bool:
         if all(positions[p] == len(per_proc[p]) for p in per_proc):
             return True
+        key = (tuple(positions.values()),
+               frozenset((loc, w) for loc, w in last_write.items()
+                         if w is not None))
+        if key in failed:
+            return False
         for p in per_proc:
             i = positions[p]
             if i >= len(per_proc[p]):
@@ -220,9 +230,10 @@ def check_sequential(
                     if backtrack(positions, last_write):
                         return True
                     positions[p] = i
+        failed.add(key)
         return False
 
-    ok = backtrack({p: 0 for p in per_proc}, dict(state_last))
+    ok = backtrack({p: 0 for p in per_proc}, {})
     if ok:
         return []
     return [

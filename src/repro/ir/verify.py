@@ -185,6 +185,7 @@ def check_optimized(program: RmaProgram, config) -> CheckReport:
     merged.violations = rep.violations()
     merged.checks_run = list(rep.original_report.checks_run)
     merged.skipped = list(rep.original_report.skipped)
+    merged.stats = dict(rep.original_report.stats)
     if rep.refinement_report is not None:
         merged.checks_run.append("ir-refinement")
         merged.skipped += rep.refinement_report.skipped

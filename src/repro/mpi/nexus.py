@@ -31,9 +31,12 @@ order, as the coroutines it stands in for, and the heap breaks ties by
 push order.
 
 The only decision left is whether the world needs what the lean form
-does not build — trace records, the fault injector's verdict, transport
-sequence numbers (see :meth:`CollectiveNexus.closed_gate`; the RMA
-engine asks the same gate for its own one-call messages).  The first
+does not build — the fault injector's verdict, transport sequence
+numbers (see :meth:`CollectiveNexus.closed_gate`; the RMA engine asks
+the same gate for its own one-call messages).  Trace records are not
+among them: on a traced world a walk leaves the ``net/inject`` and
+``net/deliver`` records of the ``p2p.msg`` packets it stands in for,
+at the same instants.  The first
 rank to enter a collective instance decides for all of them, so a
 ``kill_rank`` between two entries cannot split one instance across the
 two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
@@ -53,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CollectiveNexus"]
 
+#: The trace tag of a barrier round: a ``p2p.msg`` belongs to no RMA op.
+_P2P_MSG = ("p2p.msg", None)
+
 
 class _BarrierWalk:
     """One rank's trip through a dissemination barrier.
@@ -66,7 +72,8 @@ class _BarrierWalk:
     """
 
     __slots__ = ("nexus", "sim", "ep", "nic", "local", "n", "wmap",
-                 "slots", "k", "dist", "ev", "parked", "charge", "orecv")
+                 "slots", "k", "dist", "ev", "parked", "charge", "orecv",
+                 "tag")
 
     def __init__(self, nexus: "CollectiveNexus", comm: "Comm",
                  slots: dict) -> None:
@@ -89,6 +96,9 @@ class _BarrierWalk:
         # terms are exact zeros
         self.charge = ep.timings.call_overhead + cfg.overhead_send
         self.orecv = cfg.overhead_recv
+        # traced, each round leaves the records of the payload-free
+        # ``p2p.msg`` packet it stands in for
+        self.tag = _P2P_MSG if nexus.fabric.tracer.enabled else None
 
     def send(self) -> None:
         """The send charge is over (``MpiEndpoint.isend`` resumes): claim
@@ -108,7 +118,7 @@ class _BarrierWalk:
         receive."""
         dst_local = (self.local + self.dist) % self.n
         self.nic.launch(self.wmap[dst_local], self.nexus.arrive,
-                        (self.slots, (self.k, dst_local)))
+                        (self.slots, (self.k, dst_local)), tag=self.tag)
         if self.parked:
             key = (self.k, self.local)
             arrived = self.slots.pop(key, None)
@@ -163,17 +173,16 @@ class CollectiveNexus:
     def closed_gate(self, nic: "Nic") -> Optional[str]:
         """Why a one-call message leaving ``nic`` must be a real packet,
         or ``None``: the lean form (``Nic.post``, ``Nic.post_frags``)
-        builds no object for a tracer, an injector or a transport to
-        look at.
+        builds no object for an injector or a transport to look at.  A
+        tracer needs none: traced, the lean form leaves the records the
+        packet would have.
 
-        ``traced`` and ``transport`` are fixed when the world is built;
-        ``faulty`` flips once, at the first ``kill_rank``.
+        ``transport`` is fixed when the world is built; ``faulty`` flips
+        once, at the first ``kill_rank``.
         """
         if not self.enabled:
             return "disabled"
         fabric = self.fabric
-        if fabric.tracer.enabled:
-            return "traced"         # packets leave inject/deliver records
         if fabric._faulty:
             return "faulty"         # every transmit consults the injector
         if nic.transport is not None:

@@ -211,7 +211,8 @@ class Nic:
             transport.packet_injected(packet)
 
     def post(self, dst: int, fn: Callable[..., None], args: tuple,
-             data_bytes: int = 0, injected: "Event | None" = None) -> None:
+             data_bytes: int = 0, injected: "Event | None" = None,
+             tag: Optional[tuple] = None) -> None:
         """Send a message whose whole effect at ``dst`` is ``fn(*args)``
         — a control message, a request, a reply or a write fragment
         carrying ``data_bytes`` of payload: the lean form of
@@ -225,24 +226,31 @@ class Nic:
         that size — so every timestamp, counter, link reservation and
         RNG draw is the per-packet one, and equal-time ties resolve as
         they do per packet.  What is gone is the ``Packet``, its payload
-        dict and the kind dispatch.  It synthesizes no trace record and
-        knows neither the fault injector nor the transport: callers use
-        it only where ``CollectiveNexus.closed_gate`` is open."""
+        dict and the kind dispatch.  On a traced world the caller passes
+        ``tag``, the ``(kind, op key)`` of the packet the message stands
+        in for, and the message leaves that packet's ``net/inject`` and
+        ``net/deliver`` records.  It knows neither the fault injector nor
+        the transport: callers use it only where
+        ``CollectiveNexus.closed_gate`` is open."""
         wire = HEADER_SIZE + data_bytes
         t = self.reserve(self.config.serialization_time(wire) if data_bytes
                          else self.header_ser)
         self.sim.schedule_call(t - self.sim.now, self._launch, dst, fn, args,
-                               wire, injected, t)
+                               wire, injected, t, tag)
 
     def launch(self, dst: int, fn: Callable[..., None], args: tuple,
                wire: int = HEADER_SIZE, injected: "Event | None" = None,
-               t: float = 0.0) -> None:
+               t: float = 0.0, tag: Optional[tuple] = None) -> None:
         """Serialization of a posted message of ``wire`` bytes ends (at
         ``t``): what :meth:`_injected` and ``Fabric.transmit`` do for a
         packet, then one callback at the arrival instant (:meth:`land`,
         on ``dst``'s NIC)."""
         self.packets_sent += 1
         self.bytes_sent += wire
+        if tag is not None:
+            self.fabric.tracer.record(self.sim.now, "net", "inject",
+                                      rank=self.rank, dst=dst, kind_=tag[0],
+                                      op=tag[1], bytes=wire)
         if injected is not None:
             injected.succeed(t)
         fabric = self.fabric
@@ -254,10 +262,10 @@ class Nic:
         if arrival is not None:
             sim = self.sim
             sim.schedule_call(arrival - sim.now, fabric.nics[dst]._land,
-                              self.rank, fn, args, wire)
+                              self.rank, fn, args, wire, tag)
 
     def land(self, src: int, fn: Callable[..., None], args: tuple,
-             wire: int) -> None:
+             wire: int, tag: Optional[tuple] = None) -> None:
         """The flight of a posted message from ``src`` ends here: what
         ``Fabric._deliver`` and :meth:`_on_deliver` do for a packet,
         then the message's effect."""
@@ -273,6 +281,10 @@ class Nic:
         fabric.packets_delivered += 1
         fabric.bytes_delivered += wire
         self.packets_received += 1
+        if tag is not None:
+            fabric.tracer.record(self.sim.now, "net", "deliver",
+                                 rank=self.rank, kind_=tag[0], src=src,
+                                 bytes=wire - HEADER_SIZE, op=tag[1])
         fn(*args)
 
     def flat_ordered(self, dst: int) -> bool:
@@ -284,7 +296,8 @@ class Nic:
 
     def post_frags(self, dst: int, fn: Callable[..., None], args: tuple,
                    sizes, injected: "Event | None" = None,
-                   acks: "Event | None" = None) -> None:
+                   acks: "Event | None" = None,
+                   tag: Optional[tuple] = None) -> None:
         """Send a message cut into fragments of ``sizes`` payload bytes
         over a flat ordered path (:meth:`flat_ordered`): the lean form
         of sending them packet by packet, in two heap entries — the last
@@ -300,20 +313,27 @@ class Nic:
         ``ev_injected``); ``acks`` with the list of the fragments'
         hardware-ack instants, from one heap entry at the last.  A dead
         endpoint drops the whole message at its last injection, and only
-        there."""
+        there.  ``tag`` as in :meth:`post`: each fragment's records carry
+        its own instants, appended at the message's two heap entries."""
         wires = [HEADER_SIZE + size for size in sizes]
         ser = self.config.serialization_time
         times = [self.reserve(ser(wire)) for wire in wires]
         self.sim.schedule_call(times[-1] - self.sim.now, self._frags_launch,
-                               dst, fn, args, wires, times, injected, acks)
+                               dst, fn, args, wires, times, injected, acks,
+                               tag)
 
     def _frags_launch(self, dst, fn, args, wires, times, injected,
-                      acks) -> None:
+                      acks, tag) -> None:
         """The last fragment of a :meth:`post_frags` message is
         serialized: every fragment leaves for the fabric."""
         n = len(wires)
         self.packets_sent += n
         self.bytes_sent += sum(wires)
+        if tag is not None:
+            record = self.fabric.tracer.record
+            for wire, t in zip(wires, times):
+                record(t, "net", "inject", rank=self.rank, dst=dst,
+                       kind_=tag[0], op=tag[1], bytes=wire)
         if injected is not None:
             injected.succeed(times)
         fabric = self.fabric
@@ -327,9 +347,10 @@ class Nic:
                     for wire, t in zip(wires, times)]
         sim = self.sim
         sim.schedule_call(arrivals[-1] - sim.now, fabric.nics[dst]._frags_land,
-                          src, fn, args, wires, arrivals, acks)
+                          src, fn, args, wires, arrivals, acks, tag)
 
-    def _frags_land(self, src, fn, args, wires, arrivals, acks) -> None:
+    def _frags_land(self, src, fn, args, wires, arrivals, acks,
+                    tag) -> None:
         """The last fragment of a :meth:`post_frags` message from ``src``
         lands here: every fragment is delivered, then the message's
         effect, then the hardware acks leave."""
@@ -340,14 +361,24 @@ class Nic:
         fabric.packets_delivered += n
         fabric.bytes_delivered += sum(wires)
         self.packets_received += n
+        if tag is not None:
+            record = fabric.tracer.record
+            for wire, arrival in zip(wires, arrivals):
+                record(arrival, "net", "deliver", rank=self.rank,
+                       kind_=tag[0], src=src, bytes=wire - HEADER_SIZE,
+                       op=tag[1])
         fn(*args)
         if acks is not None:
             fabric.acks_generated += n
             rev = fabric.config_for(self.rank, src)
             flight = rev.latency + ACK_SIZE * rev.byte_time
+            landed = [arrival + flight for arrival in arrivals]
+            if tag is not None:
+                for t in landed:
+                    fabric.tracer.record(t, "net", "ack", rank=src,
+                                         src=self.rank, op=tag[1])
             self.sim.schedule_bulk_succeed(
-                arrivals[-1] + flight - self.sim.now, [acks],
-                [[arrival + flight for arrival in arrivals]])
+                arrivals[-1] + flight - self.sim.now, [acks], [landed])
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:

@@ -439,16 +439,18 @@ class PacketRoute:
         args = (eng.rank, desc)
         wire = op.wire
         local = op.is_write
+        tag = ("rma.frag", desc["op_key"]) if eng.tracer.enabled else None
         n = len(sizes)
         if n == 1 or nic.flat_ordered(dst):
             ev = sim.event() if local else None
             ack = sim.event() if want_ack else None
             part = n if frags is None else frags
             if n == 1:
-                nic.post(dst, body, (*args, part, wire, ack), sizes[0], ev)
+                nic.post(dst, body, (*args, part, wire, ack), sizes[0], ev,
+                         tag)
             else:
                 nic.post_frags(dst, body, (*args, part, wire), sizes, ev,
-                               ack)
+                               ack, tag)
             return ev, ack
         evs = [sim.event() for _ in sizes] if local else None
         acks = [sim.event() for _ in sizes] if want_ack else None
@@ -456,7 +458,7 @@ class PacketRoute:
             nic.post(dst, body,
                      (*args, 1 if frags is None else (frags[i],), wire,
                       acks and acks[i]),
-                     size, evs and evs[i])
+                     size, evs and evs[i], tag)
         return (evs and AllOf(sim, evs)), (acks and AllOf(sim, acks))
 
     def _release_lock_after(self, dst: int, done: Event):
@@ -570,6 +572,8 @@ class RmaEngine(FailureSide, TargetSide):
         #: (:class:`PacketRoute` ignores every ordering barrier),
         #: ``train_mistime`` (:class:`~repro.rma.train.TrainRoute`
         #: shifts the first train op per target by +1e-3 µs),
+        #: ``train_overtake`` (a train element applies ahead of the
+        #: pending write before it to the same bytes),
         #: ``shm_skip_fence`` (:class:`SharedRoute`) and
         #: ``notify_before_apply`` (:class:`TargetSide`).
         self.conformance_mutations: frozenset = frozenset()
@@ -1115,15 +1119,23 @@ class RmaEngine(FailureSide, TargetSide):
         callbacks, the second calling the message's body on the
         destination engine.  Otherwise it is a packet of that kind,
         whose handler (:meth:`_on_signal`) calls the same body.  Counted
-        as ``control.route{kind=, path=live|packet, reason=}``."""
+        as ``control.route{kind=, path=live|packet, reason=}``.  Traced,
+        the posted form leaves the packet's records: it is tagged with
+        the message and the op key the packet's payload would carry."""
         kind, on_serializer, name, keys = _SIGNALS[message]
         world = self.world
         if world.nexus.route(self.nic, "control.route", kind) is None:
             receiver = world.contexts[dst].rma.engine
             if on_serializer:
                 receiver = receiver.serializer
+            tag = None
+            if self.tracer.enabled:
+                payload = (fields[0] if keys is None
+                           else dict(zip(keys, fields)))
+                tag = (message, payload.get("op_key"))
             self.nic.post(dst, getattr(type(receiver), name),
-                          (receiver, self.rank, *fields), data_bytes)
+                          (receiver, self.rank, *fields), data_bytes,
+                          tag=tag)
         else:
             self.send_control(dst, message, fields[0] if keys is None
                               else dict(zip(keys, fields)), data_bytes)

@@ -18,7 +18,6 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.mpi.endpoint import payload_nbytes
-from repro.network.fabric import ack_lands
 from repro.network.packet import Packet
 from repro.rma.layout import Fragment, apply_write, read_layout, rmw_apply
 from repro.rma.target_mem import RmaError
@@ -166,7 +165,7 @@ class TargetSide:
         elif op.wire is None:
             op.frags.extend(frags)
         if ack is not None:
-            self.nic.fabric.hardware_ack(src, self.rank, ack_lands, ack)
+            self.nic.fabric.posted_ack(src, self.rank, ack, desc["op_key"])
 
     def _apply_frags(self, op: _InboundOp, frags) -> None:
         """Apply what arrived of an ungated non-atomic write (``frags``
@@ -325,15 +324,17 @@ class TargetSide:
         nic = self.nic
         lean = self.world.nexus.route(nic, "control.route", "reply") is None
         body = self.world.contexts[src].rma.engine._get_reply
+        tag = ("rma.get_reply", op_key) if self.tracer.enabled else None
         if lean and nic.flat_ordered(src):
             nic.post_frags(src, body, (self.rank, op_key, 0, data, total),
-                           [min(mtu, total - off) for off in offsets])
+                           [min(mtu, total - off) for off in offsets],
+                           tag=tag)
             return
         for off in offsets:
             chunk = data[off:off + mtu]
             if lean:
                 nic.post(src, body, (self.rank, op_key, off, chunk, total),
-                         len(chunk))
+                         len(chunk), tag=tag)
             else:
                 self.send_control(src, "rma.get_reply",
                                   {"op_key": op_key, "wire_off": off,
@@ -356,14 +357,15 @@ class TargetSide:
                       desc["kind"], desc.get("op_key"))
 
     def _applied(self, src: int, seq: int, mem_id, notify, kind=None,
-                 op_key=None) -> None:
+                 op_key=None, at=None) -> None:
         """The one tail of target-side application — watermark roll →
         notification → gated drain → flush answers — reached by both
         appliers: :meth:`_op_applied` for an op that came as packets,
         :meth:`OpTrain.apply <repro.rma.train.OpTrain.apply>` for a
         train element.  ``notify`` is the op's ``(match, op_key,
         issued)`` or None; ``kind`` and ``op_key`` label the trace
-        record (train elements only form untraced)."""
+        record, ``at`` is its time when the write applied before now (a
+        train element materializes at or after its apply time)."""
         self._mark_applied(src, seq)
         if notify is not None:
             # THE delivery point: the payload is applied (watermark just
@@ -372,8 +374,8 @@ class TargetSide:
             # mutation already delivered at arrival, this is a no-op.
             self.board.deliver(src, mem_id, *notify)
         if self.tracer.enabled:
-            self.tracer.record(self.sim.now, "rma", "applied",
-                               rank=self.rank, src=src, seq=seq,
+            self.tracer.record(self.sim.now if at is None else at, "rma",
+                               "applied", rank=self.rank, src=src, seq=seq,
                                kind_=kind, op=op_key)
         if src in self._gated:
             self._drain_gated(src)

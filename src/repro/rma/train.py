@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.network.fabric import ack_lands
 from repro.network.packet import ACK_SIZE, HEADER_SIZE
 from repro.rma.attributes import RmaAttrs
 from repro.rma.layout import (Fragment, apply_write, dense_sizes,
@@ -69,12 +68,13 @@ __all__ = ["OpRecord", "OpTrain", "TrainRoute"]
 
 
 #: Conformance mutations under which the train route may stay active:
-#: its own planted bug, plus ``shm_skip_fence`` — that one only alters
+#: its own planted bugs, plus ``shm_skip_fence`` — that one only alters
 #: the shared-window route (and in fact *needs* live trains: the bug it
 #: plants is skipping the train flush before a shared access).  Any
 #: other mutation alters per-packet behaviour the closed form does not
 #: model, so the route stands down.
-_TRAIN_MUTATIONS = frozenset({"train_mistime", "shm_skip_fence"})
+_TRAIN_MUTATIONS = frozenset({"train_mistime", "train_overtake",
+                              "shm_skip_fence"})
 
 
 class OpRecord:
@@ -96,7 +96,7 @@ class OpRecord:
 
     __slots__ = ("kind", "attrs", "ev_local", "ev_remote", "seq", "mem_id",
                  "base_disp", "swap", "frags", "wire", "nfrags",
-                 "apply_time", "acc", "notification", "booked")
+                 "apply_time", "acc", "notification", "booked", "op_key")
 
     def __init__(self, kind: str, attrs: Optional[RmaAttrs], ev_local: Event,
                  ev_remote: Optional[Event], seq: int = 0, mem_id: int = 0,
@@ -104,7 +104,8 @@ class OpRecord:
                  frags: Optional[List[Fragment]] = None, wire: Any = None,
                  nfrags: int = 0, apply_time: Optional[float] = None,
                  acc: Optional[tuple] = None,
-                 notification: Optional[tuple] = None) -> None:
+                 notification: Optional[tuple] = None,
+                 op_key: Optional[tuple] = None) -> None:
         self.kind = kind
         self.attrs = attrs
         self.ev_local = ev_local
@@ -133,6 +134,9 @@ class OpRecord:
         self.notification = notification
         #: Fragments of a late-booked element put in flight so far.
         self.booked = 0
+        #: The op key its trace records carry (None untraced: a record
+        #: the origin holds would keep the key alive for nothing).
+        self.op_key = op_key
 
 
 class OpTrain:
@@ -191,9 +195,10 @@ class OpTrain:
         <repro.rma.engine.target.TargetSide._applied>`: watermark roll,
         notification, gate draining, flush answering).  Train ops never
         register an inbound op and never sw-ack, so the rest of
-        `_op_applied` is moot.  The payload is let go of: a record the
-        origin still holds for its completion keeps only what that
-        reads."""
+        `_op_applied` is moot.  Its ``rma/applied`` record carries the
+        apply time, which a materialization point may have passed.  The
+        payload is let go of: a record the origin still holds for its
+        completion keeps only what that reads."""
         eng = self._target
         fabric = eng.nic.fabric
         wire = elem.wire
@@ -210,7 +215,8 @@ class OpTrain:
         apply_write(eng.mem, eng._resolve(elem.mem_id), elem.base_disp,
                     elem.frags, elem.swap, elem.acc, wire)
         elem.wire = elem.frags = None
-        eng._applied(self.src, elem.seq, elem.mem_id, elem.notification)
+        eng._applied(self.src, elem.seq, elem.mem_id, elem.notification,
+                     elem.kind, elem.op_key, elem.apply_time)
 
 
 class TrainRoute:
@@ -260,8 +266,6 @@ class TrainRoute:
             return "transport"      # seq numbers, acks, retransmit timers
         if fabric._faulty:
             return "faulty"         # every transmit consults the injector
-        if fabric.tracer.enabled:
-            return "traced"         # packets leave inject/deliver records
         if not eng.conformance_mutations <= _TRAIN_MUTATIONS:
             return "mutation"       # planted bugs live on the per-op path
         if not op.is_write:
@@ -306,7 +310,20 @@ class TrainRoute:
         if train is None:
             train = trains[dst] = OpTrain(
                 eng.rank, dst, eng.world.contexts[dst].rma.engine, trains)
-        train.append(elem)
+        if "train_overtake" in eng.conformance_mutations:
+            # Planted train-only bug: an element overtakes the pending
+            # write before it to the same bytes and applies first (both
+            # apply once the earlier one's arrival has passed).
+            pending = train._elements
+            for i in range(len(pending) - 1, train._head - 1, -1):
+                if (pending[i].mem_id == elem.mem_id
+                        and pending[i].base_disp == elem.base_disp):
+                    pending.insert(i, elem)
+                    break
+            else:
+                train.append(elem)
+        else:
+            train.append(elem)
         if wake and elem.notification is not None:
             eng.sim.schedule_call_at(
                 elem.apply_time, fabric.materialize_trains, dst)
@@ -324,9 +341,16 @@ class TrainRoute:
         element's apply time; an acked element's is the instant its
         :meth:`_acked` runs, ``now + (arrival - now)`` — one ulp before
         ``arrival`` at times, when the callback would find its element
-        not yet due and ack a write that had not applied."""
+        not yet due and ack a write that had not applied.  Traced, it
+        leaves the fragment's ``net/inject`` record and, with its
+        arrival, the ``net/deliver`` one."""
         src = self.eng.rank
         fabric = self.eng.nic.fabric
+        tracer = fabric.tracer
+        if tracer.enabled:
+            tracer.record(self.eng.sim.now, "net", "inject", rank=src,
+                          dst=dst, kind_="rma.frag", op=elem.op_key,
+                          bytes=wire_bytes)
         dead = fabric._dead
         if dead and (src in dead or dst in dead):
             # with it die the fragments already in flight: the element
@@ -337,23 +361,29 @@ class TrainRoute:
         if arrival is None:
             return
         elem.booked += 1
+        sim = self.eng.sim
+        now = sim.now
+        landed = now + (arrival - now)  # when a packet's delivery runs
         if ack is not None:
-            sim = self.eng.sim
-            now = sim.now
-            sim.schedule_call(arrival - now, self._acked, dst, ack)
-            arrival = now + (arrival - now)
+            sim.schedule_call(arrival - now, self._acked, dst, ack,
+                              elem.op_key)
+            arrival = landed
+        if tracer.enabled:
+            tracer.record(landed, "net", "deliver", rank=dst,
+                          kind_="rma.frag", src=src,
+                          bytes=wire_bytes - HEADER_SIZE, op=elem.op_key)
         if last and elem.booked == elem.nfrags:
             elem.apply_time = arrival
             self._arrives(dst, elem, ack is None)
 
-    def _acked(self, dst: int, ack: Event) -> None:
+    def _acked(self, dst: int, ack: Event, op_key: tuple) -> None:
         """A fragment of a remote-complete element booked at injection
         lands at ``dst``: what ``Fabric._deliver`` does for a packet
         that wants an ack.  The target's arrived elements apply first —
         at the last fragment the element itself, as the packet's handler
         would apply it — then the fragment's hardware ack leaves
-        (:meth:`Fabric.hardware_ack
-        <repro.network.fabric.Fabric.hardware_ack>`).  A dead endpoint
+        (:meth:`Fabric.posted_ack
+        <repro.network.fabric.Fabric.posted_ack>`).  A dead endpoint
         drops it uncounted: ``inject`` or ``kill_rank`` has already
         counted every fragment of an element that never applies."""
         src = self.eng.rank
@@ -363,7 +393,7 @@ class TrainRoute:
             return
         if dst in fabric._pending_trains:
             fabric.materialize_trains(dst)
-        fabric.hardware_ack(src, dst, ack_lands, ack)
+        fabric.posted_ack(src, dst, ack, op_key)
 
     def books_late(self, path, now: float) -> bool:
         """Whether an element issued ``now`` learns its arrivals at the
@@ -492,6 +522,7 @@ class TrainRoute:
         )
         ev_remote = None
         acks = None
+        ack_value = None
         if hw and late:
             # learnt like the arrivals: each fragment's _acked sends its
             # ack, which succeeds one event — as per packet
@@ -508,10 +539,18 @@ class TrainRoute:
             fabric.acks_generated += nfrags
             ev_remote = DeferredEvent(sim, ack_due, ack_value)
 
+        traced = eng.tracer.enabled
+        if traced:
+            self._trace(op, seq, op_key, sizes,
+                        inject_value or (inject_end,),
+                        None if late else arrivals or (arrival,),
+                        ack_value if nfrags > 1 or ack_value is None
+                        else (ack_value,))
         element = OpRecord(
             op.kind, op.attrs, ev_local, ev_remote, seq, tmem.mem_id,
             op.disp, swap, frags, wire, nfrags, arrival, op.acc,
             None if op.notify is None else (op.notify, op_key, now),
+            op_key if traced else None,
         )
         if late:
             # One callback per fragment, pushed with the delay Nic.send
@@ -530,3 +569,34 @@ class TrainRoute:
         eng.stats["train_bytes"] += nbytes
         eng._retain(dst, element, seq)
         return element
+
+    def _trace(self, op, seq: int, op_key: tuple, sizes, injects,
+               arrivals, acks) -> None:
+        """Leave the records the packet route leaves for ``op``: its
+        issue records now and — for an element booked at issue (given
+        ``arrivals``) — each fragment's ``net/inject``, ``net/deliver``
+        and, acknowledged (given ``acks``), ``net/ack`` at the instants
+        computed for them, which lie ahead (DESIGN §9).  A late-booked
+        element's flight is recorded as it is learnt (:meth:`inject`,
+        :meth:`Fabric.posted_ack
+        <repro.network.fabric.Fabric.posted_ack>`)."""
+        eng = self.eng
+        record = eng.tracer.record
+        now = eng.sim.now
+        src = eng.rank
+        dst = op.dst
+        if op.nbytes <= 16:
+            record(now, "consistency", "write", rank=src,
+                   location=(dst, op.tmem.mem_id, op.disp),
+                   value=tuple(op.wire.tolist()))
+        record(now, "rma", f"{op.kind}_issue", rank=src, dst=dst, seq=seq,
+               bytes=op.nbytes, attrs=str(op.attrs), op=op_key)
+        if arrivals is None:
+            return
+        for i, size in enumerate(sizes):
+            record(injects[i], "net", "inject", rank=src, dst=dst,
+                   kind_="rma.frag", op=op_key, bytes=HEADER_SIZE + size)
+            record(arrivals[i], "net", "deliver", rank=dst, kind_="rma.frag",
+                   src=src, bytes=size, op=op_key)
+            if acks is not None:
+                record(acks[i], "net", "ack", rank=src, src=dst, op=op_key)

@@ -9,17 +9,17 @@ to attribute simulated time to protocol phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TraceRecord", "Tracer"]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One traced occurrence.
+class TraceRecord(NamedTuple):
+    """One traced occurrence — immutable, and a named tuple because that
+    is the cheapest such record to build: a traced conformance sweep
+    builds one per packet event, tens of thousands per repeat.
 
     Attributes
     ----------
@@ -80,15 +80,7 @@ class Tracer:
         if not self.enabled:
             return
         self._records.append(
-            TraceRecord(
-                time=time,
-                category=category,
-                kind=kind,
-                rank=rank,
-                detail=detail,
-                seq=self._seq,
-            )
-        )
+            TraceRecord(time, category, kind, rank, detail, self._seq))
         self._seq += 1
 
     def __len__(self) -> int:

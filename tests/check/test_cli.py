@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.check.cli import main
+from tests.conftest import fast_paths
 
 
 def test_clean_sweep_exits_zero(capsys):
@@ -136,3 +138,44 @@ def test_notify_sweep_clean_and_mutation_caught(tmp_path, capsys):
     assert doc["config"]["notify"] is True
     kinds = {op["kind"] for op in doc["program"]["ops"]}
     assert "wait_notify" in kinds
+
+
+def _judged(out):
+    """``(op-train ops, shared-window ops)`` of a sweep's summary line."""
+    found = re.search(r"judged (\d+) op-train op\(s\), (\d+) shared-window",
+                      out)
+    assert found, out
+    return int(found.group(1)), int(found.group(2))
+
+
+def test_summary_says_what_the_oracle_judged(capsys):
+    """Traced sweeps keep the fast paths, and the summary line counts
+    the checked ops that rode the op-train and the shared-window ops."""
+    assert main(["--seeds", "0:4", "--fabric", "portals", "-q"]) == 0
+    train, shm = _judged(capsys.readouterr().out)
+    assert train > 0 and shm == 0
+    assert main(["--seeds", "0:4", "--fabric", "portals", "--shared",
+                 "-q"]) == 0
+    assert _judged(capsys.readouterr().out)[1] > 0
+
+
+def test_train_only_mutation_is_caught_and_replays(tmp_path, capsys):
+    """``train_overtake`` plants a bug on the op-train alone: an element
+    applies ahead of the pending write before it to the same bytes.  The
+    oracle judges traced runs with the train live, so it catches it, and
+    the artifact replays to the same violation.  With the train off the
+    mutation is inert."""
+    args = ["--seeds", "0:20", "--fabric", "ordered",
+            "--mutate", "train_overtake", "--max-failures", "1",
+            "--artifact-dir", str(tmp_path), "-q"]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    violation = next(line.strip() for line in out.splitlines()
+                     if line.startswith("  ["))
+    [artifact] = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+    assert main(["--replay", str(tmp_path / artifact)]) == 1
+    out = capsys.readouterr().out
+    assert violation in out and "reproduced" in out
+
+    with fast_paths(train=False):
+        assert main(args[:-2] + [str(tmp_path / "off"), "-q"]) == 0

@@ -153,13 +153,17 @@ def test_generated_programs_reach_the_train_path():
     assert engaged > 50
 
 
-def test_train_path_self_disables_when_traced():
-    """Traced runs (the consistency-oracle configuration) must never
-    take the batch path — tracing is an eligibility gate."""
+def test_train_path_stays_on_when_traced():
+    """Traced runs (the consistency-oracle configuration) take the batch
+    path as untraced ones do — tracing changes no path and no number,
+    so the oracle judges the train."""
     program = generate_program(3)
     with fast_paths(train=True):
-        result = run_program(program, "portals", seed=3)  # trace=True
-    assert result.stats["train_ops"] == 0
+        traced = run_program(program, "portals", seed=3)  # trace=True
+        quiet = run_program(program, "portals", seed=3, trace=False)
+    assert traced.stats["train_ops"] == quiet.stats["train_ops"] > 0
+    assert _observables(traced) == _observables(quiet)
+    assert len(traced.history) > 0
 
 
 def _mistime_caught_on(fabric):

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import json
+from collections import Counter
 import os
 from contextlib import contextmanager
 
@@ -58,3 +59,13 @@ def fast_paths(train=None, nexus=None, shared=None):
     finally:
         for cls, name, value in saved:
             setattr(cls, name, value)
+
+
+def record_multiset(tracer):
+    """A tracer's records as a multiset, ``seq`` left out: what the fast
+    paths must reproduce of the packets they stand in for.  A fast path
+    may append a record before or after the instant it carries (DESIGN
+    §9), so append order is not compared."""
+    return Counter((r.time, r.category, r.kind, r.rank,
+                    tuple(sorted(r.detail.items())))
+                   for r in tracer)

@@ -23,7 +23,7 @@ from repro.network.config import (
 from repro.runtime import World
 from repro.sim.core import SimulationError
 from repro.topo import crossbar_network, fattree_network, torus_network
-from tests.conftest import fast_paths
+from tests.conftest import fast_paths, record_multiset
 
 
 def _routes(world):
@@ -322,8 +322,9 @@ def _armed():
 
 
 @pytest.mark.parametrize("build, reason", [
-    # these two named gates until PR 18; their worlds now walk live
-    # (parity: test_live_equals_packet_where_the_gates_used_to_close)
+    # these three named gates once; their worlds now walk live (parity:
+    # test_live_equals_packet_where_the_gates_used_to_close, and below
+    # for the traced world)
     (lambda: World(n_ranks=8, network=torus_network((2, 2, 2)), seed=0),
      "topology"),
     (lambda: World(n_ranks=4, network=quadrics_like(), seed=0), "unordered"),
@@ -341,10 +342,21 @@ def test_closed_gate_is_named(build, reason):
     with fast_paths(nexus=reason != "disabled"):
         world = build()
         world.run(program)
-    if reason in ("topology", "unordered"):
+    if reason in ("topology", "unordered", "traced"):
         assert _routes(world) == {("live", None): 1}
     else:
         assert _routes(world) == {("packet", reason): 1}
+    if reason == "traced":
+        # tracing changes no path and no number: the walk leaves the
+        # records of the packets it stands in for
+        with fast_paths(nexus=False):
+            packet = build()
+            packet.run(program)
+        assert world.sim.now == packet.sim.now
+        assert record_multiset(world.tracer) == record_multiset(
+            packet.tracer)
+        # inject + deliver of 4 ranks x 2 rounds
+        assert len(world.tracer) == 2 * 4 * 2
 
 
 def test_burst_off_gate_is_named():

@@ -615,10 +615,16 @@ def test_every_combination_equals_all_off(name):
 @pytest.mark.parametrize("fabric", sorted(REUSE))
 def test_a_buffer_reused_after_its_request_completes_never_lands(fabric):
     """The traced half of the ``reuse-after-put*`` scenarios (the lattice
-    runs them untraced on every combination): tracing changes the
-    form of every message, not what lands."""
-    world, _ = _reuse_after_put(fabric, trace=True)()
-    assert not any(c.rma.stats["train_ops"] for c in world.contexts.values())
+    runs them untraced on every combination): tracing changes no path
+    and no number — the same ops ride the train, the same bytes land."""
+    traced, traced_results = _reuse_after_put(fabric, trace=True)()
+    quiet, quiet_results = _reuse_after_put(fabric)()
+    assert _observe(traced, traced_results) == _observe(quiet, quiet_results)
+    assert _traffic(traced) == _traffic(quiet)
+    trains = [sum(c.rma.stats["train_ops"] for c in world.contexts.values())
+              for world in (traced, quiet)]
+    assert trains[0] == trains[1]
+    assert (trains[0] > 0) == (fabric not in TRAINLESS)
 
 
 def _nexus_on_off(run):

@@ -32,7 +32,7 @@ from repro.network.config import infiniband_like, shared_memory_like
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.runtime import World
-from tests.conftest import BENCH_PR1, fast_paths
+from tests.conftest import BENCH_PR1, fast_paths, record_multiset
 
 
 def _trace_tuples(world):
@@ -132,10 +132,21 @@ class TestBurstTimestampParity:
         assert hits == [16] * 70
         assert "rma.frag" not in built
 
-    def test_per_packet_fallback_when_tracing(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(Nic, "post_frags",
-                            lambda self, *args: called.append(True))
+    def test_no_per_packet_fallback_when_tracing(self, monkeypatch):
+        """Tracing changes no form: with the train off, a traced 64 KiB
+        remote-complete put is still one ``Nic.post_frags`` message, and
+        it leaves the records of the 16 packets it stands in for.  Their
+        times agree to rounding: the lean form books each fragment at
+        its reservation's end ``t``, a packet at the heap instant
+        ``now + (t - now)``, one ulp away at times."""
+        calls = []
+        post_frags = Nic.post_frags
+
+        def counting(self, dst, fn, args, sizes, *rest):
+            calls.append(len(sizes))
+            return post_frags(self, dst, fn, args, sizes, *rest)
+
+        monkeypatch.setattr(Nic, "post_frags", counting)
         sent = []
         send = Nic.send
 
@@ -144,7 +155,6 @@ class TestBurstTimestampParity:
             return send(self, packet)
 
         monkeypatch.setattr(Nic, "send", sending)
-        world = World(n_ranks=2, trace=True)
 
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(65536)
@@ -157,9 +167,31 @@ class TestBurstTimestampParity:
                 )
             yield from ctx.comm.barrier()
 
-        world.run(program)
-        assert not called
+        def run():
+            world = World(n_ranks=2, trace=True)
+            world.run(program)
+            return world
+
+        with fast_paths(train=False):
+            lean = run()
+        assert calls == [16]
+        assert "rma.frag" not in sent
+        with fast_paths(train=False, nexus=False):
+            packets = run()
         assert sent.count("rma.frag") == 16
+        assert lean.sim.now == packets.sim.now
+
+        def timeline(world):
+            return sorted((repr(rest), time) for (time, *rest), n
+                          in record_multiset(world.tracer).items()
+                          for _ in range(n))
+
+        lean_records, packet_records = timeline(lean), timeline(packets)
+        assert len(lean_records) == len(packet_records)
+        for (what, t), (expected, t_expected) in zip(lean_records,
+                                                     packet_records):
+            assert what == expected
+            assert t == pytest.approx(t_expected, rel=1e-14)
 
 
 with open(BENCH_PR1) as _fh:

@@ -90,7 +90,9 @@ def _mutated(world):
 #: them now ride the train.
 #: ``late-ack`` went since: a late-booked remote-complete element
 #: sends its own hardware ack from a callback at its arrival.
-OPENED = ("notify", "topology", "late-ack")
+#: ``traced`` went when the train learnt to leave the records its
+#: packets would have.
+OPENED = ("notify", "topology", "late-ack", "traced")
 
 #: gate -> (world builder, program, ops the scenario sends by packet for
 #: another reason: {reason: count})
@@ -136,6 +138,13 @@ def test_closed_train_gate_is_named(gate):
         assert routes(world) == expected
         # a remote-complete element is acked by the target's NIC
         assert world.fabric.acks_generated == (reason == "late-ack")
+        if reason == "traced":
+            # tracing changes no path and no number
+            quiet = _flat()
+            quiet.run(program)
+            assert routes(quiet) == expected
+            assert world.sim.now == quiet.sim.now
+            assert _window_bytes(world) == _window_bytes(quiet)
         return
     expected["packet", reason] = expected.get(("packet", reason), 0) + 1
     assert routes(world, "packet") == expected
@@ -316,12 +325,15 @@ def test_control_messages_are_counted_once_on_the_form_they_took():
                                      ("write", "live", None): n,
                                      ("ack", "live", None): n}
 
+    quiet = world
     world = World(n_ranks=6, network=seastar_portals(), trace=True)
     world.run(_alltoall)
-    # (tracing also stands the train down: the plain puts are packets)
-    assert control_routes(world) == {("flush", "packet", "traced"): 2 * n,
-                                     ("write", "packet", "traced"): 2 * n,
-                                     ("ack", "packet", "traced"): n}
+    # tracing changes no form and no number: the plain puts ride the
+    # train, the rest is live
+    assert control_routes(world) == control_routes(quiet)
+    assert world.sim.now == quiet.sim.now
+    assert (world.fabric.packets_delivered
+            == quiet.fabric.packets_delivered)
 
     # an armed plan installs the injector (faulty) and the transport
     world = World(n_ranks=6, network=seastar_portals(),
@@ -391,8 +403,8 @@ def test_requests_and_replies_are_counted_once_on_the_form_they_took():
 
     assert run() == {("request", "live", None): n,
                      ("reply", "live", None): n}
-    assert run(trace=True) == {("request", "packet", "traced"): n,
-                               ("reply", "packet", "traced"): n}
+    # tracing changes no form
+    assert run(trace=True) == run()
     # an armed plan installs the injector (faulty) and the transport
     routes = run(fault_plan=FaultPlan().drop(1e-9))
     assert {key[:2] for key in routes} == {("request", "packet"),
