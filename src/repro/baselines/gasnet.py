@@ -26,7 +26,6 @@ import numpy as np
 from repro.datatypes import BYTE
 from repro.machine.address_space import Allocation
 from repro.mpi.request import Request
-from repro.network.packet import Packet
 from repro.rma.attributes import RmaAttrs
 from repro.rma.engine import RmaEngine
 from repro.rma.target_mem import TargetMem
@@ -65,9 +64,6 @@ class GasnetInterface:
         self._segment: Optional[Allocation] = None
         self._seg_tmems: Optional[List[TargetMem]] = None
         self._nbi_handles: List[Request] = []
-        nic = engine.nic
-        nic.register_handler("gasnet.am", self._on_am)
-        nic.register_handler("gasnet.am_reply", self._on_reply)
         self.am_handled = 0
 
     # ------------------------------------------------------------------
@@ -117,17 +113,16 @@ class GasnetInterface:
             reply_ev = self.engine.sim.event()
             self._reply_events[reply_id] = reply_ev
         nbytes = 0 if data is None else int(np.asarray(data).nbytes)
-        pkt = Packet(
-            src=self.engine.rank, dst=dst, kind="gasnet.am",
-            payload={
-                "handler": handler, "args": args, "data": data,
-                "dest_off": dest_off, "flavor": flavor,
-                "reply_id": reply_id,
-            },
-            data_bytes=nbytes,
-        )
-        self.engine.nic.send(pkt)
+        self.engine.nic.post(
+            dst, "gasnet.am", self._peer(dst)._on_am,
+            (self.engine.rank, handler, args, data, dest_off, flavor,
+             reply_id),
+            nbytes, data)
         return reply_ev
+
+    def _peer(self, rank: int) -> "GasnetInterface":
+        """``rank``'s interface: where an AM's body runs."""
+        return self.engine.world.contexts[rank].gasnet
 
     def am_short(self, dst: int, handler: int, *args, want_reply=False):
         """Short AM: a few integer arguments, no payload."""
@@ -179,38 +174,41 @@ class GasnetInterface:
             reply = yield ev
             return reply
 
-    def _on_am(self, packet: Packet) -> None:
-        p = packet.payload
+    def _on_am(self, src: int, handler: int, args: tuple, data,
+               dest_off: Optional[int], flavor: str, reply_id) -> None:
+        """``gasnet.am`` from ``src`` lands: run handler ``handler`` off
+        the NIC, then send its reply if one is wanted."""
 
         def handler_job():
             # NIC-side handler activation cost
             yield self.engine.sim.timeout(self.engine.timings.am_handler)
-            fn = self._handlers.get(p["handler"])
+            fn = self._handlers.get(handler)
             if fn is None:
                 raise GasnetError(
-                    f"rank {self.engine.rank}: no AM handler {p['handler']}"
+                    f"rank {self.engine.rank}: no AM handler {handler}"
                 )
-            if p["flavor"] == "short":
-                result = fn(packet.src, *p["args"])
-            elif p["flavor"] == "medium":
-                result = fn(packet.src, p["data"], *p["args"])
+            if flavor == "short":
+                result = fn(src, *args)
+            elif flavor == "medium":
+                result = fn(src, data, *args)
             else:  # long: deposit into the segment first
                 seg = self.segment
-                self.engine.mem.nic_write(seg, p["dest_off"], p["data"])
-                result = fn(packet.src, p["data"], *p["args"])
+                self.engine.mem.nic_write(seg, dest_off, data)
+                result = fn(src, data, *args)
             self.am_handled += 1
-            if p["reply_id"] is not None:
-                self.engine.send_control(
-                    packet.src, "gasnet.am_reply",
-                    {"reply_id": p["reply_id"], "value": result},
-                )
+            if reply_id is not None:
+                self.engine.nic.post(src, "gasnet.am_reply",
+                                     self._peer(src)._on_reply,
+                                     (reply_id, result))
 
         self.engine.sim.spawn(handler_job(), name=f"am-{self.engine.rank}")
 
-    def _on_reply(self, packet: Packet) -> None:
-        ev = self._reply_events.pop(packet.payload["reply_id"], None)
+    def _on_reply(self, reply_id, value) -> None:
+        """``gasnet.am_reply`` lands: the AM ``reply_id`` returned
+        ``value``."""
+        ev = self._reply_events.pop(reply_id, None)
         if ev is not None:
-            ev.succeed(packet.payload["value"])
+            ev.succeed(value)
 
     # ------------------------------------------------------------------
     # Extended API: put/get (contiguous only, into/out of segments)

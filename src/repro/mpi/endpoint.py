@@ -1,7 +1,8 @@
 """Per-rank MPI endpoint: wire protocol and tag matching.
 
-One :class:`MpiEndpoint` exists per rank.  It owns the ``p2p.*`` packet
-handlers and a matching engine (a predicate
+One :class:`MpiEndpoint` exists per rank.  It owns the bodies of the
+``p2p.*`` messages (each one call on the destination endpoint, sent with
+``Nic.post``) and a matching engine (a predicate
 :class:`~repro.sim.resources.Channel`), and exposes the primitive
 ``isend``/``irecv`` that :class:`~repro.mpi.comm.Comm` builds on.
 
@@ -36,7 +37,6 @@ from repro.machine.config import MachineTimings
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request, Status
 from repro.network.nic import Nic
-from repro.network.packet import Packet
 from repro.sim.resources import Channel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,6 +66,12 @@ def payload_nbytes(obj: Any) -> int:
         return 64
 
 
+def _checked(data: Any):
+    """What the transport's checksum covers of a p2p payload: a byte
+    array (anything with ``tobytes``); other objects travel unchecked."""
+    return data if hasattr(data, "tobytes") else None
+
+
 @dataclass(frozen=True)
 class Message:
     """A matchable envelope (eager payload or rendezvous RTS)."""
@@ -89,22 +95,23 @@ class MpiEndpoint:
         nic: Nic,
         timings: MachineTimings,
         eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
+        peers: Optional[Dict[int, "MpiEndpoint"]] = None,
     ) -> None:
         self.sim = sim
         self.rank = rank
         self.nic = nic
         self.timings = timings
         self.eager_threshold = eager_threshold
+        #: Every rank's endpoint by rank (this one enters itself): where
+        #: a message's body runs.
+        self.peers: Dict[int, MpiEndpoint] = {} if peers is None else peers
+        self.peers[rank] = self
         self._inbox = Channel(sim)
         #: sender side: rendezvous payloads awaiting CTS
         #: (id -> (data, nbytes, req_ev))
         self._rdv_out: Dict[int, Tuple[Any, int, Any]] = {}
         #: receiver side: events per rendezvous payload arrival
         self._rdv_in: Dict[int, Any] = {}
-        nic.register_handler("p2p.msg", self._on_message)
-        nic.register_handler("p2p.rts", self._on_rts)
-        nic.register_handler("p2p.cts", self._on_cts)
-        nic.register_handler("p2p.data", self._on_data)
         # stats
         self.sends = 0
         self.recvs = 0
@@ -112,55 +119,41 @@ class MpiEndpoint:
         self.rdv_sends = 0
         self.unexpected_matches = 0
 
-    # -- receive-side packet handlers -------------------------------------
-    def _on_message(self, packet: Packet) -> None:
-        p = packet.payload
-        self._inbox.put(
-            Message(
-                context=p["context"],
-                src=packet.src,
-                tag=p["tag"],
-                data=p["data"],
-                nbytes=packet.data_bytes,
-                arrived_at=self.sim.now,
-            )
-        )
+    # -- message bodies (run when the message lands) ----------------------
+    def _on_message(self, src: int, context: Tuple, tag: int, data: Any,
+                    nbytes: int) -> None:
+        """``p2p.msg``: an eager message lands in the inbox."""
+        self._inbox.put(Message(context=context, src=src, tag=tag,
+                                data=data, nbytes=nbytes,
+                                arrived_at=self.sim.now))
 
-    def _on_rts(self, packet: Packet) -> None:
-        p = packet.payload
-        self._inbox.put(
-            Message(
-                context=p["context"],
-                src=packet.src,
-                tag=p["tag"],
-                data=None,
-                nbytes=p["nbytes"],
-                arrived_at=self.sim.now,
-                rdv_id=p["rdv_id"],
-            )
-        )
+    def _on_rts(self, src: int, context: Tuple, tag: int, nbytes: int,
+                rdv_id: int) -> None:
+        """``p2p.rts``: the envelope of a rendezvous transfer lands in
+        the inbox."""
+        self._inbox.put(Message(context=context, src=src, tag=tag,
+                                data=None, nbytes=nbytes,
+                                arrived_at=self.sim.now, rdv_id=rdv_id))
 
-    def _on_cts(self, packet: Packet) -> None:
-        rdv_id = packet.payload["rdv_id"]
+    def _on_cts(self, src: int, rdv_id: int) -> None:
+        """``p2p.cts``: the receive is posted — the payload moves."""
         data, nbytes, req_ev = self._rdv_out.pop(rdv_id)
-        pkt = Packet(
-            src=self.rank,
-            dst=packet.src,
-            kind="p2p.data",
-            payload={"rdv_id": rdv_id, "data": data},
-            data_bytes=nbytes,
-        )
-        self.nic.send(pkt)
+        injected = self.sim.event()
+        self.nic.post(src, "p2p.data", self.peers[src]._on_data,
+                      (rdv_id, data), nbytes, _checked(data),
+                      injected=injected)
         # the send request completes when the payload has left
-        pkt.ev_injected.add_callback(lambda ev: req_ev.succeed(ev.value))
+        injected.add_callback(lambda ev: req_ev.succeed(ev.value))
 
-    def _on_data(self, packet: Packet) -> None:
-        ev = self._rdv_in.pop(packet.payload["rdv_id"], None)
+    def _on_data(self, rdv_id: int, data: Any) -> None:
+        """``p2p.data``: the payload of a rendezvous transfer lands in
+        the posted buffer."""
+        ev = self._rdv_in.pop(rdv_id, None)
         if ev is None:
             raise RuntimeError(
                 f"rank {self.rank}: rendezvous payload without a waiter"
             )
-        ev.succeed(packet.payload["data"])
+        ev.succeed(data)
 
     # ------------------------------------------------------------------
     def isend(
@@ -180,29 +173,21 @@ class MpiEndpoint:
             self.timings.call_overhead + self.nic.config.overhead_send
         )
         self.sends += 1
+        peer = self.peers[dst]
         if nbytes <= self.eager_threshold:
             self.eager_sends += 1
-            pkt = Packet(
-                src=self.rank,
-                dst=dst,
-                kind="p2p.msg",
-                payload={"context": context, "tag": tag, "data": data},
-                data_bytes=nbytes,
-            )
-            self.nic.send(pkt)
-            return Request(self.sim, event=pkt.ev_injected, kind="isend")
+            injected = self.sim.event()
+            self.nic.post(dst, "p2p.msg", peer._on_message,
+                          (self.rank, context, tag, data, nbytes), nbytes,
+                          _checked(data), injected=injected)
+            return Request(self.sim, event=injected, kind="isend")
         # rendezvous
         self.rdv_sends += 1
         rdv_id = next(_msg_ids)
         req_ev = self.sim.event()
         self._rdv_out[rdv_id] = (data, nbytes, req_ev)
-        self.nic.send(Packet(
-            src=self.rank,
-            dst=dst,
-            kind="p2p.rts",
-            payload={"context": context, "tag": tag, "nbytes": nbytes,
-                     "rdv_id": rdv_id},
-        ))
+        self.nic.post(dst, "p2p.rts", peer._on_rts,
+                      (self.rank, context, tag, nbytes, rdv_id))
         return Request(self.sim, event=req_ev, kind="isend-rdv")
 
     def send(
@@ -237,10 +222,9 @@ class MpiEndpoint:
                 # directly in our (posted) buffer
                 arrival = self.sim.event()
                 self._rdv_in[msg.rdv_id] = arrival
-                self.nic.send(Packet(
-                    src=self.rank, dst=msg.src, kind="p2p.cts",
-                    payload={"rdv_id": msg.rdv_id},
-                ))
+                self.nic.post(msg.src, "p2p.cts",
+                              self.peers[msg.src]._on_cts,
+                              (self.rank, msg.rdv_id))
                 data = yield arrival
             elif msg.arrived_at < posted_at:
                 # eager + unexpected: it sat in the queue; pay the copy

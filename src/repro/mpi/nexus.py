@@ -32,17 +32,16 @@ push order.
 
 The only decision left is whether the world needs what the lean form
 does not build — the fault injector's verdict, transport sequence
-numbers (see :meth:`CollectiveNexus.closed_gate`; the RMA engine asks
-the same gate for its own one-call messages).  Trace records are not
-among them: on a traced world a walk leaves the ``net/inject`` and
-``net/deliver`` records of the ``p2p.msg`` packets it stands in for,
-at the same instants.  The first
+numbers: the NIC's own gate (:meth:`Nic.closed_gate
+<repro.network.nic.Nic.closed_gate>`), the one every posted message
+asks.  Trace records are not among them: on a traced world a walk
+leaves the ``net/inject`` and ``net/deliver`` records of the
+``p2p.msg`` messages it stands in for, at the same instants.  The first
 rank to enter a collective instance decides for all of them, so a
 ``kill_rank`` between two entries cannot split one instance across the
-two paths.  The per-packet collectives in :mod:`repro.mpi.comm` stay
-as they are: they are the reference the tests diff against
-(``CollectiveNexus.enabled = False``) and the path every gated world
-takes.
+two paths.  The message-by-message collectives in :mod:`repro.mpi.comm`
+stay as they are: they are the reference the tests diff against
+(``Nic.enabled = False``) and the path every gated world takes.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime import World
 
 __all__ = ["CollectiveNexus"]
-
-#: The trace tag of a barrier round: a ``p2p.msg`` belongs to no RMA op.
-_P2P_MSG = ("p2p.msg", None)
 
 
 class _BarrierWalk:
@@ -72,8 +68,7 @@ class _BarrierWalk:
     """
 
     __slots__ = ("nexus", "sim", "ep", "nic", "local", "n", "wmap",
-                 "slots", "k", "dist", "ev", "parked", "charge", "orecv",
-                 "tag")
+                 "slots", "k", "dist", "ev", "parked", "charge", "orecv")
 
     def __init__(self, nexus: "CollectiveNexus", comm: "Comm",
                  slots: dict) -> None:
@@ -96,13 +91,10 @@ class _BarrierWalk:
         # terms are exact zeros
         self.charge = ep.timings.call_overhead + cfg.overhead_send
         self.orecv = cfg.overhead_recv
-        # traced, each round leaves the records of the payload-free
-        # ``p2p.msg`` packet it stands in for
-        self.tag = _P2P_MSG if nexus.fabric.tracer.enabled else None
 
     def send(self) -> None:
         """The send charge is over (``MpiEndpoint.isend`` resumes): claim
-        the serializer as ``Nic.send`` does."""
+        the serializer as ``Nic.post`` does."""
         if not self.parked:
             return
         ep = self.ep
@@ -113,12 +105,12 @@ class _BarrierWalk:
         sim.schedule_call(nic.reserve(nic.header_ser) - sim.now, self.injected)
 
     def injected(self) -> None:
-        """Serialization is over: ``Nic._injected`` hands the packet
-        to ``Fabric.transmit``, then the resumed rank posts this round's
+        """Serialization is over: the payload-free ``p2p.msg`` leaves
+        (``Nic.launch``), then the resumed rank posts this round's
         receive."""
         dst_local = (self.local + self.dist) % self.n
-        self.nic.launch(self.wmap[dst_local], self.nexus.arrive,
-                        (self.slots, (self.k, dst_local)), tag=self.tag)
+        self.nic.launch(self.wmap[dst_local], "p2p.msg", self.nexus.arrive,
+                        (self.slots, (self.k, dst_local)))
         if self.parked:
             key = (self.k, self.local)
             arrived = self.slots.pop(key, None)
@@ -143,21 +135,17 @@ class _BarrierWalk:
 
 
 class CollectiveNexus:
-    """World-level live fast path for ``Comm.barrier``, and the gate of
-    the whole live control plane.
+    """World-level live fast path for ``Comm.barrier``, and the counter
+    of which form the NIC gives each message.
 
     One instance per :class:`~repro.runtime.World`, reachable as
     ``sim.context["nexus"]``.  Every barrier instance is counted once in
     the world's metrics as ``collective.route{kind=barrier, path=live}``
-    or ``{…, path=packet, reason=<the gate that closed>}``.
+    or ``{…, path=packet, reason=<the gate that closed>}``; the RMA
+    engine counts its messages the same way under ``control.route``.
+    The reference switch that sends every barrier and every posted
+    message down the packet path is ``Nic.enabled``.
     """
-
-    #: Class-wide toggle (tests pin it off to diff against the real
-    #: path): the reference switch for every message that can travel
-    #: without a packet — barrier rounds here, flush round-trips,
-    #: software acks, lock hand-offs, get / rmw / rmi requests and their
-    #: replies, and the payloads of writes in the RMA engine.
-    enabled = True
 
     def __init__(self, world: "World") -> None:
         self.world = world
@@ -170,31 +158,13 @@ class CollectiveNexus:
         # Route-telemetry counter handles per (metric, kind, reason).
         self._counters: Dict[tuple, object] = {}
 
-    def closed_gate(self, nic: "Nic") -> Optional[str]:
-        """Why a one-call message leaving ``nic`` must be a real packet,
-        or ``None``: the lean form (``Nic.post``, ``Nic.post_frags``)
-        builds no object for an injector or a transport to look at.  A
-        tracer needs none: traced, the lean form leaves the records the
-        packet would have.
-
-        ``transport`` is fixed when the world is built; ``faulty`` flips
-        once, at the first ``kill_rank``.
-        """
-        if not self.enabled:
-            return "disabled"
-        fabric = self.fabric
-        if fabric._faulty:
-            return "faulty"         # every transmit consults the injector
-        if nic.transport is not None:
-            return "transport"      # sequence numbers, acks, retransmits
-        return None
-
     def route(self, nic: "Nic", metric: str, kind: str) -> Optional[str]:
-        """Decide the form of one engine message (or one barrier
-        instance) leaving ``nic`` and count the decision as
-        ``metric{kind=, path=live}`` or ``{…, path=packet, reason=}``.
-        Returns :meth:`closed_gate`'s verdict: ``None`` means live."""
-        reason = self.closed_gate(nic)
+        """Count the form ``nic`` gives one engine message (or one
+        barrier instance) as ``metric{kind=, path=live}`` or ``{…,
+        path=packet, reason=}``.  Returns :meth:`Nic.closed_gate
+        <repro.network.nic.Nic.closed_gate>`'s verdict: ``None`` means
+        live."""
+        reason = nic.closed_gate()
         counter = self._counters.get((metric, kind, reason))
         if counter is None:
             labels = ({"path": "live"} if reason is None

@@ -2,8 +2,9 @@
 
 One :class:`WindowLockManager` per rank arbitrates the locks of every
 window whose memory that rank exposes.  Lock traffic is NIC-level
-control packets, so the target application never calls anything —
-faithful to passive-target semantics.
+control messages (``Nic.post``: the body runs on the destination's
+manager when the message lands), so the target application never calls
+anything — faithful to passive-target semantics.
 
 Grant policy: FIFO with reader sharing — a shared request joins current
 shared holders only if no exclusive request is queued ahead of it, so
@@ -13,9 +14,7 @@ writers cannot starve.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Set, Tuple
-
-from repro.network.packet import Packet
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.nic import Nic
@@ -36,15 +35,19 @@ class _LockState:
 class WindowLockManager:
     """Target-side lock tables plus origin-side grant plumbing."""
 
-    def __init__(self, sim: "Simulator", rank: int, nic: "Nic") -> None:
+    def __init__(self, sim: "Simulator", rank: int, nic: "Nic",
+                 peers: "Optional[Dict[int, WindowLockManager]]" = None
+                 ) -> None:
         self.sim = sim
         self.rank = rank
         self.nic = nic
+        #: Every rank's manager by rank (this one enters itself): where
+        #: a lock message's body runs.
+        self.peers: Dict[int, WindowLockManager] = (
+            {} if peers is None else peers)
+        self.peers[rank] = self
         self._states: Dict[object, _LockState] = {}
         self._grant_events: Dict[object, object] = {}  # (win_id, target) -> Event
-        nic.register_handler("mpi2.lock_req", self._on_lock_req)
-        nic.register_handler("mpi2.lock_grant", self._on_grant)
-        nic.register_handler("mpi2.unlock", self._on_unlock)
 
     # -- origin side -----------------------------------------------------
     def request(self, win_id: object, target: int, shared: bool):
@@ -56,24 +59,20 @@ class WindowLockManager:
             )
         ev = self.sim.event()
         self._grant_events[key] = ev
-        pkt = Packet(
-            src=self.rank, dst=target, kind="mpi2.lock_req",
-            payload={"win_id": win_id, "shared": shared},
-        )
-        self.nic.send(pkt)
+        self.nic.post(target, "mpi2.lock_req", self.peers[target]._on_lock_req,
+                      (self.rank, win_id, shared))
         yield ev
         del self._grant_events[key]
 
     def release(self, win_id: object, target: int) -> None:
         """Send the unlock (fire-and-forget)."""
-        pkt = Packet(
-            src=self.rank, dst=target, kind="mpi2.unlock",
-            payload={"win_id": win_id},
-        )
-        self.nic.send(pkt)
+        self.nic.post(target, "mpi2.unlock", self.peers[target]._on_unlock,
+                      (self.rank, win_id))
 
-    def _on_grant(self, packet: Packet) -> None:
-        key = (packet.payload["win_id"], packet.src)
+    def _on_grant(self, src: int, win_id: object) -> None:
+        """``mpi2.lock_grant`` from ``src``: our lock on ``win_id``
+        there is held."""
+        key = (win_id, src)
         ev = self._grant_events.get(key)
         if ev is None:
             raise RuntimeError(
@@ -89,22 +88,18 @@ class WindowLockManager:
         return st
 
     def _grant(self, win_id: object, rank: int) -> None:
-        pkt = Packet(
-            src=self.rank, dst=rank, kind="mpi2.lock_grant",
-            payload={"win_id": win_id},
-        )
-        self.nic.send(pkt)
+        self.nic.post(rank, "mpi2.lock_grant", self.peers[rank]._on_grant,
+                      (self.rank, win_id))
 
-    def _on_lock_req(self, packet: Packet) -> None:
-        win_id = packet.payload["win_id"]
-        shared = packet.payload["shared"]
+    def _on_lock_req(self, src: int, win_id: object, shared: bool) -> None:
+        """``mpi2.lock_req`` from ``src``: grant now or queue."""
         st = self._state(win_id)
         if self._can_grant(st, shared):
-            st.holders.add(packet.src)
+            st.holders.add(src)
             st.exclusive = not shared
-            self._grant(win_id, packet.src)
+            self._grant(win_id, src)
         else:
-            st.queue.append((packet.src, shared))
+            st.queue.append((src, shared))
 
     @staticmethod
     def _can_grant(st: _LockState, shared: bool) -> bool:
@@ -116,15 +111,15 @@ class WindowLockManager:
         # writer is waiting (no-starvation)
         return shared and not st.queue
 
-    def _on_unlock(self, packet: Packet) -> None:
-        win_id = packet.payload["win_id"]
+    def _on_unlock(self, src: int, win_id: object) -> None:
+        """``mpi2.unlock`` from ``src``: release, then grant the next."""
         st = self._state(win_id)
-        if packet.src not in st.holders:
+        if src not in st.holders:
             raise RuntimeError(
-                f"rank {self.rank}: unlock from {packet.src} which does not "
+                f"rank {self.rank}: unlock from {src} which does not "
                 f"hold the lock on window {win_id}"
             )
-        st.holders.discard(packet.src)
+        st.holders.discard(src)
         if st.holders:
             return
         st.exclusive = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -21,18 +21,32 @@ _packet_ids = itertools.count()
 
 @dataclass(slots=True)
 class Packet:
-    """One message on the fabric.
+    """One message on the fabric, as an object: the form a message
+    takes where the NIC's gate is closed (:meth:`Nic.closed_gate
+    <repro.network.nic.Nic.closed_gate>` — a fault injector or a
+    transport must see it), and the NIC's own raw form (``Nic.send``).
 
     Attributes
     ----------
     src, dst:
         Origin and destination ranks.
     kind:
-        Dispatch key at the destination NIC (e.g. ``"rma.put"``,
-        ``"p2p.msg"``, ``"rma.ack"``).
+        The message's label (e.g. ``"rma.frag"``, ``"p2p.msg"``,
+        ``"xport.ack"``): what fault plans filter on and trace records
+        name; a raw packet is dispatched on it to a registered handler.
+    fn, args:
+        A posted message (:meth:`Nic.post <repro.network.nic.Nic.post>`):
+        its whole effect at ``dst`` is ``fn(*args)``.  ``None`` for a
+        raw packet.
+    op:
+        The RMA operation the message belongs to (trace records), or
+        ``None``.
+    data:
+        The bytes the transport's checksum covers — a fragment's own
+        bytes, a p2p payload, a get-reply chunk — or ``None`` (checksum
+        0).
     payload:
-        Free-form dict; data payloads are NumPy ``uint8`` arrays under
-        the ``"data"`` key by convention.
+        A raw packet's free-form contents.
     data_bytes:
         Payload size charged to serialization (0 for control packets).
     want_ack:
@@ -50,7 +64,11 @@ class Packet:
     src: int
     dst: int
     kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
+    fn: Optional[Callable[..., None]] = None
+    args: tuple = ()
+    op: Any = None
+    data: Any = None
+    payload: Any = None
     data_bytes: int = 0
     want_ack: bool = False
     ev_injected: Optional["Event"] = None
@@ -74,38 +92,6 @@ class Packet:
     def wire_bytes(self) -> int:
         """Bytes on the wire including the fixed header."""
         return HEADER_SIZE + self.data_bytes
-
-    def op_key(self):
-        """The RMA operation this packet belongs to, or ``None``.
-
-        Protocol packets carry their operation key either at the payload
-        top level (``get_req``/``ack``/``reply``/``get_reply``) or
-        inside the fragment descriptor (``rma.frag``).  Used by the
-        observability layer to correlate inject/deliver/ack records into
-        per-operation spans; flush and transport-ack packets are not
-        per-operation and return ``None``.
-        """
-        payload = self.payload
-        desc = payload.get("desc")
-        if desc is not None:
-            return desc.get("op_key")
-        return payload.get("op_key")
-
-    def payload_data(self):
-        """The payload's bulk-data array, if any (checksum coverage).
-
-        Two-sided messages may carry arbitrary Python objects under
-        ``"data"``; only byte-array payloads are checksummable (others
-        travel as control packets, checksum 0).
-        """
-        payload = self.payload
-        data = payload.get("data")
-        if data is not None and hasattr(data, "tobytes"):
-            return data
-        frag = payload.get("frag")
-        if frag is not None:
-            return frag.data
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -9,13 +9,15 @@ Protocol
 --------
 - Every packet the NIC sends (except the transport's own acks) gets a
   per-(src, dst) flow sequence number and a CRC32 checksum over its
-  bulk payload.
+  bulk bytes (``Packet.data``: a fragment's own bytes, a p2p payload, a
+  get-reply chunk; control messages checksum 0).
 - The receiver verifies the checksum (a corruption fault mangles the
   wire checksum; the mismatch is detected here and the packet dropped),
   suppresses duplicates with a contiguous-watermark + stash scheme, and
   answers every survivor *and every duplicate* with a selective
-  ``xport.ack`` control packet (re-acking duplicates stops a sender
-  whose previous ack was lost).
+  ``xport.ack`` control message (re-acking duplicates stops a sender
+  whose previous ack was lost) — posted like every other message, so
+  with the transport armed it is a packet too.
 - The sender arms a retransmission timer at each injection; the timeout
   is the path's analytic round-trip estimate
   (:meth:`~repro.network.config.NetworkConfig.retransmit_timeout`)
@@ -57,8 +59,8 @@ ACK_KIND = "xport.ack"
 
 
 def payload_checksum(packet: Packet) -> int:
-    """CRC32 over the packet's bulk payload (0 for control packets)."""
-    data = packet.payload_data()
+    """CRC32 over the packet's bulk bytes (0 for control packets)."""
+    data = packet.data
     if data is None:
         return 0
     return zlib.crc32(data.tobytes())
@@ -143,7 +145,6 @@ class ReliableTransport:
             "stale_drops": 0,
             "stale_acks": 0,
         }
-        nic.register_handler(ACK_KIND, self._on_ack_packet)
 
     # ------------------------------------------------------------------
     # Sender side
@@ -211,20 +212,20 @@ class ReliableTransport:
                           attempt=entry.attempts, kind_=packet.kind)
         self.nic.reinject(packet)
 
-    def _on_ack_packet(self, packet: Packet) -> None:
+    def _on_ack(self, src: int, seq: int, epoch: int) -> None:
+        """``xport.ack`` from ``src``: it accepted (or had already
+        accepted) our packet ``seq`` of flow incarnation ``epoch``."""
         self.stats["acks_rx"] += 1
         tracer = self.fabric.tracer
         if tracer.enabled:
             tracer.record(self.sim.now, "xport", "ack_rx",
-                          rank=self.rank, src=packet.src,
-                          seq=packet.payload["seq"])
-        if (packet.payload.get("epoch", 0)
-                != self._flow_epoch.get(packet.src, 0)):
+                          rank=self.rank, src=src, seq=seq)
+        if epoch != self._flow_epoch.get(src, 0):
             # A delayed pre-restart ack must not confirm a packet of the
             # fresh sequence space that happens to reuse its number.
             self.stats["stale_acks"] += 1
             return
-        entry = self._outstanding.pop((packet.src, packet.payload["seq"]), None)
+        entry = self._outstanding.pop((src, seq), None)
         if entry is None:
             return  # duplicate ack, or the flow already failed
         entry.timer_gen += 1  # cancel the pending timer
@@ -330,8 +331,8 @@ class ReliableTransport:
 
     def _send_ack(self, dst: int, seq: int, epoch: int) -> None:
         self.stats["acks_tx"] += 1
-        self.nic.send(Packet(src=self.rank, dst=dst, kind=ACK_KIND,
-                             payload={"seq": seq, "epoch": epoch}))
+        self.nic.post(dst, ACK_KIND, self.fabric.nics[dst].transport._on_ack,
+                      (self.rank, seq, epoch))
 
     # ------------------------------------------------------------------
     # Introspection / reset

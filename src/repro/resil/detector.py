@@ -5,7 +5,7 @@ and runs two daemon loops:
 
 * a **heartbeat** loop that, every (jittered) ``heartbeat_interval``,
   one-sidedly puts a monotonically increasing counter into its slot in
-  every unsuspected peer's region — fire-and-forget packets that ride
+  every unsuspected peer's region — fire-and-forget messages that ride
   the same fabric (and, on faulty runs, the same reliable transport)
   as application traffic;
 * a **monitor** loop that polls the rank's own region and declares a
@@ -27,7 +27,7 @@ and :class:`repro.ga.replicated.ReplicatedGlobalArray`).
 
 The whole subsystem is opt-in: a :class:`~repro.runtime.World` built
 without ``resilience=`` constructs none of this, spawns zero extra
-processes and sends zero extra packets, keeping the fault-free fast
+processes and sends zero extra messages, keeping the fault-free fast
 path bit-identical.
 """
 
@@ -38,13 +38,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 import numpy as np
 
-from repro.network.packet import Packet
 from repro.resil.errors import RankFailed
 
 __all__ = ["ResilienceConfig", "ResilienceRuntime", "HB_KIND"]
 
-#: Packet kind of heartbeat puts (dispatched straight into the
-#: destination's heartbeat region by a NIC handler).
+#: Message kind of heartbeat puts (written straight into the
+#: destination's heartbeat region when they land).
 HB_KIND = "resil.hb"
 
 
@@ -124,9 +123,6 @@ class ResilienceRuntime:
             self._hb_views[rank] = space.view(alloc, "int64")
             self._last_seen[rank] = np.zeros(self.n_ranks, dtype=np.int64)
             self._last_change[rank] = np.zeros(self.n_ranks, dtype=np.float64)
-            world.nics[rank].register_handler(
-                HB_KIND, self._make_hb_handler(rank)
-            )
 
         # Transport evidence: a flow declared dead against a dead rank
         # is an immediate verdict (only kind == "rank_failed" — retry
@@ -168,13 +164,10 @@ class ResilienceRuntime:
     # ------------------------------------------------------------------
     # Daemons
     # ------------------------------------------------------------------
-    def _make_hb_handler(self, rank: int):
-        views = self._hb_views
-
-        def on_heartbeat(packet: Packet) -> None:
-            views[rank][packet.payload["src"]] = packet.payload["hb"]
-
-        return on_heartbeat
+    def _on_heartbeat(self, rank: int, src: int, hb: int) -> None:
+        """A heartbeat from ``src`` lands at ``rank``: its slot there
+        now reads ``hb`` (the RMA put the heartbeat models)."""
+        self._hb_views[rank][src] = hb
 
     def _make_transport_cb(self, observer: int):
         def on_path_failure(dst: int, failure) -> None:
@@ -206,10 +199,8 @@ class ResilienceRuntime:
             for peer in range(self.n_ranks):
                 if peer == rank or peer in suspected:
                     continue
-                nic.send(Packet(
-                    src=rank, dst=peer, kind=HB_KIND,
-                    payload={"src": rank, "hb": counter}, data_bytes=8,
-                ))
+                nic.post(peer, HB_KIND, self._on_heartbeat,
+                         (peer, rank, counter), 8)
                 self.stats["heartbeats"] += 1
 
     def _monitor_loop(self, rank: int):

@@ -382,8 +382,8 @@ class TrainRoute:
         that wants an ack.  The target's arrived elements apply first —
         at the last fragment the element itself, as the packet's handler
         would apply it — then the fragment's hardware ack leaves
-        (:meth:`Fabric.posted_ack
-        <repro.network.fabric.Fabric.posted_ack>`).  A dead endpoint
+        (:meth:`Fabric.hardware_ack
+        <repro.network.fabric.Fabric.hardware_ack>`).  A dead endpoint
         drops it uncounted: ``inject`` or ``kill_rank`` has already
         counted every fragment of an element that never applies."""
         src = self.eng.rank
@@ -393,7 +393,7 @@ class TrainRoute:
             return
         if dst in fabric._pending_trains:
             fabric.materialize_trains(dst)
-        fabric.posted_ack(src, dst, ack, op_key)
+        fabric.hardware_ack(src, dst, ack, op_key)
 
     def books_late(self, path, now: float) -> bool:
         """Whether an element issued ``now`` learns its arrivals at the
@@ -578,8 +578,8 @@ class TrainRoute:
         and, acknowledged (given ``acks``), ``net/ack`` at the instants
         computed for them, which lie ahead (DESIGN §9).  A late-booked
         element's flight is recorded as it is learnt (:meth:`inject`,
-        :meth:`Fabric.posted_ack
-        <repro.network.fabric.Fabric.posted_ack>`)."""
+        :meth:`Fabric.hardware_ack
+        <repro.network.fabric.Fabric.hardware_ack>`)."""
         eng = self.eng
         record = eng.tracer.record
         now = eng.sim.now

@@ -261,18 +261,18 @@ class World:
                 mem = node.memory(rank)
                 nic = Nic(self.sim, rank, self.fabric)
                 ep = MpiEndpoint(self.sim, rank, nic, machine.timings,
-                                 eager_threshold=eager_threshold)
+                                 eager_threshold=eager_threshold,
+                                 peers=self.endpoints)
                 comm = Comm(ep, world_group, context=("world",))
                 self.memories[rank] = mem
                 self.nics[rank] = nic
-                self.endpoints[rank] = ep
                 self.contexts[rank] = RankContext(
                     self, rank, self.sim, comm, mem, nic
                 )
         self.sim.context["world"] = self
-        # Live fast path for barriers.  Always constructed; its gate
-        # sends traced / faulty / routed worlds down the per-packet path
-        # (see repro.mpi.nexus).
+        # Live fast path for barriers.  Always constructed; the NIC's
+        # gate sends faulty and transport-armed worlds down the
+        # message-by-message path (see repro.mpi.nexus).
         from repro.mpi.nexus import CollectiveNexus
 
         self.nexus = CollectiveNexus(self)

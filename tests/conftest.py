@@ -6,7 +6,7 @@ import os
 from contextlib import contextmanager
 
 from repro.bench.workloads import fig2_attribute_cost, halo_exchange_time
-from repro.mpi.nexus import CollectiveNexus
+from repro.network.nic import Nic
 from repro.rma.engine import RmaEngine
 
 BENCH_PR1 = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -39,15 +39,16 @@ def bench_pr1_drift():
 @contextmanager
 def fast_paths(train=None, nexus=None, shared=None):
     """Pin the class-level fast-path switches (``RmaEngine.train_enabled``,
-    ``CollectiveNexus.enabled`` — the last covers the barrier walk and
-    every message the engine can send without a packet: control messages,
-    requests, replies and writes) and ``RmaEngine.shared_default`` (every
-    exposure a shared-memory window) for the duration; ``None`` leaves a
-    switch alone.  Worlds read the switches while they run, so build
+    ``Nic.enabled`` — the NIC's reference switch: off, the barrier walk
+    stands down and every posted message — control messages, requests,
+    replies, writes, p2p, locks, active messages, heartbeats — is a
+    packet) and ``RmaEngine.shared_default`` (every exposure a
+    shared-memory window) for the duration; ``None`` leaves a switch
+    alone.  Worlds read the switches while they run, so build
     *and* run inside the block.  Also works as a decorator:
     ``fast_paths(train=False)(workload)()``."""
     wanted = [(RmaEngine, "train_enabled", train),
-              (CollectiveNexus, "enabled", nexus),
+              (Nic, "enabled", nexus),
               (RmaEngine, "shared_default", shared)]
     saved = [(cls, name, getattr(cls, name))
              for cls, name, value in wanted if value is not None]

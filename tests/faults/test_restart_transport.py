@@ -121,14 +121,12 @@ class TestStaleTraffic:
         fresh = Packet(src=0, dst=1, kind="p2p.msg")
         tx.prepare(fresh)  # epoch 1, seq 1
         # a delayed pre-restart ack for "seq 1" arrives now
-        tx._on_ack_packet(Packet(src=1, dst=0, kind="xport.ack",
-                                 payload={"seq": 1, "epoch": 0}))
+        tx._on_ack(1, 1, 0)
         assert tx.stats["stale_acks"] == 1
         assert (1, 1) in tx._outstanding, \
             "a stale ack must not complete a fresh-epoch packet"
         # the matching-epoch ack does complete it
-        tx._on_ack_packet(Packet(src=1, dst=0, kind="xport.ack",
-                                 payload={"seq": 1, "epoch": 1}))
+        tx._on_ack(1, 1, 1)
         assert (1, 1) not in tx._outstanding
 
 

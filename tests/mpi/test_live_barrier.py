@@ -1,8 +1,8 @@
 """The live barrier (:mod:`repro.mpi.nexus`) against the per-packet one.
 
-Every test runs one program twice — ``CollectiveNexus.enabled`` on, then
-off — and demands identical simulated times *and* identical endpoint,
-NIC, fabric and per-link state, under the conditions the old
+Every test runs one program twice — ``Nic.enabled`` on, then off —
+and demands identical simulated times *and* identical endpoint, NIC,
+fabric and per-link state, under the conditions the old
 park-and-replay design had to rescue: entry skew, real traffic
 interleaved with the rounds, concurrent instances, and a rank dying in
 mid-barrier — on flat fabrics and on the routed, hierarchical and

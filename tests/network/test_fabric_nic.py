@@ -98,14 +98,6 @@ class TestDelivery:
         with pytest.raises(RuntimeError, match="no handler"):
             sim.run()
 
-    def test_default_handler_catches_unknown(self):
-        sim, fabric, nics = setup_pair(NetworkConfig(jitter=0))
-        got = []
-        nics[1].register_default_handler(lambda p: got.append(p.kind))
-        nics[0].send(Packet(src=0, dst=1, kind="mystery"))
-        sim.run()
-        assert got == ["mystery"]
-
     def test_duplicate_handler_rejected(self):
         sim, fabric, nics = setup_pair(NetworkConfig())
         nics[0].register_handler("k", lambda p: None)

@@ -255,7 +255,7 @@ def _shared_link(form):
 
     def send(src, data_bytes):
         if form == "post":
-            nics[src].post(2, landed, (src, data_bytes), data_bytes)
+            nics[src].post(2, "test", landed, (src, data_bytes), data_bytes)
         else:
             nics[src].send(Packet(src=src, dst=2, kind="test",
                                   data_bytes=data_bytes))

@@ -1028,7 +1028,7 @@ def _sent_kinds(monkeypatch):
     def spy(self, packet):
         kind = packet.kind
         if kind == "rma.frag":
-            kind += ":" + packet.payload["desc"]["ack"]
+            kind += ":" + packet.args[1]["ack"]    # (src, desc, wire, parts)
         sent.append(kind)
         return send(self, packet)
 
@@ -1249,30 +1249,31 @@ def _burst_reference(monkeypatch):
     its reference wherever a rank dies with such a write in flight —
     one packet per fragment is counted at delivery too."""
     from repro.network.packet import ACK_SIZE, Packet
-    from repro.rma.engine.core import PacketRoute
     from repro.sim.events import AllOf
 
-    send = PacketRoute._send
+    post_frags = Nic.post_frags
 
-    def batched(self, op, desc, frags, sizes, want_ack):
-        eng = self.eng
-        nic, sim, src, dst = eng.nic, eng.sim, eng.rank, op.dst
+    def batched(nic, dst, kind, fn, args, parts, sizes, data=None, op=None,
+                injected=False, ack=False):
+        sim, src = nic.sim, nic.rank
         fabric = nic.fabric
-        if len(frags) < 2 or not nic.flat_ordered(dst):
-            return send(self, op, desc, frags, sizes, want_ack)
-        packets = [Packet(src=src, dst=dst, kind="rma.frag",
-                          payload={"desc": desc, "frag": frag},
-                          data_bytes=size, want_ack=want_ack)
-                   for frag, size in zip(frags, sizes)]
+        if (len(sizes) < 2 or nic.closed_gate() is None
+                or not nic.flat_ordered(dst)):
+            return post_frags(nic, dst, kind, fn, args, parts, sizes, data,
+                              op, injected, ack)
+        packets = [Packet(src=src, dst=dst, kind=kind, fn=fn,
+                          args=(*args, parts[i:i + 1]), op=op,
+                          data_bytes=size, want_ack=ack)
+                   for i, size in enumerate(sizes)]
         times = []
         for pkt in packets:
             pkt.ev_injected = sim.event()
-            if want_ack:
+            if ack:
                 pkt.ev_remote_complete = sim.event()
             times.append(nic.reserve(
                 nic.config.serialization_time(pkt.wire_bytes)))
 
-        def injected():
+        def launched():
             for pkt, t in zip(packets, times):
                 nic.packets_sent += 1
                 nic.bytes_sent += pkt.wire_bytes
@@ -1291,7 +1292,7 @@ def _burst_reference(monkeypatch):
                 fabric.packets_delivered += 1
                 fabric.bytes_delivered += pkt.wire_bytes
                 fabric.nics[dst]._on_deliver(pkt)
-            if want_ack:
+            if ack:
                 fabric.acks_generated += len(packets)
                 rev = fabric.config_for(dst, src)
                 flight = rev.latency + ACK_SIZE * rev.byte_time
@@ -1300,12 +1301,13 @@ def _burst_reference(monkeypatch):
                     [pkt.ev_remote_complete for pkt in packets],
                     [arrival + flight for arrival in arrivals])
 
-        sim.schedule_call(times[-1] - sim.now, injected)
-        return (AllOf(sim, [pkt.ev_injected for pkt in packets]),
-                AllOf(sim, [pkt.ev_remote_complete for pkt in packets])
-                if want_ack else None)
+        sim.schedule_call(times[-1] - sim.now, launched)
+        return ((AllOf(sim, [pkt.ev_injected for pkt in packets])
+                 if injected else None),
+                (AllOf(sim, [pkt.ev_remote_complete for pkt in packets])
+                 if ack else None))
 
-    monkeypatch.setattr(PacketRoute, "_send", batched)
+    monkeypatch.setattr(Nic, "post_frags", batched)
 
 
 @pytest.mark.parametrize("serializer", ["thread", "lock"])

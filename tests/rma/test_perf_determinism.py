@@ -112,9 +112,10 @@ class TestBurstTimestampParity:
         hits = []
         original = Nic.post_frags
 
-        def counting(self, dst, fn, args, sizes, *rest):
+        def counting(self, dst, kind, fn, args, parts, sizes, *rest, **kw):
             hits.append(len(sizes))
-            return original(self, dst, fn, args, sizes, *rest)
+            return original(self, dst, kind, fn, args, parts, sizes, *rest,
+                            **kw)
 
         monkeypatch.setattr(Nic, "post_frags", counting)
         built = []
@@ -142,9 +143,10 @@ class TestBurstTimestampParity:
         calls = []
         post_frags = Nic.post_frags
 
-        def counting(self, dst, fn, args, sizes, *rest):
+        def counting(self, dst, kind, fn, args, parts, sizes, *rest, **kw):
             calls.append(len(sizes))
-            return post_frags(self, dst, fn, args, sizes, *rest)
+            return post_frags(self, dst, kind, fn, args, parts, sizes, *rest,
+                              **kw)
 
         monkeypatch.setattr(Nic, "post_frags", counting)
         sent = []

@@ -105,13 +105,13 @@ class TestDeterminismAndMetrics:
         """A write of several fragments that declines the train is one
         post per fragment on a routed fabric — each reserves its links
         at its own injection — never the flat message of two heap
-        entries (``Nic.post_frags``), which would bypass per-link
-        accounting."""
+        entries (``Nic.post_frags``'s ``_frags_launch``), which would
+        bypass per-link accounting."""
         from repro.datatypes import BYTE
         from repro.network.nic import Nic
 
         flat = []
-        monkeypatch.setattr(Nic, "post_frags",
+        monkeypatch.setattr(Nic, "_frags_launch",
                             lambda self, *args: flat.append(args))
         world = World(machine=generic_cluster(n_nodes=3),
                       network=slow_torus())

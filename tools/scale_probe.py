@@ -196,10 +196,11 @@ def memory_pass(world, rank_program, *args):
     peaks = [0]                         # traced peak before each census
     saved = [(OpTrain, "append"), (OpTrain, "pop_head"),
              (Packet, "__init__"), (Fragment, "__init__"),
-             (Nic, "post"), (Nic, "post_frags"), (RmaEngine, "complete_all"),
+             (Nic, "post"), (Nic, "_frags_launch"),
+             (RmaEngine, "complete_all"),
              (RmaEngine, "signal"), (RmaEngine, "_flush_ack")]
     saved = [(cls, name, getattr(cls, name)) for cls, name in saved]
-    (append, pop_head, packet, fragment, post, post_frags, complete_all,
+    (append, pop_head, packet, fragment, post, frags_launch, complete_all,
      signal, flush_ack) = (fn for _cls, _name, fn in saved)
 
     def counting_append(train, elem):
@@ -238,7 +239,9 @@ def memory_pass(world, rank_program, *args):
     OpTrain.append, OpTrain.pop_head = counting_append, counting_pop
     Packet.__init__ = counting(packet, 0)
     Fragment.__init__ = counting(fragment, 1)
-    Nic.post, Nic.post_frags = counting(post, 2), counting(post_frags, 2)
+    # a message is one post, or one two-entry post_frags message (whose
+    # other shapes are posts); a quiet world posts nothing as a packet
+    Nic.post, Nic._frags_launch = counting(post, 2), counting(frags_launch, 2)
     RmaEngine.complete_all = census_complete_all
     RmaEngine.signal, RmaEngine._flush_ack = counting_signal, counting_flush_ack
     tracemalloc.start()
