@@ -1,13 +1,13 @@
 """Runtime interpretation of a :class:`~repro.faults.plan.FaultPlan`.
 
-The :class:`FaultInjector` is consulted by the
-:class:`~repro.network.fabric.Fabric` once per transmitted packet and
-returns a :class:`PacketFate`.  All randomness comes from dedicated
-named streams (``faults.path.{src}.{dst}``) of the world's
+The :class:`FaultInjector` is consulted by ``Nic.launch`` once per
+message put in flight and returns a :class:`PacketFate`.  All
+randomness comes from dedicated named streams
+(``faults.path.{src}.{dst}``) of the world's
 :class:`~repro.sim.rng.RngRegistry`, so
 
 - two runs with the same seed and the same plan draw identical fates
-  for every packet (bit-identical simulations), and
+  for every message (bit-identical simulations), and
 - arming the injector never perturbs the fabric's jitter streams — a
   faulty run and a fault-free run stay comparable.
 
@@ -24,26 +24,25 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.packet import Packet
     from repro.runtime import World
     from repro.sim.rng import RngRegistry
     from repro.sim.trace import Tracer
 
 __all__ = ["PacketFate", "FaultInjector"]
 
-#: XOR mask applied to a packet's wire checksum to model payload
+#: XOR mask applied to a message's wire checksum to model payload
 #: corruption.  The payload bytes themselves are never touched — a
 #: retransmission resends the pristine data — but the receiver's
 #: genuine checksum recomputation can no longer match.
 CORRUPT_MASK = 0x5A5A5A5A
 
-#: Fate shared by the (overwhelmingly common) unaffected packets.
+#: Fate shared by the (overwhelmingly common) unaffected messages.
 _CLEAN: "PacketFate"
 
 
 @dataclass(frozen=True, slots=True)
 class PacketFate:
-    """What the fabric should do with one transmitted packet."""
+    """What becomes of one message put in flight."""
 
     drop: bool = False
     duplicate: bool = False
@@ -61,7 +60,7 @@ _DROP = PacketFate(drop=True)
 
 
 class FaultInjector:
-    """Draws per-packet fates and schedules stalls/kills.
+    """Draws per-message fates and schedules stalls/kills.
 
     Parameters
     ----------
@@ -105,18 +104,19 @@ class FaultInjector:
         return stream
 
     # ------------------------------------------------------------------
-    def fate(self, packet: "Packet", now: float) -> PacketFate:
-        """Draw the fate of one packet put in flight at ``now``."""
+    def fate(self, src: int, dst: int, kind: str, now: float) -> PacketFate:
+        """Draw the fate of one message of ``kind`` put in flight from
+        ``src`` to ``dst`` at ``now``."""
         self.stats["examined"] += 1
-        stream = self._stream(packet.src, packet.dst)
+        stream = self._stream(src, dst)
         duplicate = corrupt = False
         extra_delay = 0.0
         for spec in self.plan.losses:
-            if not spec.matches(packet.src, packet.dst, packet.kind, now):
+            if not spec.matches(src, dst, kind, now):
                 continue
             if spec.drop_p and stream.random() < spec.drop_p:
                 self.stats["dropped"] += 1
-                self._trace(now, "drop", packet)
+                self._trace(now, "drop", src, dst, kind)
                 return _DROP
             if spec.dup_p and stream.random() < spec.dup_p:
                 duplicate = True
@@ -128,13 +128,13 @@ class FaultInjector:
             return _CLEAN
         if duplicate:
             self.stats["duplicated"] += 1
-            self._trace(now, "duplicate", packet)
+            self._trace(now, "duplicate", src, dst, kind)
         if corrupt:
             self.stats["corrupted"] += 1
-            self._trace(now, "corrupt", packet)
+            self._trace(now, "corrupt", src, dst, kind)
         if extra_delay:
             self.stats["delayed"] += 1
-            self._trace(now, "delay", packet)
+            self._trace(now, "delay", src, dst, kind)
         return PacketFate(duplicate=duplicate, corrupt=corrupt,
                           extra_delay=extra_delay)
 
@@ -209,15 +209,14 @@ class FaultInjector:
         if self.tracer is not None:
             self.tracer.bump(key, **labels)
 
-    def _trace(self, now: float, what: str, packet: "Packet") -> None:
+    def _trace(self, now: float, what: str, src: int, dst: int,
+               kind: str) -> None:
         tracer = self.tracer
         if tracer is None:
             return
         tracer.bump(f"fault.{what}")
         if tracer.enabled:
-            tracer.record(now, "fault", what, rank=packet.src,
-                          dst=packet.dst, kind_=packet.kind,
-                          packet_id=packet.packet_id)
+            tracer.record(now, "fault", what, rank=src, dst=dst, kind_=kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultInjector {self.plan!r} stats={self.stats}>"

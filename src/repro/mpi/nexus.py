@@ -17,7 +17,7 @@ rank entering ``Comm.barrier`` parks on one event while a
 :class:`_BarrierWalk` takes its place: plain ``(fn, args)`` callbacks on
 the simulator's **own** heap, one per heap pop of the per-packet path
 (send charge over → serialization over → flight over → receive overhead
-over).  The middle two are the NIC's lean message (``Nic.launch`` /
+over).  The middle two are the NIC's message flight (``Nic.launch`` /
 ``Nic.land``, shared with ``Nic.post``), which read and write the live
 NIC reservation, the fabric's per-pair and per-link state and the NIC /
 fabric counters at the real simulated instant.  Nothing is deferred or
@@ -30,11 +30,11 @@ pushes the same heap entries, at the same instants and in the same
 order, as the coroutines it stands in for, and the heap breaks ties by
 push order.
 
-The only decision left is whether the world needs what the lean form
-does not build — the fault injector's verdict, transport sequence
-numbers: the NIC's own gate (:meth:`Nic.closed_gate
-<repro.network.nic.Nic.closed_gate>`), the one every posted message
-asks.  Trace records are not among them: on a traced world a walk
+The only decision left is whether each barrier message must be a p2p
+message of its own — where the fault injector draws a fate per message
+or a transport sequences each one: the NIC's own gate
+(:meth:`Nic.closed_gate <repro.network.nic.Nic.closed_gate>`), the one
+a multi-fragment post asks too.  Trace records are not among them: on a traced world a walk
 leaves the ``net/inject`` and ``net/deliver`` records of the
 ``p2p.msg`` messages it stands in for, at the same instants.  The first
 rank to enter a collective instance decides for all of them, so a

@@ -8,34 +8,30 @@ queue is one number — the time the serializer is spoken for
 Every layer above sends the same way: :meth:`Nic.post` (or, for a
 message cut into MTU fragments, :meth:`Nic.post_frags`) with the
 message's kind, its size and its whole effect at the destination — one
-call, ``fn(*args)``, run when it lands.  The NIC alone decides the form
-(:meth:`Nic.closed_gate`):
+call, ``fn(*args)``, run when it lands.  Every message takes one flight
+with no object behind it: it reserves its slot and pushes two heap
+entries — injection (:meth:`Nic.launch`), arrival (:meth:`Nic.land`).
+A fault injector draws its fate in :meth:`launch` (drop: no arrival;
+delay: a later one; duplicate: a second one), and an armed transport
+sequences and checksums it at :meth:`post`, screens it in :meth:`land`
+and retransmits it by launching it again.  ``injected`` (an event a
+poster may pass) triggers at the end of serialization — the *local
+completion* point of a transfer.  A message that asks for a hardware
+ack gets it back after ``fn`` ran.
 
-- **lean** (the gate is open): the message reserves its slot and pushes
-  two heap entries — injection (:meth:`Nic.launch`), arrival
-  (:meth:`Nic.land`) — with no object behind them; a multi-fragment
-  message on a flat ordered path is two heap entries for all its
-  fragments.
-- **packet** (a fault injector or a transport must see it, or the
-  reference switch :attr:`Nic.enabled` is off): one :class:`Packet`
-  per fragment carrying ``(fn, args)``, handed to :meth:`Nic.send` →
-  ``Fabric.transmit`` → ``Fabric._deliver``, injected at the same
-  instant with the same kind and size.
+What the NIC still decides is a shape (:meth:`Nic.closed_gate`): where
+an injector or a transport must see each fragment, or the reference
+switch :attr:`Nic.enabled` is off, a multi-fragment message is one post
+per fragment instead of two heap entries for all of them, and a barrier
+runs per message instead of as a live walk.
 
-Both forms push the same heap entries at the same instants, so a
-message's timing does not depend on its form.  ``Packet.ev_injected``
-(or the ``injected`` event of a post) triggers at the end of
-serialization — the *local completion* point of a transfer.  A
-message that asks for a hardware ack gets it back after ``fn`` ran, on
-either form.
-
-:meth:`Nic.send` with a raw packet (no ``fn``) dispatches on its kind to
-a handler registered with :meth:`Nic.register_handler`; only the NIC's
-own tests and benchmarks send those.  Handlers model NIC hardware: they
-run without the target process calling anything.  Anything requiring
-target CPU time (software acks, AM handlers, the communication-thread
-serializer) is layered above by enqueueing work from the delivered
-call.
+:meth:`Nic.send` posts a raw :class:`Packet` onto the same flight; at
+the destination it is dispatched on its kind to a handler registered
+with :meth:`Nic.register_handler`.  Only the NIC's own tests and
+benchmarks send those.  Handlers model NIC hardware: they run without
+the target process calling anything.  Anything requiring target CPU
+time (software acks, AM handlers, the communication-thread serializer)
+is layered above by enqueueing work from the delivered call.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from repro.sim.events import AllOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
-    from repro.network.transport import ReliableTransport
+    from repro.network.transport import ReliableTransport, _TxEntry
     from repro.sim.core import Simulator
     from repro.sim.events import Event
 
@@ -80,13 +76,12 @@ class UnknownPacketKind(RuntimeError):
 
 
 class Nic:
-    """One rank's NIC: injection queue, the choice of a message's form,
+    """One rank's NIC: injection queue, the flight of a message,
     delivery."""
 
-    #: The reference switch (tests pin it off to diff the two forms):
-    #: off, every posted message — engine control messages, requests,
-    #: replies and writes, p2p, locks, active messages, heartbeats —
-    #: and every barrier travels as packets.
+    #: The reference switch (tests pin it off to diff the two shapes):
+    #: off, every multi-fragment message is one post per fragment and
+    #: every barrier runs per message.
     enabled = True
 
     def __init__(self, sim: "Simulator", rank: int, fabric: Fabric) -> None:
@@ -110,7 +105,7 @@ class Nic:
         #: Reliable transport, armed only for fault-injection runs (see
         #: :meth:`enable_reliability`); ``None`` keeps every fast path.
         self.transport: "ReliableTransport | None" = None
-        fabric.attach(rank, self._on_deliver)
+        fabric.attach(rank)
         fabric.nics[rank] = self
         #: Serialization time of a payload-free message.
         self.header_ser = self.config.serialization_time(HEADER_SIZE)
@@ -128,8 +123,8 @@ class Nic:
         """Arm the reliable transport (sequence numbers, acks,
         retransmission, dedup, checksums) on this NIC.  Done once per
         NIC by the :class:`~repro.runtime.World` when it is built with
-        an active fault plan; with the transport armed every message
-        is a packet (:meth:`closed_gate`)."""
+        an active fault plan; with the transport armed every fragment
+        is a message of its own (:meth:`closed_gate`)."""
         if self.transport is not None:
             raise ValueError(f"rank {self.rank}: reliability already enabled")
         from repro.network.transport import ReliableTransport
@@ -143,9 +138,9 @@ class Nic:
         already being serialized when it opens finishes; one whose turn
         falls inside it starts at ``until``.  Only a fault plan stalls a
         NIC and an active plan arms the transport, under which every
-        message is a packet and op-trains and barrier walks stand down
-        — so :meth:`reserve` is the only writer of the reservation that
-        ever meets a window."""
+        fragment is a message of its own and op-trains and barrier walks
+        stand down — so :meth:`reserve` is the only writer of the
+        reservation that ever meets a window."""
         self._stalls.append((start, until))
         self._stalls.sort()
 
@@ -165,10 +160,9 @@ class Nic:
         handed to this NIC; returns the time the claim ends.  This is
         the injection queue: FIFO, deterministic service time, so the
         backlog is the single number ``_reserved_until``.  Every caller
-        (:meth:`send`, :meth:`reinject`, :meth:`post`,
-        :meth:`post_frags`, the barrier walk) books the arrival from a
-        callback at the returned instant or later, so the claim also
-        moves ``_unbooked_until``."""
+        (:meth:`post`, :meth:`post_frags`, a transport retransmit, the
+        barrier walk) books the arrival from a callback at the returned
+        instant or later, so the claim also moves ``_unbooked_until``."""
         start = self._reserved_until
         now = self.sim.now
         if start < now:
@@ -179,75 +173,53 @@ class Nic:
         self._reserved_until = self._unbooked_until = t = start + ser
         return t
 
-    def closed_gate(self) -> Optional[str]:
-        """Why a message leaving this NIC must travel as a
-        :class:`Packet`, or ``None``: the lean form builds no object for
-        an injector or a transport to look at.  A tracer needs none —
-        both forms leave the same records.
+    def fault_gate(self) -> Optional[str]:
+        """Why fault handling must see each fragment of a message on
+        its own, or ``None``: an injector draws a fate per message and
+        a transport sequences, acks and retransmits each one.  The
+        op-train's gate and :meth:`closed_gate` both ask it.
 
         ``transport`` is fixed when the world is built; ``faulty`` flips
         once, at the first ``kill_rank`` or injector install.
         """
-        if not self.enabled:
-            return "disabled"       # the tests' reference switch
         if self.fabric._faulty:
-            return "faulty"         # every transmit consults the injector
+            return "faulty"         # every launch consults the injector
         if self.transport is not None:
             return "transport"      # sequence numbers, acks, retransmits
         return None
 
-    def send(self, packet: Packet) -> Packet:
-        """Queue ``packet`` for injection.
+    def closed_gate(self) -> Optional[str]:
+        """Why a multi-fragment message leaving this NIC must be one
+        post per fragment (and a barrier run message by message), or
+        ``None``.  A tracer needs neither — every shape leaves the same
+        records."""
+        if not self.enabled:
+            return "disabled"       # the tests' reference switch
+        return self.fault_gate()
 
-        Creates ``ev_injected`` if absent.  If the packet wants an ack
-        and the fabric supports remote-completion events,
-        ``ev_remote_complete`` is created too (callers may wait on it).
-        """
+    def send(self, packet: Packet) -> Packet:
+        """Post a raw ``packet``: its body at the destination is the
+        handler registered there for its kind (:meth:`register_handler`).
+
+        Creates ``ev_injected`` if absent."""
         if packet.src != self.rank:
             raise ValueError(
                 f"packet src {packet.src} does not match NIC rank {self.rank}"
             )
         if packet.ev_injected is None:
             packet.ev_injected = self.sim.event()
-        if (
-            packet.want_ack
-            and packet.ev_remote_complete is None
-            and self.fabric.config_for(self.rank, packet.dst).remote_completion_events
-        ):
-            packet.ev_remote_complete = self.sim.event()
-        if self.transport is not None:
-            self.transport.prepare(packet)
-        t = self.reserve(self.config.serialization_time(packet.wire_bytes))
-        self.sim.schedule_call(t - self.sim.now, self._injected, packet, t)
+        self.post(packet.dst, packet.kind, self._dispatch, (packet,),
+                  packet.data_bytes, injected=packet.ev_injected)
         return packet
 
-    def reinject(self, packet: Packet) -> None:
-        """Requeue an already-prepared packet (transport retransmission)."""
-        t = self.reserve(self.config.serialization_time(packet.wire_bytes))
-        self.sim.schedule_call(t - self.sim.now, self._injected, packet, t)
-
-    def _injected(self, packet: Packet, t: float) -> None:
-        """Serialization of ``packet`` ends (at ``t``): it leaves for
-        the fabric."""
-        self.packets_sent += 1
-        self.bytes_sent += packet.wire_bytes
-        tracer = self.fabric.tracer
-        if tracer.enabled:
-            # Span milestone: serialization finished (the op's
-            # "inject" phase ends at the last fragment's record).
-            tracer.record(self.sim.now, "net", "inject",
-                          rank=self.rank, dst=packet.dst,
-                          kind_=packet.kind, op=packet.op,
-                          bytes=packet.wire_bytes)
-        ev = packet.ev_injected
-        if ev is not None and not ev.triggered:
-            # Retransmits reuse the packet; only the first injection
-            # is the local-completion point.
-            ev.succeed(t)
-        self.fabric.transmit(packet)
-        transport = self.transport
-        if transport is not None and packet.flow_seq is not None:
-            transport.packet_injected(packet)
+    def _dispatch(self, packet: Packet) -> None:
+        """The body of a raw packet, run where it landed."""
+        dst = packet.dst
+        handler = self.fabric.nics[dst]._handlers.get(packet.kind)
+        if handler is None:
+            raise UnknownPacketKind(rank=dst, sim_time=self.sim.now,
+                                    packet=packet)
+        handler(packet)
 
     def post(self, dst: int, kind: str, fn: Callable[..., None],
              args: tuple, data_bytes: int = 0, data=None, op=None,
@@ -261,37 +233,32 @@ class Nic:
         given, is the hardware delivery ack: it succeeds when the ack
         the destination NIC sends after ``fn`` ran is back.  ``op``
         names the RMA operation in trace records; ``data`` is what the
-        transport's checksum covers (the packet form only).
+        transport's checksum covers.
 
-        Where :meth:`closed_gate` is open the message is lean: the same
-        reservation and the same two heap entries, pushed at the same
-        instants in the same order, as :meth:`send` → :meth:`_injected`
-        → ``Fabric.transmit`` → ``Fabric._deliver`` push for a packet of
-        that size — so every timestamp, counter, link reservation and
-        RNG draw is the per-packet one, and equal-time ties resolve as
-        they do per packet; traced, it leaves that packet's
-        ``net/inject`` and ``net/deliver`` records.  Otherwise it is
-        that packet, carrying ``(fn, args)``."""
-        if self.closed_gate() is not None:
-            self.send(Packet(src=self.rank, dst=dst, kind=kind, fn=fn,
-                             args=args, op=op, data=data,
-                             data_bytes=data_bytes, want_ack=ack is not None,
-                             ev_injected=injected, ev_remote_complete=ack))
-            return
+        The message reserves its slot and pushes one callback at the
+        end of its serialization (:meth:`launch`); with the transport
+        armed it is first sequenced and checksummed.  Traced, it leaves
+        ``net/inject`` and ``net/deliver`` records."""
         wire = HEADER_SIZE + data_bytes
+        transport = self.transport
+        entry = None if transport is None else transport.prepare(
+            dst, kind, fn, args, wire, data, op, ack)
         t = self.reserve(self.config.serialization_time(wire) if data_bytes
                          else self.header_ser)
         self.sim.schedule_call(t - self.sim.now, self._launch, dst, kind, fn,
-                               args, wire, injected, t, op, ack)
+                               args, wire, injected, t, op, ack, entry)
 
     def launch(self, dst: int, kind: str, fn: Callable[..., None],
                args: tuple, wire: int = HEADER_SIZE,
                injected: "Event | None" = None, t: float = 0.0, op=None,
-               ack: "Event | None" = None) -> None:
-        """Serialization of a lean message of ``wire`` bytes ends (at
-        ``t``): what :meth:`_injected` and ``Fabric.transmit`` do for a
-        packet, then one callback at the arrival instant (:meth:`land`,
-        on ``dst``'s NIC)."""
+               ack: "Event | None" = None,
+               entry: "_TxEntry | None" = None) -> None:
+        """Serialization of a message of ``wire`` bytes ends (at ``t``):
+        it leaves for the fabric, and one callback is pushed at each
+        instant it lands (:meth:`land`, on ``dst``'s NIC) — none when a
+        dead port, a lost route or the injector drops it, two when the
+        injector duplicates it.  ``entry`` is the transport's record of
+        a sequenced message (its retransmit timer is armed here)."""
         self.packets_sent += 1
         self.bytes_sent += wire
         fabric = self.fabric
@@ -301,30 +268,53 @@ class Nic:
                                  op=op, bytes=wire)
         if injected is not None:
             injected.succeed(t)
+        try:
+            land = fabric.nics[dst]._land
+        except KeyError:
+            raise ValueError(
+                f"no NIC attached for destination rank {dst}") from None
+        src = self.rank
         dead = fabric._dead
-        if dead and (self.rank in dead or dst in dead):
+        if dead and (src in dead or dst in dead):
             fabric.dead_dropped += 1
-            return
-        arrival = fabric.arrival(self.rank, dst, wire)
-        if arrival is not None:
+        elif (arrival := fabric.arrival(src, dst, wire)) is not None:
             sim = self.sim
-            sim.schedule_call(arrival - sim.now, fabric.nics[dst]._land,
-                              self.rank, kind, fn, args, wire, op, ack)
+            if fabric._injector is None:
+                sim.schedule_call(arrival - sim.now, land, src, kind, fn,
+                                  args, wire, op, ack, entry)
+            else:
+                now = sim.now
+                fate = fabric._injector.fate(src, dst, kind, now)
+                if fate.corrupt and entry is not None:
+                    from repro.faults.injector import CORRUPT_MASK
+
+                    # the wire checksum, never the bytes: a retransmit
+                    # resends them pristine
+                    entry.wire_checksum = entry.checksum ^ CORRUPT_MASK
+                for at in fabric.landings(src, dst, wire, arrival, fate):
+                    sim.schedule_call(at - now, land, src, kind, fn, args,
+                                      wire, op, ack, entry)
+        if entry is not None:
+            self.transport.launched(entry)
 
     def land(self, src: int, kind: str, fn: Callable[..., None],
              args: tuple, wire: int, op=None,
-             ack: "Event | None" = None) -> None:
-        """The flight of a lean message from ``src`` ends here: what
-        ``Fabric._deliver`` and :meth:`_on_deliver` do for a packet —
-        the message's effect, then its hardware ack."""
+             ack: "Event | None" = None,
+             entry: "_TxEntry | None" = None) -> None:
+        """The flight of a message from ``src`` ends here: the train
+        elements that arrived before it apply, the transport screens a
+        sequenced one (a corrupt or duplicate message runs nothing and
+        is not acked), then the message's effect, then its hardware
+        ack."""
         fabric = self.fabric
         dead = fabric._dead
         if dead and (self.rank in dead or src in dead):
             fabric.dead_dropped += 1
             return
         if fabric._pending_trains:
-            # as in _deliver: train elements that analytically arrived
-            # before this message apply first
+            # train elements that analytically arrived before this
+            # message apply first: the per-pair FIFO clamped it after
+            # them
             fabric.materialize_trains(self.rank)
         fabric.packets_delivered += 1
         fabric.bytes_delivered += wire
@@ -333,13 +323,15 @@ class Nic:
             fabric.tracer.record(self.sim.now, "net", "deliver",
                                  rank=self.rank, kind_=kind, src=src,
                                  bytes=wire - HEADER_SIZE, op=op)
+        if entry is not None and not self.transport.rx_accept(src, entry):
+            return
         fn(*args)
         if ack is not None:
             fabric.hardware_ack(src, self.rank, ack, op)
 
     def flat_ordered(self, dst: int) -> bool:
-        """Whether the path to ``dst`` carries a lean multi-fragment
-        message as one: a flat fabric (no link to reserve in injection
+        """Whether the path to ``dst`` carries a multi-fragment message
+        as one: a flat fabric (no link to reserve in injection
         order across NICs) and an ordered path (no jitter to draw per
         fragment)."""
         return (self.fabric.topology is None
@@ -359,7 +351,7 @@ class Nic:
 
         One fragment is one :meth:`post`.  Several, where
         :meth:`closed_gate` is open on a flat ordered path
-        (:meth:`flat_ordered`), are one lean message in two heap entries
+        (:meth:`flat_ordered`), are one message in two heap entries
         — the last injection, the last arrival — instead of a pair per
         fragment: injections are the reservation's running sum, one
         :meth:`reserve` per fragment; arrivals are ``Fabric.arrival`` at
@@ -398,7 +390,7 @@ class Nic:
 
     def _frags_launch(self, dst, kind, fn, args, wires, times, injected,
                       acks, op) -> None:
-        """The last fragment of a lean :meth:`post_frags` message is
+        """The last fragment of a two-entry :meth:`post_frags` message is
         serialized: every fragment leaves for the fabric."""
         n = len(wires)
         self.packets_sent += n
@@ -425,7 +417,7 @@ class Nic:
 
     def _frags_land(self, src, kind, fn, args, wires, arrivals, acks,
                     op) -> None:
-        """The last fragment of a lean :meth:`post_frags` message from
+        """The last fragment of a two-entry :meth:`post_frags` message from
         ``src`` lands here: every fragment is delivered, then the
         message's effect, then the hardware acks leave."""
         fabric = self.fabric
@@ -457,31 +449,8 @@ class Nic:
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:
-        """Dispatch raw packets of ``kind`` (sent with :meth:`send`, no
-        ``fn``) to ``fn`` on delivery."""
+        """Dispatch raw packets of ``kind`` (sent with :meth:`send`) to
+        ``fn`` on delivery."""
         if kind in self._handlers:
             raise ValueError(f"handler for {kind!r} already registered")
         self._handlers[kind] = fn
-
-    def _on_deliver(self, packet: Packet):
-        self.packets_received += 1
-        transport = self.transport
-        if (
-            transport is not None
-            and packet.flow_seq is not None
-            and not transport.rx_accept(packet)
-        ):
-            # Corrupt or duplicate: suppressed by the transport.  The
-            # False return tells the fabric not to hardware-ack it.
-            return False
-        fn = packet.fn
-        if fn is not None:
-            fn(*packet.args)
-            return True
-        handler = self._handlers.get(packet.kind)
-        if handler is None:
-            raise UnknownPacketKind(
-                rank=self.rank, sim_time=self.sim.now, packet=packet
-            )
-        handler(packet)
-        return True

@@ -7,25 +7,28 @@ pays for any of this.
 
 Protocol
 --------
-- Every packet the NIC sends (except the transport's own acks) gets a
+- Every message the NIC posts (except the transport's own acks) gets a
   per-(src, dst) flow sequence number and a CRC32 checksum over its
-  bulk bytes (``Packet.data``: a fragment's own bytes, a p2p payload, a
-  get-reply chunk; control messages checksum 0).
+  bulk bytes (the post's ``data``: a fragment's own bytes, a p2p
+  payload, a get-reply chunk; control messages checksum 0), kept with
+  the post's arguments in one :class:`_TxEntry` that travels with every
+  copy of the message in flight.
 - The receiver verifies the checksum (a corruption fault mangles the
-  wire checksum; the mismatch is detected here and the packet dropped),
-  suppresses duplicates with a contiguous-watermark + stash scheme, and
-  answers every survivor *and every duplicate* with a selective
-  ``xport.ack`` control message (re-acking duplicates stops a sender
-  whose previous ack was lost) — posted like every other message, so
-  with the transport armed it is a packet too.
+  entry's wire checksum; the mismatch is detected here and the message
+  dropped), suppresses duplicates with a contiguous-watermark + stash
+  scheme, and answers every survivor *and every duplicate* with a
+  selective ``xport.ack`` control message (re-acking duplicates stops a
+  sender whose previous ack was lost) — posted like every other
+  message.
 - The sender arms a retransmission timer at each injection; the timeout
   is the path's analytic round-trip estimate
   (:meth:`~repro.network.config.NetworkConfig.retransmit_timeout`)
   scaled by ``rto_scale`` with exponential ``backoff`` per attempt.
-  An unacked packet is reinjected until the ``retry_budget`` is
-  exhausted or the target is known dead — then the whole (src, dst)
-  flow is declared broken: every outstanding packet on it fails at
-  once and registered path-failure callbacks (the RMA engine) fire.
+  An unacked message is launched again (``Nic.reserve`` + ``Nic.launch``)
+  until the ``retry_budget`` is exhausted or the target is known dead —
+  then the whole (src, dst) flow is declared broken: every outstanding
+  message on it fails at once and registered path-failure callbacks
+  (the RMA engine) fire.
 
 Whole-flow failure is deliberate: a permanently lost sequence number
 would otherwise gate the target's applied-watermark forever, hanging
@@ -33,34 +36,32 @@ every later flush and ordering barrier on the path.  Breaking the flow
 converts a would-be hang into structured per-operation errors.
 
 The transport ack doubles as a delivery confirmation: when the acked
-packet carried ``want_ack`` and its hardware ack was lost, the
-transport completes ``ev_remote_complete`` itself (guarded against
-double triggering in both directions).
+message asked for a hardware ack and that ack was lost, the transport
+completes the ack event itself (guarded against double triggering in
+both directions).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
-
-from repro.network.packet import Packet
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import TransportParams
     from repro.network.nic import Nic
     from repro.sim.core import Simulator
+    from repro.sim.events import Event
 
 __all__ = ["ReliableTransport", "TransportFailure", "payload_checksum"]
 
-#: Packet kind of the transport's own selective acks (never themselves
+#: Message kind of the transport's own selective acks (never themselves
 #: sequenced or retransmitted; a lost ack is recovered by dedup+re-ack).
 ACK_KIND = "xport.ack"
 
 
-def payload_checksum(packet: Packet) -> int:
-    """CRC32 over the packet's bulk bytes (0 for control packets)."""
-    data = packet.data
+def payload_checksum(data) -> int:
+    """CRC32 over a message's bulk bytes (0 for a control message)."""
     if data is None:
         return 0
     return zlib.crc32(data.tobytes())
@@ -83,24 +84,40 @@ class TransportFailure:
     sim_time: float
     reason: str  # "retry-budget-exhausted" | "target-dead" | "restart-reset"
     packet_kind: str
-    packet_id: int
+    seq: int
     kind: str = "retry_exhausted"
 
     def __str__(self) -> str:
         return (f"flow {self.src}->{self.dst} failed at t={self.sim_time:.3f}: "
-                f"{self.reason} (packet #{self.packet_id} {self.packet_kind!r} "
+                f"{self.reason} (message #{self.seq} {self.packet_kind!r} "
                 f"after {self.attempts} attempt(s))")
 
 
 class _TxEntry:
-    """Sender-side state of one unacknowledged packet."""
+    """One sequenced message: the post's arguments (what a retransmit
+    launches again), its flow sequence number and incarnation, its true
+    checksum and the one on the wire (a corruption fault mangles the
+    latter; every copy in flight carries this entry), and the sender's
+    retransmission state."""
 
-    __slots__ = ("packet", "dst", "seq", "attempts", "timer_gen")
+    __slots__ = ("dst", "kind", "fn", "args", "wire", "data", "op", "ack",
+                 "seq", "epoch", "checksum", "wire_checksum", "attempts",
+                 "timer_gen")
 
-    def __init__(self, packet: Packet, dst: int, seq: int) -> None:
-        self.packet = packet
+    def __init__(self, dst: int, kind: str, fn: Callable[..., None],
+                 args: tuple, wire: int, data: Any, op: Any,
+                 ack: "Event | None", seq: int, epoch: int) -> None:
         self.dst = dst
+        self.kind = kind
+        self.fn = fn
+        self.args = args
+        self.wire = wire
+        self.data = data
+        self.op = op
+        self.ack = ack
         self.seq = seq
+        self.epoch = epoch
+        self.checksum = self.wire_checksum = payload_checksum(data)
         self.attempts = 0
         #: Bumped on every (re)arm/cancel; stale timer callbacks compare
         #: their captured generation and drop themselves (the kernel has
@@ -130,7 +147,7 @@ class ReliableTransport:
         # Per-peer flow incarnation.  Both ends of a pair bump it in
         # lockstep when a rank restarts (World._restart_rank resets the
         # restarted rank and every peer at the same instant), so a
-        # sequenced packet or selective ack stamped with an older epoch
+        # sequenced message or selective ack stamped with an older epoch
         # is provably stale — from before the restart — and is dropped
         # instead of being mis-deduped against the fresh sequence space.
         self._flow_epoch: Dict[int, int] = {}
@@ -155,32 +172,32 @@ class ReliableTransport:
         """Call ``fn(dst, failure)`` when a flow to ``dst`` breaks."""
         self._path_failure_cbs.append(fn)
 
-    def prepare(self, packet: Packet) -> None:
-        """Sequence + checksum an outgoing packet (from :meth:`Nic.send`)."""
-        if packet.kind == ACK_KIND:
-            return
-        dst = packet.dst
+    def prepare(self, dst: int, kind: str, fn: Callable[..., None],
+                args: tuple, wire: int, data: Any = None, op: Any = None,
+                ack: "Event | None" = None) -> "_TxEntry | None":
+        """Sequence + checksum an outgoing message (from
+        :meth:`Nic.post`); ``None`` for the transport's own acks."""
+        if kind == ACK_KIND:
+            return None
         seq = self._tx_seq.get(dst, 0) + 1
         self._tx_seq[dst] = seq
-        packet.flow_seq = seq
-        packet.flow_epoch = self._flow_epoch.get(dst, 0)
-        packet.checksum = payload_checksum(packet)
-        packet.wire_checksum = packet.checksum
-        self._outstanding[(dst, seq)] = _TxEntry(packet, dst, seq)
+        entry = _TxEntry(dst, kind, fn, args, wire, data, op, ack, seq,
+                         self._flow_epoch.get(dst, 0))
+        self._outstanding[(dst, seq)] = entry
         self.stats["sent"] += 1
+        return entry
 
-    def packet_injected(self, packet: Packet) -> None:
-        """Arm (or re-arm) the retransmission timer; called by
-        ``Nic._injected`` after handing the packet to the fabric."""
-        entry = self._outstanding.get((packet.dst, packet.flow_seq))
+    def launched(self, entry: _TxEntry) -> None:
+        """Arm (or re-arm) the retransmission timer of the message
+        ``entry`` names; called by ``Nic.launch`` after it left."""
+        entry = self._outstanding.get((entry.dst, entry.seq))
         if entry is None:
             return  # acked while a retransmit sat in the injection queue
         entry.attempts += 1
-        packet.attempts = entry.attempts
         entry.timer_gen += 1
         cfg = self.fabric.config_for(self.rank, entry.dst)
         rto = min(
-            cfg.retransmit_timeout(packet.wire_bytes)
+            cfg.retransmit_timeout(entry.wire)
             * self.params.rto_scale
             * (self.params.backoff ** (entry.attempts - 1)),
             self.params.rto_max,
@@ -200,28 +217,31 @@ class ReliableTransport:
             return
         self.stats["retransmits"] += 1
         self._retx_by_dst[entry.dst] = self._retx_by_dst.get(entry.dst, 0) + 1
-        packet = entry.packet
         # Undo any in-flight corruption: the sender retransmits pristine
         # data with the true checksum.
-        packet.wire_checksum = packet.checksum
+        entry.wire_checksum = entry.checksum
         tracer = self.fabric.tracer
         tracer.bump("xport.retransmit", rank=self.rank, dst=entry.dst)
         if tracer.enabled:
             tracer.record(self.sim.now, "xport", "retransmit",
                           rank=self.rank, dst=entry.dst, seq=entry.seq,
-                          attempt=entry.attempts, kind_=packet.kind)
-        self.nic.reinject(packet)
+                          attempt=entry.attempts, kind_=entry.kind)
+        nic = self.nic
+        t = nic.reserve(nic.config.serialization_time(entry.wire))
+        self.sim.schedule_call(t - self.sim.now, nic.launch, entry.dst,
+                               entry.kind, entry.fn, entry.args, entry.wire,
+                               None, t, entry.op, entry.ack, entry)
 
     def _on_ack(self, src: int, seq: int, epoch: int) -> None:
         """``xport.ack`` from ``src``: it accepted (or had already
-        accepted) our packet ``seq`` of flow incarnation ``epoch``."""
+        accepted) our message ``seq`` of flow incarnation ``epoch``."""
         self.stats["acks_rx"] += 1
         tracer = self.fabric.tracer
         if tracer.enabled:
             tracer.record(self.sim.now, "xport", "ack_rx",
                           rank=self.rank, src=src, seq=seq)
         if epoch != self._flow_epoch.get(src, 0):
-            # A delayed pre-restart ack must not confirm a packet of the
+            # A delayed pre-restart ack must not confirm a message of the
             # fresh sequence space that happens to reuse its number.
             self.stats["stale_acks"] += 1
             return
@@ -229,11 +249,10 @@ class ReliableTransport:
         if entry is None:
             return  # duplicate ack, or the flow already failed
         entry.timer_gen += 1  # cancel the pending timer
-        acked = entry.packet
         # The transport ack confirms delivery; complete the hardware-ack
         # event if the NIC-generated ack was lost (or has not landed yet).
-        ev = acked.ev_remote_complete
-        if acked.want_ack and ev is not None and not ev.triggered:
+        ev = entry.ack
+        if ev is not None and not ev.triggered:
             ev.succeed(self.sim.now)
 
     def _classify_failure(self, dst: int, reason: str) -> str:
@@ -250,7 +269,7 @@ class ReliableTransport:
         failure = TransportFailure(
             src=self.rank, dst=dst, attempts=entry.attempts,
             sim_time=self.sim.now, reason=reason,
-            packet_kind=entry.packet.kind, packet_id=entry.packet.packet_id,
+            packet_kind=entry.kind, seq=entry.seq,
             kind=self._classify_failure(dst, reason),
         )
         self._broken.add(dst)
@@ -271,25 +290,23 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
-    def rx_accept(self, packet: Packet) -> bool:
-        """Verify + dedup an arriving sequenced packet; ``False`` means
-        the NIC must not dispatch it (corrupt or duplicate)."""
-        if packet.wire_checksum != payload_checksum(packet):
+    def rx_accept(self, src: int, entry: _TxEntry) -> bool:
+        """Verify + dedup a sequenced message from ``src`` landing here;
+        ``False`` means the NIC must not run it (corrupt or duplicate)."""
+        seq = entry.seq
+        if entry.wire_checksum != payload_checksum(entry.data):
             self.stats["csum_drops"] += 1
             tracer = self.fabric.tracer
-            tracer.bump("xport.csum_drop", rank=self.rank, src=packet.src)
+            tracer.bump("xport.csum_drop", rank=self.rank, src=src)
             if tracer.enabled:
                 tracer.record(self.sim.now, "xport", "csum_drop",
-                              rank=self.rank, src=packet.src,
-                              seq=packet.flow_seq)
+                              rank=self.rank, src=src, seq=seq)
             return False  # no ack: the sender will retransmit
-        src = packet.src
-        seq = packet.flow_seq
-        epoch = packet.flow_epoch or 0
+        epoch = entry.epoch
         cur_epoch = self._flow_epoch.get(src, 0)
         if epoch != cur_epoch:
             if epoch < cur_epoch:
-                # Stale pre-restart packet that survived in flight: its
+                # Stale pre-restart message that survived in flight: its
                 # sequence number belongs to a dead numbering.  Dropping
                 # it silently (no ack, no dedup-state update) is the
                 # only safe move — acking would confirm a fresh-epoch

@@ -78,12 +78,8 @@ def _instant_events(records: Iterable) -> List[Dict[str, Any]]:
         if rec.kind in _SPAN_KINDS and rec.detail.get("op") is not None:
             continue  # already a phase slice on the op's lane
         rank = rec.rank if rec.rank is not None else -1
-        # packet_id comes from a process-global counter (unique but not
-        # run-deterministic); dropping it keeps same-seed exports
-        # byte-identical.
         args = {k: v for k, v in sorted(rec.detail.items())
-                if k != "packet_id"
-                and isinstance(v, (int, float, str, bool, type(None)))}
+                if isinstance(v, (int, float, str, bool, type(None)))}
         events.append({
             "name": f"{rec.category}.{rec.kind}",
             "ph": "i",

@@ -47,7 +47,7 @@ produced at the same simulated time.
 
 Timestamps are bit-identical to the event-loop path by construction:
 the arithmetic below is the same float arithmetic `Nic.reserve` /
-`Fabric.transmit` perform, evaluated eagerly — or, for arrivals booked
+`Fabric.arrival` perform, evaluated eagerly — or, for arrivals booked
 at injection, the same call at the same instant.
 """
 
@@ -262,10 +262,9 @@ class TrainRoute:
         fabric = nic.fabric
         if not eng.train_enabled:
             return "disabled"       # the tests' reference switch
-        if nic.transport is not None:
-            return "transport"      # seq numbers, acks, retransmit timers
-        if fabric._faulty:
-            return "faulty"         # every transmit consults the injector
+        reason = nic.fault_gate()   # "faulty", then "transport"
+        if reason is not None:
+            return reason
         if not eng.conformance_mutations <= _TRAIN_MUTATIONS:
             return "mutation"       # planted bugs live on the per-op path
         if not op.is_write:
@@ -331,13 +330,13 @@ class TrainRoute:
     def inject(self, dst: int, elem: OpRecord, wire_bytes: int,
                last: bool, ack: Optional[Event]) -> None:
         """Serialization of one fragment of a late-booked element ends:
-        what ``Nic._injected`` → ``Fabric.transmit`` do for a packet.  A
-        dead endpoint drops it; otherwise :meth:`Fabric.arrival
+        what ``Nic.launch`` does for a message.  A dead endpoint drops
+        it; otherwise :meth:`Fabric.arrival
         <repro.network.fabric.Fabric.arrival>` books its flight — link
         reservations and FIFO clamp — at this instant, and the fragment
         of a remote-complete element (``ack``: the event its hardware
-        ack succeeds) pushes :meth:`_acked` with the delay ``transmit``
-        pushes ``_deliver`` with.  The last fragment's arrival is the
+        ack succeeds) pushes :meth:`_acked` with the delay ``launch``
+        pushes ``Nic.land`` with.  The last fragment's arrival is the
         element's apply time; an acked element's is the instant its
         :meth:`_acked` runs, ``now + (arrival - now)`` — one ulp before
         ``arrival`` at times, when the callback would find its element
@@ -378,9 +377,9 @@ class TrainRoute:
 
     def _acked(self, dst: int, ack: Event, op_key: tuple) -> None:
         """A fragment of a remote-complete element booked at injection
-        lands at ``dst``: what ``Fabric._deliver`` does for a packet
-        that wants an ack.  The target's arrived elements apply first —
-        at the last fragment the element itself, as the packet's handler
+        lands at ``dst``: what ``Nic.land`` does for a message that
+        wants an ack.  The target's arrived elements apply first — at
+        the last fragment the element itself, as the message's body
         would apply it — then the fragment's hardware ack leaves
         (:meth:`Fabric.hardware_ack
         <repro.network.fabric.Fabric.hardware_ack>`).  A dead endpoint
@@ -473,7 +472,7 @@ class TrainRoute:
                     inject_end += s
                     inject_value.append(inject_end)
         elif nfrags == 1:
-            # Scalar algebra: exactly Nic.reserve + transmit.
+            # Scalar algebra: exactly Nic.reserve + Fabric.arrival.
             inject_end = start + ser[0]
             arrival = inject_end + path.latency
             prev = clamp.get(dst, -1.0)
@@ -553,9 +552,9 @@ class TrainRoute:
             op_key if traced else None,
         )
         if late:
-            # One callback per fragment, pushed with the delay Nic.send
-            # pushes _injected with: equal-instant injections of two
-            # NICs reserve shared links in the order packets would.
+            # One callback per fragment, pushed with the delay Nic.post
+            # pushes Nic.launch with: equal-instant injections of two
+            # NICs reserve shared links in the order messages would.
             nic._unbooked_until = inject_end
             last = nfrags - 1
             for i, t in enumerate(inject_value or (inject_end,)):

@@ -2,7 +2,7 @@
 
 A :class:`TopoRuntime` binds a :class:`~repro.topo.graph.Topology` to a
 running simulation.  The :class:`~repro.network.fabric.Fabric` consults
-it once per inter-node packet to compute the arrival time over the
+it once per inter-node message to compute the arrival time over the
 routed path; everything else (NIC injection, ordering clamps, acks,
 fault fates) stays in the fabric.
 
@@ -11,7 +11,7 @@ packet serializes onto the directed link (``wire_bytes * byte_time``)
 and then flies the hop latency.  Every link keeps a *busy-until* time;
 a packet reaching a link before it is free queues (FIFO) and the wait
 is charged as queueing delay.  Reservations are made analytically at
-``Fabric.transmit`` time — the simulator processes events in
+injection (``Fabric.arrival``) — the simulator processes events in
 nondecreasing simulated-time order, so later transmissions always see
 every earlier reservation and the model is causally consistent without
 per-hop events.  This is what makes hotspot/incast traffic measurably

@@ -40,9 +40,8 @@ def bench_pr1_drift():
 def fast_paths(train=None, nexus=None, shared=None):
     """Pin the class-level fast-path switches (``RmaEngine.train_enabled``,
     ``Nic.enabled`` — the NIC's reference switch: off, the barrier walk
-    stands down and every posted message — control messages, requests,
-    replies, writes, p2p, locks, active messages, heartbeats — is a
-    packet) and ``RmaEngine.shared_default`` (every exposure a
+    stands down and every multi-fragment message is one post per
+    fragment) and ``RmaEngine.shared_default`` (every exposure a
     shared-memory window) for the duration; ``None`` leaves a switch
     alone.  Worlds read the switches while they run, so build
     *and* run inside the block.  Also works as a decorator:
@@ -70,3 +69,22 @@ def record_multiset(tracer):
     return Counter((r.time, r.category, r.kind, r.rank,
                     tuple(sorted(r.detail.items())))
                    for r in tracer)
+
+
+def gated_posts(monkeypatch):
+    """Record the kind of every ``Nic.post`` made where the NIC's gate
+    is closed (``Nic.closed_gate``): one per message of the reference
+    path, a multi-fragment message counting once per fragment.  An
+    ``rma.frag`` is recorded with its remote-completion mode
+    (``rma.frag:none``, ``rma.frag:hw`` …)."""
+    posted = []
+    post = Nic.post
+
+    def spy(self, dst, kind, fn, args, *rest, **kwargs):
+        if self.closed_gate() is not None:
+            posted.append(kind if kind != "rma.frag"
+                          else f"{kind}:{args[1]['ack']}")  # desc
+        return post(self, dst, kind, fn, args, *rest, **kwargs)
+
+    monkeypatch.setattr(Nic, "post", spy)
+    return posted

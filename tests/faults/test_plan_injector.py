@@ -12,7 +12,6 @@ from repro.faults import (
     StallSpec,
     TransportParams,
 )
-from repro.network import Packet
 from repro.sim import RngRegistry
 
 
@@ -105,13 +104,14 @@ class TestMatching:
 
 
 def _packets(n, src=0, dst=1, kind="rma.put"):
-    return [Packet(src=src, dst=dst, kind=kind) for _ in range(n)]
+    """``n`` messages as the ``(src, dst, kind)`` a fate is drawn for."""
+    return [(src, dst, kind)] * n
 
 
 class TestInjectorDeterminism:
     def _fates(self, seed, plan, packets):
         inj = FaultInjector(plan, RngRegistry(seed))
-        return [inj.fate(p, now=float(i)) for i, p in enumerate(packets)], inj
+        return [inj.fate(*p, now=float(i)) for i, p in enumerate(packets)], inj
 
     def test_same_seed_same_fates(self):
         plan = FaultPlan().drop(0.2).duplicate(0.1).corrupt(0.1).delay(0.3)
@@ -129,12 +129,12 @@ class TestInjectorDeterminism:
         # Fates on path 0->1 must not depend on traffic on other paths.
         plan = FaultPlan().drop(0.3)
         inj1 = FaultInjector(plan, RngRegistry(9))
-        alone = [inj1.fate(p, 0.0) for p in _packets(50, dst=1)]
+        alone = [inj1.fate(*p, 0.0) for p in _packets(50, dst=1)]
         inj2 = FaultInjector(plan, RngRegistry(9))
         mixed = []
         for p1, p2 in zip(_packets(50, dst=1), _packets(50, dst=2)):
-            inj2.fate(p2, 0.0)  # interleaved traffic on 0->2
-            mixed.append(inj2.fate(p1, 0.0))
+            inj2.fate(*p2, 0.0)  # interleaved traffic on 0->2
+            mixed.append(inj2.fate(*p1, 0.0))
         assert alone == mixed
 
     def test_stats_account_for_every_fault(self):
@@ -156,4 +156,4 @@ class TestInjectorDeterminism:
         assert inj.drop_hw_ack(1, 0, now=0.0)
         assert inj.stats["hw_acks_dropped"] == 1
         # data packets are untouched by an ack-only spec
-        assert inj.fate(Packet(src=0, dst=1, kind="rma.put"), 0.0).clean
+        assert inj.fate(0, 1, "rma.put", 0.0).clean

@@ -16,8 +16,8 @@ from repro.datatypes import BYTE
 from repro.faults import FaultPlan
 from repro.mpi.constants import ERRORS_RETURN
 from repro.network.config import generic_rdma
-from repro.network.packet import Packet
-from repro.network.transport import payload_checksum
+from repro.network.packet import HEADER_SIZE
+from repro.network.transport import _TxEntry
 from repro.rma.target_mem import RmaError
 from repro.runtime import World
 
@@ -28,13 +28,15 @@ def make_world(n_ranks=2, plan=None, seed=7):
                  seed=seed, rma_errhandler=ERRORS_RETURN)
 
 
-def sequenced(src, dst, seq, epoch):
-    """A wire-ready sequenced packet as the transport would emit it."""
-    pkt = Packet(src=src, dst=dst, kind="p2p.msg", payload={})
-    pkt.flow_seq = seq
-    pkt.flow_epoch = epoch
-    pkt.checksum = pkt.wire_checksum = payload_checksum(pkt)
-    return pkt
+def sequenced(dst, seq, epoch):
+    """A sequenced message to ``dst`` as the transport would emit it."""
+    return _TxEntry(dst, "p2p.msg", print, (), HEADER_SIZE, None, None,
+                    None, seq, epoch)
+
+
+def prepare(transport, dst):
+    """Sequence + checksum one header-only message to ``dst``."""
+    return transport.prepare(dst, "p2p.msg", print, (), HEADER_SIZE)
 
 
 class TestEpochStamping:
@@ -42,27 +44,25 @@ class TestEpochStamping:
         w = make_world()
         t = w.nics[0].transport
         assert t.flow_epoch(1) == 0
-        pkt = Packet(src=0, dst=1, kind="p2p.msg")
-        t.prepare(pkt)
-        assert pkt.flow_seq == 1
-        assert pkt.flow_epoch == 0
+        entry = prepare(t, 1)
+        assert entry.seq == 1
+        assert entry.epoch == 0
 
     def test_reset_flow_bumps_epoch_and_restarts_numbering(self):
         w = make_world()
         t = w.nics[0].transport
         for _ in range(3):
-            t.prepare(Packet(src=0, dst=1, kind="p2p.msg"))
+            prepare(t, 1)
         t.reset_flow(1)
         assert t.flow_epoch(1) == 1
-        pkt = Packet(src=0, dst=1, kind="p2p.msg")
-        t.prepare(pkt)
-        assert pkt.flow_seq == 1, "numbering must restart after reset"
-        assert pkt.flow_epoch == 1
+        entry = prepare(t, 1)
+        assert entry.seq == 1, "numbering must restart after reset"
+        assert entry.epoch == 1
 
     def test_reset_flow_clears_outstanding_and_broken(self):
         w = make_world()
         t = w.nics[0].transport
-        t.prepare(Packet(src=0, dst=1, kind="p2p.msg"))
+        prepare(t, 1)
         assert t._outstanding
         t._broken.add(1)
         t.reset_flow(1)
@@ -72,7 +72,7 @@ class TestEpochStamping:
     def test_reset_all_bumps_every_peer(self):
         w = make_world(n_ranks=4)
         t = w.nics[2].transport
-        t.prepare(Packet(src=2, dst=0, kind="p2p.msg"))
+        prepare(t, 0)
         t.reset_all()
         # every peer fences, even those the flow never talked to yet
         for peer in (0, 1, 3):
@@ -85,7 +85,7 @@ class TestStaleTraffic:
         rx = w.nics[1].transport
         rx.reset_flow(0)  # receiver is at epoch 1 now
         acks_before = rx.stats["acks_tx"]
-        accepted = rx.rx_accept(sequenced(0, 1, seq=5, epoch=0))
+        accepted = rx.rx_accept(0, sequenced(1, seq=5, epoch=0))
         assert accepted is False
         assert rx.stats["stale_drops"] == 1
         assert rx.stats["acks_tx"] == acks_before, \
@@ -97,16 +97,16 @@ class TestStaleTraffic:
         w = make_world()
         rx = w.nics[1].transport
         acks_before = rx.stats["acks_tx"]
-        assert rx.rx_accept(sequenced(0, 1, seq=1, epoch=0)) is True
+        assert rx.rx_accept(0, sequenced(1, seq=1, epoch=0)) is True
         assert rx.stats["acks_tx"] == acks_before + 1
         assert rx.stats["stale_drops"] == 0
 
     def test_receiver_adopts_newer_sender_epoch(self):
         w = make_world()
         rx = w.nics[1].transport
-        assert rx.rx_accept(sequenced(0, 1, seq=1, epoch=0)) is True
+        assert rx.rx_accept(0, sequenced(1, seq=1, epoch=0)) is True
         # sender restarted unilaterally: epoch 2, numbering from 1 again
-        assert rx.rx_accept(sequenced(0, 1, seq=1, epoch=2)) is True, \
+        assert rx.rx_accept(0, sequenced(1, seq=1, epoch=2)) is True, \
             "seq 1 of the new epoch must not be mis-deduped"
         assert rx.flow_epoch(0) == 2
         assert rx.stats["dup_rx"] == 0
@@ -114,12 +114,10 @@ class TestStaleTraffic:
     def test_stale_ack_ignored(self):
         w = make_world()
         tx = w.nics[0].transport
-        pkt = Packet(src=0, dst=1, kind="p2p.msg")
-        tx.prepare(pkt)
+        prepare(tx, 1)
         assert (1, 1) in tx._outstanding
         tx.reset_flow(1)  # restart: old numbering is dead
-        fresh = Packet(src=0, dst=1, kind="p2p.msg")
-        tx.prepare(fresh)  # epoch 1, seq 1
+        prepare(tx, 1)  # epoch 1, seq 1
         # a delayed pre-restart ack for "seq 1" arrives now
         tx._on_ack(1, 1, 0)
         assert tx.stats["stale_acks"] == 1
@@ -187,7 +185,7 @@ class TestKillRestartIntegration:
         """World._restart_rank bumps the epoch on the restarted rank and
         every peer in lockstep, so both directions agree."""
         w = make_world(n_ranks=3)
-        w.nics[0].transport.prepare(Packet(src=0, dst=2, kind="p2p.msg"))
+        prepare(w.nics[0].transport, 2)
         w._kill_rank(2, kill_program=False)
         w._restart_rank(2)
         for peer in (0, 1):

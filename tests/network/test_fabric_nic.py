@@ -130,14 +130,14 @@ class TestAttachValidation:
         sim = Simulator()
         fabric = Fabric(sim, NetworkConfig())
         with pytest.raises(ValueError, match="non-negative int"):
-            fabric.attach(bad, lambda p: None)
+            fabric.attach(bad)
 
     def test_duplicate_attach_message_names_rank(self):
         sim = Simulator()
         fabric = Fabric(sim, NetworkConfig(), n_ranks=2)
         Nic(sim, 1, fabric)
         with pytest.raises(ValueError, match="rank 1 already attached"):
-            fabric.attach(1, lambda p: None)
+            fabric.attach(1)
 
 
 class TestUnknownPacketKind:
@@ -208,21 +208,23 @@ class TestHardwareAcks:
             remote_completion_events=True,
         )
         sim, fabric, nics = setup_pair(cfg)
-        nics[1].register_handler("m", lambda p: None)
-        pkt = nics[0].send(Packet(src=0, dst=1, kind="m", want_ack=True))
+        ack = sim.event()
+        nics[0].post(1, "m", lambda: None, (), ack=ack)
         sim.run()
-        assert pkt.ev_remote_complete is not None
         # injected at 1, delivered at 6, ack back at ~11
-        assert pkt.ev_remote_complete.value == pytest.approx(11.0, abs=0.1)
+        assert ack.value == pytest.approx(11.0, abs=0.1)
         assert fabric.acks_generated == 1
 
     def test_no_ack_event_when_fabric_lacks_completion_events(self):
+        """A poster asks for a hardware ack only where the path has
+        remote-completion events; a raw packet never asks."""
         cfg = NetworkConfig(remote_completion_events=False, jitter=0.0)
         sim, fabric, nics = setup_pair(cfg)
         nics[1].register_handler("m", lambda p: None)
-        pkt = nics[0].send(Packet(src=0, dst=1, kind="m", want_ack=True))
+        nics[0].send(Packet(src=0, dst=1, kind="m"))
+        nics[0].post(1, "m", lambda: None, ())
         sim.run()
-        assert pkt.ev_remote_complete is None
+        assert fabric.packets_delivered == 2
         assert fabric.acks_generated == 0
 
 

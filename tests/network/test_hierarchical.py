@@ -97,22 +97,22 @@ class TestIntraNodePath:
         from types import SimpleNamespace
 
         from repro.machine import MachineConfig
-        from repro.network.packet import Packet
+        from repro.network.packet import HEADER_SIZE
 
         w = World(machine=MachineConfig(n_nodes=1, ranks_per_node=2))
         fate = SimpleNamespace(drop=True, corrupt=False, extra_delay=0.0,
                                duplicate=False)
-        w.fabric._injector = SimpleNamespace(fate=lambda p, now: fate)
+        w.fabric._injector = SimpleNamespace(
+            fate=lambda src, dst, kind, now: fate)
         w.fabric._faulty = True
 
-        def pkt():
-            return Packet(src=0, dst=1, kind="test", payload={},
-                          data_bytes=8)
+        def launch():
+            w.nics[0].launch(1, "test", lambda: None, (), HEADER_SIZE + 8)
 
-        w.fabric.transmit(pkt())
+        launch()
         assert w.fabric.intra_node_packets == 0
         fate.drop = False
-        w.fabric.transmit(pkt())
+        launch()
         assert w.fabric.intra_node_packets == 1
 
     def test_correctness_unchanged_across_the_boundary(self):

@@ -1,12 +1,16 @@
-"""Structure guard: every layer above the NIC sends with ``Nic.post``.
+"""Structure guard: every layer above the NIC sends with ``Nic.post``,
+and every message takes one flight.
 
-The NIC alone decides whether a message travels lean or inside a
-``Packet`` (``Nic.closed_gate``), so no module of ``repro`` outside
-``repro/network/`` may import ``Packet`` (an import for annotations
-only, under ``if TYPE_CHECKING:``, is no dependency), call ``.send(`` on
-a NIC or register a NIC handler.  A receiver counts as a NIC when its
-source text names one (``nic``, ``self.nic``, ``world.nics[rank]``,
-``self.engine.nic`` …).
+No module of ``repro`` outside ``repro/network/`` may import ``Packet``
+(an import for annotations only, under ``if TYPE_CHECKING:``, is no
+dependency), call ``.send(`` on a NIC or register a NIC handler.  A
+receiver counts as a NIC when its source text names one (``nic``,
+``self.nic``, ``world.nics[rank]``, ``self.engine.nic`` …).
+
+The flight is ``Nic.launch`` → ``Nic.land``: the fabric has no
+``transmit`` / ``_deliver`` of its own, the fault injector draws a fate
+only in ``Nic.launch``, and no module of ``repro`` but the NIC's builds
+a ``Packet`` (tests and the benchmark send raw ones).
 """
 
 import ast
@@ -100,3 +104,58 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
     )
     found = sorted(line for line, _ in violations(str(module)))
     assert found == [2, 3, 8, 9, 10]
+
+
+def _calls(tree):
+    """``(enclosing "Class.function", call node)`` for every call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+            else:
+                if isinstance(child, ast.Call):
+                    found.append((".".join(scope), child))
+                visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _parsed():
+    for root, _dirs, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    yield os.path.relpath(path, SRC), ast.parse(fh.read())
+
+
+def test_the_fabric_has_no_flight_of_its_own():
+    with open(os.path.join(NETWORK, "fabric.py")) as fh:
+        tree = ast.parse(fh.read())
+    fabric, = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Fabric"]
+    methods = {node.name for node in fabric.body
+               if isinstance(node, ast.FunctionDef)}
+    assert methods & {"transmit", "_deliver"} == set()
+
+
+def test_fates_are_drawn_only_at_launch():
+    drawn = [(path, scope) for path, tree in _parsed()
+             for scope, call in _calls(tree)
+             if isinstance(call.func, ast.Attribute)
+             and call.func.attr == "fate"]
+    assert drawn == [(os.path.join("network", "nic.py"), "Nic.launch")]
+
+
+def test_only_the_nic_builds_packets():
+    built = [(path, scope) for path, tree in _parsed()
+             for scope, call in _calls(tree)
+             if (isinstance(call.func, ast.Name) and call.func.id == "Packet")
+             or (isinstance(call.func, ast.Attribute)
+                 and call.func.attr == "Packet")]
+    assert [(path, scope) for path, scope in built
+            if path != os.path.join("network", "nic.py")] == []

@@ -109,7 +109,7 @@ def test_reentering_from_apply_keeps_order_and_applies_once(reentrant):
 def test_kill_rank_drops_every_train_touching_the_rank():
     fabric, log = _fabric(2.5), []
     for rank in range(4):
-        fabric.attach(rank, lambda packet: None)
+        fabric.attach(rank)
     DoubleTrain(fabric, 1, 0, [1.0, 3.0, 4.0], log)   # into the victim
     DoubleTrain(fabric, 2, 0, [2.0, 5.0], log)
     DoubleTrain(fabric, 0, 3, [2.0, 6.0], log)        # out of it

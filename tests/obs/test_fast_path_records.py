@@ -23,7 +23,7 @@ from repro.network.packet import Packet
 from repro.obs.spans import attribute_phases, build_spans
 from repro.resil import ResilienceConfig
 from repro.runtime import World
-from tests.conftest import fast_paths, record_multiset
+from tests.conftest import fast_paths, gated_posts, record_multiset
 from tests.obs.test_export import _tiny_world
 
 
@@ -237,10 +237,10 @@ SENDERS = {
 @pytest.mark.parametrize("name", sorted(SENDERS))
 def test_moved_senders_equal_their_packets(name, monkeypatch):
     """p2p, MPI-2 locks, the revoke notice, GASNet and heartbeats send
-    with ``Nic.post``: on a quiet world they travel lean and build no
-    packet, with the reference switch off every message is a packet —
-    and both runs agree on simulated time, counters, heap pops and
-    records."""
+    with ``Nic.post``: on a quiet world they travel lean, with the
+    reference switch off every message is posted as the reference path
+    posts it, neither builds a packet — and both runs agree on
+    simulated time, counters, heap pops and records."""
     pops = []
     heappop = core._heappop
 
@@ -257,14 +257,17 @@ def test_moved_senders_equal_their_packets(name, monkeypatch):
         built[-1] += 1
 
     monkeypatch.setattr(Packet, "__init__", building)
-    seen = {}
+    gated = gated_posts(monkeypatch)
+    seen, posted = {}, []
     for nexus in (True, False):
         pops.append(0)
         built.append(0)
         with fast_paths(nexus=nexus):
             seen[nexus] = SENDERS[name]()
+        posted.append(len(gated))
     lean, packets = seen[True], seen[False]
-    assert built[0] == 0 < built[1]
+    assert built == [0, 0]
+    assert posted[0] == 0 < posted[1]
     assert pops[0] == pops[1]
     assert lean.sim.now == packets.sim.now
     assert _counters(lean) == _counters(packets)

@@ -326,7 +326,7 @@ class TestPerPairState:
             eng._on_path_failure(1, TransportFailure(
                 src=0, dst=1, attempts=3, sim_time=eng.sim.now,
                 reason="retry-budget-exhausted", packet_kind="rma.frag",
-                packet_id=1))
+                seq=1))
 
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(256)
@@ -380,7 +380,7 @@ class TestPerPairState:
             eng._on_path_failure(dst, TransportFailure(
                 src=0, dst=dst, attempts=3, sim_time=eng.sim.now,
                 reason="retry-budget-exhausted", packet_kind="rma.frag",
-                packet_id=dst))
+                seq=dst))
 
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(256)

@@ -145,7 +145,7 @@ def _attribution(how):
     def failure(eng):
         return TransportFailure(src=0, dst=1, attempts=4, sim_time=eng.sim.now,
                                 reason="retry-budget-exhausted",
-                                packet_kind="rma.frag", packet_id=7)
+                                packet_kind="rma.frag", seq=7)
 
     def write(ctx, src, tmem, k):
         call, attrs, remote = MIX[k]

@@ -34,7 +34,7 @@ from repro.rma.engine import RmaEngine
 from repro.runtime import World
 from repro.sim.core import SimulationError
 from repro.topo import fattree_network, torus_network
-from tests.conftest import fast_paths
+from tests.conftest import fast_paths, gated_posts
 from tests.rma.test_route_telemetry import control_routes
 
 COMBOS = list(itertools.product((False, True), repeat=2))
@@ -725,16 +725,9 @@ def test_kill_rank_drops_live_flushes_in_flight_like_packets():
 
 def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
     """The counting guard: with the gate open no flush, no software ack
-    and no atomic write reaches ``Nic.send``, yet every traffic counter
-    reads what the per-packet run reads."""
-    sent = []
-    send = Nic.send
-
-    def spy(self, packet):
-        sent.append(packet.kind)
-        return send(self, packet)
-
-    monkeypatch.setattr(Nic, "send", spy)
+    and no atomic write is posted as the reference path posts it, yet
+    every traffic counter reads what the reference run reads."""
+    sent = gated_posts(monkeypatch)
 
     def run():
         world = World(n_ranks=24, network=seastar_portals())
@@ -758,6 +751,7 @@ def test_quiet_alltoall_builds_no_control_packet(monkeypatch):
         return world, world.run(program)
 
     def control(kinds):
+        kinds = [k.partition(":")[0] for k in kinds]
         return sorted(k for k in kinds
                       if k.startswith("rma.flush_") or k == "rma.ack"
                       or k == "rma.frag")
@@ -961,17 +955,11 @@ def test_kill_rank_between_the_fragments_of_a_late_element():
 @pytest.mark.parametrize("name", ["notified-ring", "torus-halo"])
 def test_train_writes_build_no_fragment_packet(name, monkeypatch):
     """The counting guard: notified writes and writes over a routed
-    fabric reach no ``Nic.send`` as ``rma.frag`` — on the op-train, or
-    with it off as lean messages — yet every traffic counter reads what
-    the all-packet run reads."""
-    sent = []
-    send = Nic.send
-
-    def spy(self, packet):
-        sent.append(packet.kind)
-        return send(self, packet)
-
-    monkeypatch.setattr(Nic, "send", spy)
+    fabric are posted as ``rma.frag`` only where the reference path
+    posts them — on the op-train, or with it off as lean messages, they
+    are not — yet every traffic counter reads what the reference run
+    reads."""
+    sent = gated_posts(monkeypatch)
 
     def ring():
         world = World(n_ranks=16, network=seastar_portals())
@@ -1000,7 +988,8 @@ def test_train_writes_build_no_fragment_packet(name, monkeypatch):
         with fast_paths(train=train, nexus=nexus):
             world, results = run()
         puts = sum(c.rma.stats["puts"] for c in world.contexts.values())
-        assert sent.count("rma.frag") == (0 if nexus else puts)
+        assert (sum(k.startswith("rma.frag") for k in sent)
+                == (0 if nexus else puts))
         counted[train, nexus] = (
             results,
             sum(nic.packets_sent for nic in world.nics.values()),
@@ -1019,30 +1008,14 @@ LEAN = ("rma.get_req", "rma.rmw_req", "rma.rmi_req", "rma.get_reply",
         "rma.reply", "rma.frag:hw")
 
 
-def _sent_kinds(monkeypatch):
-    """Record the kind of every packet handed to ``Nic.send`` (an
-    ``rma.frag`` with its remote-completion mode)."""
-    sent = []
-    send = Nic.send
-
-    def spy(self, packet):
-        kind = packet.kind
-        if kind == "rma.frag":
-            kind += ":" + packet.args[1]["ack"]    # (src, desc, wire, parts)
-        sent.append(kind)
-        return send(self, packet)
-
-    monkeypatch.setattr(Nic, "send", spy)
-    return sent
-
-
 def test_quiet_store_builds_no_request_reply_or_acked_write_packet(
         monkeypatch):
     """The counting guard: on a quiet fat-tree no get request, no reply
-    and no remote-complete fragment reaches ``Nic.send`` — they are
-    posted messages and late-acked train elements — yet every NIC,
-    fabric and per-link counter reads what the all-off run reads."""
-    sent = _sent_kinds(monkeypatch)
+    and no remote-complete fragment is posted as the reference path
+    posts it — they are lean messages and late-acked train elements —
+    yet every NIC, fabric and per-link counter reads what the all-off
+    run reads."""
+    sent = gated_posts(monkeypatch)
     live, live_results = _store()
     live_sent, sent[:] = list(sent), []
     with fast_paths(train=False, nexus=False):
@@ -1208,14 +1181,16 @@ QUIET = {**{f"fig2-{mode}-{size}": _fig2(mode, size)
 def test_quiet_writes_build_no_fragment_packet(name, monkeypatch):
     """The counting guard: on a quiet world no ``rma.frag`` packet is
     even constructed (``Packet.__init__`` is counted, so nothing that
-    builds packets outside ``Nic.send`` escapes), no contiguous put is
-    cut into ``Fragment`` objects — only the store's accumulates are —
-    and every NIC, fabric and per-link counter reads what the run with
-    the live control plane off reads."""
+    builds packets outside ``Nic.send`` escapes), no write is posted as
+    the reference path posts it, no contiguous put is cut into
+    ``Fragment`` objects — only the store's accumulates are — and every
+    NIC, fabric and per-link counter reads what the run with the live
+    control plane off reads."""
     from repro.network.packet import Packet
     from repro.rma.layout import Fragment
 
     built, cut = [], []
+    sent = gated_posts(monkeypatch)
     for cls, log in ((Packet, built), (Fragment, cut)):
         def counting(self, *args, init=cls.__init__, log=log, **kwargs):
             init(self, *args, **kwargs)
@@ -1224,31 +1199,33 @@ def test_quiet_writes_build_no_fragment_packet(name, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
     live, live_results = QUIET[name]()
     assert [p.kind for p in built if p.kind.startswith("rma.")] == []
+    assert [k for k in sent if k.startswith("rma.frag")] == []
     accumulated = sum(c.rma.stats["accumulates"]
                       for c in live.contexts.values())
     assert len(cut) == (accumulated if name == "store" else 0)
-    del built[:]
     with fast_paths(nexus=False):
         packet, packet_results = QUIET[name]()
+    assert built == []      # neither path builds a packet
     # one count per write that declined the train, on its form
     writes = control_routes(live).get(("write", "live", None), 0)
     assert control_routes(packet).get(("write", "packet", "disabled"),
                                       0) == writes
-    assert [p.kind for p in built].count("rma.frag") >= writes
+    assert sum(k.startswith("rma.frag") for k in sent) >= writes
     assert writes or "atomicity" not in name
     assert _observe(live, live_results) == _observe(packet, packet_results)
     assert _traffic(live) == _traffic(packet)
 
 
 def _burst_reference(monkeypatch):
-    """Make the packet form of a multi-fragment write on a flat ordered
-    path what it was before that write went lean: its packets batched
-    into one callback at the last injection, one at the last arrival
-    and one for the hardware acks, a dead endpoint counted at the last
-    injection only.  ``Nic.post_frags`` copies that shape, so this is
-    its reference wherever a rank dies with such a write in flight —
-    one packet per fragment is counted at delivery too."""
-    from repro.network.packet import ACK_SIZE, Packet
+    """Make the reference shape of a multi-fragment write on a flat
+    ordered path what it was before that write went lean: its fragments
+    batched into one callback at the last injection, one at the last
+    arrival and one for the hardware acks, a dead endpoint counted at
+    the last injection only.  ``Nic.post_frags`` copies that shape, so
+    this is its reference wherever a rank dies with such a write in
+    flight — one body call per fragment, each counted at delivery
+    too."""
+    from repro.network.packet import ACK_SIZE, HEADER_SIZE
     from repro.sim.events import AllOf
 
     post_frags = Nic.post_frags
@@ -1261,51 +1238,43 @@ def _burst_reference(monkeypatch):
                 or not nic.flat_ordered(dst)):
             return post_frags(nic, dst, kind, fn, args, parts, sizes, data,
                               op, injected, ack)
-        packets = [Packet(src=src, dst=dst, kind=kind, fn=fn,
-                          args=(*args, parts[i:i + 1]), op=op,
-                          data_bytes=size, want_ack=ack)
-                   for i, size in enumerate(sizes)]
-        times = []
-        for pkt in packets:
-            pkt.ev_injected = sim.event()
-            if ack:
-                pkt.ev_remote_complete = sim.event()
-            times.append(nic.reserve(
-                nic.config.serialization_time(pkt.wire_bytes)))
+        wires = [HEADER_SIZE + size for size in sizes]
+        injs = [sim.event() for _ in sizes]
+        acks = [sim.event() for _ in sizes] if ack else None
+        times = [nic.reserve(nic.config.serialization_time(wire))
+                 for wire in wires]
 
         def launched():
-            for pkt, t in zip(packets, times):
+            for wire, inj, t in zip(wires, injs, times):
                 nic.packets_sent += 1
-                nic.bytes_sent += pkt.wire_bytes
-                pkt.ev_injected.succeed(t)
+                nic.bytes_sent += wire
+                inj.succeed(t)
             if fabric._dead and (src in fabric._dead or dst in fabric._dead):
-                fabric.dead_dropped += len(packets)
+                fabric.dead_dropped += len(wires)
                 return
-            arrivals = [fabric.arrival(src, dst, pkt.wire_bytes, t)
-                        for pkt, t in zip(packets, times)]
+            arrivals = [fabric.arrival(src, dst, wire, t)
+                        for wire, t in zip(wires, times)]
             sim.schedule_call(arrivals[-1] - sim.now, delivered, arrivals)
 
         def delivered(arrivals):
             if fabric._pending_trains:
                 fabric.materialize_trains(dst)
-            for pkt in packets:
+            for i, wire in enumerate(wires):
                 fabric.packets_delivered += 1
-                fabric.bytes_delivered += pkt.wire_bytes
-                fabric.nics[dst]._on_deliver(pkt)
+                fabric.bytes_delivered += wire
+                fabric.nics[dst].packets_received += 1
+                fn(*args, parts[i:i + 1])
             if ack:
-                fabric.acks_generated += len(packets)
+                fabric.acks_generated += len(wires)
                 rev = fabric.config_for(dst, src)
                 flight = rev.latency + ACK_SIZE * rev.byte_time
                 sim.schedule_bulk_succeed(
-                    arrivals[-1] + flight - sim.now,
-                    [pkt.ev_remote_complete for pkt in packets],
+                    arrivals[-1] + flight - sim.now, acks,
                     [arrival + flight for arrival in arrivals])
 
         sim.schedule_call(times[-1] - sim.now, launched)
-        return ((AllOf(sim, [pkt.ev_injected for pkt in packets])
-                 if injected else None),
-                (AllOf(sim, [pkt.ev_remote_complete for pkt in packets])
-                 if ack else None))
+        return ((AllOf(sim, injs) if injected else None),
+                (AllOf(sim, acks) if ack else None))
 
     monkeypatch.setattr(Nic, "post_frags", batched)
 

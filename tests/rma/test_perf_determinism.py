@@ -32,7 +32,7 @@ from repro.network.config import infiniband_like, shared_memory_like
 from repro.network.nic import Nic
 from repro.network.packet import Packet
 from repro.runtime import World
-from tests.conftest import BENCH_PR1, fast_paths, record_multiset
+from tests.conftest import BENCH_PR1, fast_paths, gated_posts, record_multiset
 
 
 def _trace_tuples(world):
@@ -136,9 +136,9 @@ class TestBurstTimestampParity:
     def test_no_per_packet_fallback_when_tracing(self, monkeypatch):
         """Tracing changes no form: with the train off, a traced 64 KiB
         remote-complete put is still one ``Nic.post_frags`` message, and
-        it leaves the records of the 16 packets it stands in for.  Their
+        it leaves the records of the 16 posts it stands in for.  Their
         times agree to rounding: the lean form books each fragment at
-        its reservation's end ``t``, a packet at the heap instant
+        its reservation's end ``t``, a post at the heap instant
         ``now + (t - now)``, one ulp away at times."""
         calls = []
         post_frags = Nic.post_frags
@@ -149,14 +149,7 @@ class TestBurstTimestampParity:
                               **kw)
 
         monkeypatch.setattr(Nic, "post_frags", counting)
-        sent = []
-        send = Nic.send
-
-        def sending(self, packet):
-            sent.append(packet.kind)
-            return send(self, packet)
-
-        monkeypatch.setattr(Nic, "send", sending)
+        sent = gated_posts(monkeypatch)
 
         def program(ctx):
             alloc, tmems = yield from ctx.rma.expose_collective(65536)
@@ -177,10 +170,10 @@ class TestBurstTimestampParity:
         with fast_paths(train=False):
             lean = run()
         assert calls == [16]
-        assert "rma.frag" not in sent
+        assert "rma.frag:hw" not in sent
         with fast_paths(train=False, nexus=False):
             packets = run()
-        assert sent.count("rma.frag") == 16
+        assert sent.count("rma.frag:hw") == 16
         assert lean.sim.now == packets.sim.now
 
         def timeline(world):

@@ -34,6 +34,15 @@ def _flat(**kw):
     return World(n_ranks=2, network=seastar_portals(), **kw)
 
 
+def _transport_only():
+    """Transport on every NIC, no injector: ``transport`` without
+    ``faulty``."""
+    world = _flat()
+    for nic in world.nics.values():
+        nic.enable_reliability(FaultPlan().transport)
+    return world
+
+
 def one_put(before=None, peer=None, window=256, **attrs):
     """Rank 0 issues ``before`` (optional), then the one put under test;
     rank 1 meanwhile runs ``peer`` (optional) against rank 0's window."""
@@ -103,8 +112,10 @@ GATES = {
     "deferred-window": (_flat, one_put(before=_queued_rmw), {"reply": 1}),
     "deferred-window/get": (_flat, one_put(before=_atomic_get),
                             {"reply": 1}),
-    "transport": (lambda: _flat(fault_plan=FaultPlan().drop(1e-9)),
-                  one_put(), {}),
+    # an active plan arms the injector and the transport: faulty first
+    "faulty": (lambda: _flat(fault_plan=FaultPlan().drop(1e-9)),
+               one_put(), {}),
+    "transport": (_transport_only, one_put(), {}),
     "traced": (lambda: _flat(trace=True), one_put(), {}),
     "unordered": (lambda: World(n_ranks=2, network=quadrics_like()),
                   one_put(), {}),

@@ -16,7 +16,7 @@ by generation (``gc.callbacks``) and the heap entries the kernel popped,
 then once under ``tracemalloc`` for *its own* peak (the process's RSS
 high-water would be the largest earlier point's), the high-water of
 pending op-train elements, the ``Packet`` and ``Fragment`` objects
-constructed, the messages posted without a packet (``Nic.post``,
+constructed, the messages posted (``Nic.post``,
 ``Nic.post_frags``), the objects the collector tracks when the last
 rank enters its last ``complete_all`` and the flushes in flight then
 (requests signalled minus acks handled).  Report only
@@ -182,11 +182,11 @@ def store_ops(world):
 
 def memory_pass(world, rank_program, *args):
     """Run under ``tracemalloc`` with a counter on the op-train's queue,
-    on the objects a message may be built of, on the messages built of
-    none, on flush requests and answers and on ``complete_all``: (peak
+    on the objects a message may be built of, on the messages posted,
+    on flush requests and answers and on ``complete_all``: (peak
     MiB allocated by the run, most elements pending at once, ``Packet``s
-    constructed, ``Fragment``s constructed, messages posted without a
-    packet, objects tracked by the collector when the last rank entered
+    constructed, ``Fragment``s constructed, messages posted, objects
+    tracked by the collector when the last rank entered
     its last ``complete_all`` and flushes in flight then — both None if
     no round of them ever completed)."""
     pending = [0, 0]                    # now, high-water
@@ -240,7 +240,7 @@ def memory_pass(world, rank_program, *args):
     Packet.__init__ = counting(packet, 0)
     Fragment.__init__ = counting(fragment, 1)
     # a message is one post, or one two-entry post_frags message (whose
-    # other shapes are posts); a quiet world posts nothing as a packet
+    # other shapes are posts)
     Nic.post, Nic._frags_launch = counting(post, 2), counting(frags_launch, 2)
     RmaEngine.complete_all = census_complete_all
     RmaEngine.signal, RmaEngine._flush_ack = counting_signal, counting_flush_ack
