@@ -71,7 +71,7 @@ class ArmciInterface:
         """Collective allocation: every rank allocates ``nbytes``;
         returns ``(local_alloc, [TargetMem per rank])`` (``yield from``)."""
         alloc = self.engine.mem.space.alloc(nbytes)
-        yield self.engine.sim.timeout(self.engine.registration_cost(nbytes))
+        yield self.engine.registration_cost(nbytes)
         tmem = self.engine.expose(alloc)
         tmems = yield from self.comm.allgather(tmem)
         return alloc, tmems

@@ -75,9 +75,7 @@ class GasnetInterface:
         if self._segment is not None:
             raise GasnetError("segment already attached")
         self._segment = self.engine.mem.space.alloc(segment_bytes)
-        yield self.engine.sim.timeout(
-            self.engine.registration_cost(segment_bytes)
-        )
+        yield self.engine.registration_cost(segment_bytes)
         tmem = self.engine.expose(self._segment)
         self._seg_tmems = yield from self.comm.allgather(tmem)
         return self._segment
@@ -126,7 +124,7 @@ class GasnetInterface:
 
     def am_short(self, dst: int, handler: int, *args, want_reply=False):
         """Short AM: a few integer arguments, no payload."""
-        yield self.engine.sim.timeout(
+        yield (
             self.engine.timings.call_overhead
             + self.engine.network.overhead_send
         )
@@ -146,7 +144,7 @@ class GasnetInterface:
                 f"medium AM payload {data.nbytes} exceeds MAX_MEDIUM "
                 f"({MAX_MEDIUM}); use a long AM"
             )
-        yield self.engine.sim.timeout(
+        yield (
             self.engine.timings.call_overhead
             + self.engine.network.overhead_send
         )
@@ -164,7 +162,7 @@ class GasnetInterface:
         seg = self._seg(dst)
         if dest_off < 0 or dest_off + data.nbytes > seg.size:
             raise GasnetError("long AM payload outside the target segment")
-        yield self.engine.sim.timeout(
+        yield (
             self.engine.timings.call_overhead
             + self.engine.network.overhead_send
         )
@@ -181,7 +179,7 @@ class GasnetInterface:
 
         def handler_job():
             # NIC-side handler activation cost
-            yield self.engine.sim.timeout(self.engine.timings.am_handler)
+            yield self.engine.timings.am_handler
             fn = self._handlers.get(handler)
             if fn is None:
                 raise GasnetError(

@@ -82,7 +82,7 @@ class ShmemInterface:
         """Collective symmetric allocation; returns a symmetric handle
         usable as the remote address on every PE (``yield from``)."""
         alloc = self.engine.mem.space.alloc(nbytes)
-        yield self.engine.sim.timeout(self.engine.registration_cost(nbytes))
+        yield self.engine.registration_cost(nbytes)
         tmem = self.engine.expose(alloc)
         tmems = yield from self.comm.allgather(tmem)
         sym = self._next_sym
@@ -170,7 +170,7 @@ class ShmemInterface:
     def fence(self):
         """shmem_fence: order my prior puts before my later ones, per
         target — exactly MPI_RMA_order(ALL_RANKS)."""
-        yield self.engine.sim.timeout(self.engine.timings.call_overhead)
+        yield self.engine.timings.call_overhead
         self.engine.order_all()
 
     def quiet(self):
@@ -221,7 +221,7 @@ class ShmemInterface:
         equals ``value`` (flag synchronization)."""
         view = self.local_view(sym, dtype)
         while view[index] != value:
-            yield self.engine.sim.timeout(poll)
+            yield poll
 
 
 def build_shmem(world: "World") -> None:

@@ -262,7 +262,7 @@ def lock_sweep_run(
         for _ in range(acquires):
             yield from lock.acquire()
             t0 = ctx.sim.now
-            yield ctx.sim.timeout(hold_us)
+            yield hold_us
             spans.append((t0, ctx.sim.now))
             yield from lock.release()
         yield from ctx.comm.barrier()

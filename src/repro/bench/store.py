@@ -112,7 +112,7 @@ def sharded_store_run(
             if mean_gap_us > 0.0:
                 # open-loop arrivals: the client population offers load
                 # independent of completions
-                yield ctx.sim.timeout(rng.expovariate(1.0 / mean_gap_us))
+                yield rng.expovariate(1.0 / mean_gap_us)
             key = bisect.bisect_left(cdf, rng.random() * cdf[-1])
             draw = rng.random()
             cls = ("get" if draw < 0.6 else

@@ -172,7 +172,7 @@ def run_kv(case: KvCase, ops: Sequence[KvOp],
             if i < len(my_ops):
                 op = my_ops[i]
                 i += 1
-                yield ctx.sim.timeout(op.think)
+                yield op.think
                 if op.kind == "get":
                     try:
                         yield from ga.get(op.key)
@@ -192,9 +192,9 @@ def run_kv(case: KvCase, ops: Sequence[KvOp],
             else:
                 if ctx.sim.now >= horizon:
                     break
-                yield ctx.sim.timeout(150.0)
+                yield 150.0
         if ctx.rank == reader:
-            yield ctx.sim.timeout(500.0)  # let peers' last acks drain
+            yield 500.0  # let peers' last acks drain
             for key in range(case.n_keys):
                 finals[key] = float((yield from ga.get(key))[0])
         return None

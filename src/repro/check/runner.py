@@ -201,7 +201,7 @@ def run_program(
                 yield from ctx.rma.complete_collective(ctx.comm)
                 continue
             if kind == "compute":
-                yield ctx.sim.timeout(op.duration)
+                yield op.duration
                 continue
             if kind == "order":
                 target = ALL_RANKS if op.target < 0 else op.target

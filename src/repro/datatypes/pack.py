@@ -59,8 +59,7 @@ def pack(
     total = count * dtype.size
     if count != 0 and total != 0 and dtype.is_contiguous:
         if copy:
-            out = np.empty(total, dtype=np.uint8)
-            np.copyto(out, buf[offset : offset + total])
+            out = buf[offset : offset + total].copy()
         else:
             out = buf[offset : offset + total]
             out.flags.writeable = False

@@ -105,9 +105,7 @@ class GlobalArray:
         my_rows = row_starts[comm.rank + 1] - row_starts[comm.rank]
         row_bytes = (shape[1] if len(shape) == 2 else 1) * np_dtype.itemsize
         alloc = ctx.mem.space.alloc(max(my_rows * row_bytes, 1))
-        yield ctx.sim.timeout(
-            ctx.rma.engine.registration_cost(my_rows * row_bytes)
-        )
+        yield ctx.rma.engine.registration_cost(my_rows * row_bytes)
         tmem = ctx.rma.expose(alloc)
         tmems = yield from comm.allgather(tmem)
         return cls(ctx, comm, shape, np_dtype, alloc, tmems, row_starts)

@@ -119,7 +119,7 @@ class ReplicatedGlobalArray(GlobalArray):
         total = n0 * cols * np_dtype.itemsize
         # Full-size mirror: row g lives at g*row_bytes on every holder.
         alloc = ctx.mem.space.alloc(max(total, 1))
-        yield ctx.sim.timeout(ctx.rma.engine.registration_cost(total))
+        yield ctx.rma.engine.registration_cost(total)
         tmem = ctx.rma.expose(alloc)
         tmems = yield from comm.allgather(tmem)
         tmems = {

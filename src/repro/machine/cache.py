@@ -132,8 +132,8 @@ class CoherentCache(CacheModel):
     ) -> None:
         # Coherence protocol invalidates the lines the NIC writes — a
         # rank that has loaded nothing since its last fence has none.
-        data = np.asarray(data, dtype=np.uint8)
         if self._present:
+            data = np.asarray(data, dtype=np.uint8)
             self.invalidate_range(alloc, offset, data.size)
         self.space.write(alloc, offset, data)
 

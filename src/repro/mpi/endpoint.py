@@ -169,9 +169,7 @@ class MpiEndpoint:
         """
         if nbytes is None:
             nbytes = payload_nbytes(data)
-        yield self.sim.timeout(
-            self.timings.call_overhead + self.nic.config.overhead_send
-        )
+        yield self.timings.call_overhead + self.nic.config.overhead_send
         self.sends += 1
         peer = self.peers[dst]
         if nbytes <= self.eager_threshold:
@@ -231,7 +229,7 @@ class MpiEndpoint:
                 # out of the unexpected buffer
                 self.unexpected_matches += 1
                 copy_cost = msg.nbytes * self.timings.mem_copy_per_byte
-            yield self.sim.timeout(
+            yield (
                 self.nic.config.overhead_recv
                 + msg.nbytes * self.timings.mem_copy_per_byte
                 + copy_cost

@@ -68,6 +68,8 @@ class Request:
     fetched data for RMA gets, etc.
     """
 
+    __slots__ = ("sim", "event", "kind", "status")
+
     def __init__(self, sim: "Simulator", event: Optional[Event] = None,
                  kind: str = "generic") -> None:
         self.sim = sim

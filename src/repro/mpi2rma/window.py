@@ -199,7 +199,7 @@ class Win:
             raise Mpi2Error("test_notify on a freed window")
         self._check_revoked("test_notify")
         check_notify_count(count, "test_notify", self._engine.rank)
-        yield self._engine.sim.timeout(self._engine.timings.call_overhead)
+        yield self._engine.timings.call_overhead
         return self._engine.board.test_notify(
             self._tmems[self.comm.rank], match, count=count
         )
@@ -210,7 +210,7 @@ class Win:
         released."""
         if self._freed:
             raise Mpi2Error("notify_all on a freed window")
-        yield self._engine.sim.timeout(self._engine.timings.call_overhead)
+        yield self._engine.timings.call_overhead
         return self._engine.board.notify_all(self._tmems[self.comm.rank], match)
 
     # -- fence (Fig. 1a) ---------------------------------------------------
@@ -285,7 +285,7 @@ class Win:
         if self._epoch.access_open:
             raise Mpi2Error("lock while another access epoch is open")
         world_target = self.comm.group.world_rank(target)
-        yield self._engine.sim.timeout(self._engine.timings.lock_op)
+        yield self._engine.timings.lock_op
         yield from self._iface.lock_mgr.request(
             self.win_id, world_target, shared
         )
@@ -362,7 +362,7 @@ class Mpi2Interface:
         co-located ranks then access it by direct load/store (the
         ``MPI_Win_allocate_shared`` flavor MPI-3 standardized)."""
         comm = comm if comm is not None else self.comm_world
-        yield self.engine.sim.timeout(self.engine.registration_cost(alloc.size))
+        yield self.engine.registration_cost(alloc.size)
         tmem = self.engine.expose(alloc, shared=shared)
         tmems = yield from comm.allgather(tmem)
         win_comm = yield from comm.dup()

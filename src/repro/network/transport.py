@@ -190,9 +190,11 @@ class ReliableTransport:
     def launched(self, entry: _TxEntry) -> None:
         """Arm (or re-arm) the retransmission timer of the message
         ``entry`` names; called by ``Nic.launch`` after it left."""
-        entry = self._outstanding.get((entry.dst, entry.seq))
-        if entry is None:
-            return  # acked while a retransmit sat in the injection queue
+        if self._outstanding.get((entry.dst, entry.seq)) is not entry:
+            # acked, failed or reset while a retransmit sat in the
+            # injection queue; after a reset the key may name a fresh
+            # message that reuses the sequence number
+            return
         entry.attempts += 1
         entry.timer_gen += 1
         cfg = self.fabric.config_for(self.rank, entry.dst)

@@ -149,7 +149,7 @@ class Team:
             raise PgasError(f"memalloc needs a positive size, got {nbytes}")
         ctx = self._ctx
         alloc = ctx.mem.space.alloc(nbytes)
-        yield ctx.sim.timeout(ctx.rma.engine.registration_cost(nbytes))
+        yield ctx.rma.engine.registration_cost(nbytes)
         tmem = ctx.rma.expose(alloc, shared=shared)
         tmems = yield from self.comm.allgather(tmem)
         segid = self._seg_seq

@@ -226,7 +226,7 @@ class NotifyBoard:
         """
         eng = self._eng
         check_notify_count(count, "wait_notify", eng.rank)
-        yield eng.sim.timeout(eng.timings.call_overhead)
+        yield eng.timings.call_overhead
         key = self._slot_key(tmem, match)
         eng.stats["notify_waits"] += 1
         if self._try_consume(key, count):

@@ -91,7 +91,7 @@ class SharedRoute:
         tmem = op.tmem
         kind = op.kind
         issued = sim.now
-        yield sim.timeout(self._charge(op))
+        yield self._charge(op)
         if op.nbytes == 0:
             return eng._finished(op)
         tgt = eng.world.contexts[op.dst].rma.engine

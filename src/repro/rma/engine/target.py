@@ -187,9 +187,7 @@ class TargetSide:
 
     def _invalidate_then_apply(self, op: _InboundOp):
         desc = op.desc
-        yield self.sim.timeout(
-            self.timings.am_handler + self.timings.cache_fence
-        )
+        yield self.timings.am_handler + self.timings.cache_fence
         self.mem.cache.invalidate_range(
             self._resolve(desc["mem_id"]), desc["base_disp"],
             desc["total_bytes"]
@@ -211,7 +209,7 @@ class TargetSide:
             cost = nbytes * self.timings.mem_copy_per_byte
             if desc["acc"] is not None:
                 cost += nbytes * self.timings.accumulate_per_byte
-            yield self.sim.timeout(cost)
+            yield cost
             self.materialize_inbound()
             alloc = self._resolve(desc["mem_id"])
             if fetch:
@@ -223,7 +221,7 @@ class TargetSide:
                 # (a get-accumulate has never charged the fence wait;
                 # its timestamps are pinned as they are)
                 if not fetch:
-                    yield self.sim.timeout(self.timings.cache_fence)
+                    yield self.timings.cache_fence
                 self.mem.cache.invalidate_range(alloc, desc["base_disp"],
                                                 nbytes)
             self._op_applied(op)
@@ -263,7 +261,7 @@ class TargetSide:
                      else self.timings.am_handler)
 
         def job():
-            yield self.sim.timeout(delay)
+            yield delay
             self._execute(op)
 
         if kind == "rmi" and not (self.machine.threads_allowed

@@ -99,7 +99,7 @@ class ThreadSerializer(Serializer):
         while True:
             job: JobFn = yield from self._queue.get()
             # The handler activation cost of the communication thread.
-            yield self.sim.timeout(self.engine.timings.am_handler)
+            yield self.engine.timings.am_handler
             yield from job()
             self.jobs_executed += 1
 
@@ -150,13 +150,13 @@ class CoarseLockSerializer(Serializer):
         yield from self._gate(dst).acquire()
         ev = self.sim.event()
         self._grants[dst] = ev
-        yield self.sim.timeout(self.engine.timings.lock_op)
+        yield self.engine.timings.lock_op
         self.engine.signal(dst, "rma.lock_req")
         yield ev  # the grant triggers it
         self.lock_acquisitions += 1
 
     def origin_release(self, dst: int):
-        yield self.sim.timeout(self.engine.timings.lock_op)
+        yield self.engine.timings.lock_op
         self.engine.signal(dst, "rma.unlock")
         del self._grants[dst]
         self._gate(dst).release()
@@ -209,10 +209,10 @@ class ProgressSerializer(Serializer):
 
     def _poller(self):
         while True:
-            yield self.sim.timeout(self.poll_interval)
+            yield self.poll_interval
             while self._pending:
                 job = self._pending.popleft()
-                yield self.sim.timeout(self.engine.timings.am_handler)
+                yield self.engine.timings.am_handler
                 yield from job()
                 self.jobs_executed += 1
 

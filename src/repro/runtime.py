@@ -63,7 +63,8 @@ class RankContext:
         World rank and job size.
     sim:
         The shared simulator (for ``ctx.sim.now`` timestamps and
-        explicit ``yield ctx.sim.timeout(...)`` compute phases).
+        waits composed from ``ctx.sim.timeout(...)``; a plain compute
+        phase is ``yield duration``).
     comm:
         This rank's ``COMM_WORLD``.
     mem:
@@ -100,7 +101,7 @@ class RankContext:
 
     def compute(self, duration: float):
         """A local compute phase of ``duration`` µs (``yield from``)."""
-        yield self.sim.timeout(duration)
+        yield duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankContext rank={self.rank}/{self.size}>"

@@ -3,14 +3,15 @@
 This package is the substrate for every other subsystem in :mod:`repro`.
 It provides a SimPy-flavoured, dependency-free kernel:
 
-- :class:`~repro.sim.core.Simulator` — the event loop with a
-  ``(time, priority, seq)``-ordered heap, giving fully deterministic
-  execution.
+- :class:`~repro.sim.core.Simulator` — the event loop: a
+  ``(time, seq)``-ordered heap behind a FIFO of urgent same-instant
+  callbacks, giving fully deterministic execution.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` —
   waitable conditions.
 - :class:`~repro.sim.process.Process` — generator-coroutine processes;
-  simulated actors ``yield`` events and are resumed when they trigger.
+  simulated actors ``yield`` events and are resumed when they trigger,
+  or ``yield`` a delay and are resumed that much later.
 - :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Channel` — synchronization primitives.
@@ -20,11 +21,11 @@ Example
 >>> from repro.sim import Simulator
 >>> sim = Simulator()
 >>> def hello(sim, out):
-...     yield sim.timeout(5.0)
+...     yield 5.0
 ...     out.append(sim.now)
 >>> out = []
 >>> sim.spawn(hello(sim, out))
-Process(...)
+<Process 'proc-1' alive>
 >>> sim.run()
 5.0
 >>> out

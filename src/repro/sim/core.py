@@ -6,11 +6,10 @@ Two scheduling structures back the loop:
   a *future* simulated time;
 - a plain FIFO deque for *urgent* callbacks at the **current** time
   (event-trigger processing, process resumption).  The deque is always
-  drained before the heap is consulted, which reproduces the classic
-  ``(time, priority, seq)`` ordering — urgent entries run before any
-  ordinary callback at the same timestamp — at deque cost instead of
-  heap cost.  This matters: roughly half of all kernel events in an
-  RMA simulation are urgent (every event trigger is one).
+  drained before the heap is consulted, so urgent entries run before
+  any heap entry at the same timestamp, at deque cost instead of heap
+  cost.  This matters: roughly half of all kernel events in an RMA
+  simulation are urgent (every ``succeed()`` is one).
 
 ``seq`` is a monotonically increasing counter so that heap entries
 scheduled at the same simulated time execute in scheduling order; with
@@ -41,13 +40,6 @@ __all__ = ["Simulator", "SimulationError"]
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Default priority for scheduled callbacks (kept for API compatibility;
-#: the heap itself no longer stores a priority column).
-NORMAL = 1
-#: Priority used for event-callback processing, so that events triggered
-#: "now" are observed before ordinary callbacks scheduled "now".
-URGENT = 0
-
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. running a finished loop)."""
@@ -69,11 +61,13 @@ class Simulator:
     threads, which keeps runs reproducible.
     """
 
-    __slots__ = ("_now", "_heap", "_urgent", "_seq", "_running",
+    __slots__ = ("now", "_heap", "_urgent", "_seq", "_running",
                  "_processes_spawned", "context")
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now: float = float(start_time)
+        #: Current simulated time: a plain slot, read on every charge,
+        #: arrival and due-event test, and written only by the loop.
+        self.now: float = float(start_time)
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._urgent: Deque[Tuple[Callable[..., None], tuple]] = deque()
         self._seq: int = 0
@@ -86,35 +80,18 @@ class Simulator:
         self.context: dict = {}
 
     # ------------------------------------------------------------------
-    # Clock and scheduling
+    # Scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = NORMAL,
-    ) -> None:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated time units.
 
         ``delay`` must be non-negative; a zero delay runs the callback at
         the current time, after everything already scheduled for this
-        instant.  ``priority=URGENT`` requires ``delay == 0`` and jumps
-        ahead of ordinary zero-delay callbacks (equivalent to
-        :meth:`schedule_urgent`).
+        instant.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        if priority == URGENT:
-            if delay != 0:
-                raise ValueError("URGENT callbacks must have zero delay")
-            self._urgent.append((callback, ()))
-            return
-        _heappush(self._heap, (self._now + delay, self._seq, callback, ()))
+        _heappush(self._heap, (self.now + delay, self._seq, callback, ()))
         self._seq += 1
 
     def schedule_call(
@@ -127,7 +104,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        _heappush(self._heap, (self.now + delay, self._seq, fn, args))
         self._seq += 1
 
     def schedule_call_at(
@@ -138,7 +115,7 @@ class Simulator:
         before ``t``; a callback that tests ``something_due_at_t <= now``
         (the op-train's wake) would then find nothing due and never be
         called again."""
-        if t < self._now:
+        if t < self.now:
             raise ValueError(f"cannot schedule in the past (t={t!r})")
         _heappush(self._heap, (t, self._seq, fn, args))
         self._seq += 1
@@ -158,7 +135,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self._now + delay, self._seq,
+        _heappush(self._heap, (self.now + delay, self._seq,
                                self._bulk_succeed, (events, values)))
         self._seq += 1
 
@@ -169,7 +146,7 @@ class Simulator:
         heap entry carries ``t`` itself, with no ``now + (t - now)``
         float round trip, so a precomputed analytic timestamp is
         reproduced bit-exactly no matter when the call is made."""
-        if t < self._now:
+        if t < self.now:
             raise ValueError(f"cannot schedule in the past (t={t!r})")
         _heappush(self._heap, (t, self._seq,
                                self._bulk_succeed, (events, values)))
@@ -180,10 +157,6 @@ class Simulator:
         for ev, value in zip(events, values):
             if not ev.triggered:
                 ev.succeed(value)
-
-    def schedule_urgent(self, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at the current time, urgent priority."""
-        self._urgent.append((callback, ()))
 
     def schedule_urgent_call(
         self, fn: Callable[..., None], *args: Any
@@ -236,9 +209,9 @@ class Simulator:
         if not self._heap:
             return False
         time, _seq, fn, args = _heappop(self._heap)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError("heap time went backwards")
-        self._now = time
+        self.now = time
         fn(*args)
         return True
 
@@ -264,7 +237,7 @@ class Simulator:
                     if not heap:
                         break
                     time, _seq, fn, args = pop(heap)
-                    self._now = time
+                    self.now = time
                     fn(*args)
             else:
                 while True:
@@ -274,14 +247,14 @@ class Simulator:
                     if not heap:
                         break
                     if heap[0][0] > until:
-                        self._now = until
+                        self.now = until
                         break
                     time, _seq, fn, args = pop(heap)
-                    self._now = time
+                    self.now = time
                     fn(*args)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_while_pending(
         self, pending: Iterable, limit: Optional[float] = None
@@ -314,7 +287,7 @@ class Simulator:
                 if limit is not None and heap[0][0] > limit:
                     break
                 time, _seq, fn, args = pop(heap)
-                self._now = time
+                self.now = time
                 fn(*args)
         finally:
             self._running = False
@@ -346,11 +319,5 @@ class Simulator:
         """Number of callbacks currently scheduled (diagnostic)."""
         return len(self._heap) + len(self._urgent)
 
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the next scheduled callback, or ``None``."""
-        if self._urgent:
-            return self._now
-        return self._heap[0][0] if self._heap else None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator now={self._now} pending={self.pending_count()}>"
+        return f"<Simulator now={self.now} pending={self.pending_count()}>"

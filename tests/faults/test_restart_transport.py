@@ -128,6 +128,31 @@ class TestStaleTraffic:
         assert (1, 1) not in tx._outstanding
 
 
+class TestRetransmitAcrossReset:
+    def test_a_queued_retransmit_does_not_arm_the_fresh_message(self):
+        """A retransmit still queued on the NIC when ``reset_flow``
+        restarts the pair leaves after the reset.  The fresh message
+        that reuses its sequence number is a different entry: the old
+        one's injection must neither arm its timer nor count an attempt
+        against it."""
+        w = make_world()
+        nic = w.nics[0]
+        tx = nic.transport
+        old = prepare(tx, 1)
+        t = nic.reserve(100.0)  # the serializer is busy for 100 us
+        w.sim.schedule_call(t - w.sim.now, nic.launch, 1, old.kind, old.fn,
+                            old.args, old.wire, None, t, old.op, old.ack,
+                            old)
+        tx.reset_flow(1)
+        w.nics[1].transport.reset_flow(0)
+        nic.post(1, "p2p.msg", lambda: None, ())
+        fresh = tx._outstanding[(1, 1)]
+        assert fresh is not old and fresh.epoch == 1
+        w.sim.run(until=nic._reserved_until)  # its first injection
+        assert nic.packets_sent == 2
+        assert (fresh.attempts, fresh.timer_gen) == (1, 1)
+
+
 class TestKillRestartIntegration:
     @pytest.mark.parametrize("seed", [0, 7, 77])
     def test_flows_resume_after_restart_under_delay_chaos(self, seed):

@@ -62,12 +62,20 @@ def test_failed_event_is_thrown_into_process(sim):
 
 
 def test_yielding_non_event_fails_with_type_error(sim):
+    """A yield that is neither an event nor a delay fails the process;
+    a number is a delay and sleeps."""
     def job(sim):
-        yield 42
+        yield "42"
 
     proc = sim.spawn(job(sim))
     with pytest.raises(TypeError, match="yield Event"):
         sim.run_until_complete(proc)
+
+    def napper(sim):
+        yield 42
+        return sim.now
+
+    assert sim.run_until_complete(sim.spawn(napper(sim))) == sim.now == 42
 
 
 def test_yield_from_subroutine_composition(sim):
