@@ -58,6 +58,9 @@ class DisseminationBarrier:
         self._scratch = ctx.mem.space.alloc(1)
         ctx.mem.store(self._scratch, 0, np.ones(1, dtype=np.uint8))
         self.generation = 0
+        # (generations counter, duration_us histogram), looked up on the
+        # first wait; () in a world without metrics.
+        self._wait_metrics = None
         m = self._metrics()
         if m is not None:
             m.gauge("notify.barrier.rounds", barrier=name).set(self._rounds)
@@ -98,9 +101,13 @@ class DisseminationBarrier:
                     self._tmems[me], MATCH_ROUND0 + k
                 )
         self.generation += 1
-        m = self._metrics()
-        if m is not None:
-            m.counter("notify.barrier.generations", barrier=self._name).inc()
-            m.histogram(
-                "notify.barrier.duration_us", barrier=self._name
-            ).observe(ctx.sim.now - t0)
+        handles = self._wait_metrics
+        if handles is None:
+            m = self._metrics()
+            handles = self._wait_metrics = () if m is None else (
+                m.counter("notify.barrier.generations", barrier=self._name),
+                m.histogram("notify.barrier.duration_us",
+                            barrier=self._name))
+        if handles:
+            handles[0].inc()
+            handles[1].observe(ctx.sim.now - t0)

@@ -78,6 +78,11 @@ class McsLock:
         self._scratch = ctx.mem.space.alloc(16)
         self._acquired_at: Optional[float] = None
         self._holding = False
+        # Metric handles, looked up on first use: (acquires counter,
+        # wait_us histogram) and (hold_us histogram,), or () in a world
+        # without metrics.
+        self._acquire_metrics: Optional[tuple] = None
+        self._release_metrics: Optional[tuple] = None
 
     @classmethod
     def create(cls, ctx, home: int = 0, comm=None, name: str = "mcs"):
@@ -137,12 +142,15 @@ class McsLock:
             )
         self._holding = True
         self._acquired_at = ctx.sim.now
-        m = self._metrics()
-        if m is not None:
-            m.counter("notify.lock.acquires", lock=self._name).inc()
-            m.histogram("notify.lock.wait_us", lock=self._name).observe(
-                ctx.sim.now - t0
-            )
+        handles = self._acquire_metrics
+        if handles is None:
+            m = self._metrics()
+            handles = self._acquire_metrics = () if m is None else (
+                m.counter("notify.lock.acquires", lock=self._name),
+                m.histogram("notify.lock.wait_us", lock=self._name))
+        if handles:
+            handles[0].inc()
+            handles[1].observe(ctx.sim.now - t0)
 
     def release(self):
         """Hand the lock to the successor, or free it (``yield from``)."""
@@ -166,11 +174,13 @@ class McsLock:
                 notify=MATCH_GRANT,
             )
         self._holding = False
-        m = self._metrics()
-        if m is not None and self._acquired_at is not None:
-            m.histogram("notify.lock.hold_us", lock=self._name).observe(
-                ctx.sim.now - self._acquired_at
-            )
+        handles = self._release_metrics
+        if handles is None:
+            m = self._metrics()
+            handles = self._release_metrics = () if m is None else (
+                m.histogram("notify.lock.hold_us", lock=self._name),)
+        if handles and self._acquired_at is not None:
+            handles[0].observe(ctx.sim.now - self._acquired_at)
         self._acquired_at = None
 
     def locked(self, ctx=None):

@@ -70,6 +70,9 @@ class NotifyQueue:
         self._scratch = ctx.mem.space.alloc(max(slot_bytes, 1))
         self._credit_scratch = ctx.mem.space.alloc(1)
         ctx.mem.store(self._credit_scratch, 0, np.ones(1, dtype=np.uint8))
+        # Metric handles per side, looked up on first use (see _handles).
+        self._push_metrics = None
+        self._pop_metrics = None
 
     @classmethod
     def create(cls, ctx, producer: int, consumer: int, capacity: int = 8,
@@ -85,6 +88,16 @@ class NotifyQueue:
     def _metrics(self):
         world = getattr(self._ctx, "world", None)
         return getattr(world, "metrics", None)
+
+    def _handles(self, count: str, wait: str):
+        """The ``notify.queue.<count>`` counter and the
+        ``notify.queue.<wait>`` histogram, or ``()`` in a world without
+        metrics."""
+        m = self._metrics()
+        if m is None:
+            return ()
+        return (m.counter("notify.queue." + count, queue=self._name),
+                m.histogram("notify.queue." + wait, queue=self._name))
 
     def push(self, data: np.ndarray):
         """Producer: enqueue one slot (``yield from``); blocks while
@@ -113,11 +126,13 @@ class NotifyQueue:
             self.slot_bytes, BYTE,
             notify=MATCH_DATA,
         )
-        m = self._metrics()
-        if m is not None:
-            m.counter("notify.queue.pushes", queue=self._name).inc()
-            m.histogram("notify.queue.push_wait_us",
-                        queue=self._name).observe(ctx.sim.now - t0)
+        handles = self._push_metrics
+        if handles is None:
+            handles = self._push_metrics = self._handles(
+                "pushes", "push_wait_us")
+        if handles:
+            handles[0].inc()
+            handles[1].observe(ctx.sim.now - t0)
 
     def pop(self):
         """Consumer: dequeue one slot (``yield from``); returns the
@@ -148,9 +163,10 @@ class NotifyQueue:
             self._tmems[self.producer], 0, 1, BYTE,
             notify=MATCH_CREDIT,
         )
-        m = self._metrics()
-        if m is not None:
-            m.counter("notify.queue.pops", queue=self._name).inc()
-            m.histogram("notify.queue.pop_wait_us",
-                        queue=self._name).observe(ctx.sim.now - t0)
+        handles = self._pop_metrics
+        if handles is None:
+            handles = self._pop_metrics = self._handles("pops", "pop_wait_us")
+        if handles:
+            handles[0].inc()
+            handles[1].observe(ctx.sim.now - t0)
         return data

@@ -3,8 +3,9 @@
 This package is the substrate for every other subsystem in :mod:`repro`.
 It provides a SimPy-flavoured, dependency-free kernel:
 
-- :class:`~repro.sim.core.Simulator` — the event loop: a
-  ``(time, seq)``-ordered heap behind a FIFO of urgent same-instant
+- :class:`~repro.sim.core.Simulator` — the event loop: a heap of
+  distinct pending instants, each holding its callbacks in filing order
+  (exactly ``(time, seq)`` order), behind a FIFO of urgent same-instant
   callbacks, giving fully deterministic execution.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` —

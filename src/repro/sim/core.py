@@ -2,19 +2,37 @@
 
 Two scheduling structures back the loop:
 
-- a binary heap of ``(time, seq, fn, args)`` entries for callbacks at
-  a *future* simulated time;
+- the *timed queue*, for callbacks at a later (or the current)
+  simulated time: a binary heap of the distinct pending instants, as
+  plain floats, and a dict that maps each instant to the callbacks filed
+  for it, in the order they were filed.  A lone callback is kept as its
+  ``(fn, args)`` pair; a second one at the same instant turns the entry
+  into a list, and every later one is appended to it;
 - a plain FIFO deque for *urgent* callbacks at the **current** time
-  (event-trigger processing, process resumption).  The deque is always
-  drained before the heap is consulted, so urgent entries run before
-  any heap entry at the same timestamp, at deque cost instead of heap
-  cost.  This matters: roughly half of all kernel events in an RMA
+  (event-trigger processing, process resumption).  The deque is drained
+  after every timed callback, before the next one runs, so urgent
+  entries run before any timed callback still due at the same instant,
+  at deque cost.  Roughly half of all kernel events in an RMA
   simulation are urgent (every ``succeed()`` is one).
 
-``seq`` is a monotonically increasing counter so that heap entries
-scheduled at the same simulated time execute in scheduling order; with
-the FIFO deque this makes the whole simulation deterministic,
-independent of hash seeds or dict iteration order.
+The loop pops an instant once, sets ``now`` once and runs the instant's
+callbacks in filing order.  That is exactly the ``(time, seq)`` order a
+heap of ``(time, seq, fn, args)`` entries with a global filing counter
+would give: instants run in time order, and within an instant a callback
+filed earlier runs earlier.  A callback that files another for the
+instant being run (a zero delay) files it into a fresh batch at that
+instant, which runs after the current one — where its larger ``seq``
+put it.  When the loop stops part-way through an instant (the
+``pending`` container of :meth:`Simulator.run_while_pending` empties,
+or a callback raises), the callbacks not yet run go back in front of any
+batch filed for that instant since, so a later run resumes in the same
+order.  The simulation is deterministic, independent of hash seeds or
+dict iteration order.
+
+With many callbacks per instant — lockstep ranks, a collective's
+rounds, the acks of one flush — filing one is a dict lookup and an
+append, and the heap holds only the distinct instants, so a push or a
+pop costs log of that, and compares floats, not tuples.
 
 Scheduling a *bound method plus arguments* (:meth:`Simulator.schedule_call`)
 instead of a freshly allocated closure is the kernel's fast path: the
@@ -23,14 +41,17 @@ lambda per callback used to dominate allocation on large sweeps.
 
 Simulated time is a ``float`` in *microseconds* by convention throughout
 :mod:`repro` (the network configs document their units the same way), but
-the kernel itself is unit-agnostic.
+the kernel itself is unit-agnostic.  An instant enters the heap as a
+``float`` (a NumPy or integer delay is converted there), so every
+callback of an instant sees the same ``float`` ``now``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
+                    Optional, Tuple, Union)
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -40,9 +61,20 @@ __all__ = ["Simulator", "SimulationError"]
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+_Call = Tuple[Callable[..., None], tuple]
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. running a finished loop)."""
+
+
+def _bad_time(name: str, value: Any) -> ValueError:
+    """The error for a delay or instant that fails ``>= 0`` / ``>= now``:
+    one in the past, or NaN (which compares false either way and would
+    silently break the heap's order)."""
+    if value != value:
+        return ValueError(f"cannot schedule at NaN ({name}={value!r})")
+    return ValueError(f"cannot schedule in the past ({name}={value!r})")
 
 
 class Simulator:
@@ -61,16 +93,19 @@ class Simulator:
     threads, which keeps runs reproducible.
     """
 
-    __slots__ = ("now", "_heap", "_urgent", "_seq", "_running",
+    __slots__ = ("now", "_times", "_at", "_urgent", "_running",
                  "_processes_spawned", "context")
 
     def __init__(self, start_time: float = 0.0) -> None:
         #: Current simulated time: a plain slot, read on every charge,
         #: arrival and due-event test, and written only by the loop.
         self.now: float = float(start_time)
-        self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._urgent: Deque[Tuple[Callable[..., None], tuple]] = deque()
-        self._seq: int = 0
+        #: The distinct pending instants (a heap of floats) ...
+        self._times: List[float] = []
+        #: ... and what is filed for each: one ``(fn, args)`` pair, or
+        #: a list of them in filing order.
+        self._at: Dict[float, Union[_Call, List[_Call]]] = {}
+        self._urgent: Deque[_Call] = deque()
         self._running: bool = False
         self._processes_spawned: int = 0
         #: Arbitrary per-simulation scratch space used by higher layers
@@ -82,6 +117,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def _file(self, t: float, call: _Call) -> None:
+        """File ``call`` at instant ``t``, after everything already
+        filed for it.  :meth:`schedule_call`, the hot entry point,
+        inlines this body."""
+        filed = self._at.setdefault(t, call)
+        if filed is call:
+            _heappush(self._times, t if type(t) is float else float(t))
+        elif type(filed) is list:
+            filed.append(call)
+        else:
+            self._at[t] = [filed, call]
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated time units.
 
@@ -89,10 +136,9 @@ class Simulator:
         the current time, after everything already scheduled for this
         instant.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self.now + delay, self._seq, callback, ()))
-        self._seq += 1
+        if not delay >= 0:
+            raise _bad_time("delay", delay)
+        self._file(self.now + delay, (callback, ()))
 
     def schedule_call(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -102,55 +148,57 @@ class Simulator:
         Equivalent to ``schedule(delay, lambda: fn(*args))`` without the
         closure allocation; ``fn`` is typically a bound method.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self.now + delay, self._seq, fn, args))
-        self._seq += 1
+        if not delay >= 0:
+            raise _bad_time("delay", delay)
+        t = self.now + delay
+        call = (fn, args)
+        filed = self._at.setdefault(t, call)
+        if filed is call:
+            _heappush(self._times, t if type(t) is float else float(t))
+        elif type(filed) is list:
+            filed.append(call)
+        else:
+            self._at[t] = [filed, call]
 
     def schedule_call_at(
         self, t: float, fn: Callable[..., None], *args: Any
     ) -> None:
-        """Absolute-time variant of :meth:`schedule_call`: the heap entry
-        carries ``t`` itself.  ``now + (t - now)`` can round to one ulp
-        before ``t``; a callback that tests ``something_due_at_t <= now``
-        (the op-train's wake) would then find nothing due and never be
-        called again."""
-        if t < self.now:
-            raise ValueError(f"cannot schedule in the past (t={t!r})")
-        _heappush(self._heap, (t, self._seq, fn, args))
-        self._seq += 1
+        """Absolute-time variant of :meth:`schedule_call`: the callback
+        is filed at ``t`` itself.  ``now + (t - now)`` can round to one
+        ulp before ``t``; a callback that tests ``something_due_at_t <=
+        now`` (the op-train's wake) would then find nothing due and never
+        be called again."""
+        if not t >= self.now:
+            raise _bad_time("t", t)
+        self._file(t, (fn, args))
 
     def schedule_bulk_succeed(
         self, delay: float, events: List[Event], values: List[Any]
     ) -> None:
         """Succeed ``events[i]`` with ``values[i]`` after ``delay``, as a
-        single heap entry.
+        single timed callback.
 
         N completion events whose (time, value) pairs are already known
         (the hardware acks of a ``Nic.post_frags`` message) cost one
         event-loop interaction instead of N.  Events that
-        trigger earlier by other means are skipped, so heap order and
+        trigger earlier by other means are skipped, so callback order and
         every observable timestamp stay exactly as if each event had its
         own timer at ``delay``.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        _heappush(self._heap, (self.now + delay, self._seq,
-                               self._bulk_succeed, (events, values)))
-        self._seq += 1
+        if not delay >= 0:
+            raise _bad_time("delay", delay)
+        self._file(self.now + delay, (self._bulk_succeed, (events, values)))
 
     def schedule_bulk_succeed_at(
         self, t: float, events: List[Event], values: List[Any]
     ) -> None:
         """Absolute-time variant of :meth:`schedule_bulk_succeed`: the
-        heap entry carries ``t`` itself, with no ``now + (t - now)``
+        callback is filed at ``t`` itself, with no ``now + (t - now)``
         float round trip, so a precomputed analytic timestamp is
         reproduced bit-exactly no matter when the call is made."""
-        if t < self.now:
-            raise ValueError(f"cannot schedule in the past (t={t!r})")
-        _heappush(self._heap, (t, self._seq,
-                               self._bulk_succeed, (events, values)))
-        self._seq += 1
+        if not t >= self.now:
+            raise _bad_time("t", t)
+        self._file(t, (self._bulk_succeed, (events, values)))
 
     @staticmethod
     def _bulk_succeed(events: List[Event], values: List[Any]) -> None:
@@ -164,6 +212,22 @@ class Simulator:
         """Run ``fn(*args)`` at the current time, before any ordinary
         callback scheduled for this instant (fast path)."""
         self._urgent.append((fn, args))
+
+    def _refile(self, t: float, rest: List[_Call]) -> None:
+        """Put the callbacks of instant ``t`` that a stopped loop did not
+        run back in front of any batch filed for ``t`` since."""
+        if not rest:
+            return
+        at = self._at
+        filed = at.get(t)
+        if filed is None:
+            at[t] = rest
+            _heappush(self._times, t)
+        elif type(filed) is list:
+            filed[:0] = rest
+        else:
+            rest.append(filed)
+            at[t] = rest
 
     # ------------------------------------------------------------------
     # Event / process factories
@@ -206,12 +270,20 @@ class Simulator:
             fn, args = self._urgent.popleft()
             fn(*args)
             return True
-        if not self._heap:
+        times = self._times
+        if not times:
             return False
-        time, _seq, fn, args = _heappop(self._heap)
-        if time < self.now:
+        t = times[0]
+        if t < self.now:
             raise SimulationError("heap time went backwards")
-        self.now = time
+        filed = self._at[t]
+        if type(filed) is list and len(filed) > 1:
+            fn, args = filed.pop(0)
+        else:
+            _heappop(times)
+            del self._at[t]
+            fn, args = filed if type(filed) is tuple else filed[0]
+        self.now = t
         fn(*args)
         return True
 
@@ -223,35 +295,47 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
-        heap = self._heap
+        times = self._times
+        take = self._at.pop
         urgent = self._urgent
         pop = _heappop
         popleft = urgent.popleft
         try:
-            if until is None:
-                while True:
-                    # Urgent FIFO first: everything here is due *now*.
-                    while urgent:
-                        fn, args = popleft()
-                        fn(*args)
-                    if not heap:
-                        break
-                    time, _seq, fn, args = pop(heap)
-                    self.now = time
+            while True:
+                # Urgent FIFO first: everything here is due *now*.
+                while urgent:
+                    fn, args = popleft()
                     fn(*args)
-            else:
-                while True:
-                    while urgent:
-                        fn, args = popleft()
-                        fn(*args)
-                    if not heap:
-                        break
-                    if heap[0][0] > until:
-                        self.now = until
-                        break
-                    time, _seq, fn, args = pop(heap)
-                    self.now = time
+                if not times:
+                    break
+                if until is not None and times[0] > until:
+                    self.now = until
+                    break
+                t = pop(times)
+                filed = take(t)
+                self.now = t
+                if type(filed) is tuple:
+                    fn, args = filed
                     fn(*args)
+                    continue
+                # Pop the batch from its reversed end, so each callback is
+                # released as it runs: iterating would keep every run
+                # callback of a large batch, and all it references,
+                # alive until the batch ends (in a 512-rank all-to-all,
+                # enough to add collector passes).
+                filed.reverse()
+                take_next = filed.pop
+                try:
+                    while filed:
+                        fn, args = take_next()
+                        fn(*args)
+                        while urgent:
+                            fn, args = popleft()
+                            fn(*args)
+                except BaseException:
+                    filed.reverse()
+                    self._refile(t, filed)
+                    raise
         finally:
             self._running = False
         return self.now
@@ -260,18 +344,19 @@ class Simulator:
         self, pending: Iterable, limit: Optional[float] = None
     ) -> None:
         """Step until ``pending`` empties, the loop drains, or the next
-        heap entry lies beyond ``limit``.
+        pending instant lies beyond ``limit``.
 
         ``pending`` is any sized container that event callbacks shrink as
         work completes (the :class:`~repro.runtime.World` passes the set
-        of unfinished rank processes).  This is the driver's hot loop —
-        kept inside the kernel so each event costs one pop and one call,
-        nothing more.
+        of unfinished rank processes); it is tested after every callback.
+        This is ``World.run``'s hot loop — kept inside the kernel so an
+        instant costs one pop and each callback one call, nothing more.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
-        heap = self._heap
+        times = self._times
+        take = self._at.pop
         urgent = self._urgent
         pop = _heappop
         popleft = urgent.popleft
@@ -282,13 +367,36 @@ class Simulator:
                     fn(*args)
                     if not pending:
                         return
-                if not heap:
+                if not times or limit is not None and times[0] > limit:
                     break
-                if limit is not None and heap[0][0] > limit:
-                    break
-                time, _seq, fn, args = pop(heap)
-                self.now = time
-                fn(*args)
+                t = pop(times)
+                filed = take(t)
+                self.now = t
+                if type(filed) is tuple:
+                    fn, args = filed
+                    fn(*args)
+                    continue
+                filed.reverse()  # as in run()
+                take_next = filed.pop
+                try:
+                    while filed:
+                        fn, args = take_next()
+                        fn(*args)
+                        if not pending:
+                            filed.reverse()
+                            self._refile(t, filed)
+                            return
+                        while urgent:
+                            fn, args = popleft()
+                            fn(*args)
+                            if not pending:
+                                filed.reverse()
+                                self._refile(t, filed)
+                                return
+                except BaseException:
+                    filed.reverse()
+                    self._refile(t, filed)
+                    raise
         finally:
             self._running = False
 
@@ -302,8 +410,8 @@ class Simulator:
             the event triggers.
         """
         while not event.triggered:
-            if (limit is not None and not self._urgent and self._heap
-                    and self._heap[0][0] > limit):
+            if (limit is not None and not self._urgent and self._times
+                    and self._times[0] > limit):
                 raise SimulationError(
                     f"time limit {limit} reached before event triggered"
                 )
@@ -317,7 +425,9 @@ class Simulator:
 
     def pending_count(self) -> int:
         """Number of callbacks currently scheduled (diagnostic)."""
-        return len(self._heap) + len(self._urgent)
+        return len(self._urgent) + sum(
+            len(filed) if type(filed) is list else 1
+            for filed in self._at.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now} pending={self.pending_count()}>"

@@ -136,11 +136,11 @@ class Event:
         self.sim.schedule_urgent_call(self._process_callbacks)
 
     def _fire(self, value: Any) -> None:
-        # A timer's heap entry (Timeout, an armed DeferredEvent): it runs
-        # from a heap pop, where the urgent deque is by construction
-        # empty — so invoking the callbacks inline is indistinguishable
-        # from succeed()'s urgent-queue round trip, and saves one kernel
-        # event per timer.
+        # A timer's timed callback (Timeout, an armed DeferredEvent): the
+        # loop drains the urgent deque before every timed callback, so
+        # it is empty here — invoking the callbacks inline is
+        # indistinguishable from succeed()'s urgent-queue round trip,
+        # and saves one kernel event per timer.
         if self._value is not _PENDING or self._exception is not None:
             return  # triggered early by other means; the timer is stale
         self._value = value

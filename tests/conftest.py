@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from repro.bench.workloads import fig2_attribute_cost, halo_exchange_time
 from repro.network.nic import Nic
 from repro.rma.engine import RmaEngine
+from repro.sim import Simulator
 
 BENCH_PR1 = os.path.join(os.path.dirname(__file__), os.pardir,
                          "BENCH_PR1.json")
@@ -88,3 +89,28 @@ def gated_posts(monkeypatch):
 
     monkeypatch.setattr(Nic, "post", spy)
     return posted
+
+
+#: Every entry point that files a timed callback (all but the urgent one).
+TIMED_FILINGS = ("schedule", "schedule_call", "schedule_call_at",
+                 "schedule_bulk_succeed", "schedule_bulk_succeed_at")
+
+
+def timed_filings(monkeypatch):
+    """Count the timed callbacks filed on any ``Simulator`` from now on.
+    A timed callback leaves the kernel only by running, so the count
+    filed while a world was built and run, less
+    :func:`timed_pending` after, is the number of timed callbacks that
+    run ran — one heap pop each in a ``(time, seq)`` tuple heap."""
+    filed = [0]
+    for name in TIMED_FILINGS:
+        def counting(self, *args, _file=getattr(Simulator, name)):
+            filed[0] += 1
+            return _file(self, *args)
+        monkeypatch.setattr(Simulator, name, counting)
+    return filed
+
+
+def timed_pending(sim):
+    """Timed callbacks still filed on ``sim``."""
+    return sim.pending_count() - len(sim._urgent)

@@ -15,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-import repro.sim.core as core
 from repro.bench.workloads import fig2_attribute_cost, rank_fill
 from repro.datatypes import BYTE
 from repro.network.config import generic_rdma, seastar_portals
@@ -23,7 +22,8 @@ from repro.network.packet import Packet
 from repro.obs.spans import attribute_phases, build_spans
 from repro.resil import ResilienceConfig
 from repro.runtime import World
-from tests.conftest import fast_paths, gated_posts, record_multiset
+from tests.conftest import (fast_paths, gated_posts, record_multiset,
+                            timed_filings, timed_pending)
 from tests.obs.test_export import _tiny_world
 
 
@@ -240,15 +240,9 @@ def test_moved_senders_equal_their_packets(name, monkeypatch):
     with ``Nic.post``: on a quiet world they travel lean, with the
     reference switch off every message is posted as the reference path
     posts it, neither builds a packet — and both runs agree on
-    simulated time, counters, heap pops and records."""
-    pops = []
-    heappop = core._heappop
-
-    def counting(heap):
-        pops[-1] += 1
-        return heappop(heap)
-
-    monkeypatch.setattr(core, "_heappop", counting)
+    simulated time, counters, timed callbacks run and records."""
+    filed = timed_filings(monkeypatch)
+    ran = []
     built = []
     init = Packet.__init__
 
@@ -260,15 +254,16 @@ def test_moved_senders_equal_their_packets(name, monkeypatch):
     gated = gated_posts(monkeypatch)
     seen, posted = {}, []
     for nexus in (True, False):
-        pops.append(0)
+        before = filed[0]
         built.append(0)
         with fast_paths(nexus=nexus):
             seen[nexus] = SENDERS[name]()
+        ran.append(filed[0] - before - timed_pending(seen[nexus].sim))
         posted.append(len(gated))
     lean, packets = seen[True], seen[False]
     assert built == [0, 0]
     assert posted[0] == 0 < posted[1]
-    assert pops[0] == pops[1]
+    assert ran[0] == ran[1] > 0
     assert lean.sim.now == packets.sim.now
     assert _counters(lean) == _counters(packets)
     assert record_multiset(lean.tracer) == record_multiset(packets.tracer)

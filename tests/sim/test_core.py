@@ -145,3 +145,62 @@ def test_reentrant_run_rejected():
 
     sim.schedule(0, reenter)
     sim.run()
+
+
+FILINGS = {
+    "schedule": lambda sim, x: sim.schedule(x, lambda: None),
+    "schedule_call": lambda sim, x: sim.schedule_call(x, print),
+    "schedule_call_at": lambda sim, x: sim.schedule_call_at(x, print),
+    "schedule_bulk_succeed":
+        lambda sim, x: sim.schedule_bulk_succeed(x, [], []),
+    "schedule_bulk_succeed_at":
+        lambda sim, x: sim.schedule_bulk_succeed_at(x, [], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILINGS))
+def test_a_nan_delay_or_instant_is_rejected(name):
+    """NaN compares false both ways, so ``delay < 0`` let it through;
+    filed, it breaks the order of every instant after it."""
+    sim = Simulator()
+    with pytest.raises(ValueError, match="NaN"):
+        FILINGS[name](sim, float("nan"))
+    with pytest.raises(ValueError, match="past"):
+        FILINGS[name](sim, -1.0)
+    assert sim.pending_count() == 0
+
+
+@pytest.mark.parametrize("name", sorted(FILINGS))
+def test_a_numpy_delay_enters_as_a_float(name):
+    """Whichever callback files an instant first, every callback of it
+    sees the same ``float`` clock."""
+    import numpy as np
+
+    sim = Simulator()
+    seen = []
+    FILINGS[name](sim, np.float64(2.0))
+    sim.schedule_call(2.0, lambda: seen.append(sim.now))
+    sim.schedule_call(np.int64(3), lambda: seen.append(sim.now))
+    sim.schedule_call_at(np.float32(4.0), lambda: seen.append(sim.now))
+    sim.schedule_call(4.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [2.0, 3.0, 4.0, 4.0]
+    assert {type(t) for t in seen} == {float}
+    assert type(sim.now) is float
+
+
+def test_a_numpy_nap_wakes_on_a_float_clock():
+    import numpy as np
+
+    sim = Simulator()
+    seen = []
+
+    def napper(delay):
+        yield delay
+        seen.append(sim.now)
+
+    sim.spawn(napper(np.float32(1.5)))
+    sim.spawn(napper(1.5))
+    sim.run()
+    assert seen == [1.5, 1.5]
+    assert {type(t) for t in seen} == {float}

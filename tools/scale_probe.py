@@ -12,8 +12,8 @@ ranks; (``--atomic``) P - 1 origins each issuing 100 blocking 1 / 16 /
 64 KiB atomic puts to rank 0, under the communication-thread and the
 process-lock serializer, on 8 ranks by default.  Every point runs twice:
 once plain for the wall, the cyclic collector's collections and seconds
-by generation (``gc.callbacks``) and the heap entries the kernel popped,
-then once under ``tracemalloc`` for *its own* peak (the process's RSS
+by generation (``gc.callbacks``), the timed callbacks the kernel ran
+and the distinct instants it popped them at, then once under ``tracemalloc`` for *its own* peak (the process's RSS
 high-water would be the largest earlier point's), the high-water of
 pending op-train elements, the ``Packet`` and ``Fragment`` objects
 constructed, the messages posted (``Nic.post``,
@@ -45,6 +45,7 @@ from repro.rma.engine import RmaEngine
 from repro.rma.layout import Fragment
 from repro.rma.train import OpTrain
 from repro.runtime import World
+from repro.sim import Simulator
 from repro.topo import fattree_network, torus_network
 
 NBYTES, INCAST_PUTS, HALO_ITERS = 1024, 32, 4
@@ -280,6 +281,54 @@ class CollectorClock:
         gc.callbacks.remove(self)
 
 
+class KernelCount:
+    """The timed callbacks ``sim`` runs while installed — those pending
+    at entry plus those filed since (every ``Simulator.schedule*`` entry
+    point but the urgent one), less those pending at exit: a timed
+    callback leaves the kernel only by running — and the instants the
+    kernel pops (``repro.sim.core._heappop``, which the run loops bind
+    per call)."""
+
+    FILINGS = ("schedule", "schedule_call", "schedule_call_at",
+               "schedule_bulk_succeed", "schedule_bulk_succeed_at")
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.callbacks = 0
+        self.instants = 0
+        self._filings = {}
+        self._heappop = None
+
+    def _timed_pending(self):
+        return self.sim.pending_count() - len(self.sim._urgent)
+
+    def __enter__(self):
+        def counting(file):
+            def filing(sim, *args):
+                self.callbacks += 1
+                return file(sim, *args)
+            return filing
+
+        def counting_pop(heap):
+            self.instants += 1
+            return heappop(heap)
+
+        self.callbacks = self._timed_pending()
+        self._filings = {name: getattr(Simulator, name)
+                         for name in self.FILINGS}
+        for name, file in self._filings.items():
+            setattr(Simulator, name, counting(file))
+        heappop = self._heappop = kernel._heappop
+        kernel._heappop = counting_pop
+        return self
+
+    def __exit__(self, *exc):
+        for name, file in self._filings.items():
+            setattr(Simulator, name, file)
+        kernel._heappop = self._heappop
+        self.callbacks -= self._timed_pending()
+
+
 def puts(world):
     return sum(ctx.rma.stats["puts"] for ctx in world.contexts.values())
 
@@ -287,20 +336,10 @@ def puts(world):
 def point(label, make_world, rank_program, *args, ops=puts):
     world = make_world()
     gc.collect()
-    popped = [0]
-    heappop = kernel._heappop
-
-    def counting_pop(heap):
-        popped[0] += 1
-        return heappop(heap)
-
-    kernel._heappop = counting_pop      # the run loops bind it per call
     t0 = time.perf_counter()
-    try:
-        with CollectorClock() as collector:
-            world.run(rank_program, *args)
-    finally:
-        kernel._heappop = heappop
+    with KernelCount(world.sim) as kernel_count, \
+            CollectorClock() as collector:
+        world.run(rank_program, *args)
     wall = time.perf_counter() - t0
     ops = ops(world)
     n_ranks = world.n_ranks
@@ -312,7 +351,8 @@ def point(label, make_world, rank_program, *args, ops=puts):
           f"ops={ops:6d} wall={wall:7.3f}s {1e6 * wall / ops:7.1f}us/op "
           f"gc={'/'.join(map(str, collector.collections))} "
           f"gc_s={'/'.join(f'{s:.3f}' for s in collector.seconds)} "
-          f"heap_pops={popped[0]} "
+          f"callbacks={kernel_count.callbacks} "
+          f"instants={kernel_count.instants} "
           f"run_peak={peak:6.1f}MiB pending_high_water={pending} "
           f"packets_built={packets} fragments_built={fragments} "
           f"lean_messages={posted} "
