@@ -13,11 +13,9 @@ NumPy slice copy).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.datatypes.base import Datatype, DatatypeError, Segment
+from repro.datatypes.base import Datatype, DatatypeError
 
 __all__ = ["pack", "unpack", "unpack_swapped", "swap_inplace", "check_bounds"]
 
@@ -107,17 +105,6 @@ def unpack(
             start = base + seg.disp
             buf[start : start + seg.nbytes] = data[pos : pos + seg.nbytes]
             pos += seg.nbytes
-
-
-def _segment_spans(dtype: Datatype, count: int) -> Tuple[Tuple[int, int], ...]:
-    """(wire_pos, elem_size) spans of the packed representation."""
-    spans = []
-    pos = 0
-    for _ in range(count):
-        for seg in dtype.segments:
-            spans.append((pos, seg.nbytes, seg.elem_size))
-            pos += seg.nbytes
-    return tuple(spans)  # type: ignore[return-value]
 
 
 def swap_inplace(data: np.ndarray, dtype: Datatype, count: int) -> None:

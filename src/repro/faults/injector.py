@@ -174,13 +174,13 @@ class FaultInjector:
                 raise ValueError(f"kill names unknown rank {kill.rank}")
             self.stats["kills"] += 1
             self._bump("fault.kill", rank=kill.rank)
-            sim.schedule_call(max(0.0, kill.at - sim.now),
-                              world._kill_rank, kill.rank, kill.kill_program)
+            sim.schedule_call_at(max(kill.at, sim.now), world._kill_rank,
+                                 kill.rank, kill.kill_program)
             if kill.restart_at is not None:
                 self.stats["restarts"] += 1
                 self._bump("fault.restart", rank=kill.rank)
-                sim.schedule_call(max(0.0, kill.restart_at - sim.now),
-                                  world._restart_rank, kill.rank)
+                sim.schedule_call_at(max(kill.restart_at, sim.now),
+                                     world._restart_rank, kill.rank)
         if self.plan.link_downs:
             topo = getattr(world, "topo", None)
             if topo is None:
@@ -195,14 +195,14 @@ class FaultInjector:
                     )
                 self.stats["link_downs"] += 1
                 self._bump("fault.link_down")
-                sim.schedule_call(max(0.0, spec.at - sim.now),
-                                  topo.fail_link, spec.u, spec.v, spec.both)
+                sim.schedule_call_at(max(spec.at, sim.now), topo.fail_link,
+                                     spec.u, spec.v, spec.both)
                 if spec.restore_at is not None:
                     self.stats["link_restores"] += 1
                     self._bump("fault.link_restore")
-                    sim.schedule_call(max(0.0, spec.restore_at - sim.now),
-                                      topo.restore_link, spec.u, spec.v,
-                                      spec.both)
+                    sim.schedule_call_at(max(spec.restore_at, sim.now),
+                                         topo.restore_link, spec.u, spec.v,
+                                         spec.both)
 
     # ------------------------------------------------------------------
     def _bump(self, key: str, **labels) -> None:

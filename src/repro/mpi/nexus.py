@@ -100,9 +100,8 @@ class _BarrierWalk:
         ep = self.ep
         ep.sends += 1
         ep.eager_sends += 1
-        sim = self.sim
         nic = self.nic
-        sim.schedule_call(nic.reserve(nic.header_ser) - sim.now, self.injected)
+        self.sim.schedule_call_at(nic.reserve(nic.header_ser), self.injected)
 
     def injected(self) -> None:
         """Serialization is over: the payload-free ``p2p.msg`` leaves

@@ -245,16 +245,16 @@ class Nic:
             dst, kind, fn, args, wire, data, op, ack)
         t = self.reserve(self.config.serialization_time(wire) if data_bytes
                          else self.header_ser)
-        self.sim.schedule_call(t - self.sim.now, self._launch, dst, kind, fn,
-                               args, wire, injected, t, op, ack, entry)
+        self.sim.schedule_call_at(t, self._launch, dst, kind, fn, args, wire,
+                                  injected, op, ack, entry)
 
     def launch(self, dst: int, kind: str, fn: Callable[..., None],
                args: tuple, wire: int = HEADER_SIZE,
-               injected: "Event | None" = None, t: float = 0.0, op=None,
+               injected: "Event | None" = None, op=None,
                ack: "Event | None" = None,
                entry: "_TxEntry | None" = None) -> None:
-        """Serialization of a message of ``wire`` bytes ends (at ``t``):
-        it leaves for the fabric, and one callback is pushed at each
+        """Serialization of a message of ``wire`` bytes ends (now): it
+        leaves for the fabric, and one callback is pushed at each
         instant it lands (:meth:`land`, on ``dst``'s NIC) — none when a
         dead port, a lost route or the injector drops it, two when the
         injector duplicates it.  ``entry`` is the transport's record of
@@ -267,7 +267,7 @@ class Nic:
                                  rank=self.rank, dst=dst, kind_=kind,
                                  op=op, bytes=wire)
         if injected is not None:
-            injected.succeed(t)
+            injected.succeed(self.sim.now)
         try:
             land = fabric.nics[dst]._land
         except KeyError:
@@ -280,11 +280,10 @@ class Nic:
         elif (arrival := fabric.arrival(src, dst, wire)) is not None:
             sim = self.sim
             if fabric._injector is None:
-                sim.schedule_call(arrival - sim.now, land, src, kind, fn,
-                                  args, wire, op, ack, entry)
+                sim.schedule_call_at(arrival, land, src, kind, fn, args,
+                                     wire, op, ack, entry)
             else:
-                now = sim.now
-                fate = fabric._injector.fate(src, dst, kind, now)
+                fate = fabric._injector.fate(src, dst, kind, sim.now)
                 if fate.corrupt and entry is not None:
                     from repro.faults.injector import CORRUPT_MASK
 
@@ -292,8 +291,8 @@ class Nic:
                     # resends them pristine
                     entry.wire_checksum = entry.checksum ^ CORRUPT_MASK
                 for at in fabric.landings(src, dst, wire, arrival, fate):
-                    sim.schedule_call(at - now, land, src, kind, fn, args,
-                                      wire, op, ack, entry)
+                    sim.schedule_call_at(at, land, src, kind, fn, args, wire,
+                                         op, ack, entry)
         if entry is not None:
             self.transport.launched(entry)
 
@@ -374,9 +373,9 @@ class Nic:
             wires = [HEADER_SIZE + size for size in sizes]
             ser = self.config.serialization_time
             times = [self.reserve(ser(wire)) for wire in wires]
-            sim.schedule_call(times[-1] - sim.now, self._frags_launch, dst,
-                              kind, fn, (*args, parts), wires, times, inj,
-                              acked, op)
+            sim.schedule_call_at(times[-1], self._frags_launch, dst, kind, fn,
+                                 (*args, parts), wires, times, inj, acked,
+                                 op)
             return inj, acked
         injs = [sim.event() for _ in sizes] if injected else None
         acks = [sim.event() for _ in sizes] if ack else None
@@ -411,9 +410,9 @@ class Nic:
         arrival = fabric.arrival
         arrivals = [arrival(src, dst, wire, t)
                     for wire, t in zip(wires, times)]
-        sim = self.sim
-        sim.schedule_call(arrivals[-1] - sim.now, fabric.nics[dst]._frags_land,
-                          src, kind, fn, args, wires, arrivals, acks, op)
+        self.sim.schedule_call_at(arrivals[-1], fabric.nics[dst]._frags_land,
+                                  src, kind, fn, args, wires, arrivals, acks,
+                                  op)
 
     def _frags_land(self, src, kind, fn, args, wires, arrivals, acks,
                     op) -> None:
@@ -444,8 +443,7 @@ class Nic:
                 for t in landed:
                     fabric.tracer.record(t, "net", "ack", rank=src,
                                          src=self.rank, op=op)
-            self.sim.schedule_bulk_succeed(
-                arrivals[-1] + flight - self.sim.now, [acks], [landed])
+            self.sim.schedule_bulk_succeed_at(landed[-1], [acks], [landed])
 
     # -- receive path ----------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Packet], None]) -> None:

@@ -230,9 +230,9 @@ class ReliableTransport:
                           attempt=entry.attempts, kind_=entry.kind)
         nic = self.nic
         t = nic.reserve(nic.config.serialization_time(entry.wire))
-        self.sim.schedule_call(t - self.sim.now, nic.launch, entry.dst,
-                               entry.kind, entry.fn, entry.args, entry.wire,
-                               None, t, entry.op, entry.ack, entry)
+        self.sim.schedule_call_at(t, nic.launch, entry.dst, entry.kind,
+                                  entry.fn, entry.args, entry.wire, None,
+                                  entry.op, entry.ack, entry)
 
     def _on_ack(self, src: int, seq: int, epoch: int) -> None:
         """``xport.ack`` from ``src``: it accepted (or had already

@@ -106,10 +106,6 @@ class ThreadSerializer(Serializer):
     def submit_job(self, job: JobFn) -> None:
         self._queue.put(job)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
 
 class CoarseLockSerializer(Serializer):
     """MPI-process-level lock acquired over the network by origins.
@@ -218,10 +214,6 @@ class ProgressSerializer(Serializer):
 
     def submit_job(self, job: JobFn) -> None:
         self._pending.append(job)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._pending)
 
 
 def make_serializer(kind: str, engine: "RmaEngine") -> Serializer:

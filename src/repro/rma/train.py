@@ -288,12 +288,11 @@ class TrainRoute:
         """``elem``'s apply time is known: it joins the train to ``dst``
         (a new one if none is pending).  A
         notified element also pushes its wake — one heap entry at the
-        apply time itself (not ``now + (t - now)``, which can fall one
-        ulp short and find nothing due) that materializes the target's
-        arrived trains, so a waiter parked on the board resumes at the
-        instant a packet's delivery would have woken it.  An acked
-        element needs none (``wake=False``): its last fragment's
-        :meth:`_acked`, already on the heap for that instant, is one.
+        apply time that materializes the target's arrived trains, so a
+        waiter parked on the board resumes at the instant a packet's
+        delivery would have woken it.  An acked element needs none
+        (``wake=False``): its last fragment's :meth:`_acked`, already on
+        the heap for that instant, is one.
 
         A train that grows first sheds what has arrived: the target's
         pending elements whose arrival has passed are applied before
@@ -335,14 +334,11 @@ class TrainRoute:
         <repro.network.fabric.Fabric.arrival>` books its flight — link
         reservations and FIFO clamp — at this instant, and the fragment
         of a remote-complete element (``ack``: the event its hardware
-        ack succeeds) pushes :meth:`_acked` with the delay ``launch``
-        pushes ``Nic.land`` with.  The last fragment's arrival is the
-        element's apply time; an acked element's is the instant its
-        :meth:`_acked` runs, ``now + (arrival - now)`` — one ulp before
-        ``arrival`` at times, when the callback would find its element
-        not yet due and ack a write that had not applied.  Traced, it
-        leaves the fragment's ``net/inject`` record and, with its
-        arrival, the ``net/deliver`` one."""
+        ack succeeds) pushes :meth:`_acked` at its arrival, as
+        ``launch`` pushes ``Nic.land``.  The last fragment's arrival is
+        the element's apply time.  Traced, it leaves the fragment's
+        ``net/inject`` record and, with its arrival, the ``net/deliver``
+        one."""
         src = self.eng.rank
         fabric = self.eng.nic.fabric
         tracer = fabric.tracer
@@ -360,15 +356,11 @@ class TrainRoute:
         if arrival is None:
             return
         elem.booked += 1
-        sim = self.eng.sim
-        now = sim.now
-        landed = now + (arrival - now)  # when a packet's delivery runs
         if ack is not None:
-            sim.schedule_call(arrival - now, self._acked, dst, ack,
-                              elem.op_key)
-            arrival = landed
+            self.eng.sim.schedule_call_at(arrival, self._acked, dst, ack,
+                                          elem.op_key)
         if tracer.enabled:
-            tracer.record(landed, "net", "deliver", rank=dst,
+            tracer.record(arrival, "net", "deliver", rank=dst,
                           kind_="rma.frag", src=src,
                           bytes=wire_bytes - HEADER_SIZE, op=elem.op_key)
         if last and elem.booked == elem.nfrags:
@@ -552,15 +544,15 @@ class TrainRoute:
             op_key if traced else None,
         )
         if late:
-            # One callback per fragment, pushed with the delay Nic.post
-            # pushes Nic.launch with: equal-instant injections of two
+            # One callback per fragment, filed at its injection as
+            # Nic.post files Nic.launch: equal-instant injections of two
             # NICs reserve shared links in the order messages would.
             nic._unbooked_until = inject_end
             last = nfrags - 1
             for i, t in enumerate(inject_value or (inject_end,)):
-                sim.schedule_call(t - now, self.inject, dst, element,
-                                  HEADER_SIZE + sizes[i], i == last,
-                                  None if acks is None else acks[i])
+                sim.schedule_call_at(t, self.inject, dst, element,
+                                     HEADER_SIZE + sizes[i], i == last,
+                                     None if acks is None else acks[i])
         else:
             clamp[dst] = arrival
             self._arrives(dst, element)

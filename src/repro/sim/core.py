@@ -163,39 +163,31 @@ class Simulator:
     def schedule_call_at(
         self, t: float, fn: Callable[..., None], *args: Any
     ) -> None:
-        """Absolute-time variant of :meth:`schedule_call`: the callback
-        is filed at ``t`` itself.  ``now + (t - now)`` can round to one
-        ulp before ``t``; a callback that tests ``something_due_at_t <=
-        now`` (the op-train's wake) would then find nothing due and never
-        be called again."""
+        """Run ``fn(*args)`` at instant ``t`` (fast path).
+
+        One rule picks the form: an instant a caller computed (an
+        injection, an arrival, a due time, a planned fault) is filed as
+        itself, here; a delay the model charges (a timeout, a nap, a CPU
+        charge, a retransmission timeout) is filed as a delay
+        (:meth:`schedule_call`).  So every path that computes the same
+        instant files the same float."""
         if not t >= self.now:
             raise _bad_time("t", t)
         self._file(t, (fn, args))
 
-    def schedule_bulk_succeed(
-        self, delay: float, events: List[Event], values: List[Any]
+    def schedule_bulk_succeed_at(
+        self, t: float, events: List[Event], values: List[Any]
     ) -> None:
-        """Succeed ``events[i]`` with ``values[i]`` after ``delay``, as a
+        """Succeed ``events[i]`` with ``values[i]`` at instant ``t``, as a
         single timed callback.
 
         N completion events whose (time, value) pairs are already known
         (the hardware acks of a ``Nic.post_frags`` message) cost one
-        event-loop interaction instead of N.  Events that
-        trigger earlier by other means are skipped, so callback order and
-        every observable timestamp stay exactly as if each event had its
-        own timer at ``delay``.
+        event-loop interaction instead of N.  Events that trigger
+        earlier by other means are skipped, so callback order and every
+        observable timestamp stay exactly as if each event had its own
+        timer at ``t``.
         """
-        if not delay >= 0:
-            raise _bad_time("delay", delay)
-        self._file(self.now + delay, (self._bulk_succeed, (events, values)))
-
-    def schedule_bulk_succeed_at(
-        self, t: float, events: List[Event], values: List[Any]
-    ) -> None:
-        """Absolute-time variant of :meth:`schedule_bulk_succeed`: the
-        callback is filed at ``t`` itself, with no ``now + (t - now)``
-        float round trip, so a precomputed analytic timestamp is
-        reproduced bit-exactly no matter when the call is made."""
         if not t >= self.now:
             raise _bad_time("t", t)
         self._file(t, (self._bulk_succeed, (events, values)))

@@ -201,11 +201,12 @@ class DeferredEvent(Event):
 
     - reading :attr:`triggered` (``Request.test()``/``state``) at or
       after the due time fires the event inline with its stored value;
-    - attaching a callback before the due time arms one exact timer, so
-      a blocking waiter resumes at precisely the analytic timestamp —
-      from that timer's own heap entry, with no urgent-queue hop;
+    - attaching a callback before the due time arms one timer, filed at
+      the due time itself, so a blocking waiter resumes at precisely the
+      analytic timestamp — from that timer's own heap entry, with no
+      urgent-queue hop;
     - a batch owner may :meth:`mark_armed` a whole group and retire it
-      with one :meth:`~repro.sim.core.Simulator.schedule_bulk_succeed`
+      with one :meth:`~repro.sim.core.Simulator.schedule_bulk_succeed_at`
       heap entry.
     """
 
@@ -238,8 +239,8 @@ class DeferredEvent(Event):
             self.succeed(self._deferred_value)
         if self._callbacks is not None and not self._armed:
             self._armed = True
-            self.sim.schedule_call(self.due - self.sim.now, self._fire,
-                                  self._deferred_value)
+            self.sim.schedule_call_at(self.due, self._fire,
+                                     self._deferred_value)
         super().add_callback(callback)
 
 

@@ -206,11 +206,6 @@ class TopoRuntime:
         return t
 
     # -- fault surface ---------------------------------------------------
-    @property
-    def dead_links(self) -> Set[Link]:
-        """Currently-failed directed links (read-only view by courtesy)."""
-        return self._dead
-
     def fail_link(self, u: Any, v: Any, both: bool = True) -> None:
         """Take the cable ``u -> v`` (and ``v -> u`` unless ``both`` is
         false) out of service; routes recompute around it."""

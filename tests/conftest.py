@@ -93,7 +93,7 @@ def gated_posts(monkeypatch):
 
 #: Every entry point that files a timed callback (all but the urgent one).
 TIMED_FILINGS = ("schedule", "schedule_call", "schedule_call_at",
-                 "schedule_bulk_succeed", "schedule_bulk_succeed_at")
+                 "schedule_bulk_succeed_at")
 
 
 def timed_filings(monkeypatch):

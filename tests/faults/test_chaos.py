@@ -17,6 +17,8 @@ from repro.datatypes import BYTE
 from repro.faults import FaultPlan
 from repro.mpi.constants import ERRORS_RETURN
 from repro.network.config import generic_rdma
+from repro.network.fabric import Fabric
+from repro.network.nic import Nic
 from repro.rma.target_mem import RmaError
 from repro.runtime import World
 
@@ -109,6 +111,35 @@ class TestLossyFabric:
                   seed=SEED)
         assert w.run(program) == [True] * 4
         assert w.fault_stats()["injector"]["hw_acks_dropped"] > 0
+
+
+class TestLandingInstants:
+    def test_every_landing_runs_at_an_instant_the_fabric_returned(
+            self, monkeypatch):
+        """A message lands at the very instant ``Fabric.landings``
+        computed for it — delayed, duplicated or neither — bit for bit,
+        not at ``now + (instant - now)``.  The seed is fixed: a chaos
+        seed need not produce a landing that rounding would move."""
+        returned, landed = set(), []
+        landings, land = Fabric.landings, Nic.land
+
+        def recording(self, *args):
+            instants = landings(self, *args)
+            returned.update(instants)
+            return instants
+
+        def landing(self, *args):
+            landed.append(self.sim.now)
+            return land(self, *args)
+
+        monkeypatch.setattr(Fabric, "landings", recording)
+        monkeypatch.setattr(Nic, "land", landing)
+        w = run_ring(FaultPlan().delay(0.3, mean=7.3).duplicate(0.2),
+                     seed=3)
+        stats = w.fault_stats()["injector"]
+        assert stats["delayed"] > 0 and stats["duplicated"] > 0
+        assert len(landed) > 100
+        assert [t for t in landed if t not in returned] == []
 
 
 class TestStall:

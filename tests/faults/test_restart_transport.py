@@ -140,9 +140,8 @@ class TestRetransmitAcrossReset:
         tx = nic.transport
         old = prepare(tx, 1)
         t = nic.reserve(100.0)  # the serializer is busy for 100 us
-        w.sim.schedule_call(t - w.sim.now, nic.launch, 1, old.kind, old.fn,
-                            old.args, old.wire, None, t, old.op, old.ack,
-                            old)
+        w.sim.schedule_call_at(t, nic.launch, 1, old.kind, old.fn, old.args,
+                               old.wire, None, old.op, old.ack, old)
         tx.reset_flow(1)
         w.nics[1].transport.reset_flow(0)
         nic.post(1, "p2p.msg", lambda: None, ())

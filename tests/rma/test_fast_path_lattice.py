@@ -1119,12 +1119,10 @@ def test_kill_rank_drops_requests_replies_and_late_acks_like_packets():
 def test_a_late_acked_element_applies_before_its_ack_leaves(monkeypatch):
     """On a one-hop torus whose link latency and per-byte time make the
     fragment's flight ``(now + 0.3) + 2.2`` from an injection at
-    0.3000003 us, the callback pushed with the delay ``arrival - now``
-    runs at ``now + (arrival - now)``: one ulp before ``arrival``, the
-    clock of the wake test above.  That instant is the element's apply
-    time, so the callback finds its element due: the hardware ack
-    leaves at the per-packet instant with the payload already in the
-    window, never before it."""
+    0.3000003 us, the late-acked fragment's callback runs at its
+    arrival, the element's apply time, so it finds its element due: the
+    hardware ack leaves at the per-packet instant, the arrival itself,
+    with the payload already in the window, never before it."""
     acks, window = [], []
     hardware_ack = Fabric.hardware_ack
 
@@ -1164,7 +1162,7 @@ def test_a_late_acked_element_applies_before_its_ack_leaves(monkeypatch):
         seen[train] = (sent, done, world.fabric._last_delivery[0][1])
     assert seen[True] == seen[False]
     sent, _, arrival = seen[True]
-    assert sent < arrival
+    assert sent == arrival
 
 
 # ----------------------------------------------------------------------
@@ -1254,7 +1252,7 @@ def _burst_reference(monkeypatch):
                 return
             arrivals = [fabric.arrival(src, dst, wire, t)
                         for wire, t in zip(wires, times)]
-            sim.schedule_call(arrivals[-1] - sim.now, delivered, arrivals)
+            sim.schedule_call_at(arrivals[-1], delivered, arrivals)
 
         def delivered(arrivals):
             if fabric._pending_trains:
@@ -1268,11 +1266,11 @@ def _burst_reference(monkeypatch):
                 fabric.acks_generated += len(wires)
                 rev = fabric.config_for(dst, src)
                 flight = rev.latency + ACK_SIZE * rev.byte_time
-                sim.schedule_bulk_succeed(
-                    arrivals[-1] + flight - sim.now, acks,
+                sim.schedule_bulk_succeed_at(
+                    arrivals[-1] + flight, acks,
                     [arrival + flight for arrival in arrivals])
 
-        sim.schedule_call(times[-1] - sim.now, launched)
+        sim.schedule_call_at(times[-1], launched)
         return ((AllOf(sim, injs) if injected else None),
                 (AllOf(sim, acks) if ack else None))
 

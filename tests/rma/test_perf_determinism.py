@@ -136,10 +136,8 @@ class TestBurstTimestampParity:
     def test_no_per_packet_fallback_when_tracing(self, monkeypatch):
         """Tracing changes no form: with the train off, a traced 64 KiB
         remote-complete put is still one ``Nic.post_frags`` message, and
-        it leaves the records of the 16 posts it stands in for.  Their
-        times agree to rounding: the lean form books each fragment at
-        its reservation's end ``t``, a post at the heap instant
-        ``now + (t - now)``, one ulp away at times."""
+        it leaves the records of the 16 posts it stands in for, bit for
+        bit: both book each fragment at its reservation's end ``t``."""
         calls = []
         post_frags = Nic.post_frags
 
@@ -181,12 +179,7 @@ class TestBurstTimestampParity:
                           in record_multiset(world.tracer).items()
                           for _ in range(n))
 
-        lean_records, packet_records = timeline(lean), timeline(packets)
-        assert len(lean_records) == len(packet_records)
-        for (what, t), (expected, t_expected) in zip(lean_records,
-                                                     packet_records):
-            assert what == expected
-            assert t == pytest.approx(t_expected, rel=1e-14)
+        assert timeline(lean) == timeline(packets)
 
 
 with open(BENCH_PR1) as _fh:

@@ -151,8 +151,6 @@ FILINGS = {
     "schedule": lambda sim, x: sim.schedule(x, lambda: None),
     "schedule_call": lambda sim, x: sim.schedule_call(x, print),
     "schedule_call_at": lambda sim, x: sim.schedule_call_at(x, print),
-    "schedule_bulk_succeed":
-        lambda sim, x: sim.schedule_bulk_succeed(x, [], []),
     "schedule_bulk_succeed_at":
         lambda sim, x: sim.schedule_bulk_succeed_at(x, [], []),
 }

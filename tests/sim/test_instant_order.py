@@ -48,10 +48,6 @@ class _Reference(Simulator):
         assert t >= self.now
         self._push(t, fn, args)
 
-    def schedule_bulk_succeed(self, delay, events, values):
-        assert delay >= 0
-        self._push(self.now + delay, self._bulk_succeed, (events, values))
-
     def schedule_bulk_succeed_at(self, t, events, values):
         assert t >= self.now
         self._push(t, self._bulk_succeed, (events, values))
@@ -123,8 +119,8 @@ class _Boom(Exception):
 #: exactly and most instants hold several callbacks.
 DELAYS = (0.0, 0.5, 1.0, 1.5)
 INSTANTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-KINDS = ("call", "schedule", "at", "urgent", "timeout", "bulk", "bulk_at",
-         "nap", "stop", "raise")
+KINDS = ("call", "schedule", "at", "urgent", "timeout", "bulk", "nap",
+         "stop", "raise")
 
 nodes = st.recursive(
     st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS), st.just(())),
@@ -163,18 +159,15 @@ class _Program:
         elif kind == "timeout":
             sim.timeout(delay, ident).add_callback(
                 lambda ev: self.fire(ev.value, children))
-        elif kind in ("bulk", "bulk_at"):
+        elif kind == "bulk":
             events = [sim.event() for _ in range(3)]
             for k, ev in enumerate(events):
                 ev.add_callback(lambda ev, k=k: self.fire(
                     (ident, k), children if k == 0 else ()))
             # One event triggers early: the bulk entry must skip it.
             sim.schedule_call(delay / 2, self.trigger, events[2])
-            if kind == "bulk":
-                sim.schedule_bulk_succeed(delay, events, [None] * 3)
-            else:
-                sim.schedule_bulk_succeed_at(sim.now + delay, events,
-                                             [None] * 3)
+            sim.schedule_bulk_succeed_at(sim.now + delay, events,
+                                         [None] * 3)
         elif kind == "nap":
             sim.spawn(self.napper(ident, delay, children))
         elif kind == "stop":

@@ -290,7 +290,7 @@ class KernelCount:
     per call)."""
 
     FILINGS = ("schedule", "schedule_call", "schedule_call_at",
-               "schedule_bulk_succeed", "schedule_bulk_succeed_at")
+               "schedule_bulk_succeed_at")
 
     def __init__(self, sim):
         self.sim = sim
